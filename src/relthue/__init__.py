@@ -2,92 +2,32 @@
 integers of an imaginary quadratic field Q(i*sqrt(m)), by reduction to
 height-bounded absolute inequalities over Z, with an independent brute-force
 oracle for verification.  All accept/reject decisions use exact integer and
-rational arithmetic."""
+rational arithmetic.
 
-from .abssolver import AbsSolutionSet, solve_abs, solve_abs_equation
-from .forms import (
-    AdmissibilityReport,
-    BinaryForm,
-    InadmissibleFormError,
-    check_admissible,
-    integer_roots,
-)
-from .oracle import OracleResult, brute_force
+The names below are the documented entry points; the building blocks (root
+isolation, constants, gates, the two reduction branches, the individual
+predicates) are imported from their modules."""
+
+from .abssolver import solve_abs
+from .forms import BinaryForm, InadmissibleFormError, check_admissible, integer_roots
+from .oracle import brute_force
 from .quadfield import QuadraticField, RingElement
-from .reducer import (
-    RelativeSolution,
-    RelativeSolutionSet,
-    ZeroFamily,
-    imag_value_range,
-    nonzero_value_branch,
-    solve_relative,
-    zero_value_branch,
-)
-from .rootbounds import (
-    DEFAULT_ISOLATION_WIDTH,
-    GateThresholds,
-    RootData,
-    TheoremConstants,
-    constants,
-    isolate_roots,
-    nth_root_lower,
-    nth_root_upper,
-    refine,
-    stable_constants,
-    thresholds,
-)
-from .theorem import (
-    LinearFormProfile,
-    TheoremReport,
-    check_imag_vanishing,
-    check_joint_bound,
-    check_part_bounds,
-    check_proportionality,
-    check_real_vanishing,
-    full_report,
-    linear_form_profile,
-)
+from .reducer import solve_relative
+from .rootbounds import Problem
+from .theorem import full_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbsSolutionSet",
-    "AdmissibilityReport",
     "BinaryForm",
-    "DEFAULT_ISOLATION_WIDTH",
-    "GateThresholds",
     "InadmissibleFormError",
-    "LinearFormProfile",
-    "OracleResult",
+    "Problem",
     "QuadraticField",
-    "RelativeSolution",
-    "RelativeSolutionSet",
     "RingElement",
-    "RootData",
-    "TheoremConstants",
-    "TheoremReport",
-    "ZeroFamily",
     "brute_force",
     "check_admissible",
-    "check_imag_vanishing",
-    "check_joint_bound",
-    "check_part_bounds",
-    "check_proportionality",
-    "check_real_vanishing",
-    "constants",
     "full_report",
-    "imag_value_range",
     "integer_roots",
-    "isolate_roots",
-    "linear_form_profile",
-    "nonzero_value_branch",
-    "nth_root_lower",
-    "nth_root_upper",
-    "refine",
     "solve_abs",
-    "solve_abs_equation",
     "solve_relative",
-    "stable_constants",
-    "thresholds",
-    "zero_value_branch",
 ]

@@ -19,8 +19,6 @@ from . import _poly
 from .forms import BinaryForm, IntegerPair
 from .rootbounds import RootData, isolate_roots, nth_root_upper
 
-WINDOW_ISOLATION_WIDTH = Fraction(1, 2**16)
-
 
 @dataclass(frozen=True)
 class AbsSolutionSet:
@@ -29,7 +27,6 @@ class AbsSolutionSet:
     bound: Fraction
     height: int
     solutions: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
-    complete_within_height: bool = True
 
     def pairs(self) -> tuple[IntegerPair, ...]:
         return tuple((a, b) for a, b, _ in self.solutions)
@@ -66,7 +63,7 @@ def solve_abs(
     if height < 0:
         raise ValueError("height must be nonnegative")
     if roots is None:
-        roots = isolate_roots(form, WINDOW_ISOLATION_WIDTH)
+        roots = isolate_roots(form)
     n = form.degree
     window = max(Fraction(1), nth_root_upper(bound, n, 32))
     found: list[tuple[int, int, int]] = []
@@ -94,13 +91,3 @@ def solve_abs(
     found.sort(key=lambda t: (t[1], t[0]))
     return AbsSolutionSet(bound=bound, height=height, solutions=tuple(found))
 
-
-def solve_abs_equation(
-    form: BinaryForm,
-    value: int,
-    height: int,
-    roots: RootData | None = None,
-) -> tuple[IntegerPair, ...]:
-    """All (a, b) with F(a, b) = value and |b| <= height, sorted by (b, a)."""
-    sols = solve_abs(form, abs(value), height, roots=roots)
-    return tuple((a, b) for a, b, v in sols.solutions if v == value)

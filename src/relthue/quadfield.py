@@ -51,9 +51,20 @@ class QuadraticField:
         m = int(self.m)
         if m < 1:
             raise ValueError("m must be a positive integer")
-        for d in range(2, isqrt(m) + 1):
-            if m % (d * d) == 0:
-                raise ValueError(f"m = {m} is not square-free (divisible by {d}^2)")
+        # Strip each prime up to m^(1/3) once; a second factor means a square.
+        # The cofactor then has at most two prime factors, so it is square-free
+        # unless it is a perfect square.
+        rest = m
+        d = 2
+        while d * d * d <= m:
+            if rest % d == 0:
+                rest //= d
+                if rest % d == 0:
+                    raise ValueError(f"m = {m} is not square-free (divisible by {d}^2)")
+            d += 1
+        root = isqrt(rest)
+        if rest > 1 and root * root == rest:
+            raise ValueError(f"m = {m} is not square-free (divisible by {root}^2)")
         object.__setattr__(self, "m", m)
 
     @property

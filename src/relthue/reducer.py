@@ -23,24 +23,22 @@ from fractions import Fraction
 from math import floor, isqrt
 
 from .abssolver import AbsSolutionSet, solve_abs
-from .forms import BinaryForm, integer_roots, require_admissible
+from .forms import BinaryForm
 from .quadfield import QuadraticField, RingElement
-from .rootbounds import DEFAULT_ISOLATION_WIDTH, stable_constants
+from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
 
 log = logging.getLogger(__name__)
 
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
+Found = dict[Quad, tuple[RingElement, RingElement, RingElement]]  # quad -> (x, y, F(x, y))
 
 
 @dataclass(frozen=True)
 class ZeroFamily:
-    """One integer-root line of F: every ring multiple of (x_step, y_step) solves exactly."""
+    """One integer-root line of F: every (w*root, w) with w in the ring solves exactly."""
 
     root: int
-    x_step: RingElement
-    y_step: RingElement
-    note: str = "instances verified individually up to the height bound"
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,9 @@ class RelativeSolutionSet:
         return {sol.quadruple for sol in self.solutions}
 
 
-def imag_value_range(field: QuadraticField, form: BinaryForm, K) -> list[int]:
-    """All integers v with v^2 * m^n <= s^(2n) K^2 — the possible F(x2, y2) values."""
-    require_admissible(form)
-    n = form.degree
-    limit = (Fraction(field.s) ** (2 * n) * Fraction(K) ** 2) / field.m**n
+def imag_value_range(problem: Problem) -> list[int]:
+    """All integers v with v^2 * m^n <= (s^n K)^2 — the possible F(x2, y2) values."""
+    limit = problem.abs_bound**2 / problem.field.m**problem.form.degree
     cap = isqrt(floor(limit))
     return list(range(-cap, cap + 1))
 
@@ -87,78 +83,59 @@ def _reconstruct(field: QuadraticField, imag_pair, real_pair) -> Quad | None:
 
 
 def _verify(field, form, K_sq, quad: Quad):
+    """(x, y, F(x, y)) when the quadruple solves the inequality, else None."""
     x = RingElement(quad[0], quad[1])
     y = RingElement(quad[2], quad[3])
     value = field.evaluate_form(form, x, y)
     if field.norm(value) <= K_sq:
-        return x, y
+        return x, y, value
     return None
 
 
-def _zero_set_members(form: BinaryForm, height: int) -> list[tuple[int, int]]:
+def _zero_set_members(problem: Problem, height: int) -> list[tuple[int, int]]:
     members = {(0, 0)}
-    for r in integer_roots(form):
+    for r in problem.integer_roots:
         for t in range(-height, height + 1):
             members.add((r * t, t))
     return sorted(members)
 
 
-def zero_value_branch(
-    field: QuadraticField,
-    form: BinaryForm,
-    K,
-    height: int,
-    abs_solutions: AbsSolutionSet | None = None,
-) -> tuple[dict[Quad, tuple[RingElement, RingElement]], tuple[ZeroFamily, ...]]:
-    """Candidates with F(x2, y2) = 0, verified exactly; plus the zero families."""
-    require_admissible(form)
-    K = Fraction(K)
-    n = form.degree
-    if abs_solutions is None:
-        abs_solutions = solve_abs(form, Fraction(field.s) ** n * K, height)
-    K_sq = K * K
-    found: dict[Quad, tuple[RingElement, RingElement]] = {}
-    for imag_pair in _zero_set_members(form, height):
+def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
+    """Candidates with F(x2, y2) = 0, verified exactly.
+
+    ``abs_solutions`` is the enumeration of |F(a, b)| <= s^n K; its height
+    bounds (x2, y2) too.
+    """
+    field, form = problem.field, problem.form
+    K_sq = problem.K * problem.K
+    found: Found = {}
+    for imag_pair in _zero_set_members(problem, abs_solutions.height):
         for a, b, _ in abs_solutions.solutions:
             quad = _reconstruct(field, imag_pair, (a, b))
             if quad is None:
                 continue
-            pair = _verify(field, form, K_sq, quad)
-            if pair is not None:
-                found[quad] = pair
-    families = tuple(
-        ZeroFamily(root=r, x_step=RingElement(r, 0), y_step=RingElement(1, 0))
-        for r in integer_roots(form)
-    )
-    return found, families
+            verified = _verify(field, form, K_sq, quad)
+            if verified is not None:
+                found[quad] = verified
+    return found
 
 
-def nonzero_value_branch(
-    field: QuadraticField,
-    form: BinaryForm,
-    K,
-    height: int,
-    abs_solutions: AbsSolutionSet | None = None,
-) -> dict[Quad, tuple[RingElement, RingElement]]:
-    """Candidates with F(x2, y2) = v_imag != 0, verified exactly."""
-    require_admissible(form)
-    K = Fraction(K)
+def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
+    """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch."""
+    field, form = problem.field, problem.form
     n = form.degree
-    s = field.s
-    if abs_solutions is None:
-        abs_solutions = solve_abs(form, Fraction(s) ** n * K, height)
-    K_sq = K * K
+    K_sq = problem.K * problem.K
     index = abs_solutions.values_index()
-    part_cap = floor(Fraction(s) ** n * K)  # |v_real| bound from the part inequality
-    found: dict[Quad, tuple[RingElement, RingElement]] = {}
-    for v_imag in imag_value_range(field, form, K):
+    part_cap = floor(problem.abs_bound)  # |v_real| bound from the part inequality
+    found: Found = {}
+    for v_imag in imag_value_range(problem):
         if v_imag == 0:
             continue
         imag_pairs = index.get(v_imag, [])
         if not imag_pairs:
-            log.debug("imag value %d not realized within height %d; skipped", v_imag, height)
+            log.debug("imag value %d not realized within height %d; skipped", v_imag, abs_solutions.height)
             continue
-        joint = (Fraction(s) ** (4 * n) * K**4) / (v_imag * v_imag * 2 ** (2 * n) * field.m**n)
+        joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * field.m**n)
         real_cap = min(part_cap, isqrt(floor(joint)))
         for v_real in sorted(index):
             if abs(v_real) > real_cap:
@@ -168,9 +145,9 @@ def nonzero_value_branch(
                     quad = _reconstruct(field, imag_pair, real_pair)
                     if quad is None:
                         continue
-                    pair = _verify(field, form, K_sq, quad)
-                    if pair is not None:
-                        found[quad] = pair
+                    verified = _verify(field, form, K_sq, quad)
+                    if verified is not None:
+                        found[quad] = verified
     return found
 
 
@@ -180,7 +157,6 @@ def solve_relative(
     K,
     epsilon=Fraction(1, 2),
     height: int = 100,
-    width: Fraction = DEFAULT_ISOLATION_WIDTH,
 ) -> RelativeSolutionSet:
     """Solve |F(x, y)| <= K over the ring of integers, exhaustively within reach.
 
@@ -189,36 +165,21 @@ def solve_relative(
     verified exactly, and each carries a structure-predicate report (a failed
     applicable predicate would indicate a bug and flips ``cross_check_ok``).
     """
-    K = Fraction(K)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if height < 0:
-        raise ValueError("height must be nonnegative")
-    require_admissible(form)
-    roots, consts = stable_constants(form, K, epsilon, field, width=width)
-    n = form.degree
-    abs_solutions = solve_abs(form, Fraction(field.s) ** n * K, height, roots=roots)
-    candidates, families = zero_value_branch(field, form, K, height, abs_solutions)
-    candidates.update(nonzero_value_branch(field, form, K, height, abs_solutions))
-    solutions = []
-    for quad in sorted(candidates, key=lambda q: (field.norm(RingElement(q[2], q[3])), q[2], q[3], q[0], q[1])):
-        x, y = candidates[quad]
-        value = field.evaluate_form(form, x, y)
-        solutions.append(
-            RelativeSolution(
-                x=x,
-                y=y,
-                value=value,
-                value_norm=field.norm(value),
-                report=full_report(field, form, consts, x, y, K),
-            )
-        )
+    problem = Problem(field, form, K, epsilon)
+    abs_solutions = solve_abs(form, problem.abs_bound, height, roots=problem.roots)
+    candidates = zero_value_branch(problem, abs_solutions)
+    candidates.update(nonzero_value_branch(problem, abs_solutions))
+    solutions = [
+        RelativeSolution(x=x, y=y, value=value, value_norm=field.norm(value), report=full_report(problem, x, y))
+        for x, y, value in candidates.values()
+    ]
+    solutions.sort(key=lambda sol: (sol.report.norm_y, sol.y.u1, sol.y.u2, sol.x.u1, sol.x.u2))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:
         log.warning("a verified solution failed an applicable structure predicate")
     return RelativeSolutionSet(
         solutions=tuple(solutions),
         search_height=height,
-        families=families,
+        families=tuple(ZeroFamily(r) for r in problem.integer_roots),
         cross_check_ok=cross_check_ok,
     )

@@ -16,20 +16,26 @@ and, per field, upper bounds on the squared applicability thresholds of the
 three large-|y| conclusions.  n-th roots of rationals and square roots are
 bounded by dyadic binary search, so the whole pipeline stays exact-directional:
 tightening the intervals can only raise lower bounds and lower upper bounds.
+
+:class:`Problem` validates one relative inequality and holds all of these
+facts, computed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
 from math import floor
 
 from . import _poly
 from .forms import BinaryForm, integer_roots, require_admissible
 from .quadfield import QuadraticField
 
+log = logging.getLogger(__name__)
+
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
+MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
 ROOT_PREC_BITS = 48
 
 Interval = tuple[Fraction, Fraction]
@@ -71,11 +77,15 @@ def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
 
 @dataclass(frozen=True)
 class RootData:
-    """Isolating intervals (sorted, pairwise disjoint) plus gap enclosures."""
+    """Isolating intervals (sorted, pairwise disjoint) plus gap enclosures.
 
-    form: BinaryForm
+    The integer roots are the point intervals; ``reduced`` is f with their
+    linear factors removed.
+    """
+
     intervals: tuple[Interval, ...]
-    reduced: tuple[int, ...]  # f with its integer linear factors removed
+    integer_roots: tuple[int, ...]
+    reduced: tuple[int, ...]
     min_gap_lower: Fraction
     min_gap_upper: Fraction
     gap_product_lower: Fraction
@@ -168,14 +178,14 @@ def _initial_isolation(form: BinaryForm):
             left = _poly.count_roots(chain, lo, mid)
             work.append((lo, mid, left))
             work.append((mid, hi, count - left))
-    return g, items
+    return exact, g, items
 
 
-def _build(form, g, items) -> RootData:
+def _build(exact, g, items) -> RootData:
     _separate(g, items)
     intervals = tuple((lo, hi) for lo, hi in items)
     a_lo, a_hi, b_lo, b_hi = _gap_enclosures(intervals)
-    return RootData(form, intervals, g, a_lo, a_hi, b_lo, b_hi)
+    return RootData(intervals, exact, g, a_lo, a_hi, b_lo, b_hi)
 
 
 def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootData:
@@ -187,10 +197,10 @@ def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    g, items = _initial_isolation(form)
+    exact, g, items = _initial_isolation(form)
     for iv in items:
         iv[0], iv[1] = _refine_interval(g, iv[0], iv[1], width)
-    return _build(form, g, items)
+    return _build(exact, g, items)
 
 
 def refine(data: RootData, width: Fraction) -> RootData:
@@ -200,20 +210,13 @@ def refine(data: RootData, width: Fraction) -> RootData:
     items = [[lo, hi] for lo, hi in data.intervals]
     for iv in items:
         iv[0], iv[1] = _refine_interval(data.reduced, iv[0], iv[1], width)
-    return _build(data.form, data.reduced, items)
+    return _build(data.integer_roots, data.reduced, items)
 
 
 @dataclass(frozen=True)
 class TheoremConstants:
-    """Directed-rounded enclosures of the solution-structure constants."""
+    """Directed-rounded enclosures of approx_coeff and gate (the gap enclosures are in :class:`RootData`)."""
 
-    degree: int
-    K: Fraction
-    epsilon: Fraction
-    min_gap_lower: Fraction
-    min_gap_upper: Fraction
-    gap_product_lower: Fraction
-    gap_product_upper: Fraction
     approx_coeff_lower: Fraction
     approx_coeff_upper: Fraction
     gate_lower: Fraction
@@ -253,7 +256,7 @@ def constants(roots: RootData, K, epsilon) -> TheoremConstants:
         raise ValueError("K must be >= 1")
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    n = roots.form.degree
+    n = len(roots.intervals)
     if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
         raise ValueError("root intervals are not strictly separated")
     shrink = (1 - epsilon) ** (n - 1)
@@ -261,31 +264,17 @@ def constants(roots: RootData, K, epsilon) -> TheoremConstants:
     c_lower = K / (shrink * roots.gap_product_upper)
     g_upper = nth_root_upper(K, n) / (epsilon * roots.min_gap_lower)
     g_lower = nth_root_lower(K, n) / (epsilon * roots.min_gap_upper)
-    return TheoremConstants(
-        degree=n,
-        K=K,
-        epsilon=epsilon,
-        min_gap_lower=roots.min_gap_lower,
-        min_gap_upper=roots.min_gap_upper,
-        gap_product_lower=roots.gap_product_lower,
-        gap_product_upper=roots.gap_product_upper,
-        approx_coeff_lower=c_lower,
-        approx_coeff_upper=c_upper,
-        gate_lower=g_lower,
-        gate_upper=g_upper,
-    )
+    return TheoremConstants(c_lower, c_upper, g_lower, g_upper)
 
 
-@lru_cache(maxsize=256)
-def thresholds(consts: TheoremConstants, field: QuadraticField) -> GateThresholds:
-    """Squared applicability gates for the given field, rounded upward.
+def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
+    """Squared applicability gates for a form of degree n over ``field``, rounded upward.
 
     The three conclusions require |y| > max(gate, X^(1/e)) with
     X = s*approx_coeff (real-vanish) or s*approx_coeff/sqrt(m) (the others)
     and e = n-2 or n-1; squaring removes the square roots, so everything is
     an n-th root of a rational, bounded above dyadically.
     """
-    n = consts.degree
     s = field.s
     gate_sq = consts.gate_upper**2
     scaled_sq = Fraction(s * s) * consts.approx_coeff_upper**2
@@ -305,27 +294,77 @@ def _gate_floors(th: GateThresholds) -> tuple[int, int, int]:
 
 
 def stable_constants(
-    form: BinaryForm,
-    K,
-    epsilon,
-    field: QuadraticField,
-    width: Fraction = DEFAULT_ISOLATION_WIDTH,
-    max_halvings: int = 12,
-) -> tuple[RootData, TheoremConstants]:
+    form: BinaryForm, K, epsilon, field: QuadraticField
+) -> tuple[RootData, TheoremConstants, GateThresholds, bool]:
     """Isolate roots and halve the width until the integer gates stabilize.
 
     The gates are compared against integer norms, so refinement beyond the
-    point where their floors stop moving cannot change any decision.
+    point where their floors stop moving cannot change any decision.  The
+    flag is False when the floors still moved after ``MAX_HALVINGS`` halvings;
+    the returned gates are then those of the finest isolation, still sound.
     """
+    n = form.degree
+    width = DEFAULT_ISOLATION_WIDTH
     data = isolate_roots(form, width)
     consts = constants(data, K, epsilon)
-    gates = _gate_floors(thresholds(consts, field))
-    for _ in range(max_halvings):
+    gates = thresholds(consts, n, field)
+    for _ in range(MAX_HALVINGS):
         width = width / 2
         finer = refine(data, width)
         finer_consts = constants(finer, K, epsilon)
-        finer_gates = _gate_floors(thresholds(finer_consts, field))
-        if finer_gates == gates:
-            return finer, finer_consts
+        finer_gates = thresholds(finer_consts, n, field)
+        if _gate_floors(finer_gates) == _gate_floors(gates):
+            return finer, finer_consts, finer_gates, True
         data, consts, gates = finer, finer_consts, finer_gates
-    return data, consts
+    return data, consts, gates, False
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One relative inequality |F(x, y)| <= K over the integers of ``field``, validated.
+
+    The constructor is the one place a problem is checked (admissible form,
+    K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
+    and the predicates use: the root isolation (integer roots included), the
+    constants, the gates and ``abs_bound`` = s^n K, the bound of the absolute
+    inequality behind both part bounds.  ``gates_stable`` is False when the
+    gates had not settled after ``MAX_HALVINGS`` refinements; a warning is
+    logged then.
+    """
+
+    field: QuadraticField
+    form: BinaryForm
+    K: Fraction
+    epsilon: Fraction = Fraction(1, 2)
+    roots: RootData = dataclass_field(init=False)
+    consts: TheoremConstants = dataclass_field(init=False)
+    gates: GateThresholds = dataclass_field(init=False)
+    gates_stable: bool = dataclass_field(init=False)
+    abs_bound: Fraction = dataclass_field(init=False)
+
+    def __post_init__(self):
+        K, epsilon = Fraction(self.K), Fraction(self.epsilon)
+        roots, consts, gates, stable = stable_constants(self.form, K, epsilon, self.field)
+        if not stable:
+            log.warning(
+                "gates of %s over m = %d did not stabilize in %d halvings", self.form, self.field.m, MAX_HALVINGS
+            )
+        derived = {
+            "K": K,
+            "epsilon": epsilon,
+            "roots": roots,
+            "consts": consts,
+            "gates": gates,
+            "gates_stable": stable,
+            "abs_bound": Fraction(self.field.s) ** self.form.degree * K,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def s(self) -> int:
+        return self.field.s
+
+    @property
+    def integer_roots(self) -> tuple[int, ...]:
+        return self.roots.integer_roots

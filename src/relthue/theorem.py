@@ -12,26 +12,15 @@ For a solution (x, y) with coordinate split ((a, b), (x2, y2)) the checks are:
 All pass/fail decisions are exact integer/rational comparisons (the bounds
 are squared to remove sqrt(m)); gate applicability is decided against upper
 enclosures, so a conclusion is never asserted outside its proven range.
-:func:`linear_form_profile` additionally encloses the linear forms
-beta_j = x - root_j * y for diagnostics and pruning; no predicate outcome
-depends on its precision.
+Every check reads its bounds and gates from one :class:`~relthue.rootbounds.Problem`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .forms import BinaryForm
-from .quadfield import QuadraticField, RingElement
-from .rootbounds import (
-    ROOT_PREC_BITS,
-    RootData,
-    TheoremConstants,
-    nth_root_lower,
-    nth_root_upper,
-    thresholds,
-)
+from .quadfield import RingElement
+from .rootbounds import Problem
 
 
 @dataclass(frozen=True)
@@ -64,62 +53,52 @@ class TheoremReport:
         )
 
 
-def _part_values(field: QuadraticField, form: BinaryForm, x: RingElement, y: RingElement):
-    real_pair, imag_pair = field.split_coordinates(x, y)
-    return form.evaluate(*real_pair), form.evaluate(*imag_pair)
+def check_part_bounds(problem: Problem, v_real: int, v_imag: int) -> tuple[bool, bool]:
+    """(real flag, imag flag) for the single-product bounds on v_real = F(a, b), v_imag = F(x2, y2), squared."""
+    bound = problem.abs_bound**2
+    return (v_real * v_real <= bound, v_imag * v_imag * problem.field.m**problem.form.degree <= bound)
 
 
-def check_part_bounds(field, form, x, y, K) -> tuple[bool, bool]:
-    """(real flag, imag flag) for the two single-product bounds, tested squared."""
-    n = form.degree
-    v_real, v_imag = _part_values(field, form, x, y)
-    bound = Fraction(field.s) ** (2 * n) * Fraction(K) ** 2
-    return (v_real * v_real <= bound, v_imag * v_imag * field.m**n <= bound)
-
-
-def check_joint_bound(field, form, x, y, K) -> bool:
+def check_joint_bound(problem: Problem, v_real: int, v_imag: int) -> bool:
     """The multiplied bound, tested as an exact fourth-power comparison."""
-    n = form.degree
-    v_real, v_imag = _part_values(field, form, x, y)
-    lhs = v_real * v_real * v_imag * v_imag * 2 ** (2 * n) * field.m**n
-    return lhs <= Fraction(field.s) ** (4 * n) * Fraction(K) ** 4
+    n = problem.form.degree
+    lhs = v_real * v_real * v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n
+    return lhs <= problem.abs_bound**4
 
 
-def check_proportionality(field, consts: TheoremConstants, x, y) -> tuple[bool, bool]:
+def check_proportionality(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
     """(applicable, holds) for the cross-product conclusion x2*y1 == x1*y2."""
-    gate = thresholds(consts, field).proportionality_sq
-    applicable = field.norm(y) > gate
+    applicable = problem.field.norm(y) > problem.gates.proportionality_sq
     return applicable, x.u2 * y.u1 == x.u1 * y.u2
 
 
-def check_real_vanishing(field, consts: TheoremConstants, x, y) -> tuple[bool, bool]:
+def check_real_vanishing(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
     """(applicable, holds): y's real pair vanishing forces x's real pair to vanish."""
-    s = field.s
-    gate = thresholds(consts, field).real_vanish_sq
-    applicable = field.norm(y) > gate and s * y.u1 + (s - 1) * y.u2 == 0
+    s = problem.field.s
+    applicable = problem.field.norm(y) > problem.gates.real_vanish_sq and s * y.u1 + (s - 1) * y.u2 == 0
     return applicable, s * x.u1 + (s - 1) * x.u2 == 0
 
 
-def check_imag_vanishing(field, consts: TheoremConstants, x, y) -> tuple[bool, bool]:
+def check_imag_vanishing(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
     """(applicable, holds): y2 == 0 forces x2 == 0 above the gate."""
-    gate = thresholds(consts, field).imag_vanish_sq
-    applicable = field.norm(y) > gate and y.u2 == 0
+    applicable = problem.field.norm(y) > problem.gates.imag_vanish_sq and y.u2 == 0
     return applicable, x.u2 == 0
 
 
-def full_report(field, form, consts, x, y, K) -> TheoremReport:
-    v_real, v_imag = _part_values(field, form, x, y)
-    real_ok, imag_ok = check_part_bounds(field, form, x, y, K)
-    prop = check_proportionality(field, consts, x, y)
-    realv = check_real_vanishing(field, consts, x, y)
-    imagv = check_imag_vanishing(field, consts, x, y)
+def full_report(problem: Problem, x: RingElement, y: RingElement) -> TheoremReport:
+    real_pair, imag_pair = problem.field.split_coordinates(x, y)
+    v_real, v_imag = problem.form.evaluate(*real_pair), problem.form.evaluate(*imag_pair)
+    real_ok, imag_ok = check_part_bounds(problem, v_real, v_imag)
+    prop = check_proportionality(problem, x, y)
+    realv = check_real_vanishing(problem, x, y)
+    imagv = check_imag_vanishing(problem, x, y)
     return TheoremReport(
         real_value=v_real,
         imag_value=v_imag,
-        norm_y=field.norm(y),
+        norm_y=problem.field.norm(y),
         real_bound_ok=real_ok,
         imag_bound_ok=imag_ok,
-        joint_bound_ok=check_joint_bound(field, form, x, y, K),
+        joint_bound_ok=check_joint_bound(problem, v_real, v_imag),
         proportional_applicable=prop[0],
         proportional_holds=prop[1],
         real_vanish_applicable=realv[0],
@@ -127,79 +106,3 @@ def full_report(field, form, consts, x, y, K) -> TheoremReport:
         imag_vanish_applicable=imagv[0],
         imag_vanish_holds=imagv[1],
     )
-
-
-_Iv = tuple[Fraction, Fraction]
-
-
-def _iv_mul(a: _Iv, b: _Iv) -> _Iv:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def _iv_square(a: _Iv) -> _Iv:
-    lo = Fraction(0) if a[0] <= 0 <= a[1] else min(a[0] * a[0], a[1] * a[1])
-    return (lo, max(a[0] * a[0], a[1] * a[1]))
-
-
-@dataclass(frozen=True)
-class LinearFormProfile:
-    """Complex enclosures of beta_j = x - root_j * y, plus the minimizing index.
-
-    ``residual_bound`` is the certified upper bound approx_coeff / |y|^(n-1)
-    on |beta_{min_index}|, reported only when norm(y) is provably at or above
-    the gate squared.  Diagnostics only: interval precision never feeds an
-    accept/reject decision.
-    """
-
-    real_parts: tuple[tuple[Fraction, Fraction], ...]
-    imag_parts: tuple[tuple[Fraction, Fraction], ...]
-    modulus_sq: tuple[tuple[Fraction, Fraction], ...]
-    min_index: int
-    residual_bound: Fraction | None
-
-
-def linear_form_profile(
-    field: QuadraticField,
-    roots: RootData,
-    x: RingElement,
-    y: RingElement,
-    consts: TheoremConstants | None = None,
-    bits: int = ROOT_PREC_BITS,
-) -> LinearFormProfile:
-    """Enclose every beta_j and pick the index of the smallest modulus.
-
-    Ties inside overlapping enclosures resolve to the smallest index.
-    Requires y != 0.
-    """
-    if y.is_zero:
-        raise ValueError("profile requires y != 0")
-    s = field.s
-    (a, b), (x2, y2) = field.split_coordinates(x, y)
-    sq_m = (nth_root_lower(Fraction(field.m), 2, bits), nth_root_upper(Fraction(field.m), 2, bits))
-    reals = []
-    imags = []
-    mods = []
-    for lo, hi in roots.intervals:
-        alpha = (lo, hi)
-        re = _iv_mul(alpha, (Fraction(b), Fraction(b)))
-        re = ((a - re[1]) / s, (a - re[0]) / s)
-        im = _iv_mul(alpha, (Fraction(y2), Fraction(y2)))
-        im = (x2 - im[1], x2 - im[0])
-        im = _iv_mul(sq_m, im)
-        im = (im[0] / s, im[1] / s)
-        sq = _iv_square(re)
-        sq2 = _iv_square(im)
-        reals.append(re)
-        imags.append(im)
-        mods.append((sq[0] + sq2[0], sq[1] + sq2[1]))
-    best_hi = min(m[1] for m in mods)
-    min_index = next(j for j, m in enumerate(mods) if m[0] <= best_hi)
-    residual = None
-    if consts is not None:
-        norm_y = field.norm(y)
-        if Fraction(norm_y) >= consts.gate_upper**2:
-            n = roots.form.degree
-            y_pow_lower = nth_root_lower(Fraction(norm_y) ** (n - 1), 2, bits)
-            residual = consts.approx_coeff_upper / y_pow_lower
-    return LinearFormProfile(tuple(reals), tuple(imags), tuple(mods), min_index, residual)

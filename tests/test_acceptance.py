@@ -15,19 +15,17 @@ import pytest
 
 from relthue import (
     BinaryForm,
+    Problem,
     QuadraticField,
     RingElement,
     brute_force,
     check_admissible,
-    constants,
     full_report,
-    imag_value_range,
-    isolate_roots,
-    refine,
     solve_abs,
     solve_relative,
-    stable_constants,
 )
+from relthue.reducer import imag_value_range
+from relthue.rootbounds import constants, isolate_roots, refine
 from util import form_from_roots, rectangle_solutions
 
 FORMS = {
@@ -56,7 +54,7 @@ class Instance:
     K: int
     solved: object
     oracle: object
-    consts: object
+    problem: Problem
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +64,7 @@ def instances():
         field = QuadraticField(m)
         solved = solve_relative(field, form, K, EPS, YMAX)
         oracle = brute_force(field, form, K, BOX)
-        _, consts = stable_constants(form, K, EPS, field)
-        built.append(Instance(name, form, field, K, solved, oracle, consts))
+        built.append(Instance(name, form, field, K, solved, oracle, Problem(field, form, K, EPS)))
     return built
 
 
@@ -86,7 +83,7 @@ def test_criterion_2_predicate_soundness(instances):
     for inst in instances:
         for quad, _ in inst.oracle.solutions:
             x, y = RingElement(quad[0], quad[1]), RingElement(quad[2], quad[3])
-            report = full_report(inst.field, inst.form, inst.consts, x, y, inst.K)
+            report = full_report(inst.problem, x, y)
             assert report.ok, (inst.name, inst.field.m, inst.K, quad)
             checked += 1
     oracle_count = checked
@@ -108,7 +105,7 @@ def test_criterion_2_predicate_soundness(instances):
                     continue
                 hits += 1
                 sampled += 1
-                report = full_report(inst.field, inst.form, inst.consts, x, y, inst.K)
+                report = full_report(inst.problem, x, y)
                 assert report.ok, (inst.name, inst.field.m, inst.K, (x, y))
     assert sampled >= 1000, f"rejection sampling found only {sampled} solutions"
     _report(2, True, f"predicates pass on {oracle_count} oracle solutions + {sampled} sampled solutions, zero violations")
@@ -118,8 +115,8 @@ def test_criterion_3_constants_reproduction():
     data = isolate_roots(BinaryForm((0, -4, 0, 1)))
     consts = constants(data, 1, Fraction(1, 2))
     ok = (
-        consts.min_gap_lower <= 2 <= consts.min_gap_upper
-        and consts.gap_product_lower <= 4 <= consts.gap_product_upper
+        data.min_gap_lower <= 2 <= data.min_gap_upper
+        and data.gap_product_lower <= 4 <= data.gap_product_upper
         and 1 <= consts.approx_coeff_upper <= 1 + Fraction(1, 2**30)
         and 1 <= consts.gate_upper <= 1 + Fraction(1, 2**30)
     )
@@ -129,9 +126,9 @@ def test_criterion_3_constants_reproduction():
 def test_criterion_4_imag_value_range():
     form = FORMS["x^3-4xy^2"]
     ok = (
-        imag_value_range(QuadraticField(3), form, 1) == [-1, 0, 1]
-        and imag_value_range(QuadraticField(163), form, 1) == [0]
-        and imag_value_range(QuadraticField(2), form, 1) == [0]
+        imag_value_range(Problem(QuadraticField(3), form, 1)) == [-1, 0, 1]
+        and imag_value_range(Problem(QuadraticField(163), form, 1)) == [0]
+        and imag_value_range(Problem(QuadraticField(2), form, 1)) == [0]
     )
     _report(4, ok, "value range {-1,0,1} for m=3, {0} for m=163, {0} for m=2 (n=3, K=1)")
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,9 @@ def problem_file(tmp_path):
     path = tmp_path / "prob.txt"
     path.write_text(PROBLEM, encoding="utf-8")
     return str(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -178,3 +182,24 @@ def test_decimal_str():
     assert decimal_str(Fraction(1, 2), 4) == "0.5000"
     assert decimal_str(Fraction(-7, 3), 6) == "-2.333333"
     assert decimal_str(Fraction(2), 3) == "2.000"
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("solve", ["solve", "{problem}"]),
+        ("solve_families", ["solve", "{problem}", "--families"]),
+        ("solve_json", ["solve", "{problem}", "--json"]),
+        ("abs_json", ["abs", "--coeffs", "0 -4 0 1", "--kprime", "1", "--ymax", "2", "--json"]),
+        ("constants", ["constants", "{problem}"]),
+        ("constants_json", ["constants", "{problem}", "--json"]),
+        ("verify", ["verify", "{problem}", "0,1,0,0", "4,0,2,0", "3,0,0,0"]),
+        ("oracle_json", ["oracle", "{problem}", "--json"]),
+        ("check_json", ["check", "{problem}", "--json"]),
+    ],
+)
+def test_output_matches_golden(capsys, problem_file, name, argv):
+    # tests/golden/<name>.out holds the stdout of the same command, recorded once
+    status, out, _ = run(capsys, *(arg.format(problem=problem_file) for arg in argv))
+    assert status == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")

@@ -1,20 +1,10 @@
-import random
-from fractions import Fraction
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relthue import (
-    BinaryForm,
-    QuadraticField,
-    RingElement,
-    isolate_roots,
-    linear_form_profile,
-    nth_root_lower,
-    nth_root_upper,
-)
-from util import complex_iv_mul
+from relthue import BinaryForm, QuadraticField, RingElement
 
 F1 = BinaryForm((0, -4, 0, 1))
 
@@ -33,6 +23,18 @@ def test_field_validation():
     assert QuadraticField(3).s == 2
     assert QuadraticField(7).s == 2
     assert QuadraticField(163).s == 2
+
+
+def test_squarefree_check_is_fast_for_large_m():
+    # primes near 10^6: trial division to sqrt(m) would take ~10^6 steps
+    p, q = 999983, 1000003
+    start = time.perf_counter()
+    assert QuadraticField(p * q).m == p * q
+    with pytest.raises(ValueError, match=f"not square-free \\(divisible by {p}\\^2\\)"):
+        QuadraticField(p * p)
+    with pytest.raises(ValueError, match="not square-free"):
+        QuadraticField(4 * p * q)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_mul_examples():
@@ -94,37 +96,3 @@ def test_split_coordinates_examples():
     assert k3.split_coordinates(RingElement(4, 0), RingElement(2, 0)) == ((8, 4), (0, 0))
     k1 = QuadraticField(1)
     assert k1.split_coordinates(RingElement(3, 2), RingElement(1, 5)) == ((3, 1), (2, 5))
-
-
-def _exact_value_enclosure(field, value, bits=48):
-    """Complex enclosure of a ring element from the sqrt(m) dyadic bounds."""
-    sqm = (nth_root_lower(Fraction(field.m), 2, bits), nth_root_upper(Fraction(field.m), 2, bits))
-    if field.s == 2:
-        re = Fraction(2 * value.u1 + value.u2, 2)
-        im_coeff = Fraction(value.u2, 2)
-    else:
-        re = Fraction(value.u1)
-        im_coeff = Fraction(value.u2)
-    lo, hi = im_coeff * sqm[0], im_coeff * sqm[1]
-    return (re, re), (min(lo, hi), max(lo, hi))
-
-
-def test_linear_form_product_encloses_form_value():
-    # product of the beta_j enclosures must contain F(x, y) at any precision
-    rng = random.Random(5)
-    for m in (1, 2, 3, 7):
-        field = QuadraticField(m)
-        roots = isolate_roots(F1, Fraction(1, 2**40))
-        for _ in range(25):
-            x = RingElement(rng.randint(-6, 6), rng.randint(-6, 6))
-            y = RingElement(rng.randint(-6, 6), rng.randint(-6, 6))
-            if y.is_zero:
-                continue
-            profile = linear_form_profile(field, roots, x, y)
-            prod = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
-            for re, im in zip(profile.real_parts, profile.imag_parts):
-                prod = complex_iv_mul(prod, (re, im))
-            exact_re, exact_im = _exact_value_enclosure(field, field.evaluate_form(F1, x, y))
-            assert prod[0][0] <= exact_re[0] and exact_re[1] <= prod[0][1]
-            # both enclose the exact imaginary part, so they must overlap
-            assert prod[1][0] <= exact_im[1] and exact_im[0] <= prod[1][1]

@@ -1,42 +1,46 @@
+import cProfile
+import pstats
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from relthue import (
-    BinaryForm,
-    QuadraticField,
-    RingElement,
-    brute_force,
-    imag_value_range,
-    nonzero_value_branch,
-    solve_abs,
-    solve_relative,
-    zero_value_branch,
-)
+import relthue
+
+from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, solve_abs, solve_relative
+from relthue.reducer import imag_value_range, nonzero_value_branch, zero_value_branch
 
 F1 = BinaryForm((0, -4, 0, 1))
 F2 = BinaryForm((0, -2, -1, 1))
 F3 = BinaryForm((-1, -3, 0, 1))
 
 
+def branch_input(m, form, K, height):
+    """The problem and the absolute enumeration both branches read, as solve_relative builds them."""
+    problem = Problem(QuadraticField(m), form, K)
+    return problem, solve_abs(form, problem.abs_bound, height, roots=problem.roots)
+
+
 def test_imag_value_range_examples():
-    assert imag_value_range(QuadraticField(3), F1, 1) == [-1, 0, 1]
-    assert imag_value_range(QuadraticField(163), F1, 1) == [0]
-    assert imag_value_range(QuadraticField(2), F1, 1) == [0]
+    assert imag_value_range(Problem(QuadraticField(3), F1, 1)) == [-1, 0, 1]
+    assert imag_value_range(Problem(QuadraticField(163), F1, 1)) == [0]
+    assert imag_value_range(Problem(QuadraticField(2), F1, 1)) == [0]
 
 
 def test_imag_value_range_grows_with_K():
-    small = imag_value_range(QuadraticField(3), F1, 1)
-    large = imag_value_range(QuadraticField(3), F1, 10)
+    small = imag_value_range(Problem(QuadraticField(3), F1, 1))
+    large = imag_value_range(Problem(QuadraticField(3), F1, 10))
     assert set(small) <= set(large)
     assert large == list(range(-15, 16))  # k^2 * 27 <= 6400
 
 
 def test_zero_branch_parity_reconstruction():
     # family member (2t, t) with (a, b) = (2, 0): x1 = 1 - t integral only for even t
-    field = QuadraticField(3)
-    found, families = zero_value_branch(field, F1, 1, 6)
-    assert {f.root for f in families} == {-2, 0, 2}
+    problem, abs_solutions = branch_input(3, F1, 1, 6)
+    field = problem.field
+    found = zero_value_branch(problem, abs_solutions)
+    assert problem.integer_roots == (-2, 0, 2)
     for quad in found:
         x1, x2, y1, y2 = quad
         # reconstruction parity: a = 2*x1 + x2 and b = 2*y1 + y2 are integers by construction
@@ -46,8 +50,9 @@ def test_zero_branch_parity_reconstruction():
 
 def test_nonzero_branch_worked_example():
     # x = w, y = 0: imag value 1 realized by (1, 0), real pair (1, 0), x1 = 0
-    field = QuadraticField(3)
-    found = nonzero_value_branch(field, F1, 1, 6)
+    problem, abs_solutions = branch_input(3, F1, 1, 6)
+    field = problem.field
+    found = nonzero_value_branch(problem, abs_solutions)
     assert (0, 1, 0, 0) in found
     for quad in found:
         x = RingElement(quad[0], quad[1])
@@ -57,9 +62,9 @@ def test_nonzero_branch_worked_example():
 
 
 def test_branches_disjoint_by_imag_value():
-    field = QuadraticField(3)
-    zero_found, _ = zero_value_branch(field, F1, 1, 6)
-    nonzero_found = nonzero_value_branch(field, F1, 1, 6)
+    problem, abs_solutions = branch_input(3, F1, 1, 6)
+    zero_found = zero_value_branch(problem, abs_solutions)
+    nonzero_found = nonzero_value_branch(problem, abs_solutions)
     assert not (set(zero_found) & set(nonzero_found))
 
 
@@ -94,9 +99,6 @@ def test_large_m_forces_zero_imag_coords():
 def test_reducible_reports_families():
     result = solve_relative(QuadraticField(7), F1, 1, Fraction(1, 2), 5)
     assert [f.root for f in result.families] == [-2, 0, 2]
-    for fam in result.families:
-        assert fam.y_step == RingElement(1, 0)
-        assert fam.x_step == RingElement(fam.root, 0)
     assert result.search_height == 5
 
 
@@ -159,3 +161,20 @@ def test_s1_reconstruction_degenerates():
     for q in result.quadruples():
         if q[1] == 0 and q[3] == 0:
             assert (q[0], q[2]) in abs_pairs
+
+
+def test_each_problem_fact_is_computed_once():
+    # cProfile counts calls by code object, so no import alias can hide one
+    profiler = cProfile.Profile()
+    profiler.runcall(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 6)
+    calls = Counter()
+    for (filename, _, name), (_, total_calls, *_) in pstats.Stats(profiler).stats.items():
+        if Path(filename).parent == Path(relthue.__file__).parent:
+            calls[Path(filename).stem, name] += total_calls
+    assert calls["forms", "check_admissible"] == 1
+    assert calls["forms", "integer_roots"] == 1
+
+
+def test_no_process_global_cache():
+    sources = Path(relthue.__file__).parent.glob("*.py")
+    assert not [path.name for path in sources if "lru_cache" in path.read_text(encoding="utf-8")]

@@ -1,21 +1,12 @@
+import logging
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relthue import (
-    BinaryForm,
-    InadmissibleFormError,
-    QuadraticField,
-    constants,
-    isolate_roots,
-    nth_root_lower,
-    nth_root_upper,
-    refine,
-    stable_constants,
-    thresholds,
-)
+from relthue import BinaryForm, InadmissibleFormError, Problem, QuadraticField, rootbounds
+from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
 F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
@@ -69,19 +60,18 @@ def test_isolate_rejects_inadmissible():
 def test_constants_exact_root_example():
     data = isolate_roots(F1)
     consts = constants(data, 1, Fraction(1, 2))
-    assert consts.min_gap_lower <= 2 <= consts.min_gap_upper
-    assert consts.gap_product_lower <= 4 <= consts.gap_product_upper
+    assert data.min_gap_lower <= 2 <= data.min_gap_upper
+    assert data.gap_product_lower <= 4 <= data.gap_product_upper
     assert 1 <= consts.approx_coeff_upper <= 1 + Fraction(1, 2**30)
     assert 1 <= consts.gate_upper <= 1 + Fraction(1, 2**30)
 
 
 def test_constants_irrational_gap():
     data = isolate_roots(F3)
-    consts = constants(data, 1, Fraction(1, 2))
     # min gap ~ 1.1847925 between the two smaller roots
-    assert consts.min_gap_lower <= Fraction(1184793, 1000000)
-    assert consts.min_gap_upper >= Fraction(1184792, 1000000)
-    assert consts.min_gap_upper - consts.min_gap_lower < Fraction(1, 2**50)
+    assert data.min_gap_lower <= Fraction(1184793, 1000000)
+    assert data.min_gap_upper >= Fraction(1184792, 1000000)
+    assert data.min_gap_upper - data.min_gap_lower < Fraction(1, 2**50)
 
 
 def test_constants_validation():
@@ -115,7 +105,7 @@ def test_refinement_monotone():
 def test_thresholds_exact_values():
     field = QuadraticField(3)
     consts = constants(isolate_roots(F1), 1, Fraction(1, 2))
-    gates = thresholds(consts, field)
+    gates = thresholds(consts, 3, field)
     # s*C = 2, so squared gates are 4/3, 2 and ub(2/sqrt(3)) respectively
     assert gates.proportionality_sq == Fraction(4, 3)
     assert gates.real_vanish_sq == 2
@@ -128,11 +118,30 @@ def test_thresholds_exact_values():
 
 def test_stable_constants_runs():
     field = QuadraticField(7)
-    data, consts = stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
-    assert consts.K == Fraction(3, 2)
-    gates = thresholds(consts, field)
-    assert gates.proportionality_sq > 0
-    assert data.width <= Fraction(1, 2**64)
+    problem = Problem(field, F3, Fraction(3, 2))
+    assert problem.K == Fraction(3, 2)
+    assert problem.gates == thresholds(problem.consts, 3, field)
+    assert problem.gates.proportionality_sq > 0
+    assert problem.roots.width <= Fraction(1, 2**64)
+    assert problem.gates_stable
+
+
+def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
+    monkeypatch.setattr(rootbounds, "MAX_HALVINGS", 0)
+    with caplog.at_level(logging.WARNING, logger="relthue.rootbounds"):
+        problem = Problem(QuadraticField(7), F3, Fraction(3, 2))
+    assert not problem.gates_stable
+    assert "did not stabilize" in caplog.text
+
+
+def test_problem_validates_once_at_construction():
+    with pytest.raises(InadmissibleFormError):
+        Problem(QuadraticField(3), BinaryForm((0, 1, 0, 1)), 1)  # x^3 + x: complex roots
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        Problem(QuadraticField(3), F1, Fraction(1, 2))
+    with pytest.raises(ValueError, match="epsilon"):
+        Problem(QuadraticField(3), F1, 1, Fraction(1))
+    assert Problem(QuadraticField(3), F1, 1).integer_roots == (-2, 0, 2)
 
 
 @given(

@@ -3,81 +3,74 @@ from fractions import Fraction
 
 import pytest
 
-from relthue import (
-    BinaryForm,
-    QuadraticField,
-    RingElement,
-    brute_force,
+from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, full_report
+from relthue.theorem import (
     check_imag_vanishing,
     check_joint_bound,
     check_part_bounds,
     check_proportionality,
     check_real_vanishing,
-    full_report,
-    isolate_roots,
-    linear_form_profile,
-    stable_constants,
 )
 
 F1 = BinaryForm((0, -4, 0, 1))
 K3 = QuadraticField(3)
+P3 = Problem(K3, F1, 1)
 W = RingElement(0, 1)
 ZERO = RingElement(0, 0)
 
 
-def consts_for(form, K, field, epsilon=Fraction(1, 2)):
-    return stable_constants(form, K, epsilon, field)[1]
+def part_values(field, x, y):
+    """(F(a, b), F(x2, y2)) for the coordinate split of (x, y)."""
+    real_pair, imag_pair = field.split_coordinates(x, y)
+    return F1.evaluate(*real_pair), F1.evaluate(*imag_pair)
 
 
 def test_part_bounds_examples():
-    assert check_part_bounds(K3, F1, W, ZERO, 1) == (True, True)  # 1 <= 8, 27 <= 64
-    assert check_part_bounds(K3, F1, ZERO, ZERO, 1) == (True, True)
-    assert check_part_bounds(K3, F1, RingElement(4, 0), RingElement(2, 0), 1) == (True, True)
+    assert check_part_bounds(P3, *part_values(K3, W, ZERO)) == (True, True)  # 1 <= 8, 27 <= 64
+    assert check_part_bounds(P3, *part_values(K3, ZERO, ZERO)) == (True, True)
+    assert check_part_bounds(P3, *part_values(K3, RingElement(4, 0), RingElement(2, 0))) == (True, True)
     # a clear non-solution violates the real part bound: F(6,0) = 216 > 8
-    assert check_part_bounds(K3, F1, RingElement(3, 0), ZERO, 1)[0] is False
+    assert check_part_bounds(P3, *part_values(K3, RingElement(3, 0), ZERO))[0] is False
 
 
 def test_joint_bound_examples():
     # 1 * 1 * 2^6 * 27 = 1728 <= 2^12 = 4096
-    assert check_joint_bound(K3, F1, W, ZERO, 1)
-    assert check_joint_bound(K3, F1, ZERO, ZERO, 1)
+    assert check_joint_bound(P3, *part_values(K3, W, ZERO))
+    assert check_joint_bound(P3, *part_values(K3, ZERO, ZERO))
     # zero factor: F(2,0) = 8, F(0,0) = 0
-    assert check_joint_bound(K3, F1, RingElement(1, 0), ZERO, 1)
+    assert check_joint_bound(P3, *part_values(K3, RingElement(1, 0), ZERO))
 
 
 def test_proportionality_example():
-    consts = consts_for(F1, 1, K3)
-    applicable, holds = check_proportionality(K3, consts, RingElement(4, 0), RingElement(2, 0))
+    applicable, holds = check_proportionality(P3, RingElement(4, 0), RingElement(2, 0))
     assert applicable  # norm(y) = 4 > threshold^2 = 4/3
     assert holds  # 0*2 == 4*0
-    applicable, _ = check_proportionality(K3, consts, RingElement(4, 0), ZERO)
+    applicable, _ = check_proportionality(P3, RingElement(4, 0), ZERO)
     assert not applicable
-    applicable, holds = check_proportionality(K3, consts, ZERO, RingElement(2, 0))
+    applicable, holds = check_proportionality(P3, ZERO, RingElement(2, 0))
     assert applicable and holds
 
 
 def test_real_vanishing_example():
-    consts = consts_for(F1, 1, K3)
     y = RingElement(-1, 2)  # i*sqrt(3): norm 3 > gate 2, real pair 2*(-1)+2 = 0
-    applicable, _ = check_real_vanishing(K3, consts, ZERO, y)
+    applicable, _ = check_real_vanishing(P3, ZERO, y)
     assert applicable
     # every actual solution with this y must have a vanishing real pair
     for x1 in range(-6, 7):
         for x2 in range(-6, 7):
             x = RingElement(x1, x2)
             if K3.norm(K3.evaluate_form(F1, x, y)) <= 1:
-                assert check_real_vanishing(K3, consts, x, y)[1], (x1, x2)
-    applicable, _ = check_real_vanishing(K3, consts, ZERO, RingElement(1, 0))
+                assert check_real_vanishing(P3, x, y)[1], (x1, x2)
+    applicable, _ = check_real_vanishing(P3, ZERO, RingElement(1, 0))
     assert not applicable  # real pair of y is 2 != 0
-    assert check_real_vanishing(K3, consts, ZERO, y)[1]  # x = 0 vacuously vanishes
+    assert check_real_vanishing(P3, ZERO, y)[1]  # x = 0 vacuously vanishes
 
 
 def test_imag_vanishing_example():
-    consts = consts_for(F1, 1, K3)
     y = RingElement(2, 0)
-    applicable, holds = check_imag_vanishing(K3, consts, RingElement(4, 0), y)
+    applicable, holds = check_imag_vanishing(P3, RingElement(4, 0), y)
     assert applicable and holds
-    assert not check_imag_vanishing(K3, consts, RingElement(4, 0), RingElement(1, 1))[0]
+    assert not check_imag_vanishing(P3, RingElement(4, 0), RingElement(1, 1))[0]
     # x = (0,1) with this y would violate the conclusion, so it cannot solve:
     assert K3.norm(K3.evaluate_form(F1, RingElement(0, 1), y)) > 1
 
@@ -86,13 +79,13 @@ def test_imag_vanishing_example():
 @pytest.mark.parametrize("K", [1, 10])
 def test_soundness_on_box(m, K):
     field = QuadraticField(m)
-    consts = consts_for(F1, K, field)
+    problem = Problem(field, F1, K)
     result = brute_force(field, F1, K, 2)
     assert result.solutions  # sanity: the sweep is not vacuous
     for quad, _ in result.solutions:
         x = RingElement(quad[0], quad[1])
         y = RingElement(quad[2], quad[3])
-        report = full_report(field, F1, consts, x, y, K)
+        report = full_report(problem, x, y)
         assert report.ok, quad
 
 
@@ -105,54 +98,3 @@ def test_am_gm_step():
             z = RingElement(rng.randint(-50, 50), rng.randint(-50, 50))
             re_sq, im_sq = field.real_part_sq(z), field.imag_part_sq(z)
             assert re_sq * im_sq <= Fraction(field.norm(z), 2) ** 2
-
-
-def test_profile_example():
-    roots = isolate_roots(F1)
-    consts = consts_for(F1, 1, K3)
-    profile = linear_form_profile(K3, roots, RingElement(4, 0), RingElement(2, 0), consts)
-    assert profile.min_index == 2  # root 2: beta = (8 - 2*4)/2 = 0
-    lo, hi = profile.modulus_sq[2]
-    assert lo <= 0 <= hi
-    # norm(y) = 4 >= gate^2, so the residual bound C/|y|^(n-1) ~ 1/4 is reported
-    assert profile.residual_bound is not None
-    assert abs(profile.residual_bound - Fraction(1, 4)) < Fraction(1, 2**20)
-
-
-def test_profile_requires_nonzero_y():
-    roots = isolate_roots(F1)
-    with pytest.raises(ValueError):
-        linear_form_profile(K3, roots, W, ZERO)
-
-
-def test_profile_gate_not_asserted_below_radius():
-    # K = 8 gives gate = 2/A = 1 -> 8^(1/3)=2, gate = 2; |y| = 1 < 2 stays ungated
-    consts = consts_for(F1, 8, K3)
-    roots = isolate_roots(F1)
-    profile = linear_form_profile(K3, roots, W, RingElement(1, 0), consts)
-    assert profile.residual_bound is None
-
-
-def test_profile_min_index_matches_float_argmin():
-    rng = random.Random(3)
-    roots = isolate_roots(F1)
-    import math
-
-    alphas = [-2.0, 0.0, 2.0]
-    for m in (1, 3):
-        field = QuadraticField(m)
-        sq = math.sqrt(m)
-        for _ in range(100):
-            x = RingElement(rng.randint(-8, 8), rng.randint(-8, 8))
-            y = RingElement(rng.randint(-8, 8), rng.randint(-8, 8))
-            if y.is_zero:
-                continue
-            profile = linear_form_profile(field, roots, x, y)
-            s = field.s
-            (a, b), (x2, y2) = field.split_coordinates(x, y)
-            mods = [
-                ((a - al * b) / s) ** 2 + (sq * (x2 - al * y2) / s) ** 2 for al in alphas
-            ]
-            best = min(mods)
-            candidates = [j for j, v in enumerate(mods) if abs(v - best) < 1e-9]
-            assert profile.min_index in candidates

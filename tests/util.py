@@ -10,7 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil
 
-from relthue import BinaryForm, isolate_roots, nth_root_upper
+from relthue import BinaryForm
+from relthue.rootbounds import isolate_roots, nth_root_upper
 
 
 def form_from_roots(roots) -> BinaryForm:
@@ -42,21 +43,3 @@ def rectangle_solutions(form: BinaryForm, bound, ymax: int) -> set[tuple[int, in
                 out.add((a, b))
     return out
 
-
-Iv = tuple[Fraction, Fraction]
-
-
-def iv_mul(a: Iv, b: Iv) -> Iv:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(products), max(products))
-
-
-def iv_sub(a: Iv, b: Iv) -> Iv:
-    return (a[0] - b[1], a[1] - b[0])
-
-
-def complex_iv_mul(x: tuple[Iv, Iv], y: tuple[Iv, Iv]) -> tuple[Iv, Iv]:
-    re = iv_sub(iv_mul(x[0], y[0]), iv_mul(x[1], y[1]))
-    im_lo_hi = iv_mul(x[0], y[1])
-    im2 = iv_mul(x[1], y[0])
-    return re, (im_lo_hi[0] + im2[0], im_lo_hi[1] + im2[1])
