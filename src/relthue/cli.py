@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .abssolver import solve_abs
-from .forms import BinaryForm, check_admissible
+from .forms import BinaryForm
 from .oracle import brute_force
 from .quadfield import QuadraticField, RingElement
 from .reducer import RelativeSolutionSet, solve_relative
@@ -150,10 +150,12 @@ def decimal_str(x: Fraction, digits: int = 10) -> str:
 
 
 def _solution_rows(result: RelativeSolutionSet) -> list[dict]:
-    return [
-        {"x1": s.x.u1, "x2": s.x.u2, "y1": s.y.u1, "y2": s.y.u2, "norm": s.value_norm}
-        for s in result.solutions
-    ]
+    """One row per solution within reach, family members (norm 0) included, in the solver sort order."""
+    field = result.field
+    rows = [(s.report.norm_y, s.quadruple, s.value_norm) for s in result.solutions]
+    rows += [(field.norm(RingElement(q[2], q[3])), q, 0) for q in result.family_members()]
+    rows.sort(key=lambda row: (row[0], row[1][2], row[1][3], row[1][0], row[1][1]))
+    return [{"x1": q[0], "x2": q[1], "y1": q[2], "y2": q[3], "norm": nv} for _, q, nv in rows]
 
 
 def _family_rows(result: RelativeSolutionSet) -> list[dict]:
@@ -216,7 +218,7 @@ def cmd_solve(args) -> int:
         f"m {spec.m} (s={spec.field().s})",
         f"K {_frac_str(spec.K)}",
         f"ymax {ymax}",
-        f"solutions {len(result.solutions)}",
+        f"solutions {len(payload['solutions'])}",
         *_solution_lines(payload["solutions"]),
     ]
     if args.families:
@@ -259,10 +261,7 @@ def cmd_abs(args) -> int:
         raise CliError("--kprime: must be nonnegative")
     if args.ymax < 0:
         raise CliError("--ymax: must be nonnegative")
-    report = check_admissible(form)
-    if not report.ok:
-        raise CliError(f"form inadmissible: {report.reason}")
-    result = solve_abs(form, bound, args.ymax)
+    result = solve_abs(form, bound, args.ymax)  # an inadmissible form raises InadmissibleFormError
     payload = {
         "command": "abs",
         "coeffs": list(coeffs),

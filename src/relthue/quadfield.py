@@ -24,15 +24,6 @@ class RingElement:
     u1: int
     u2: int
 
-    def __add__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.u1 + other.u1, self.u2 + other.u2)
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(-self.u1, -self.u2)
-
     @property
     def is_zero(self) -> bool:
         return self.u1 == 0 and self.u2 == 0

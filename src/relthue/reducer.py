@@ -4,8 +4,16 @@ For a solution (x, y) write v_imag = F(x2, y2) and v_real = F(a, b) with
 (a, b) = (s*x1 + (s-1)*x2, s*y1 + (s-1)*y2).  The part bounds confine v_imag
 to a small integer range; splitting on v_imag = 0 versus v_imag != 0 gives:
 
-* zero branch: (x2, y2) runs over the zero set of F on Z^2 (integer-root
-  lines, truncated at the height bound), (a, b) over |F(a, b)| <= s^n K;
+* zero branch: (x2, y2) runs over the zero set of F on Z^2, that is (0, 0)
+  and the integer-root lines (r*t, t), and (a, b) over |F(a, b)| <= s^n K.
+  A pair with x2 = r*y2 and a = r*b is a member x = r*y of the zero family
+  of r; members are not enumerated but kept as :class:`ZeroFamily` and
+  expanded by :meth:`RelativeSolutionSet.quadruples`.  Off the families,
+  x - r*y = d = (a - r*b)/s is a nonzero rational integer and every other
+  factor of F(x, y) has |x - rho*y| >= |r - rho|*|t|*sqrt(m)/s, so
+  |F(x, y)| >= |d|*|f'(r)|*(|t|*sqrt(m)/s)^(n-1).  This exact derivative
+  test ends each root line at the first t where even |d| = 1 fails, and
+  pairs (r*t, t) only with real pairs in the window 0 < |a - r*b| <= s*d_max(t);
 * nonzero branch: for each realized value v_imag, v_real is confined by the
   joint bound, and (a, b) runs over the exact-value solutions.
 
@@ -18,12 +26,14 @@ inequality.  One absolute enumeration at bound s^n K serves both branches.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, isqrt
 
+from . import _poly
 from .abssolver import AbsSolutionSet, solve_abs
-from .forms import BinaryForm
+from .forms import BinaryForm, IntegerPair
 from .quadfield import QuadraticField, RingElement
 from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
@@ -36,7 +46,16 @@ Found = dict[Quad, tuple[RingElement, RingElement, RingElement]]  # quad -> (x, 
 
 @dataclass(frozen=True)
 class ZeroFamily:
-    """One integer-root line of F: every (w*root, w) with w in the ring solves exactly."""
+    """One integer-root line of F: every (w*root, w) with w in the ring solves exactly.
+
+    A member x = r*y has F(x, y) = 0, and every predicate of
+    :func:`~relthue.theorem.full_report` holds for it: its real pair is
+    (r*b, b) and its imaginary pair (r*y2, y2), so both part values and the
+    joint product are 0; x2*y1 = r*y2*y1 = x1*y2 (proportionality); b = 0
+    forces a = r*b = 0 (real-pair vanishing); y2 = 0 forces x2 = r*y2 = 0
+    (imaginary vanishing).  Members are therefore checked once per family,
+    by this argument, and not one by one.
+    """
 
     root: int
 
@@ -56,13 +75,36 @@ class RelativeSolution:
 
 @dataclass(frozen=True)
 class RelativeSolutionSet:
+    """The solutions within reach: the zero families plus every solution outside them.
+
+    ``solutions`` holds only the solutions that are not family members, each
+    verified exactly and with its predicate report; when F has no integer
+    root, (0, 0) is one of them, otherwise it is a member of every family.
+    ``families`` holds one :class:`ZeroFamily` per integer root.  The reach is
+    |y2| <= ``search_height`` and |s*y1 + (s-1)*y2| <= ``search_height``;
+    :meth:`family_members` lists the members within it and
+    :meth:`quadruples` the whole solution set within it.
+    """
+
     solutions: tuple[RelativeSolution, ...]
     search_height: int
     families: tuple[ZeroFamily, ...]
     cross_check_ok: bool
+    field: QuadraticField
+
+    def family_members(self) -> Iterator[Quad]:
+        """Every family member (r*y, y) within reach, each once."""
+        s, height = self.field.s, self.search_height
+        for i, family in enumerate(self.families):
+            r = family.root
+            for y2 in range(-height, height + 1):
+                # y1 with |s*y1 + (s-1)*y2| <= height
+                for y1 in range(-((height + (s - 1) * y2) // s), (height - (s - 1) * y2) // s + 1):
+                    if i == 0 or y1 or y2:  # (0, 0) is in every family
+                        yield (r * y1, r * y2, y1, y2)
 
     def quadruples(self) -> set[Quad]:
-        return {sol.quadruple for sol in self.solutions}
+        return {sol.quadruple for sol in self.solutions}.union(self.family_members())
 
 
 def imag_value_range(problem: Problem) -> list[int]:
@@ -92,39 +134,51 @@ def _verify(field, form, K_sq, quad: Quad):
     return None
 
 
-def _zero_set_members(problem: Problem, height: int) -> list[tuple[int, int]]:
-    members = {(0, 0)}
-    for r in problem.integer_roots:
-        for t in range(-height, height + 1):
-            members.add((r * t, t))
-    return sorted(members)
+def _pair(problem: Problem, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
+    """Reconstruct and verify each (imag_pair, real pair) candidate, recording the solutions in ``found``."""
+    field, form = problem.field, problem.form
+    K_sq = problem.K * problem.K
+    for real_pair in real_pairs:
+        quad = _reconstruct(field, imag_pair, real_pair)
+        if quad is None:
+            continue
+        verified = _verify(field, form, K_sq, quad)
+        if verified is not None:
+            found[quad] = verified
 
 
 def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
-    """Candidates with F(x2, y2) = 0, verified exactly.
+    """Solutions with F(x2, y2) = 0 that are not zero-family members, verified exactly.
 
     ``abs_solutions`` is the enumeration of |F(a, b)| <= s^n K; its height
-    bounds (x2, y2) too.
+    bounds y2 too.  For y2 = t != 0 on the line of root r, only real pairs with
+    0 < |a - r*b| <= s*d_max(t) are tried, where d_max(t) is the largest d
+    with d^2 * f'(r)^2 * (m*t^2)^(n-1) <= K^2 * s^(2(n-1)) (see the module
+    docstring); the line ends where d_max(t) = 0.
     """
-    field, form = problem.field, problem.form
-    K_sq = problem.K * problem.K
+    s, m, n = problem.s, problem.field.m, problem.form.degree
+    roots = problem.integer_roots
+    real_pairs = abs_solutions.pairs()
     found: Found = {}
-    for imag_pair in _zero_set_members(problem, abs_solutions.height):
-        for a, b, _ in abs_solutions.solutions:
-            quad = _reconstruct(field, imag_pair, (a, b))
-            if quad is None:
-                continue
-            verified = _verify(field, form, K_sq, quad)
-            if verified is not None:
-                found[quad] = verified
+    # y2 = x2 = 0: x and y are rational integers, members when (a, b) is on a root line
+    _pair(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
+    f_prime = _poly.derivative(problem.form.dehomogenized())
+    bound = problem.K**2 * s ** (2 * (n - 1))
+    for r in roots:
+        slope_sq = _poly.evaluate(f_prime, r) ** 2
+        for t in range(1, abs_solutions.height + 1):
+            d_max = isqrt(floor(bound / (slope_sq * (m * t * t) ** (n - 1))))
+            if d_max == 0:
+                break
+            window = [(a, b) for a, b in real_pairs if 0 < abs(a - r * b) <= s * d_max]
+            _pair(problem, (r * t, t), window, found)
+            _pair(problem, (-r * t, -t), window, found)
     return found
 
 
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch."""
-    field, form = problem.field, problem.form
-    n = form.degree
-    K_sq = problem.K * problem.K
+    n = problem.form.degree
     index = abs_solutions.values_index()
     part_cap = floor(problem.abs_bound)  # |v_real| bound from the part inequality
     found: Found = {}
@@ -135,19 +189,13 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
         if not imag_pairs:
             log.debug("imag value %d not realized within height %d; skipped", v_imag, abs_solutions.height)
             continue
-        joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * field.m**n)
+        joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n)
         real_cap = min(part_cap, isqrt(floor(joint)))
         for v_real in sorted(index):
             if abs(v_real) > real_cap:
                 continue
             for imag_pair in imag_pairs:
-                for real_pair in index[v_real]:
-                    quad = _reconstruct(field, imag_pair, real_pair)
-                    if quad is None:
-                        continue
-                    verified = _verify(field, form, K_sq, quad)
-                    if verified is not None:
-                        found[quad] = verified
+                _pair(problem, imag_pair, index[v_real], found)
     return found
 
 
@@ -161,9 +209,12 @@ def solve_relative(
     """Solve |F(x, y)| <= K over the ring of integers, exhaustively within reach.
 
     The documented reach is |y2| <= height and |s*y1 + (s-1)*y2| <= height:
-    every solution satisfying both appears in the output, each entry is
-    verified exactly, and each carries a structure-predicate report (a failed
-    applicable predicate would indicate a bug and flips ``cross_check_ok``).
+    every solution satisfying both is either a member of one of the returned
+    zero families or appears in ``solutions``.  Each entry of ``solutions``
+    is verified exactly and carries a structure-predicate report (a failed
+    applicable predicate would indicate a bug and flips ``cross_check_ok``);
+    family members satisfy every predicate by the argument on
+    :class:`ZeroFamily`.
     """
     problem = Problem(field, form, K, epsilon)
     abs_solutions = solve_abs(form, problem.abs_bound, height, roots=problem.roots)
@@ -182,4 +233,5 @@ def solve_relative(
         search_height=height,
         families=tuple(ZeroFamily(r) for r in problem.integer_roots),
         cross_check_ok=cross_check_ok,
+        field=field,
     )

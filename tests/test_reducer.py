@@ -9,7 +9,9 @@ import pytest
 import relthue
 
 from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, solve_abs, solve_relative
+from relthue.cli import main
 from relthue.reducer import imag_value_range, nonzero_value_branch, zero_value_branch
+from relthue.theorem import full_report
 
 F1 = BinaryForm((0, -4, 0, 1))
 F2 = BinaryForm((0, -2, -1, 1))
@@ -45,7 +47,9 @@ def test_zero_branch_parity_reconstruction():
         x1, x2, y1, y2 = quad
         # reconstruction parity: a = 2*x1 + x2 and b = 2*y1 + y2 are integers by construction
         assert field.norm(field.evaluate_form(F1, RingElement(x1, x2), RingElement(y1, y2))) <= 1
-    assert ((4, 0, 2, 0)) in found  # the (a,b)=(8,4) member over (x2,y2)=(0,0)
+    # the (a,b)=(8,4) member over (x2,y2)=(0,0) is in the family of root 2, not in the branch output
+    assert (4, 0, 2, 0) not in found
+    assert (4, 0, 2, 0) in solve_relative(field, F1, 1, Fraction(1, 2), 6).quadruples()
 
 
 def test_nonzero_branch_worked_example():
@@ -163,18 +167,79 @@ def test_s1_reconstruction_degenerates():
             assert (q[0], q[2]) in abs_pairs
 
 
-def test_each_problem_fact_is_computed_once():
+def profiled_calls(fn, *args) -> tuple[object, Counter]:
+    """fn(*args) and the number of calls per (module, function) of the package during it."""
     # cProfile counts calls by code object, so no import alias can hide one
     profiler = cProfile.Profile()
-    profiler.runcall(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 6)
+    result = profiler.runcall(fn, *args)
     calls = Counter()
     for (filename, _, name), (_, total_calls, *_) in pstats.Stats(profiler).stats.items():
         if Path(filename).parent == Path(relthue.__file__).parent:
             calls[Path(filename).stem, name] += total_calls
+    return result, calls
+
+
+def test_each_problem_fact_is_computed_once(capsys):
+    _, calls = profiled_calls(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 6)
     assert calls["forms", "check_admissible"] == 1
     assert calls["forms", "integer_roots"] == 1
+    status, calls = profiled_calls(main, ["abs", "--coeffs", "0 -4 0 1", "--kprime", "1", "--ymax", "2"])
+    capsys.readouterr()
+    assert status == 0
+    assert calls["forms", "check_admissible"] == 1
+
+
+def test_family_members_are_neither_verified_nor_reported():
+    result, calls = profiled_calls(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 20)
+    assert len(result.quadruples()) > 1000
+    assert calls["reducer", "_verify"] < 100
+    assert calls["theorem", "full_report"] == len(result.solutions)
 
 
 def test_no_process_global_cache():
     sources = Path(relthue.__file__).parent.glob("*.py")
     assert not [path.name for path in sources if "lru_cache" in path.read_text(encoding="utf-8")]
+
+
+# Problems with zero-branch solutions off the family lines: F(x2, y2) = 0 with y2 != 0, x != r*y
+OFF_LINE = [
+    (BinaryForm((0, -1, 0, 1)), 1, 30),  # x^3 - x*y^2
+    (BinaryForm((0, -1, 0, 1)), 3, 30),
+    (F1, 1, 60),
+    (BinaryForm((0, 6, -5, -2, 1)), 3, 10),  # x(x-1)(x+2)(x-3), s = 2
+]
+
+
+@pytest.mark.parametrize("form,m,K", OFF_LINE)
+def test_oracle_equivalence_off_family_zero_branch(form, m, K):
+    field = QuadraticField(m)
+    box_height = 4
+    result = solve_relative(field, form, K, Fraction(1, 2), (2 * field.s - 1) * box_height)
+    oracle = brute_force(field, form, K, box_height)
+    box = {q for q in result.quadruples() if max(abs(c) for c in q) <= box_height}
+    assert box == oracle.quadruples()
+    assert result.cross_check_ok
+    members = set(result.family_members())
+    off_line = [
+        q for q in box if form.evaluate(q[1], q[3]) == 0 and q[3] != 0 and q not in members
+    ]
+    assert off_line  # the derivative-test window is exercised
+    assert {sol.quadruple for sol in result.solutions}.isdisjoint(members)
+
+
+@pytest.mark.parametrize("m,K,form", [(3, 1, F1), (1, 10, F1), (2, 1, F2), (7, Fraction(3, 2), F2)])
+def test_family_members_solve_and_pass_every_predicate(m, K, form):
+    field = QuadraticField(m)
+    height = 6
+    result = solve_relative(field, form, K, Fraction(1, 2), height)
+    problem = Problem(field, form, K)
+    members = list(result.family_members())
+    assert len(members) == len(set(members))
+    roots = [f.root for f in result.families]
+    s = field.s
+    for x1, x2, y1, y2 in members:
+        x, y = RingElement(x1, x2), RingElement(y1, y2)
+        assert any(x1 == r * y1 and x2 == r * y2 for r in roots)
+        assert abs(y2) <= height and abs(s * y1 + (s - 1) * y2) <= height
+        assert field.evaluate_form(form, x, y).is_zero
+        assert full_report(problem, x, y).ok
