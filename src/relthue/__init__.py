@@ -9,11 +9,11 @@ isolation, constants, gates, the two reduction branches, the individual
 predicates) are imported from their modules."""
 
 from .abssolver import solve_abs
-from .forms import BinaryForm, InadmissibleFormError, check_admissible, integer_roots
+from .forms import BinaryForm, InadmissibleFormError, check_admissible
 from .oracle import brute_force
 from .quadfield import QuadraticField, RingElement
 from .reducer import solve_relative
-from .rootbounds import Problem
+from .rootbounds import Problem, integer_roots
 from .theorem import full_report
 
 __version__ = "0.1.0"

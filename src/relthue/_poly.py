@@ -58,18 +58,6 @@ def poly_rem(num: Coeffs, den: Coeffs) -> tuple:
     return tuple(rem)
 
 
-def poly_gcd(a: Coeffs, b: Coeffs) -> tuple:
-    """Monic gcd over the rationals (constant 1 for coprime inputs)."""
-    a = strip([Fraction(c) for c in a])
-    b = strip([Fraction(c) for c in b])
-    while b:
-        a, b = b, strip(poly_rem(a, b))
-    if a:
-        lead = a[-1]
-        a = tuple(c / lead for c in a)
-    return a
-
-
 def sign(x) -> int:
     if x > 0:
         return 1
@@ -84,56 +72,48 @@ def variations(signs: Sequence[int]) -> int:
     return sum(1 for u, v in zip(seq, seq[1:]) if u != v)
 
 
-def sturm_chain(coeffs: Coeffs) -> list[tuple]:
-    """Sturm sequence of a squarefree polynomial.
+def primitive(coeffs: Coeffs) -> tuple[int, ...]:
+    """The positive multiple of a rational polynomial with coprime integer coefficients.
+
+    The factor is positive, so the sign at every point is unchanged.
+    """
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = math.gcd(*ints)
+    return tuple(c // content for c in ints)
+
+
+def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
+    """Sturm sequence of f, each member scaled to coprime integer coefficients.
 
     ``p0 = f``, ``p1 = f'``, ``p_{k+1} = -rem(p_{k-1}, p_k)`` until the
-    remainder vanishes.  For squarefree input the chain ends in a nonzero
-    constant, and the variation difference V(a) - V(b) counts the distinct
-    real roots in (a, b].
+    remainder vanishes, so the last member is gcd(f, f') up to a constant
+    factor.  For squarefree f it is a nonzero constant, and the variation
+    difference V(a) - V(b) counts the distinct real roots in (a, b].
+    Scaling by positive factors keeps that count and keeps every evaluation
+    at an integer point in integer arithmetic.
     """
-    chain = [strip([Fraction(c) for c in coeffs])]
-    chain.append(strip(derivative(chain[0])))
-    while chain[-1] and degree(chain[-1]) >= 0:
+    chain = [primitive(strip(coeffs))]
+    chain.append(primitive(derivative(chain[0])))
+    while True:
         rem = strip(poly_rem(chain[-2], chain[-1]))
         if not rem:
-            break
-        chain.append(tuple(-c for c in rem))
-    return chain
+            return tuple(chain)
+        chain.append(primitive([-c for c in rem]))
 
 
 def chain_variations_at(chain: Sequence[Coeffs], x) -> int:
     return variations([sign(evaluate(p, x)) for p in chain])
 
 
-def chain_variations_at_inf(chain: Sequence[Coeffs], positive: bool) -> int:
-    signs = []
-    for p in chain:
-        if not p:
-            signs.append(0)
-            continue
-        s = sign(p[-1])
-        if not positive and degree(p) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return variations(signs)
+def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
+    """Distinct real roots in (lo, hi]."""
+    return chain_variations_at(chain, lo) - chain_variations_at(chain, hi)
 
 
-def count_roots(chain: Sequence[Coeffs], lo=None, hi=None) -> int:
-    """Distinct real roots in (lo, hi]; ``None`` bounds mean -inf / +inf."""
-    v_lo = chain_variations_at_inf(chain, False) if lo is None else chain_variations_at(chain, lo)
-    v_hi = chain_variations_at_inf(chain, True) if hi is None else chain_variations_at(chain, hi)
-    return v_lo - v_hi
-
-
-def cauchy_bound(coeffs: Coeffs) -> int:
-    """Integer R with every (real or complex) root strictly inside |x| < R."""
-    c = strip(coeffs)
-    if degree(c) < 1:
-        raise ValueError("constant polynomial has no roots")
-    lead = abs(Fraction(c[-1]))
-    worst = max(abs(Fraction(k)) / lead for k in c[:-1])
-    return 1 + math.floor(worst) + 1
+def root_radius(coeffs: Coeffs) -> int:
+    """A power of two R > 1 + max |c_k| for monic f: every root lies in (-R, R) (Cauchy)."""
+    return 1 << (1 + max(abs(c) for c in coeffs[:-1])).bit_length()
 
 
 def deflate(coeffs: Coeffs, root: int) -> tuple:

@@ -411,11 +411,8 @@ def cmd_check(args) -> int:
     height = args.height if args.height is not None else spec.oracle_height
     solved = solve_relative(spec.field(), spec.form(), spec.K, epsilon, ymax)
     oracle = brute_force(spec.field(), spec.form(), spec.K, height)
-    box = {
-        quad
-        for quad in solved.quadruples()
-        if max(abs(quad[0]), abs(quad[1]), abs(quad[2]), abs(quad[3])) <= height
-    }
+    box = {sol.quadruple for sol in solved.solutions if max(map(abs, sol.quadruple)) <= height}
+    box.update(solved.family_members(height))
     oracle_set = oracle.quadruples()
     solver_only = sorted(box - oracle_set)
     oracle_only = sorted(oracle_set - box)

@@ -1,9 +1,12 @@
-"""Integer binary forms: exact evaluation and structural checks.
+"""Integer binary forms: exact evaluation and the admissibility check.
 
 A binary form of degree n is F(x, y) = sum c_k x^k y^(n-k) with integer
 coefficients.  The solver only handles forms whose dehomogenization
 f(x) = F(x, 1) is monic with n distinct real roots; :func:`check_admissible`
-decides that exactly (no floating point, no tolerances).
+decides that exactly (no floating point, no tolerances) with one Sturm chain
+of f, which it hands on in its report: the root isolation in
+:mod:`relthue.rootbounds` bisects with that same chain and finds the integer
+roots on the way.
 """
 
 from __future__ import annotations
@@ -83,17 +86,21 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
+    """The verdict; an admissible form's report also holds the Sturm chain of f."""
+
     ok: bool
     reason: str | None = None
     real_root_count: int | None = None
+    chain: tuple[tuple[int, ...], ...] = ()
 
 
 def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     """Decide whether f(x) = F(x, 1) is monic of degree >= 3 with n distinct real roots.
 
-    Squarefreeness is decided by the exact gcd(f, f'); the real-root count by
-    a Sturm sequence over the rationals.  The report names the first failed
-    condition.
+    The Sturm chain of f ends in gcd(f, f') up to a constant, which decides
+    squarefreeness; the same chain counts the real roots on (-R, R], where
+    R is a power of two above every root.  The report names the first
+    failed condition.
     """
     f = form.dehomogenized()
     n = form.degree
@@ -101,47 +108,19 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
         return AdmissibilityReport(False, "degree too small (need n >= 3)")
     if f[-1] != 1:
         return AdmissibilityReport(False, "non-monic (leading coefficient of F(x,1) must be 1)")
-    g = _poly.poly_gcd(f, _poly.derivative(f))
-    if _poly.degree(g) > 0:
+    chain = _poly.sturm_chain(f)
+    if _poly.degree(chain[-1]) > 0:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
-    count = _poly.count_roots(_poly.sturm_chain(f))
+    radius = _poly.root_radius(f)
+    count = _poly.count_roots(chain, -radius, radius)
     if count < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)", count)
-    return AdmissibilityReport(True, None, count)
+    return AdmissibilityReport(True, None, count, chain)
 
 
-def require_admissible(form: BinaryForm) -> None:
+def require_admissible(form: BinaryForm) -> AdmissibilityReport:
+    """The report of an admissible form; raises :class:`InadmissibleFormError` otherwise."""
     report = check_admissible(form)
     if not report.ok:
         raise InadmissibleFormError(f"form {form.coeffs} inadmissible: {report.reason}")
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def integer_roots(form: BinaryForm) -> tuple[int, ...]:
-    """All integers r with f(r) = 0, sorted ascending.
-
-    Because f is monic, every rational root is an integer, so the zero set of
-    F over Z^2 is exactly {(r*t, t)} for the returned r, together with (0, 0).
-    """
-    f = form.dehomogenized()
-    roots = []
-    if f[0] == 0:
-        roots.append(0)
-        f = _poly.deflate(f, 0)
-    for d in _divisors(f[0]):
-        for r in (d, -d):
-            if _poly.evaluate(f, r) == 0:
-                roots.append(r)
-    return tuple(sorted(set(roots)))
+    return report

@@ -5,7 +5,9 @@ w = (1 + i*sqrt(m))/2 when m = 3 (mod 4), and {1, i*sqrt(m)} otherwise.
 Elements are coordinate pairs (u1, u2) in that basis; s = 2 in the first
 case and s = 1 in the second.  Every modulus comparison in the solver goes
 through :meth:`QuadraticField.norm`, which is an exact rational integer, so
-no floating-point threshold ever decides an accept/reject.
+no floating-point threshold ever decides an accept/reject.  m is limited to
+``MAX_M`` = 2^63, so the square-free check (trial division to m^(1/3)) ends
+in bounded time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from fractions import Fraction
 from math import isqrt
 
 from .forms import BinaryForm, IntegerPair
+
+MAX_M = 2**63
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,8 @@ class QuadraticField:
         m = int(self.m)
         if m < 1:
             raise ValueError("m must be a positive integer")
+        if m > MAX_M:
+            raise ValueError(f"m = {m} exceeds the supported limit 2^63")
         # Strip each prime up to m^(1/3) once; a second factor means a square.
         # The cofactor then has at most two prime factors, so it is square-free
         # unless it is a perfect square.

@@ -92,14 +92,23 @@ class RelativeSolutionSet:
     cross_check_ok: bool
     field: QuadraticField
 
-    def family_members(self) -> Iterator[Quad]:
-        """Every family member (r*y, y) within reach, each once."""
+    def family_members(self, box: int | None = None) -> Iterator[Quad]:
+        """Every family member (r*y, y) within reach, each once.
+
+        With ``box``, only the members whose four coordinates all lie in
+        [-box, box]; only those are generated, so the work grows with the box
+        and not with the reach.
+        """
         s, height = self.field.s, self.search_height
         for i, family in enumerate(self.families):
             r = family.root
-            for y2 in range(-height, height + 1):
+            # |y1|, |y2| <= cap keeps r*y1 and r*y2 in the box; reach alone implies |y1| <= height
+            cap = height if box is None else min(height, box // max(abs(r), 1))
+            for y2 in range(-cap, cap + 1):
                 # y1 with |s*y1 + (s-1)*y2| <= height
-                for y1 in range(-((height + (s - 1) * y2) // s), (height - (s - 1) * y2) // s + 1):
+                y1_lo = max(-cap, -((height + (s - 1) * y2) // s))
+                y1_hi = min(cap, (height - (s - 1) * y2) // s)
+                for y1 in range(y1_lo, y1_hi + 1):
                     if i == 0 or y1 or y2:  # (0, 0) is in every family
                         yield (r * y1, r * y2, y1, y2)
 

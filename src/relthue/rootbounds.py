@@ -1,9 +1,12 @@
 """Rigorous real-root isolation and directed-rounded constant enclosures.
 
-Roots of f(x) = F(x, 1) are isolated in disjoint rational intervals
-(Sturm-certified, refined by exact-sign bisection; exact integer roots
-collapse to point intervals).  From the intervals the module derives
-one-sided rational bounds, always rounded in the safe direction, for
+Roots of f(x) = F(x, 1) are found in one place: the Sturm chain that
+:func:`~relthue.forms.check_admissible` builds bisects (-2^e, 2^e] until
+each root is alone, and the integer roots fall out as point intervals
+(:func:`integer_roots` is that first stage).  The other roots are
+irrational, and exact-sign bisection of the deflated polynomial refines
+their intervals.  From the intervals the module derives one-sided rational
+bounds, always rounded in the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -29,7 +32,7 @@ from fractions import Fraction
 from math import floor
 
 from . import _poly
-from .forms import BinaryForm, integer_roots, require_admissible
+from .forms import BinaryForm, require_admissible
 from .quadfield import QuadraticField
 
 log = logging.getLogger(__name__)
@@ -156,29 +159,51 @@ def _separate(g, items: list[list[Fraction]]) -> None:
 
 
 def _initial_isolation(form: BinaryForm):
-    require_admissible(form)
-    exact = integer_roots(form)
-    g = form.dehomogenized()
+    """(integer roots, f deflated by them, one [lo, hi] per root) from the Sturm chain of f.
+
+    The chain bisects (-R, R] with R = 2^e above every root, so every
+    midpoint is an integer until each root is alone in a unit interval
+    (k-1, k]; only roots sharing a unit interval need rational midpoints.
+    f is monic, so its rational roots are integers: the root alone in such
+    an interval (lo, hi] is hi exactly when f(hi) = 0, and becomes the point
+    [hi, hi]; every other root is irrational.  This costs O(n log R) exact
+    evaluations, whatever the size of f(0).
+    """
+    chain = require_admissible(form).chain
+    f = form.dehomogenized()
+    radius = _poly.root_radius(f)
+    exact, items = [], []
+    work = [(-radius, radius, form.degree)]
+    while work:
+        lo, hi, count = work.pop()
+        if count == 0:
+            continue
+        if count == 1 and hi - lo <= 1:
+            if _poly.evaluate(f, hi) == 0:
+                exact.append(hi)
+            else:
+                items.append([Fraction(lo), Fraction(hi)])
+            continue
+        mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi) / 2
+        left = _poly.count_roots(chain, lo, mid)
+        work.append((lo, mid, left))
+        work.append((mid, hi, count - left))
+    exact.sort()
+    g = f
     for r in exact:
         g = _poly.deflate(g, r)
-    items = [[Fraction(r), Fraction(r)] for r in exact]
-    if _poly.degree(g) >= 1:
-        chain = _poly.sturm_chain(g)
-        bound = _poly.cauchy_bound(g)
-        lo, hi = Fraction(-bound), Fraction(bound)
-        work = [(lo, hi, _poly.count_roots(chain, lo, hi))]
-        while work:
-            lo, hi, count = work.pop()
-            if count == 0:
-                continue
-            if count == 1:
-                items.append([lo, hi])
-                continue
-            mid = (lo + hi) / 2
-            left = _poly.count_roots(chain, lo, mid)
-            work.append((lo, mid, left))
-            work.append((mid, hi, count - left))
-    return exact, g, items
+    items += [[Fraction(r), Fraction(r)] for r in exact]
+    return tuple(exact), g, items
+
+
+def integer_roots(form: BinaryForm) -> tuple[int, ...]:
+    """All integers r with f(r) = 0, sorted ascending; the first stage of the isolation.
+
+    Because f is monic, every rational root is an integer, so the zero set of
+    F over Z^2 is exactly {(r*t, t)} for the returned r, together with (0, 0).
+    Raises :class:`~relthue.forms.InadmissibleFormError` for inadmissible forms.
+    """
+    return _initial_isolation(form)[0]
 
 
 def _build(exact, g, items) -> RootData:

@@ -1,17 +1,27 @@
+import contextlib
+import io
 import json
+import string
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relthue import brute_force, solve_relative
 from relthue.cli import (
+    CliError,
+    ProblemSpec,
     decimal_str,
     main,
     oracle_payload,
     parse_problem_text,
     solve_payload,
 )
+from relthue.reducer import RelativeSolutionSet
+from util import form_from_roots
 
 PROBLEM = """\
 # sample problem
@@ -203,3 +213,152 @@ def test_output_matches_golden(capsys, problem_file, name, argv):
     status, out, _ = run(capsys, *(arg.format(problem=problem_file) for arg in argv))
     assert status == 0
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_check_expands_only_the_family_members_in_the_box(capsys, tmp_path, monkeypatch):
+    generated = []
+    expand = RelativeSolutionSet.family_members
+
+    def counted(self, *args):
+        for quad in expand(self, *args):
+            generated.append(quad)
+            yield quad
+
+    monkeypatch.setattr(RelativeSolutionSet, "family_members", counted)
+    path = tmp_path / "wide.txt"
+    path.write_text("coeffs = 0 -4 0 1\nm = 3\nK = 1\nymax = 2000\noracle_height = 2\n", encoding="utf-8")
+    status, out, _ = run(capsys, "check", str(path))
+    assert status == 0 and out.splitlines()[-1] == "MATCH"
+    # three families, each with at most (2*box + 1)^2 members in the box; all of them at ymax would be ~24 M
+    assert 0 < len(generated) <= 3 * 5**2
+    spec = parse_problem_text(PROBLEM)
+    solved = solve_relative(spec.field(), spec.form(), spec.K, spec.epsilon, 12)
+    for box in range(5):
+        inside = [q for q in expand(solved) if max(map(abs, q)) <= box]
+        assert list(expand(solved, box)) == inside
+
+
+def test_m_above_the_limit_is_rejected(capsys, tmp_path):
+    path = tmp_path / "huge_m.txt"
+    path.write_text(f"coeffs = 0 -4 0 1\nm = {10**30}\nK = 1\n", encoding="utf-8")
+    status, _, err = run(capsys, "solve", str(path))
+    assert status == 1
+    assert "field 'm'" in err and "2^63" in err
+
+
+# Fuzz: mostly well-formed input with junk mixed in, so that a good share of the runs
+# get past validation.  Small values keep every accepted problem cheap to solve:
+# heights at most 4, oracle box at most 2.
+def _junk(max_size):
+    return st.text(alphabet=string.ascii_letters + string.digits + " ,/.#=-", max_size=max_size)
+
+
+def _spaced(values):
+    return " ".join(map(str, values))
+
+
+@st.composite
+def _mostly(draw, valid, invalid):
+    """A draw from ``valid`` five times in six; the simplest choice (0) is valid."""
+    return draw(invalid if draw(st.integers(0, 5)) == 5 else valid)
+
+
+split = st.lists(st.integers(-4, 4), min_size=3, max_size=5, unique=True).map(lambda r: form_from_roots(r).coeffs)
+monic = st.lists(st.integers(-6, 6), min_size=3, max_size=5).map(lambda c: (*c, 1))
+SQUAREFREE = [m for m in range(1, 61) if all(m % (d * d) for d in range(2, 8))]
+FIELD_VALUES = {
+    "coeffs": _mostly(
+        split.map(_spaced), monic.map(_spaced) | st.lists(st.integers(-6, 6), max_size=6).map(_spaced) | _junk(6)
+    ),
+    "m": _mostly(
+        st.sampled_from(SQUAREFREE).map(str), st.integers(-3, 60).map(str) | st.just(str(2**63 + 1)) | _junk(3)
+    ),
+    "K": _mostly(
+        st.fractions(1, 30, max_denominator=4).map(str), st.fractions(-2, 1, max_denominator=4).map(str) | _junk(3)
+    ),
+    "epsilon": _mostly(st.fractions(0, 1, max_denominator=5).filter(lambda e: 0 < e < 1).map(str), _junk(3)),
+    "ymax": _mostly(st.integers(0, 4).map(str), st.integers(-3, -1).map(str) | _junk(2)),
+    "oracle_height": _mostly(st.integers(0, 2).map(str), st.integers(-3, -1).map(str) | _junk(2)),
+    "bogus": _junk(3),
+}
+problem_lines = st.sampled_from(sorted(FIELD_VALUES)).flatmap(
+    lambda key: FIELD_VALUES[key].map(lambda value: f"{key} = {value}")
+)
+
+
+@st.composite
+def problem_texts(draw):
+    """The three required fields, some optional ones, in any order, and at times a junk line."""
+    keys = ["coeffs", "m", "K"] + [key for key in ("epsilon", "ymax", "oracle_height") if draw(st.booleans())]
+    lines = [f"{key} = {draw(FIELD_VALUES[key])}" for key in draw(st.permutations(keys))]
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), draw(problem_lines | _junk(10)))
+    return "\n".join(lines)
+
+
+OPTIONS = {
+    "--epsilon": FIELD_VALUES["epsilon"],
+    "--ymax": FIELD_VALUES["ymax"],
+    "--height": FIELD_VALUES["oracle_height"],
+    "--coeffs": FIELD_VALUES["coeffs"],
+    "--kprime": _mostly(st.fractions(0, 30, max_denominator=4).map(str), st.just("-1") | _junk(3)),
+    "--json": st.just(None),
+    "--families": st.just(None),
+}
+COMMAND_OPTIONS = {
+    "solve": ["--epsilon", "--ymax", "--families", "--json"],
+    "abs": ["--json"],
+    "constants": ["--epsilon", "--json"],
+    "verify": ["--json"],
+    "oracle": ["--height", "--json"],
+    "check": ["--epsilon", "--ymax", "--height", "--json"],
+    "bogus": ["--json"],
+}
+candidates = st.lists(st.integers(-4, 4), min_size=3, max_size=5).map(lambda c: ",".join(map(str, c)))
+
+
+def _option(name):
+    return OPTIONS[name].map(lambda value: [name] if value is None else [name, value])
+
+
+@st.composite
+def argvs(draw, path):
+    """A command, its positionals, some of its own options and at times a foreign option or junk token."""
+    command = draw(st.sampled_from(sorted(COMMAND_OPTIONS)))
+    argv = [command]
+    if command == "abs":
+        for name in ("--coeffs", "--kprime", "--ymax"):
+            argv += [name, draw(OPTIONS[name])]
+    else:
+        argv.append(path)
+    if command == "verify":
+        argv += draw(st.lists(candidates, min_size=1, max_size=3))
+    for name in draw(st.lists(st.sampled_from(COMMAND_OPTIONS[command]), max_size=3, unique=True)):
+        argv += draw(_option(name))
+    if draw(st.integers(0, 3)) == 3:
+        # a bare token never starts with "-", which could spell an abbreviation of --help
+        stray = st.text(alphabet=string.ascii_letters + string.digits + ",/.", max_size=4)
+        argv += draw(st.sampled_from(sorted(OPTIONS)).flatmap(_option) | stray.map(lambda token: [token]))
+    return argv
+
+
+@settings(deadline=None)
+@given(problem_texts() | st.text())
+def test_fuzzed_problem_text_parses_or_raises_cli_error(text):
+    try:
+        assert isinstance(parse_problem_text(text), ProblemSpec)
+    except CliError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem_texts(), st.data())
+def test_fuzzed_cli_runs_end_in_an_exit_status(text, data):
+    # --help is left out: argparse prints the help and raises SystemExit(0), as intended
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "problem.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = data.draw(argvs(str(path)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = main(argv)
+    assert status in (0, 1, 2)

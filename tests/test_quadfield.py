@@ -37,6 +37,15 @@ def test_squarefree_check_is_fast_for_large_m():
     assert time.perf_counter() - start < 0.5
 
 
+def test_m_is_limited_to_2_pow_63():
+    assert QuadraticField(10**18 + 3).m == 10**18 + 3
+    with pytest.raises(ValueError, match="not square-free"):
+        QuadraticField(2**63)  # at the limit: checked, and divisible by 4
+    for m in (2**63 + 1, 10**30):  # rejected before any trial division
+        with pytest.raises(ValueError, match=r"exceeds the supported limit 2\^63"):
+            QuadraticField(m)
+
+
 def test_mul_examples():
     k3 = QuadraticField(3)
     w = RingElement(0, 1)

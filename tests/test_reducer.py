@@ -1,17 +1,27 @@
-import cProfile
-import pstats
-from collections import Counter
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import relthue
 
-from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, solve_abs, solve_relative
+from relthue import (
+    BinaryForm,
+    Problem,
+    QuadraticField,
+    RingElement,
+    brute_force,
+    check_admissible,
+    solve_abs,
+    solve_relative,
+)
 from relthue.cli import main
 from relthue.reducer import imag_value_range, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
+from util import form_from_roots, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))
 F2 = BinaryForm((0, -2, -1, 1))
@@ -79,6 +89,51 @@ def test_oracle_equivalence_small(m, K, form):
     oracle = brute_force(field, form, K, 3)
     box = {q for q in result.quadruples() if max(abs(c) for c in q) <= 3}
     assert box == oracle.quadruples()
+    assert result.cross_check_ok
+
+
+SQUAREFREE_M = [m for m in range(1, 51) if all(m % (d * d) for d in range(2, 8))]  # both classes mod 4
+
+
+@st.composite
+def admissible_forms(draw):
+    """Admissible forms of degree 3-5: split, partly split or root-free.
+
+    A partly split form is a product of distinct linear factors and an irreducible real quadratic; a
+    root-free one (in most draws) is a split form with f(0) moved by at most 3, kept when still admissible.
+    """
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(("split", "partly split", "root-free")))
+    if kind == "partly split":
+        b, c = draw(st.integers(-4, 4)), draw(st.integers(-10, 2))
+        disc = b * b - 4 * c
+        assume(disc > 0 and isqrt(disc) ** 2 != disc)
+        linear = form_from_roots(draw(st.lists(st.integers(-5, 5), min_size=n - 2, max_size=n - 2, unique=True)))
+        coeffs = [0] * (n + 1)
+        for i, u in enumerate(linear.coeffs):
+            for j, v in enumerate((c, b, 1)):
+                coeffs[i + j] += u * v
+    else:
+        coeffs = list(form_from_roots(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))).coeffs)
+        if kind == "root-free":
+            coeffs[0] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    form = BinaryForm(tuple(coeffs))
+    assume(check_admissible(form).ok)
+    return form
+
+
+@settings(deadline=None)
+@given(
+    admissible_forms(),
+    st.sampled_from(SQUAREFREE_M),
+    st.fractions(min_value=1, max_value=20, max_denominator=3),
+)
+def test_oracle_equivalence_random_admissible_forms(form, m, K):
+    field = QuadraticField(m)
+    box_height = 2
+    result = solve_relative(field, form, K, Fraction(1, 2), (2 * field.s - 1) * box_height)
+    box = {q for q in result.quadruples() if max(abs(c) for c in q) <= box_height}
+    assert box == brute_force(field, form, K, box_height).quadruples()
     assert result.cross_check_ok
 
 
@@ -167,26 +222,15 @@ def test_s1_reconstruction_degenerates():
             assert (q[0], q[2]) in abs_pairs
 
 
-def profiled_calls(fn, *args) -> tuple[object, Counter]:
-    """fn(*args) and the number of calls per (module, function) of the package during it."""
-    # cProfile counts calls by code object, so no import alias can hide one
-    profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args)
-    calls = Counter()
-    for (filename, _, name), (_, total_calls, *_) in pstats.Stats(profiler).stats.items():
-        if Path(filename).parent == Path(relthue.__file__).parent:
-            calls[Path(filename).stem, name] += total_calls
-    return result, calls
-
-
 def test_each_problem_fact_is_computed_once(capsys):
     _, calls = profiled_calls(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 6)
     assert calls["forms", "check_admissible"] == 1
-    assert calls["forms", "integer_roots"] == 1
+    assert calls["_poly", "sturm_chain"] == 1  # the isolation bisects with the admissibility chain
     status, calls = profiled_calls(main, ["abs", "--coeffs", "0 -4 0 1", "--kprime", "1", "--ymax", "2"])
     capsys.readouterr()
     assert status == 0
     assert calls["forms", "check_admissible"] == 1
+    assert calls["_poly", "sturm_chain"] == 1
 
 
 def test_family_members_are_neither_verified_nor_reported():

@@ -1,12 +1,14 @@
 import logging
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relthue import BinaryForm, InadmissibleFormError, Problem, QuadraticField, rootbounds
+from relthue import BinaryForm, InadmissibleFormError, Problem, QuadraticField, _poly, integer_roots, rootbounds
 from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
+from util import form_from_roots, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
 F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
@@ -161,3 +163,42 @@ def test_nth_root_exact_powers():
     assert nth_root_upper(Fraction(8), 3) == 2
     assert nth_root_lower(Fraction(27), 3) == 3
     assert nth_root_upper(Fraction(5, 3), 1) == Fraction(5, 3)
+
+
+# Floors of the three squared gates and gates_stable, recorded before the
+# isolation started from a power-of-two interval; norms are integers, so the
+# floors fix every predicate decision even though the enclosures moved.
+GATE_FLOORS = [
+    ((-1, -3, 0, 1), 7, 10, (131, 30, 13)),  # x^3 - 3xy^2 - y^3
+    ((-1, -3, 0, 1), 2, Fraction(7, 2), (14, 6, 6)),
+    ((-1, -3, 0, 1), 1, 50, (5747, 75, 75)),
+    ((6, 0, -5, 0, 1), 7, 10, (125, 125, 125)),  # (x^2 - 2y^2)(x^2 - 3y^2)
+    ((6, 0, -5, 0, 1), 3, 1, (39, 39, 39)),
+    ((-1, 3, 3, -4, -1, 1), 7, 10, (27, 27, 27)),  # x^5 - x^4y - 4x^3y^2 + 3x^2y^3 + 3xy^4 - y^5
+    ((-1, 3, 3, -4, -1, 1), 2, Fraction(7, 2), (17, 17, 17)),
+]
+
+
+@pytest.mark.parametrize("coeffs,m,K,floors", GATE_FLOORS)
+def test_gate_floors_of_irrational_root_forms(coeffs, m, K, floors):
+    problem = Problem(QuadraticField(m), BinaryForm(coeffs), K)
+    gates = problem.gates
+    assert (floor(gates.proportionality_sq), floor(gates.real_vanish_sq), floor(gates.imag_vanish_sq)) == floors
+    assert problem.gates_stable
+    assert problem.integer_roots == ()
+
+
+@given(st.lists(st.integers(-(10**12), 10**12), min_size=3, max_size=5, unique=True))
+def test_integer_roots_of_split_forms(roots):
+    assert integer_roots(form_from_roots(roots)) == tuple(sorted(roots))
+
+
+def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
+    split = form_from_roots([10**10 + 7, -(10**10) + 3, 10**10 - 11])  # |f(0)| ~ 10^30
+    root_free = BinaryForm((split.coeffs[0] + 1, *split.coeffs[1:]))
+    for form, expected in ((split, (-(10**10) + 3, 10**10 - 11, 10**10 + 7)), (root_free, ())):
+        found, calls = profiled_calls(integer_roots, form)
+        assert found == expected
+        e = _poly.root_radius(form.dehomogenized()).bit_length() - 1
+        assert calls["_poly", "count_roots"] <= form.degree * (e + 2)
+        assert calls["_poly", "sturm_chain"] == 1

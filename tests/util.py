@@ -7,9 +7,14 @@ enumerator.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+from collections import Counter
 from fractions import Fraction
 from math import ceil
+from pathlib import Path
 
+import relthue
 from relthue import BinaryForm
 from relthue.rootbounds import isolate_roots, nth_root_upper
 
@@ -43,3 +48,14 @@ def rectangle_solutions(form: BinaryForm, bound, ymax: int) -> set[tuple[int, in
                 out.add((a, b))
     return out
 
+
+def profiled_calls(fn, *args) -> tuple[object, Counter]:
+    """fn(*args) and the number of calls per (module, function) of the package during it."""
+    # cProfile counts calls by code object, so no import alias can hide one
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args)
+    calls = Counter()
+    for (filename, _, name), (_, total_calls, *_) in pstats.Stats(profiler).stats.items():
+        if Path(filename).parent == Path(relthue.__file__).parent:
+            calls[Path(filename).stem, name] += total_calls
+    return result, calls
