@@ -1,9 +1,12 @@
 """Exact univariate polynomial helpers.
 
-Coefficient lists are ascending (``coeffs[k]`` multiplies ``x**k``) and hold
-exact integers or :class:`fractions.Fraction` values.  Everything here is
-tolerance-free: signs, root counts and divisions are decided by exact rational
-arithmetic only.
+Coefficient lists are ascending (``coeffs[k]`` multiplies ``x**k``).
+Evaluation is integer-only: :func:`evaluate` takes integer coefficients and
+an integer point (a, b) and returns the homogenized value, so the sign of f
+at a rational p/q comes from (p, q) and no Fraction reaches a polynomial
+evaluation.  Only the remainder in the Sturm chain divides over the
+rationals, and every chain member is scaled back to integer coefficients.
+Everything here is tolerance-free.
 """
 
 from __future__ import annotations
@@ -28,10 +31,15 @@ def degree(coeffs: Coeffs) -> int:
     return len(coeffs) - 1
 
 
-def evaluate(coeffs: Coeffs, x):
-    acc = 0
+def evaluate(coeffs: Coeffs, a: int, b: int = 1) -> int:
+    """sum c_k a^k b^(d-k) with d = len(coeffs) - 1, by homogeneous Horner in integers.
+
+    b = 1 gives f(a); for b > 0 the sign is the sign of f(a/b).
+    """
+    acc, bpow = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * a + c * bpow
+        bpow *= b
     return acc
 
 
@@ -102,8 +110,13 @@ def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
         chain.append(primitive([-c for c in rem]))
 
 
+def sign_at(coeffs: Coeffs, x) -> int:
+    """The sign of f(x) at an integer or Fraction x, from (numerator, denominator)."""
+    return sign(evaluate(coeffs, x.numerator, x.denominator))
+
+
 def chain_variations_at(chain: Sequence[Coeffs], x) -> int:
-    return variations([sign(evaluate(p, x)) for p in chain])
+    return variations([sign_at(p, x) for p in chain])
 
 
 def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
@@ -114,18 +127,6 @@ def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
 def root_radius(coeffs: Coeffs) -> int:
     """A power of two R > 1 + max |c_k| for monic f: every root lies in (-R, R) (Cauchy)."""
     return 1 << (1 + max(abs(c) for c in coeffs[:-1])).bit_length()
-
-
-def deflate(coeffs: Coeffs, root: int) -> tuple:
-    """Exact synthetic division by (x - root); the root must be exact."""
-    quot = [0] * (len(coeffs) - 1)
-    carry = 0
-    for k in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[k] + root * carry
-        quot[k - 1] = carry
-    if coeffs[0] + root * carry != 0:
-        raise ValueError(f"{root} is not a root")
-    return tuple(quot)
 
 
 def iroot(k: int, r: int) -> int:

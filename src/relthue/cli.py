@@ -36,18 +36,14 @@ class CliError(Exception):
 
 @dataclass
 class ProblemSpec:
-    coeffs: tuple[int, ...]
-    m: int
+    """A parsed problem file; the field and the form are built, and so validated, once."""
+
+    field: QuadraticField
+    form: BinaryForm
     K: Fraction
     epsilon: Fraction = Fraction(1, 2)
     ymax: int = 100
     oracle_height: int = 4
-
-    def form(self) -> BinaryForm:
-        return BinaryForm(self.coeffs)
-
-    def field(self) -> QuadraticField:
-        return QuadraticField(self.m)
 
 
 def _parse_rational(text: str, name: str) -> Fraction:
@@ -90,32 +86,24 @@ def parse_problem_text(text: str) -> ProblemSpec:
         raise CliError(f"field 'coeffs': expected integers, got {values['coeffs']!r}") from exc
     if len(coeffs) < 2:
         raise CliError("field 'coeffs': need at least two coefficients (ascending order)")
-    spec = ProblemSpec(
-        coeffs=coeffs,
-        m=_parse_int(values["m"], "m"),
-        K=_parse_rational(values["K"], "K"),
-    )
-    if "epsilon" in values:
-        spec.epsilon = _parse_rational(values["epsilon"], "epsilon")
-    if "ymax" in values:
-        spec.ymax = _parse_int(values["ymax"], "ymax")
-    if "oracle_height" in values:
-        spec.oracle_height = _parse_int(values["oracle_height"], "oracle_height")
-    _validate(spec)
-    return spec
-
-
-def _validate(spec: ProblemSpec) -> None:
-    if spec.m < 1:
+    m = _parse_int(values["m"], "m")
+    K = _parse_rational(values["K"], "K")
+    optional = {
+        key: parse(values[key], key)
+        for key, parse in (("epsilon", _parse_rational), ("ymax", _parse_int), ("oracle_height", _parse_int))
+        if key in values
+    }
+    if m < 1:
         raise CliError("field 'm': must be a positive integer")
     try:
-        spec.field()
+        field = QuadraticField(m)
     except ValueError as exc:
         raise CliError(f"field 'm': {exc}") from exc
     try:
-        spec.form()
+        form = BinaryForm(coeffs)
     except ValueError as exc:
         raise CliError(f"field 'coeffs': {exc}") from exc
+    spec = ProblemSpec(field, form, K, **optional)
     if spec.K < 1:
         raise CliError("field 'K': must be >= 1")
     if not (0 < spec.epsilon < 1):
@@ -124,6 +112,7 @@ def _validate(spec: ProblemSpec) -> None:
         raise CliError("field 'ymax': must be nonnegative")
     if spec.oracle_height < 0:
         raise CliError("field 'oracle_height': must be nonnegative")
+    return spec
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -168,9 +157,9 @@ def _family_rows(result: RelativeSolutionSet) -> list[dict]:
 def solve_payload(spec: ProblemSpec, result: RelativeSolutionSet) -> dict:
     return {
         "command": "solve",
-        "coeffs": list(spec.coeffs),
-        "m": spec.m,
-        "s": spec.field().s,
+        "coeffs": list(spec.form.coeffs),
+        "m": spec.field.m,
+        "s": spec.field.s,
         "K": _frac_str(spec.K),
         "epsilon": _frac_str(spec.epsilon),
         "ymax": result.search_height,
@@ -183,8 +172,8 @@ def solve_payload(spec: ProblemSpec, result: RelativeSolutionSet) -> dict:
 def oracle_payload(spec: ProblemSpec, height: int, result) -> dict:
     return {
         "command": "oracle",
-        "coeffs": list(spec.coeffs),
-        "m": spec.m,
+        "coeffs": list(spec.form.coeffs),
+        "m": spec.field.m,
         "K": _frac_str(spec.K),
         "height": height,
         "solutions": [
@@ -211,11 +200,11 @@ def cmd_solve(args) -> int:
     if args.epsilon:
         spec = replace(spec, epsilon=_parse_rational(args.epsilon, "--epsilon"))
     ymax = args.ymax if args.ymax is not None else spec.ymax
-    result = solve_relative(spec.field(), spec.form(), spec.K, spec.epsilon, ymax)
+    result = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, ymax)
     payload = solve_payload(spec, result)
     lines = [
-        f"form {spec.form()}",
-        f"m {spec.m} (s={spec.field().s})",
+        f"form {spec.form}",
+        f"m {spec.field.m} (s={spec.field.s})",
         f"K {_frac_str(spec.K)}",
         f"ymax {ymax}",
         f"solutions {len(payload['solutions'])}",
@@ -233,11 +222,11 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     spec = load_problem(args.problem)
     height = args.height if args.height is not None else spec.oracle_height
-    result = brute_force(spec.field(), spec.form(), spec.K, height)
+    result = brute_force(spec.field, spec.form, spec.K, height)
     payload = oracle_payload(spec, height, result)
     lines = [
-        f"form {spec.form()}",
-        f"m {spec.m} (s={spec.field().s})",
+        f"form {spec.form}",
+        f"m {spec.field.m} (s={spec.field.s})",
         f"K {_frac_str(spec.K)}",
         f"height {height}",
         f"solutions {len(result.solutions)}",
@@ -284,13 +273,13 @@ def cmd_abs(args) -> int:
 def cmd_constants(args) -> int:
     spec = load_problem(args.problem)
     epsilon = _parse_rational(args.epsilon, "--epsilon") if args.epsilon else spec.epsilon
-    problem = Problem(spec.field(), spec.form(), spec.K, epsilon)
+    problem = Problem(spec.field, spec.form, spec.K, epsilon)
     roots, consts, gates = problem.roots, problem.consts, problem.gates
     disp = gates.display()
     payload = {
         "command": "constants",
-        "coeffs": list(spec.coeffs),
-        "m": spec.m,
+        "coeffs": list(spec.form.coeffs),
+        "m": spec.field.m,
         "degree": problem.form.degree,
         "K": _frac_str(problem.K),
         "epsilon": _frac_str(problem.epsilon),
@@ -315,7 +304,7 @@ def cmd_constants(args) -> int:
 
     lines = [
         f"form {problem.form}",
-        f"m {spec.m} (s={problem.s})",
+        f"m {spec.field.m} (s={problem.s})",
         f"K {_frac_str(problem.K)}  epsilon {_frac_str(problem.epsilon)}",
         f"A (min root gap)       in {span(roots.min_gap_lower, roots.min_gap_upper)}",
         f"B (min gap product)    in {span(roots.gap_product_lower, roots.gap_product_upper)}",
@@ -348,7 +337,7 @@ def _flag(applicable: bool, holds: bool) -> str:
 
 def cmd_verify(args) -> int:
     spec = load_problem(args.problem)
-    problem = Problem(spec.field(), spec.form(), spec.K, spec.epsilon)
+    problem = Problem(spec.field, spec.form, spec.K, spec.epsilon)
     field, form = problem.field, problem.form
     rows = []
     lines = []
@@ -394,8 +383,8 @@ def cmd_verify(args) -> int:
         )
     payload = {
         "command": "verify",
-        "coeffs": list(spec.coeffs),
-        "m": spec.m,
+        "coeffs": list(spec.form.coeffs),
+        "m": spec.field.m,
         "K": _frac_str(spec.K),
         "epsilon": _frac_str(spec.epsilon),
         "candidates": rows,
@@ -409,8 +398,17 @@ def cmd_check(args) -> int:
     epsilon = _parse_rational(args.epsilon, "--epsilon") if args.epsilon else spec.epsilon
     ymax = args.ymax if args.ymax is not None else spec.ymax
     height = args.height if args.height is not None else spec.oracle_height
-    solved = solve_relative(spec.field(), spec.form(), spec.K, epsilon, ymax)
-    oracle = brute_force(spec.field(), spec.form(), spec.K, height)
+    least = (2 * spec.field.s - 1) * height
+    if ymax < least:
+        # a smaller reach leaves solutions in the box that the solver does not look for
+        ymax_from = "--ymax" if args.ymax is not None else "the problem file"
+        height_from = "--height" if args.height is not None else "the problem file"
+        raise CliError(
+            f"ymax {ymax} (from {ymax_from}) is below the minimum {least} = (2s-1)*height "
+            f"for s = {spec.field.s} and height {height} (from {height_from})"
+        )
+    solved = solve_relative(spec.field, spec.form, spec.K, epsilon, ymax)
+    oracle = brute_force(spec.field, spec.form, spec.K, height)
     box = {sol.quadruple for sol in solved.solutions if max(map(abs, sol.quadruple)) <= height}
     box.update(solved.family_members(height))
     oracle_set = oracle.quadruples()
@@ -419,8 +417,8 @@ def cmd_check(args) -> int:
     match = not solver_only and not oracle_only and solved.cross_check_ok
     payload = {
         "command": "check",
-        "coeffs": list(spec.coeffs),
-        "m": spec.m,
+        "coeffs": list(spec.form.coeffs),
+        "m": spec.field.m,
         "K": _frac_str(spec.K),
         "epsilon": _frac_str(epsilon),
         "ymax": ymax,
@@ -432,8 +430,8 @@ def cmd_check(args) -> int:
         "cross_check_ok": solved.cross_check_ok,
     }
     lines = [
-        f"form {spec.form()}",
-        f"m {spec.m} (s={spec.field().s})",
+        f"form {spec.form}",
+        f"m {spec.field.m} (s={spec.field.s})",
         f"K {_frac_str(spec.K)}",
         f"ymax {ymax} height {height}",
         f"common {len(box & oracle_set)}",

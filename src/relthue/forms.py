@@ -42,20 +42,7 @@ class BinaryForm:
 
     def evaluate(self, a: int, b: int) -> int:
         """F(a, b) over the integers, computed exactly."""
-        n = self.degree
-        total = 0
-        pa = 1
-        apow = [1] * (n + 1)
-        for k in range(1, n + 1):
-            pa *= a
-            apow[k] = pa
-        pb = 1
-        for k in range(n, -1, -1):
-            c = self.coeffs[k]
-            if c:
-                total += c * apow[k] * pb
-            pb *= b
-        return total
+        return _poly.evaluate(self.coeffs, a, b)
 
     def dehomogenized(self) -> tuple[int, ...]:
         """Coefficients of f(x) = F(x, 1)."""

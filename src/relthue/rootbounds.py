@@ -4,9 +4,10 @@ Roots of f(x) = F(x, 1) are found in one place: the Sturm chain that
 :func:`~relthue.forms.check_admissible` builds bisects (-2^e, 2^e] until
 each root is alone, and the integer roots fall out as point intervals
 (:func:`integer_roots` is that first stage).  The other roots are
-irrational, and exact-sign bisection of the deflated polynomial refines
-their intervals.  From the intervals the module derives one-sided rational
-bounds, always rounded in the safe direction, for
+irrational, and bisection by the sign of f itself, taken in integer
+arithmetic at each dyadic midpoint, refines their intervals.  From the
+intervals the module derives one-sided rational bounds, always rounded in
+the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -82,13 +83,11 @@ def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
 class RootData:
     """Isolating intervals (sorted, pairwise disjoint) plus gap enclosures.
 
-    The integer roots are the point intervals; ``reduced`` is f with their
-    linear factors removed.
+    The integer roots are the point intervals.
     """
 
     intervals: tuple[Interval, ...]
     integer_roots: tuple[int, ...]
-    reduced: tuple[int, ...]
     min_gap_lower: Fraction
     min_gap_upper: Fraction
     gap_product_lower: Fraction
@@ -124,24 +123,25 @@ def _gap_enclosures(intervals):
     return a_lo, a_hi, b_lo, b_hi
 
 
-def _bisect(g, lo, hi, sign_lo):
-    """One sign-preserving bisection step; g has no rational roots."""
-    mid = (lo + hi) / 2
-    if _poly.sign(_poly.evaluate(g, mid)) == sign_lo:
-        return mid, hi
-    return lo, mid
+def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi).
 
-
-def _refine_interval(g, lo: Fraction, hi: Fraction, width: Fraction):
+    f is monic, so it vanishes at no rational midpoint and not at hi; lo may
+    be an integer root, so the sign is anchored at hi.
+    """
     if lo == hi:
         return lo, hi
-    sign_lo = _poly.sign(_poly.evaluate(g, lo))
+    sign_hi = _poly.sign_at(f, hi)
     while hi - lo > width:
-        lo, hi = _bisect(g, lo, hi, sign_lo)
+        mid = (lo + hi) / 2
+        if _poly.sign_at(f, mid) == sign_hi:
+            hi = mid
+        else:
+            lo = mid
     return lo, hi
 
 
-def _separate(g, items: list[list[Fraction]]) -> None:
+def _separate(f, items: list[list[Fraction]]) -> None:
     """Refine in place until all intervals are strictly pairwise disjoint."""
     while True:
         items.sort(key=lambda iv: (iv[0], iv[1]))
@@ -155,11 +155,11 @@ def _separate(g, items: list[list[Fraction]]) -> None:
         for iv in (items[clash], items[clash + 1]):
             if iv[0] != iv[1]:
                 width = (iv[1] - iv[0]) / 2
-                iv[0], iv[1] = _refine_interval(g, iv[0], iv[1], width)
+                iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
 
 
 def _initial_isolation(form: BinaryForm):
-    """(integer roots, f deflated by them, one [lo, hi] per root) from the Sturm chain of f.
+    """(integer roots, one [lo, hi] per root) from the Sturm chain of f.
 
     The chain bisects (-R, R] with R = 2^e above every root, so every
     midpoint is an integer until each root is alone in a unit interval
@@ -179,7 +179,7 @@ def _initial_isolation(form: BinaryForm):
         if count == 0:
             continue
         if count == 1 and hi - lo <= 1:
-            if _poly.evaluate(f, hi) == 0:
+            if _poly.sign_at(f, hi) == 0:
                 exact.append(hi)
             else:
                 items.append([Fraction(lo), Fraction(hi)])
@@ -189,11 +189,8 @@ def _initial_isolation(form: BinaryForm):
         work.append((lo, mid, left))
         work.append((mid, hi, count - left))
     exact.sort()
-    g = f
-    for r in exact:
-        g = _poly.deflate(g, r)
     items += [[Fraction(r), Fraction(r)] for r in exact]
-    return tuple(exact), g, items
+    return tuple(exact), items
 
 
 def integer_roots(form: BinaryForm) -> tuple[int, ...]:
@@ -206,11 +203,16 @@ def integer_roots(form: BinaryForm) -> tuple[int, ...]:
     return _initial_isolation(form)[0]
 
 
-def _build(exact, g, items) -> RootData:
-    _separate(g, items)
+def _refined(form: BinaryForm, exact, items: list[list[Fraction]], width: Fraction) -> RootData:
+    if width <= 0:
+        raise ValueError("width must be positive")
+    f = form.dehomogenized()
+    for iv in items:
+        iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
+    _separate(f, items)
     intervals = tuple((lo, hi) for lo, hi in items)
     a_lo, a_hi, b_lo, b_hi = _gap_enclosures(intervals)
-    return RootData(intervals, exact, g, a_lo, a_hi, b_lo, b_hi)
+    return RootData(intervals, exact, a_lo, a_hi, b_lo, b_hi)
 
 
 def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootData:
@@ -220,22 +222,12 @@ def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -
     forms.  Bisection is deterministic, so requesting a smaller width always
     yields sub-intervals of the wider run (monotone enclosures).
     """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    exact, g, items = _initial_isolation(form)
-    for iv in items:
-        iv[0], iv[1] = _refine_interval(g, iv[0], iv[1], width)
-    return _build(exact, g, items)
+    return _refined(form, *_initial_isolation(form), width)
 
 
-def refine(data: RootData, width: Fraction) -> RootData:
-    """Continue bisection of an existing isolation down to a smaller width."""
-    if width <= 0:
-        raise ValueError("width must be positive")
-    items = [[lo, hi] for lo, hi in data.intervals]
-    for iv in items:
-        iv[0], iv[1] = _refine_interval(data.reduced, iv[0], iv[1], width)
-    return _build(data.integer_roots, data.reduced, items)
+def refine(form: BinaryForm, data: RootData, width: Fraction) -> RootData:
+    """Continue bisection of an existing isolation of ``form`` down to a smaller width."""
+    return _refined(form, data.integer_roots, [[lo, hi] for lo, hi in data.intervals], width)
 
 
 @dataclass(frozen=True)
@@ -335,7 +327,7 @@ def stable_constants(
     gates = thresholds(consts, n, field)
     for _ in range(MAX_HALVINGS):
         width = width / 2
-        finer = refine(data, width)
+        finer = refine(form, data, width)
         finer_consts = constants(finer, K, epsilon)
         finer_gates = thresholds(finer_consts, n, field)
         if _gate_floors(finer_gates) == _gate_floors(gates):

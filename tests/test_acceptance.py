@@ -198,7 +198,7 @@ def test_criterion_8_precision_monotonicity():
         consts = constants(data, 1, EPS)
         for _ in range(8):
             width /= 2
-            finer = refine(data, width)
+            finer = refine(form, data, width)
             finer_consts = constants(finer, 1, EPS)
             assert finer.min_gap_lower >= data.min_gap_lower, name
             assert finer.gap_product_lower >= data.gap_product_lower, name

@@ -21,7 +21,7 @@ from relthue.cli import (
     solve_payload,
 )
 from relthue.reducer import RelativeSolutionSet
-from util import form_from_roots
+from util import form_from_roots, profiled_calls
 
 PROBLEM = """\
 # sample problem
@@ -51,8 +51,8 @@ def run(capsys, *argv):
 
 def test_parse_problem_text_defaults():
     spec = parse_problem_text("coeffs = 0 -4 0 1\nm = 7\nK = 3/2\n")
-    assert spec.coeffs == (0, -4, 0, 1)
-    assert spec.m == 7
+    assert spec.form.coeffs == (0, -4, 0, 1)
+    assert spec.field.m == 7
     assert spec.K == Fraction(3, 2)
     assert spec.epsilon == Fraction(1, 2)
     assert spec.ymax == 100
@@ -95,7 +95,7 @@ def test_solve_json_round_trip(capsys, problem_file):
     assert status == 0
     parsed = json.loads(out)
     spec = parse_problem_text(PROBLEM)
-    fresh = solve_relative(spec.field(), spec.form(), spec.K, spec.epsilon, spec.ymax)
+    fresh = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, spec.ymax)
     assert parsed == solve_payload(spec, fresh)
 
 
@@ -104,7 +104,7 @@ def test_oracle_command_and_round_trip(capsys, problem_file):
     assert status == 0
     parsed = json.loads(out)
     spec = parse_problem_text(PROBLEM)
-    fresh = brute_force(spec.field(), spec.form(), spec.K, 2)
+    fresh = brute_force(spec.field, spec.form, spec.K, 2)
     assert parsed == oracle_payload(spec, 2, fresh)
 
 
@@ -215,6 +215,47 @@ def test_output_matches_golden(capsys, problem_file, name, argv):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name,extra", [("constants_irrational", []), ("constants_irrational_json", ["--json"])])
+def test_irrational_constants_match_golden(capsys, tmp_path, name, extra):
+    # x^3 - 3xy^2 - y^3 has three irrational roots, so these files pin exact interval endpoints
+    path = tmp_path / "irrational.txt"
+    path.write_text("coeffs = -1 -3 0 1\nm = 7\nK = 10\n", encoding="utf-8")
+    status, out, _ = run(capsys, "constants", str(path), *extra)
+    assert status == 0
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{problem}"],
+        ["check", "{problem}"],
+        ["oracle", "{problem}"],
+        ["constants", "{problem}"],
+        ["verify", "{problem}", "0,1,0,0"],
+    ],
+)
+def test_each_command_builds_its_field_once(capsys, problem_file, argv):
+    status, calls = profiled_calls(main, [arg.format(problem=problem_file) for arg in argv])
+    capsys.readouterr()
+    assert status == 0
+    assert calls["quadfield", "__post_init__"] == 1
+
+
+def test_check_rejects_a_reach_short_of_the_box(capsys, tmp_path):
+    # s = 1 here, so the oracle box of half-width 4 needs ymax >= 4
+    path = tmp_path / "short.txt"
+    path.write_text("coeffs = 0 -12 7 11 -7 1\nm = 57\nK = 1\nymax = 3\n", encoding="utf-8")
+    status, out, err = run(capsys, "check", str(path))
+    assert (status, out) == (1, "")
+    assert "ymax 3 (from the problem file)" in err and "minimum 4" in err and "height 4 (from the problem file)" in err
+    status, _, err = run(capsys, "check", str(path), "--ymax", "5", "--height", "6")
+    assert status == 1
+    assert "ymax 5 (from --ymax)" in err and "minimum 6" in err and "height 6 (from --height)" in err
+    status, out, _ = run(capsys, "check", str(path), "--ymax", "4")
+    assert status == 0 and out.splitlines()[-1] == "MATCH"
+
+
 def test_check_expands_only_the_family_members_in_the_box(capsys, tmp_path, monkeypatch):
     generated = []
     expand = RelativeSolutionSet.family_members
@@ -232,7 +273,7 @@ def test_check_expands_only_the_family_members_in_the_box(capsys, tmp_path, monk
     # three families, each with at most (2*box + 1)^2 members in the box; all of them at ymax would be ~24 M
     assert 0 < len(generated) <= 3 * 5**2
     spec = parse_problem_text(PROBLEM)
-    solved = solve_relative(spec.field(), spec.form(), spec.K, spec.epsilon, 12)
+    solved = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, 12)
     for box in range(5):
         inside = [q for q in expand(solved) if max(map(abs, q)) <= box]
         assert list(expand(solved, box)) == inside

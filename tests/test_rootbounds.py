@@ -92,7 +92,7 @@ def test_refinement_monotone():
     consts = constants(data, 10, Fraction(1, 3))
     for _ in range(8):
         width /= 2
-        finer = refine(data, width)
+        finer = refine(F3, data, width)
         finer_consts = constants(finer, 10, Fraction(1, 3))
         assert finer.min_gap_lower >= data.min_gap_lower
         assert finer.gap_product_lower >= data.gap_product_lower
@@ -202,3 +202,40 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
         e = _poly.root_radius(form.dehomogenized()).bit_length() - 1
         assert calls["_poly", "count_roots"] <= form.degree * (e + 2)
         assert calls["_poly", "sturm_chain"] == 1
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+)
+def test_evaluate_is_the_homogenized_value(coeffs, p, q):
+    d = len(coeffs) - 1
+    x = Fraction(p, q)
+    value = _poly.evaluate(coeffs, p, q)
+    assert type(value) is int
+    assert value == q**d * sum(c * x**k for k, c in enumerate(coeffs))
+    assert _poly.evaluate(coeffs, p) == sum(c * p**k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (-1, 3, 3, -4, -1, 1),  # x^5 - x^4 - 4x^3 + 3x^2 + 3x - 1, no rational root
+        (6, 0, -5, 0, 1),  # (x^2 - 2)(x^2 - 3)
+        (0, 3, -3, -1, 1),  # x(x - 1)(x^2 - 3)
+    ],
+)
+def test_polynomials_are_evaluated_at_integers_only(monkeypatch, coeffs):
+    calls = []
+    evaluate = _poly.evaluate
+
+    def spy(c, a, b=1):
+        calls.append((c, a, b))
+        return evaluate(c, a, b)
+
+    monkeypatch.setattr(_poly, "evaluate", spy)
+    Problem(QuadraticField(7), BinaryForm(coeffs), 10)
+    assert calls
+    for c, a, b in calls:
+        assert all(type(v) is int for v in (*c, a, b)), (c, a, b)
