@@ -24,7 +24,10 @@ class InadmissibleFormError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Binary form with ascending coefficients: coeffs[k] multiplies x^k y^(n-k)."""
+    """Binary form with ascending coefficients: coeffs[k] multiplies x^k y^(n-k).
+
+    The same tuple lists the coefficients of f(x) = F(x, 1).
+    """
 
     coeffs: tuple[int, ...]
 
@@ -43,10 +46,6 @@ class BinaryForm:
     def evaluate(self, a: int, b: int) -> int:
         """F(a, b) over the integers, computed exactly."""
         return _poly.evaluate(self.coeffs, a, b)
-
-    def dehomogenized(self) -> tuple[int, ...]:
-        """Coefficients of f(x) = F(x, 1)."""
-        return self.coeffs
 
     def __str__(self) -> str:
         n = self.degree
@@ -89,7 +88,7 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     R is a power of two above every root.  The report names the first
     failed condition.
     """
-    f = form.dehomogenized()
+    f = form.coeffs
     n = form.degree
     if n < 3:
         return AdmissibilityReport(False, "degree too small (need n >= 3)")

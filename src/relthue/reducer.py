@@ -171,7 +171,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     found: Found = {}
     # y2 = x2 = 0: x and y are rational integers, members when (a, b) is on a root line
     _pair(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
-    f_prime = _poly.derivative(problem.form.dehomogenized())
+    f_prime = _poly.derivative(problem.form.coeffs)
     bound = problem.K**2 * s ** (2 * (n - 1))
     for r in roots:
         slope_sq = _poly.evaluate(f_prime, r) ** 2

@@ -4,8 +4,8 @@ Roots of f(x) = F(x, 1) are found in one place: the Sturm chain that
 :func:`~relthue.forms.check_admissible` builds bisects (-2^e, 2^e] until
 each root is alone, and the integer roots fall out as point intervals
 (:func:`integer_roots` is that first stage).  The other roots are
-irrational, and bisection by the sign of f itself, taken in integer
-arithmetic at each dyadic midpoint, refines their intervals.  From the
+irrational, and bisection by the sign of f itself refines their
+intervals, on integer numerators over one power of two.  From the
 intervals the module derives one-sided rational bounds, always rounded in
 the safe direction, for
 
@@ -123,22 +123,38 @@ def _gap_enclosures(intervals):
     return a_lo, a_hi, b_lo, b_hi
 
 
-def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
-    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi).
+def bisect_dyadic(f, lo: int, hi: int, shift: int, width: Fraction) -> tuple[int, int, int]:
+    """Bisect [lo/2^shift, hi/2^shift], which holds one irrational root of f, down to ``width``.
 
-    f is monic, so it vanishes at no rational midpoint and not at hi; lo may
-    be an integer root, so the sign is anchored at hi.
+    The endpoints stay integer numerators over one power of two, so every
+    step is integer arithmetic: the numerators double, the midpoint is their
+    old sum, and their difference never changes.  f is monic, so it vanishes
+    at no dyadic midpoint and not at hi; lo may be an integer root, so the
+    sign is anchored at hi.  Returns the new (lo, hi, shift).
     """
-    if lo == hi:
-        return lo, hi
-    sign_hi = _poly.sign_at(f, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if _poly.sign_at(f, mid) == sign_hi:
+    sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << shift))
+    gap = hi - lo
+    while gap * width.denominator > width.numerator << shift:
+        mid, lo, hi, shift = lo + hi, 2 * lo, 2 * hi, shift + 1
+        if _poly.sign(_poly.evaluate(f, mid, 1 << shift)) == sign_hi:
             hi = mid
         else:
             lo = mid
-    return lo, hi
+    return lo, hi, shift
+
+
+def dyadic(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(lo * 2^shift, hi * 2^shift, shift) for dyadic endpoints, with the least such shift."""
+    shift = max(lo.denominator, hi.denominator).bit_length() - 1
+    return (lo.numerator << shift) // lo.denominator, (hi.numerator << shift) // hi.denominator, shift
+
+
+def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi)."""
+    if lo == hi:
+        return lo, hi
+    lo, hi, shift = bisect_dyadic(f, *dyadic(lo, hi), width)
+    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
 
 
 def _separate(f, items: list[list[Fraction]]) -> None:
@@ -170,7 +186,7 @@ def _initial_isolation(form: BinaryForm):
     evaluations, whatever the size of f(0).
     """
     chain = require_admissible(form).chain
-    f = form.dehomogenized()
+    f = form.coeffs
     radius = _poly.root_radius(f)
     exact, items = [], []
     work = [(-radius, radius, form.degree)]
@@ -204,9 +220,10 @@ def integer_roots(form: BinaryForm) -> tuple[int, ...]:
 
 
 def _refined(form: BinaryForm, exact, items: list[list[Fraction]], width: Fraction) -> RootData:
+    width = Fraction(width)
     if width <= 0:
         raise ValueError("width must be positive")
-    f = form.dehomogenized()
+    f = form.coeffs
     for iv in items:
         iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
     _separate(f, items)

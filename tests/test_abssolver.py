@@ -2,9 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from relthue import BinaryForm, solve_abs
-from util import form_from_roots, rectangle_solutions
+from relthue.abssolver import _window_rows
+from relthue.rootbounds import DEFAULT_ISOLATION_WIDTH, isolate_roots
+from util import admissible_forms, form_from_roots, rectangle_solutions, window_scan
 
 F1 = BinaryForm((0, -4, 0, 1))
 
@@ -110,3 +114,79 @@ def test_zero_values_on_root_lines():
     for a, b, v in result.solutions:
         if v == 0:
             assert (b == 0 and a == 0) or (b != 0 and a % b == 0 and a // b in (-2, 0, 2))
+
+
+# the four root-free forms of the `sporadic` benchmark workload
+SPORADIC_FORMS = (
+    (-1, -3, 0, 1),  # x^3 - 3xy^2 - y^3
+    (2, 0, -4, 0, 1),  # x^4 - 4x^2y^2 + 2y^4
+    (6, 0, -5, 0, 1),  # (x^2 - 2y^2)(x^2 - 3y^2)
+    (-1, 3, 3, -4, -1, 1),  # x^5 - x^4y - 4x^3y^2 + 3x^2y^3 + 3xy^4 - y^5
+)
+
+
+@pytest.mark.parametrize("coeffs", SPORADIC_FORMS)
+@pytest.mark.parametrize("s", (1, 2))
+def test_sporadic_forms_equal_the_window_scan(coeffs, s):
+    # K' = s^n K for K in {1, 10, 7/2}, as in the relative problems of the benchmark, at H = 2000
+    form = BinaryForm(coeffs)
+    for K in (Fraction(1), Fraction(10), Fraction(7, 2)):
+        bound = s**form.degree * K
+        assert solve_abs(form, bound, 2000).solutions == window_scan(form, bound, 2000)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    admissible_forms(),
+    st.fractions(min_value=0, max_value=500, max_denominator=3),
+    st.integers(0, 400),
+    st.sampled_from((DEFAULT_ISOLATION_WIDTH, Fraction(1, 8), Fraction(1, 2))),
+)
+@example(BinaryForm((0, -2, -1, 1)), Fraction(500), 60, DEFAULT_ISOLATION_WIDTH)  # b0 = 2000 > H: windows only
+@example(BinaryForm((-1, -3, 0, 1)), Fraction(80), 400, DEFAULT_ISOLATION_WIDTH)  # b0 = 242 < H: both regimes
+@example(BinaryForm((1, -7, 0, 1)), Fraction(23), 300, Fraction(1, 2))  # tail from a coarse isolation
+def test_equals_the_window_scan(form, bound, height, width):
+    # the roots handed in may be coarse: the tail must refine them itself before it trusts a convergent
+    got = solve_abs(form, bound, height, roots=isolate_roots(form, width))
+    assert got.solutions == window_scan(form, bound, height)
+
+
+def _near_integer_roots(d):
+    # x(x - 1)(x - c) + d with c = 2^70 + 3: two roots within ~2^-70 of 0 and 1, so an isolation at
+    # width 2^-64 has an endpoint at 0 or 1 and the tail must bisect below 2^-64
+    coeffs = list(form_from_roots([0, 1, 2**70 + 3]).coeffs)
+    coeffs[0] += d
+    return tuple(coeffs)
+
+
+NEAR_RATIONAL_ROOTS = (
+    *(_near_integer_roots(d) for d in (1, -1, 2)),
+    # x^3 - 2N x + N: a root within 1/(16N) above 1/2
+    (2**70, -(2**71), 0, 1),
+    (-(2**40), -(2**41), 0, 1),
+    # x^3 - 100x + 1: the convergent 0/1 of the root near 0.01 solves with g = 2 at bound 8
+    (1, -100, 0, 1),
+)
+
+
+@pytest.mark.parametrize("coeffs", NEAR_RATIONAL_ROOTS)
+def test_roots_near_rationals_equal_the_window_scan(coeffs):
+    form = BinaryForm(coeffs)
+    for bound in (0, 1, 8, 27, 100):
+        for roots in (None, isolate_roots(form, Fraction(1, 2))):
+            assert solve_abs(form, bound, 60, roots=roots).solutions == window_scan(form, bound, 60)
+
+
+def test_a_multiple_of_a_convergent_in_the_tail():
+    form = BinaryForm((1, -100, 0, 1))
+    assert _window_rows(3, Fraction(8), isolate_roots(form).gap_product_lower) == 0
+    assert (0, 2, 8) in solve_abs(form, 8, 10).solutions
+
+
+@given(st.integers(3, 5), st.fractions(min_value=0, max_value=1000, max_denominator=7), st.fractions(min_value=Fraction(1, 1000), max_value=1000))
+def test_window_rows_is_the_last_row_before_legendre_applies(n, bound, gap_product):
+    # b0 is the largest b with b^(n-2) * B <= 2^n * K'; past it the window half-width is below 1/(2b)
+    b0 = _window_rows(n, bound, gap_product)
+    assert b0 >= 0
+    assert b0 ** (n - 2) * gap_product <= 2**n * bound
+    assert (b0 + 1) ** (n - 2) * gap_product > 2**n * bound

@@ -1,9 +1,8 @@
 from fractions import Fraction
-from math import isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relthue
@@ -14,14 +13,13 @@ from relthue import (
     QuadraticField,
     RingElement,
     brute_force,
-    check_admissible,
     solve_abs,
     solve_relative,
 )
 from relthue.cli import main
 from relthue.reducer import imag_value_range, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
-from util import form_from_roots, profiled_calls
+from util import admissible_forms, form_from_roots, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))
 F2 = BinaryForm((0, -2, -1, 1))
@@ -93,33 +91,6 @@ def test_oracle_equivalence_small(m, K, form):
 
 
 SQUAREFREE_M = [m for m in range(1, 51) if all(m % (d * d) for d in range(2, 8))]  # both classes mod 4
-
-
-@st.composite
-def admissible_forms(draw):
-    """Admissible forms of degree 3-5: split, partly split or root-free.
-
-    A partly split form is a product of distinct linear factors and an irreducible real quadratic; a
-    root-free one (in most draws) is a split form with f(0) moved by at most 3, kept when still admissible.
-    """
-    n = draw(st.integers(3, 5))
-    kind = draw(st.sampled_from(("split", "partly split", "root-free")))
-    if kind == "partly split":
-        b, c = draw(st.integers(-4, 4)), draw(st.integers(-10, 2))
-        disc = b * b - 4 * c
-        assume(disc > 0 and isqrt(disc) ** 2 != disc)
-        linear = form_from_roots(draw(st.lists(st.integers(-5, 5), min_size=n - 2, max_size=n - 2, unique=True)))
-        coeffs = [0] * (n + 1)
-        for i, u in enumerate(linear.coeffs):
-            for j, v in enumerate((c, b, 1)):
-                coeffs[i + j] += u * v
-    else:
-        coeffs = list(form_from_roots(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))).coeffs)
-        if kind == "root-free":
-            coeffs[0] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
-    form = BinaryForm(tuple(coeffs))
-    assume(check_admissible(form).ok)
-    return form
 
 
 @settings(deadline=None)

@@ -39,7 +39,7 @@ def test_intervals_certified_by_sign_change_or_exact_root():
     quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): four close irrational roots
     for form in (F1, F3, quartic):
         data = isolate_roots(form, Fraction(1, 2**20))
-        f = form.dehomogenized()
+        f = form.coeffs
 
         def at(x):
             return sum(c * x**k for k, c in enumerate(f))
@@ -199,7 +199,7 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
     for form, expected in ((split, (-(10**10) + 3, 10**10 - 11, 10**10 + 7)), (root_free, ())):
         found, calls = profiled_calls(integer_roots, form)
         assert found == expected
-        e = _poly.root_radius(form.dehomogenized()).bit_length() - 1
+        e = _poly.root_radius(form.coeffs).bit_length() - 1
         assert calls["_poly", "count_roots"] <= form.degree * (e + 2)
         assert calls["_poly", "sturm_chain"] == 1
 

@@ -1,8 +1,10 @@
 """Shared helpers for the test suite: independent oracles and small builders.
 
 The rectangle scan here is deliberately naive — it shares no pruning logic
-with the package — so it can serve as ground truth for the windowed
-enumerator.
+with the package — so it can serve as ground truth for the windowed scan.
+The windowed scan is the absolute enumeration the package used before its
+shrinking windows and continued-fraction tail, kept as the reference for
+``solve_abs`` at heights where the rectangle is too large.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ import cProfile
 import pstats
 from collections import Counter
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor, isqrt
 from pathlib import Path
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 import relthue
-from relthue import BinaryForm
+from relthue import BinaryForm, check_admissible
 from relthue.rootbounds import isolate_roots, nth_root_upper
 
 
@@ -47,6 +52,74 @@ def rectangle_solutions(form: BinaryForm, bound, ymax: int) -> set[tuple[int, in
             if abs(form.evaluate(a, b)) <= bound:
                 out.add((a, b))
     return out
+
+
+def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(ranges):
+        if lo > hi:
+            continue
+        if merged and lo <= merged[-1][1] + 1:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, int], ...]:
+    """(a, b, F(a, b)) with |F(a, b)| <= bound and |b| <= height, sorted by (b, a).
+
+    For every b it scans a window of half-width max(1, bound^(1/n)) around
+    each root interval times b: if all n factors |a - root_j*b| exceeded
+    bound^(1/n), their product would exceed the bound.
+    """
+    bound = Fraction(bound)
+    roots = isolate_roots(form)
+    n = form.degree
+    window = max(Fraction(1), nth_root_upper(bound, n, 32))
+    a_cap = relthue._poly.iroot(floor(bound), n) if bound >= 1 else 0
+    found = [(a, 0, form.evaluate(a, 0)) for a in range(-a_cap, a_cap + 1) if abs(form.evaluate(a, 0)) <= bound]
+    for b in range(-height, height + 1):
+        if b == 0:
+            continue
+        ranges = []
+        for lo, hi in roots.intervals:
+            center_lo, center_hi = (lo * b, hi * b) if b > 0 else (hi * b, lo * b)
+            ranges.append((ceil(center_lo - window), floor(center_hi + window)))
+        for a_lo, a_hi in _merge_ranges(ranges):
+            for a in range(a_lo, a_hi + 1):
+                value = form.evaluate(a, b)
+                if abs(value) <= bound:
+                    found.append((a, b, value))
+    found.sort(key=lambda t: (t[1], t[0]))
+    return tuple(found)
+
+
+@st.composite
+def admissible_forms(draw):
+    """Admissible forms of degree 3-5: split, partly split or root-free.
+
+    A partly split form is a product of distinct linear factors and an irreducible real quadratic; a
+    root-free one (in most draws) is a split form with f(0) moved by at most 3, kept when still admissible.
+    """
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(("split", "partly split", "root-free")))
+    if kind == "partly split":
+        b, c = draw(st.integers(-4, 4)), draw(st.integers(-10, 2))
+        disc = b * b - 4 * c
+        assume(disc > 0 and isqrt(disc) ** 2 != disc)
+        linear = form_from_roots(draw(st.lists(st.integers(-5, 5), min_size=n - 2, max_size=n - 2, unique=True)))
+        coeffs = [0] * (n + 1)
+        for i, u in enumerate(linear.coeffs):
+            for j, v in enumerate((c, b, 1)):
+                coeffs[i + j] += u * v
+    else:
+        coeffs = list(form_from_roots(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))).coeffs)
+        if kind == "root-free":
+            coeffs[0] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    form = BinaryForm(tuple(coeffs))
+    assume(check_admissible(form).ok)
+    return form
 
 
 def profiled_calls(fn, *args) -> tuple[object, Counter]:
