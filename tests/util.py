@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import relthue
 from relthue import BinaryForm, check_admissible
+from relthue._poly import iroot
 from relthue.rootbounds import isolate_roots, nth_root_upper
 
 
@@ -77,8 +78,12 @@ def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, i
     roots = isolate_roots(form)
     n = form.degree
     window = max(Fraction(1), nth_root_upper(bound, n, 32))
-    a_cap = relthue._poly.iroot(floor(bound), n) if bound >= 1 else 0
-    found = [(a, 0, form.evaluate(a, 0)) for a in range(-a_cap, a_cap + 1) if abs(form.evaluate(a, 0)) <= bound]
+    found = []
+    a_cap = iroot(floor(bound), n) if bound >= 1 else 0
+    for a in range(-a_cap, a_cap + 1):
+        value = form.evaluate(a, 0)
+        if abs(value) <= bound:
+            found.append((a, 0, value))
     for b in range(-height, height + 1):
         if b == 0:
             continue
