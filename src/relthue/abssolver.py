@@ -12,27 +12,17 @@ n factors gives
 
 where W = max(1, K'^(1/n)) bounds the smallest of n factors whose product is
 at most K', and B = ``RootData.gap_product_lower`` bounds the product of the
-gaps at any root from below.  Let b0 be the largest b with
-b^(n-2) <= 2^n*K'/B.  The two regimes split there:
+gaps at any root from below.  So for each b every a within that half-width
+of some root interval times b is evaluated: the windows shrink like
+b^-(n-1), and once they are narrower than one cell each root line costs one
+or two evaluations per b.  The window ends are floors and ceilings of
+integer numerators over one common denominator.
 
-* Shrinking windows, 1 <= b <= b0: every a within that half-width of some
-  root interval times b is evaluated.  The window ends are floors and
-  ceilings of integer numerators over one common denominator.
-* Legendre tail, b0 < b <= height: the bound is below 1/(2b), so
-  |a/b - rho_j| < 1/(2b^2).  Write (a, b) = g*(p, q) with p/q in lowest
-  terms.  By Legendre's theorem p/q is a convergent of rho_j (for an integer
-  root r, a = r*b and p/q = r/1), and g^n*|F(p, q)| <= K'.  The convergents
-  with q <= height are certified from the isolating interval: every point
-  strictly inside it has the partial quotients common to both endpoints.
-  The interval is bisected further until that common prefix bounds the next
-  denominator above the height.
-
-Both regimes only propose candidates; each is kept after exact evaluation
-of F, so no step rounds and the listing is exhaustive for |b| <= height.
-Completeness is claimed only within the height bound, which the result
-carries.  The cost is O(n*b0) window cells plus O(n*log(height))
-convergents and the multiples of those that solve, in place of
-O(n*height*K'^(1/n)) cells.
+Every candidate is kept only after exact evaluation of F, so no step rounds
+and the listing is exhaustive for |b| <= height.  Completeness is claimed
+only within the height bound, which the result carries.  The cost is
+O(n*height) window ends plus the cells inside them, in place of
+O(n*height*K'^(1/n)) cells for fixed windows of half-width W.
 """
 
 from __future__ import annotations
@@ -43,7 +33,7 @@ from math import floor, lcm
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
-from .rootbounds import DEFAULT_ISOLATION_WIDTH, RootData, bisect_dyadic, dyadic, isolate_roots, nth_root_upper
+from .rootbounds import RootData, isolate_roots, nth_root_upper
 
 
 @dataclass(frozen=True)
@@ -62,50 +52,6 @@ class AbsSolutionSet:
         for a, b, v in self.solutions:
             index.setdefault(v, []).append((a, b))
         return index
-
-
-def _window_rows(n: int, bound: Fraction, gap_product: Fraction) -> int:
-    """b0: the largest b with b^(n-2) <= 2^n * bound / gap_product; the tail starts after it."""
-    return _poly.iroot(floor(2**n * bound / gap_product), n - 2)
-
-
-def _shared_convergents(lo: int, hi: int, den: int, height: int) -> list[IntegerPair] | None:
-    """The convergents p/q, q <= height, of every x strictly between lo/den and hi/den, or None.
-
-    Euclid's algorithm runs on both endpoints at once.  While their partial
-    quotients agree, those are the quotients of every x between them.  At
-    the first disagreement, or once an endpoint's expansion has ended (its
-    next complete quotient is infinite on the side of x), the next quotient
-    of x is at least the smaller floor.  The list is complete when that
-    bounds the next denominator above ``height``; otherwise None.
-    """
-    x, x_den, y, y_den = lo, den, hi, den
-    p_prev, q_prev, p, q = 0, 1, 1, 0
-    out = []
-    while True:
-        cx = x // x_den if x_den else None
-        cy = y // y_den if y_den else None
-        if cx is None or cx != cy:
-            least = min(c for c in (cx, cy) if c is not None)
-            return out if least * q + q_prev > height else None
-        p_prev, q_prev, p, q = p, q, cx * p + p_prev, cx * q + q_prev
-        if q > height:
-            return out
-        out.append((p, q))
-        x, x_den = x_den, x - cx * x_den
-        y, y_den = y_den, y - cy * y_den
-
-
-def _convergents(f, lo: Fraction, hi: Fraction, height: int) -> list[IntegerPair]:
-    """Every convergent p/q with q <= height of the root of f in [lo, hi]; r/1 for an integer root r."""
-    if lo == hi:
-        return [(lo.numerator, 1)]
-    lo, hi, shift = dyadic(lo, hi)
-    width = min(Fraction(hi - lo, 1 << shift), DEFAULT_ISOLATION_WIDTH)
-    while (found := _shared_convergents(lo, hi, 1 << shift, height)) is None:
-        width *= width
-        lo, hi, shift = bisect_dyadic(f, lo, hi, shift, width)
-    return found
 
 
 def solve_abs(
@@ -132,14 +78,13 @@ def solve_abs(
         if abs(value) <= bound:
             found.append((a, 0, value))
 
-    # shrinking windows: half-width min(window, spread / b^(n-1)) around each root interval times b
-    b0 = _window_rows(n, bound, roots.gap_product_lower)
+    # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b
     window = max(Fraction(1), nth_root_upper(bound, n, 32))
     spread = 2 ** (n - 1) * bound / roots.gap_product_lower
     unit = lcm(*(end.denominator for interval in roots.intervals for end in interval))
     centers = [(int(lo * unit), int(hi * unit)) for lo, hi in roots.intervals]
     positive = []
-    for b in range(1, min(height, b0) + 1):
+    for b in range(1, height + 1):
         w_num, w_den = window.numerator, window.denominator
         if spread.numerator * w_den < w_num * spread.denominator * b ** (n - 1):
             w_num, w_den = spread.numerator, spread.denominator * b ** (n - 1)
@@ -152,18 +97,6 @@ def solve_abs(
                 if abs(value) <= bound:
                     positive.append((a, b, value))
             start = max(start, a_hi + 1)
-
-    # Legendre tail: multiples g*(p, q) of convergents, with b0 < g*q <= height
-    tail = set()
-    if height > b0:
-        for lo, hi in roots.intervals:
-            for p, q in _convergents(form.coeffs, lo, hi, height):
-                for g in range(b0 // q + 1, height // q + 1):
-                    value = form.evaluate(g * p, g * q)
-                    if abs(value) > bound:
-                        break  # |F(g*p, g*q)| = g^n |F(p, q)| grows with g
-                    tail.add((g * p, g * q, value))
-    positive += tail
 
     sign = (-1) ** n
     found += positive

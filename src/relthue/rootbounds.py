@@ -123,15 +123,19 @@ def _gap_enclosures(intervals):
     return a_lo, a_hi, b_lo, b_hi
 
 
-def bisect_dyadic(f, lo: int, hi: int, shift: int, width: Fraction) -> tuple[int, int, int]:
-    """Bisect [lo/2^shift, hi/2^shift], which holds one irrational root of f, down to ``width``.
+def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
+    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi).
 
-    The endpoints stay integer numerators over one power of two, so every
-    step is integer arithmetic: the numerators double, the midpoint is their
-    old sum, and their difference never changes.  f is monic, so it vanishes
-    at no dyadic midpoint and not at hi; lo may be an integer root, so the
-    sign is anchored at hi.  Returns the new (lo, hi, shift).
+    The endpoints are dyadic, so they are kept as integer numerators over
+    one power of two and every step is integer arithmetic: the numerators
+    double, the midpoint is their old sum, and their difference never
+    changes.  f is monic, so it vanishes at no dyadic midpoint and not at
+    hi; lo may be an integer root, so the sign is anchored at hi.
     """
+    if lo == hi:
+        return lo, hi
+    shift = max(lo.denominator, hi.denominator).bit_length() - 1
+    lo, hi = (lo.numerator << shift) // lo.denominator, (hi.numerator << shift) // hi.denominator
     sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << shift))
     gap = hi - lo
     while gap * width.denominator > width.numerator << shift:
@@ -140,20 +144,6 @@ def bisect_dyadic(f, lo: int, hi: int, shift: int, width: Fraction) -> tuple[int
             hi = mid
         else:
             lo = mid
-    return lo, hi, shift
-
-
-def dyadic(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(lo * 2^shift, hi * 2^shift, shift) for dyadic endpoints, with the least such shift."""
-    shift = max(lo.denominator, hi.denominator).bit_length() - 1
-    return (lo.numerator << shift) // lo.denominator, (hi.numerator << shift) // hi.denominator, shift
-
-
-def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
-    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi)."""
-    if lo == hi:
-        return lo, hi
-    lo, hi, shift = bisect_dyadic(f, *dyadic(lo, hi), width)
     return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
 
 

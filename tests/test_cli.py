@@ -143,18 +143,6 @@ def test_abs_command(capsys):
     assert "-1 0 -1" in lines
 
 
-def test_abs_at_height_2_to_the_40_takes_a_bounded_number_of_evaluations(capsys):
-    # the root-free cubic x^3 - 3xy^2 - y^3: convergents with q up to 2^40 need root intervals finer than
-    # the 2^-64 of the isolation, so the tail bisects again; a scan over b would never finish
-    argv = ["abs", "--coeffs", "-1 -3 0 1", "--kprime", "80", "--ymax", str(2**40), "--json"]
-    status, calls = profiled_calls(main, argv)
-    assert status == 0
-    assert calls["rootbounds", "bisect_dyadic"] > 3  # one per root in the isolation, then the tail's
-    assert calls["_poly", "evaluate"] <= 1000  # 743 when recorded
-    rows = [row for row in json.loads(capsys.readouterr().out)["solutions"] if abs(row[1]) <= 2000]
-    assert rows == json.loads((GOLDEN / "abs_cubic_json.out").read_text(encoding="utf-8"))["solutions"]
-
-
 def test_abs_rejects_inadmissible(capsys):
     status, _, err = run(capsys, "abs", "--coeffs", "0 1 0 1", "--kprime", "1", "--ymax", "2")
     assert status == 1

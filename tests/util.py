@@ -3,8 +3,8 @@
 The rectangle scan here is deliberately naive — it shares no pruning logic
 with the package — so it can serve as ground truth for the windowed scan.
 The windowed scan is the absolute enumeration the package used before its
-shrinking windows and continued-fraction tail, kept as the reference for
-``solve_abs`` at heights where the rectangle is too large.
+windows shrank with b, kept as the reference for ``solve_abs`` at heights
+where the rectangle is too large.
 """
 
 from __future__ import annotations
