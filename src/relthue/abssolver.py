@@ -14,9 +14,9 @@ where W = max(1, K'^(1/n)) bounds the smallest of n factors whose product is
 at most K', and B = ``RootData.gap_product_lower`` bounds the product of the
 gaps at any root from below.  So for each b every a within that half-width
 of some root interval times b is evaluated: the windows shrink like
-b^-(n-1), and once they are narrower than one cell each root line costs one
-or two evaluations per b.  The window ends are floors and ceilings of
-integer numerators over one common denominator.
+b^-(n-1), and once they are narrower than one cell each root holds at most
+one candidate per b, and most b hold none.  The window ends are floors and
+ceilings of integer numerators over one common denominator.
 
 Every candidate is kept only after exact evaluation of F, so no step rounds
 and the listing is exhaustive for |b| <= height.  Completeness is claimed
