@@ -13,7 +13,6 @@ in bounded time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .forms import BinaryForm, IntegerPair
@@ -68,9 +67,6 @@ class QuadraticField:
     def s(self) -> int:
         return 2 if self.m % 4 == 3 else 1
 
-    def embed(self, k: int) -> RingElement:
-        return RingElement(k, 0)
-
     def _mul_raw(self, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
         if self.s == 2:
             # w^2 = w - (1+m)/4, an integer relation since m = 3 (mod 4)
@@ -79,32 +75,11 @@ class QuadraticField:
             return (a1 * b1 - w * cross, a1 * b2 + a2 * b1 + cross)
         return (a1 * b1 - self.m * a2 * b2, a1 * b2 + a2 * b1)
 
-    def mul(self, z: RingElement, w: RingElement) -> RingElement:
-        return RingElement(*self._mul_raw(z.u1, z.u2, w.u1, w.u2))
-
-    def conj(self, z: RingElement) -> RingElement:
-        """Complex conjugate, expressed in the same basis."""
-        if self.s == 2:
-            return RingElement(z.u1 + z.u2, -z.u2)
-        return RingElement(z.u1, -z.u2)
-
     def norm(self, z: RingElement) -> int:
         """|z|^2 = z * conj(z), a nonnegative rational integer."""
         if self.s == 2:
             return z.u1 * z.u1 + z.u1 * z.u2 + z.u2 * z.u2 * ((1 + self.m) // 4)
         return z.u1 * z.u1 + self.m * z.u2 * z.u2
-
-    def real_part_sq(self, z: RingElement) -> Fraction:
-        """Exact square of Re(z)."""
-        if self.s == 2:
-            return Fraction((2 * z.u1 + z.u2) ** 2, 4)
-        return Fraction(z.u1 * z.u1)
-
-    def imag_part_sq(self, z: RingElement) -> Fraction:
-        """Exact square of Im(z)."""
-        if self.s == 2:
-            return Fraction(self.m * z.u2 * z.u2, 4)
-        return Fraction(self.m * z.u2 * z.u2)
 
     def evaluate_form(self, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
         """F(x, y) in the ring, by exact coordinate arithmetic.

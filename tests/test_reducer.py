@@ -101,7 +101,7 @@ SQUAREFREE_M = [m for m in range(1, 51) if all(m % (d * d) for d in range(2, 8))
 )
 def test_oracle_equivalence_random_admissible_forms(form, m, K):
     field = QuadraticField(m)
-    box_height = 2
+    box_height = 3
     result = solve_relative(field, form, K, Fraction(1, 2), (2 * field.s - 1) * box_height)
     box = {q for q in result.quadruples() if max(abs(c) for c in q) <= box_height}
     assert box == brute_force(field, form, K, box_height).quadruples()

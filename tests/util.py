@@ -4,7 +4,11 @@ The rectangle scan here is deliberately naive — it shares no pruning logic
 with the package — so it can serve as ground truth for the windowed scan.
 The windowed scan is the absolute enumeration the package used before its
 windows shrank with b, kept as the reference for ``solve_abs`` at heights
-where the rectangle is too large.
+where the rectangle is too large.  The cell scan is the brute-force oracle
+as it was before it stepped by forward differences: one evaluation of F per
+cell, kept as the reference for ``brute_force``.  The ring helpers give the
+tests products, conjugates and part squares to check ``QuadraticField.norm``
+against.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import relthue
-from relthue import BinaryForm, check_admissible
+from relthue import BinaryForm, QuadraticField, RingElement, check_admissible
 from relthue._poly import iroot
+from relthue.oracle import OracleResult
 from relthue.rootbounds import isolate_roots, nth_root_upper
 
 
@@ -137,3 +142,51 @@ def profiled_calls(fn, *args) -> tuple[object, Counter]:
         if Path(filename).parent == Path(relthue.__file__).parent:
             calls[Path(filename).stem, name] += total_calls
     return result, calls
+
+
+def cell_scan(field: QuadraticField, form: BinaryForm, K, height: int) -> OracleResult:
+    """``brute_force`` one cell at a time: F evaluated afresh at every quadruple of [-H, H]^4."""
+    K_sq = Fraction(K) ** 2
+    span = range(-height, height + 1)
+    found = []
+    for y1 in span:
+        for y2 in span:
+            y = RingElement(y1, y2)
+            norm_y = field.norm(y)
+            for x1 in span:
+                for x2 in span:
+                    x = RingElement(x1, x2)
+                    value = field.evaluate_form(form, x, y)
+                    if field.norm(value) <= K_sq:
+                        found.append((norm_y, (x1, x2, y1, y2), field.norm(value)))
+    found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
+    return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))
+
+
+def mul(field: QuadraticField, z: RingElement, v: RingElement) -> RingElement:
+    """z*v, with w^2 = w - (1+m)/4 (s = 2) or (i*sqrt(m))^2 = -m (s = 1)."""
+    if field.s == 2:
+        cross = z.u2 * v.u2
+        return RingElement(z.u1 * v.u1 - (1 + field.m) // 4 * cross, z.u1 * v.u2 + z.u2 * v.u1 + cross)
+    return RingElement(z.u1 * v.u1 - field.m * z.u2 * v.u2, z.u1 * v.u2 + z.u2 * v.u1)
+
+
+def conj(field: QuadraticField, z: RingElement) -> RingElement:
+    """Complex conjugate, in the same basis: conj(w) = 1 - w (s = 2)."""
+    if field.s == 2:
+        return RingElement(z.u1 + z.u2, -z.u2)
+    return RingElement(z.u1, -z.u2)
+
+
+def real_part_sq(field: QuadraticField, z: RingElement) -> Fraction:
+    """Exact square of Re(z)."""
+    if field.s == 2:
+        return Fraction((2 * z.u1 + z.u2) ** 2, 4)
+    return Fraction(z.u1 * z.u1)
+
+
+def imag_part_sq(field: QuadraticField, z: RingElement) -> Fraction:
+    """Exact square of Im(z)."""
+    if field.s == 2:
+        return Fraction(field.m * z.u2 * z.u2, 4)
+    return Fraction(field.m * z.u2 * z.u2)
