@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .abssolver import solve_abs
@@ -46,18 +46,35 @@ class ProblemSpec:
     oracle_height: int = 4
 
 
-def _parse_rational(text: str, name: str) -> Fraction:
+def _parse_rational(text: str, label: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"field '{name}': not a rational number: {text!r}") from exc
+        raise CliError(f"{label}: not a rational number: {text!r}") from exc
 
 
-def _parse_int(text: str, name: str) -> int:
+def _parse_int(text: str, label: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
-        raise CliError(f"field '{name}': not an integer: {text!r}") from exc
+        raise CliError(f"{label}: not an integer: {text!r}") from exc
+
+
+# Optional field -> (the flag that overrides it, parser, test, the rule the test
+# states).  A field and its flag pass the same entry; errors name whichever was given.
+OPTIONAL = {
+    "epsilon": ("--epsilon", _parse_rational, lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
+    "ymax": ("--ymax", _parse_int, lambda v: v >= 0, "must be nonnegative"),
+    "oracle_height": ("--height", _parse_int, lambda v: v >= 0, "must be nonnegative"),
+}
+
+
+def _optional(key: str, text: str, label: str):
+    _, parse, holds, rule = OPTIONAL[key]
+    value = parse(text, label)
+    if not holds(value):
+        raise CliError(f"{label}: {rule}")
+    return value
 
 
 def parse_problem_text(text: str) -> ProblemSpec:
@@ -86,13 +103,9 @@ def parse_problem_text(text: str) -> ProblemSpec:
         raise CliError(f"field 'coeffs': expected integers, got {values['coeffs']!r}") from exc
     if len(coeffs) < 2:
         raise CliError("field 'coeffs': need at least two coefficients (ascending order)")
-    m = _parse_int(values["m"], "m")
-    K = _parse_rational(values["K"], "K")
-    optional = {
-        key: parse(values[key], key)
-        for key, parse in (("epsilon", _parse_rational), ("ymax", _parse_int), ("oracle_height", _parse_int))
-        if key in values
-    }
+    m = _parse_int(values["m"], "field 'm'")
+    K = _parse_rational(values["K"], "field 'K'")
+    optional = {key: _optional(key, values[key], f"field '{key}'") for key in OPTIONAL if key in values}
     if m < 1:
         raise CliError("field 'm': must be a positive integer")
     try:
@@ -103,16 +116,9 @@ def parse_problem_text(text: str) -> ProblemSpec:
         form = BinaryForm(coeffs)
     except ValueError as exc:
         raise CliError(f"field 'coeffs': {exc}") from exc
-    spec = ProblemSpec(field, form, K, **optional)
-    if spec.K < 1:
+    if K < 1:
         raise CliError("field 'K': must be >= 1")
-    if not (0 < spec.epsilon < 1):
-        raise CliError("field 'epsilon': must lie strictly between 0 and 1")
-    if spec.ymax < 0:
-        raise CliError("field 'ymax': must be nonnegative")
-    if spec.oracle_height < 0:
-        raise CliError("field 'oracle_height': must be nonnegative")
-    return spec
+    return ProblemSpec(field, form, K, **optional)
 
 
 def load_problem(path: str) -> ProblemSpec:
@@ -122,6 +128,17 @@ def load_problem(path: str) -> ProblemSpec:
     except OSError as exc:
         raise CliError(f"cannot read problem file {path!r}: {exc}") from exc
     return parse_problem_text(text)
+
+
+def _load(args) -> ProblemSpec:
+    """The problem file with each override flag the command was given in place of its field."""
+    spec = load_problem(args.problem)
+    overrides = {
+        key: _optional(key, getattr(args, key), flag)
+        for key, (flag, *_) in OPTIONAL.items()
+        if getattr(args, key, None) is not None
+    }
+    return replace(spec, **overrides)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -196,17 +213,14 @@ def _solution_lines(rows: list[dict]) -> list[str]:
 
 
 def cmd_solve(args) -> int:
-    spec = load_problem(args.problem)
-    if args.epsilon:
-        spec = replace(spec, epsilon=_parse_rational(args.epsilon, "--epsilon"))
-    ymax = args.ymax if args.ymax is not None else spec.ymax
-    result = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, ymax)
+    spec = _load(args)
+    result = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, spec.ymax)
     payload = solve_payload(spec, result)
     lines = [
         f"form {spec.form}",
         f"m {spec.field.m} (s={spec.field.s})",
         f"K {_frac_str(spec.K)}",
-        f"ymax {ymax}",
+        f"ymax {spec.ymax}",
         f"solutions {len(payload['solutions'])}",
         *_solution_lines(payload["solutions"]),
     ]
@@ -220,15 +234,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec = load_problem(args.problem)
-    height = args.height if args.height is not None else spec.oracle_height
-    result = brute_force(spec.field, spec.form, spec.K, height)
-    payload = oracle_payload(spec, height, result)
+    spec = _load(args)
+    result = brute_force(spec.field, spec.form, spec.K, spec.oracle_height)
+    payload = oracle_payload(spec, spec.oracle_height, result)
     lines = [
         f"form {spec.form}",
         f"m {spec.field.m} (s={spec.field.s})",
         f"K {_frac_str(spec.K)}",
-        f"height {height}",
+        f"height {spec.oracle_height}",
         f"solutions {len(result.solutions)}",
         *_solution_lines(payload["solutions"]),
     ]
@@ -271,9 +284,8 @@ def cmd_abs(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    spec = load_problem(args.problem)
-    epsilon = _parse_rational(args.epsilon, "--epsilon") if args.epsilon else spec.epsilon
-    problem = Problem(spec.field, spec.form, spec.K, epsilon)
+    spec = _load(args)
+    problem = Problem(spec.field, spec.form, spec.K, spec.epsilon)
     roots, consts, gates = problem.roots, problem.consts, problem.gates
     disp = gates.display()
     payload = {
@@ -359,15 +371,7 @@ def cmd_verify(args) -> int:
                 "y2": y2,
                 "norm_value": value_norm,
                 "is_solution": is_solution,
-                "real_bound_ok": report.real_bound_ok,
-                "imag_bound_ok": report.imag_bound_ok,
-                "joint_bound_ok": report.joint_bound_ok,
-                "proportional_applicable": report.proportional_applicable,
-                "proportional_holds": report.proportional_holds,
-                "real_vanish_applicable": report.real_vanish_applicable,
-                "real_vanish_holds": report.real_vanish_holds,
-                "imag_vanish_applicable": report.imag_vanish_applicable,
-                "imag_vanish_holds": report.imag_vanish_holds,
+                **{f.name: getattr(report, f.name) for f in fields(report) if f.name != "norm_y"},
                 "all_ok": report.ok,
             }
         )
@@ -394,15 +398,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    spec = load_problem(args.problem)
-    epsilon = _parse_rational(args.epsilon, "--epsilon") if args.epsilon else spec.epsilon
-    ymax = args.ymax if args.ymax is not None else spec.ymax
-    height = args.height if args.height is not None else spec.oracle_height
+    spec = _load(args)
+    epsilon, ymax, height = spec.epsilon, spec.ymax, spec.oracle_height
     least = (2 * spec.field.s - 1) * height
     if ymax < least:
         # a smaller reach leaves solutions in the box that the solver does not look for
         ymax_from = "--ymax" if args.ymax is not None else "the problem file"
-        height_from = "--height" if args.height is not None else "the problem file"
+        height_from = "--height" if args.oracle_height is not None else "the problem file"
         raise CliError(
             f"ymax {ymax} (from {ymax_from}) is below the minimum {least} = (2s-1)*height "
             f"for s = {spec.field.s} and height {height} (from {height_from})"
@@ -460,7 +462,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve the relative inequality within the height bound")
     p.add_argument("problem")
     p.add_argument("--epsilon", help="override epsilon from the problem file")
-    p.add_argument("--ymax", type=int, help="override the enumeration height")
+    p.add_argument("--ymax", help="override the enumeration height")
     p.add_argument("--families", action="store_true", help="also print parametric zero families")
     common(p)
     p.set_defaults(func=cmd_solve)
@@ -486,15 +488,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force all solutions in a coordinate box")
     p.add_argument("problem")
-    p.add_argument("--height", type=int, help="box half-width (default from problem file)")
+    p.add_argument("--height", dest="oracle_height", help="box half-width (default from problem file)")
     common(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("check", help="solve, brute-force, and diff the two solution sets")
     p.add_argument("problem")
     p.add_argument("--epsilon", help="override epsilon")
-    p.add_argument("--ymax", type=int, help="override the enumeration height")
-    p.add_argument("--height", type=int, help="override the oracle box half-width")
+    p.add_argument("--ymax", help="override the enumeration height")
+    p.add_argument("--height", dest="oracle_height", help="override the oracle box half-width")
     common(p)
     p.set_defaults(func=cmd_check)
 

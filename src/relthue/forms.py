@@ -76,7 +76,6 @@ class AdmissibilityReport:
 
     ok: bool
     reason: str | None = None
-    real_root_count: int | None = None
     chain: tuple[tuple[int, ...], ...] = ()
 
 
@@ -100,8 +99,8 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     radius = _poly.root_radius(f)
     count = _poly.count_roots(chain, -radius, radius)
     if count < n:
-        return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)", count)
-    return AdmissibilityReport(True, None, count, chain)
+        return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")
+    return AdmissibilityReport(True, None, chain)
 
 
 def require_admissible(form: BinaryForm) -> AdmissibilityReport:

@@ -41,7 +41,7 @@ from .theorem import TheoremReport, full_report
 log = logging.getLogger(__name__)
 
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
-Found = dict[Quad, tuple[RingElement, RingElement, RingElement]]  # quad -> (x, y, F(x, y))
+Found = dict[Quad, tuple[RingElement, RingElement, RingElement, int]]  # quad -> (x, y, F(x, y), its norm)
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,13 @@ def _reconstruct(field: QuadraticField, imag_pair, real_pair) -> Quad | None:
 
 
 def _verify(field, form, K_sq, quad: Quad):
-    """(x, y, F(x, y)) when the quadruple solves the inequality, else None."""
+    """(x, y, F(x, y), norm(F(x, y))) when the quadruple solves the inequality, else None."""
     x = RingElement(quad[0], quad[1])
     y = RingElement(quad[2], quad[3])
     value = field.evaluate_form(form, x, y)
-    if field.norm(value) <= K_sq:
-        return x, y, value
+    value_norm = field.norm(value)
+    if value_norm <= K_sq:
+        return x, y, value, value_norm
     return None
 
 
@@ -200,11 +201,11 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
             continue
         joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n)
         real_cap = min(part_cap, isqrt(floor(joint)))
-        for v_real in sorted(index):
+        for v_real, real_pairs in index.items():
             if abs(v_real) > real_cap:
                 continue
             for imag_pair in imag_pairs:
-                _pair(problem, imag_pair, index[v_real], found)
+                _pair(problem, imag_pair, real_pairs, found)
     return found
 
 
@@ -230,8 +231,8 @@ def solve_relative(
     candidates = zero_value_branch(problem, abs_solutions)
     candidates.update(nonzero_value_branch(problem, abs_solutions))
     solutions = [
-        RelativeSolution(x=x, y=y, value=value, value_norm=field.norm(value), report=full_report(problem, x, y))
-        for x, y, value in candidates.values()
+        RelativeSolution(x=x, y=y, value=value, value_norm=value_norm, report=full_report(problem, x, y))
+        for x, y, value, value_norm in candidates.values()
     ]
     solutions.sort(key=lambda sol: (sol.report.norm_y, sol.y.u1, sol.y.u2, sol.x.u1, sol.x.u2))
     cross_check_ok = all(sol.report.ok for sol in solutions)

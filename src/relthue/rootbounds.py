@@ -71,12 +71,8 @@ def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
     if r == 1:
         return x
     target = x.numerator << (bits * r)
-    c = _poly.iroot(target // x.denominator, r)
-    while (c + 1) ** r * x.denominator <= target:
-        c += 1
-    while c**r * x.denominator > target:
-        c -= 1
-    return Fraction(c, 1 << bits)
+    # c^r <= floor(target / den) exactly when c^r * den <= target, as c^r is an integer
+    return Fraction(_poly.iroot(target // x.denominator, r), 1 << bits)
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,6 @@ class RootData:
     min_gap_upper: Fraction
     gap_product_lower: Fraction
     gap_product_upper: Fraction
-
-    @property
-    def width(self) -> Fraction:
-        return max(hi - lo for lo, hi in self.intervals)
 
 
 def _gap_enclosures(intervals):

@@ -1,18 +1,22 @@
 """Executable predicates that every solution of the relative inequality satisfies.
 
-For a solution (x, y) with coordinate split ((a, b), (x2, y2)) the checks are:
+For a solution (x, y) with coordinate split ((a, b), (x2, y2)), where
+(a, b) = (s*x1 + (s-1)*x2, s*y1 + (s-1)*y2), :func:`full_report` decides:
 
 * part bounds:   |F(a, b)| <= s^n K  and  |F(x2, y2)| <= s^n K / sqrt(m)^n,
 * joint bound:   |F(a, b)| * |F(x2, y2)| <= s^(2n) K^2 / (2^n sqrt(m)^n),
 * proportionality: norm(y) above its gate forces x2*y1 == x1*y2,
-* real-pair vanishing: above its gate, s*y1+(s-1)*y2 == 0 forces
-  s*x1+(s-1)*x2 == 0,
+* real-pair vanishing: above its gate, b == 0 forces a == 0,
 * imag-coordinate vanishing: above its gate, y2 == 0 forces x2 == 0.
 
 All pass/fail decisions are exact integer/rational comparisons (the bounds
 are squared to remove sqrt(m)); gate applicability is decided against upper
 enclosures, so a conclusion is never asserted outside its proven range.
-Every check reads its bounds and gates from one :class:`~relthue.rootbounds.Problem`.
+The split, the two part values and norm(y) are each computed once per
+report, and the bounds and gates come from one
+:class:`~relthue.rootbounds.Problem`.  The bounds are written out here
+rather than shared with the reducer's pruning, so a report checks the
+bounds the reducer prunes with independently.
 """
 
 from __future__ import annotations
@@ -25,10 +29,8 @@ from .rootbounds import Problem
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Outcome of all checks for one candidate pair, with the exact values."""
+    """Outcome of all checks for one candidate pair."""
 
-    real_value: int
-    imag_value: int
     norm_y: int
     real_bound_ok: bool
     imag_bound_ok: bool
@@ -53,56 +55,23 @@ class TheoremReport:
         )
 
 
-def check_part_bounds(problem: Problem, v_real: int, v_imag: int) -> tuple[bool, bool]:
-    """(real flag, imag flag) for the single-product bounds on v_real = F(a, b), v_imag = F(x2, y2), squared."""
-    bound = problem.abs_bound**2
-    return (v_real * v_real <= bound, v_imag * v_imag * problem.field.m**problem.form.degree <= bound)
-
-
-def check_joint_bound(problem: Problem, v_real: int, v_imag: int) -> bool:
-    """The multiplied bound, tested as an exact fourth-power comparison."""
-    n = problem.form.degree
-    lhs = v_real * v_real * v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n
-    return lhs <= problem.abs_bound**4
-
-
-def check_proportionality(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
-    """(applicable, holds) for the cross-product conclusion x2*y1 == x1*y2."""
-    applicable = problem.field.norm(y) > problem.gates.proportionality_sq
-    return applicable, x.u2 * y.u1 == x.u1 * y.u2
-
-
-def check_real_vanishing(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
-    """(applicable, holds): y's real pair vanishing forces x's real pair to vanish."""
-    s = problem.field.s
-    applicable = problem.field.norm(y) > problem.gates.real_vanish_sq and s * y.u1 + (s - 1) * y.u2 == 0
-    return applicable, s * x.u1 + (s - 1) * x.u2 == 0
-
-
-def check_imag_vanishing(problem: Problem, x: RingElement, y: RingElement) -> tuple[bool, bool]:
-    """(applicable, holds): y2 == 0 forces x2 == 0 above the gate."""
-    applicable = problem.field.norm(y) > problem.gates.imag_vanish_sq and y.u2 == 0
-    return applicable, x.u2 == 0
-
-
 def full_report(problem: Problem, x: RingElement, y: RingElement) -> TheoremReport:
-    real_pair, imag_pair = problem.field.split_coordinates(x, y)
-    v_real, v_imag = problem.form.evaluate(*real_pair), problem.form.evaluate(*imag_pair)
-    real_ok, imag_ok = check_part_bounds(problem, v_real, v_imag)
-    prop = check_proportionality(problem, x, y)
-    realv = check_real_vanishing(problem, x, y)
-    imagv = check_imag_vanishing(problem, x, y)
+    """Every check of the module docstring for the candidate (x, y)."""
+    (a, b), (x2, y2) = problem.field.split_coordinates(x, y)
+    v_real, v_imag = problem.form.evaluate(a, b), problem.form.evaluate(x2, y2)
+    n, m = problem.form.degree, problem.field.m
+    bound_sq = problem.abs_bound**2
+    norm_y = problem.field.norm(y)
+    gates = problem.gates
     return TheoremReport(
-        real_value=v_real,
-        imag_value=v_imag,
-        norm_y=problem.field.norm(y),
-        real_bound_ok=real_ok,
-        imag_bound_ok=imag_ok,
-        joint_bound_ok=check_joint_bound(problem, v_real, v_imag),
-        proportional_applicable=prop[0],
-        proportional_holds=prop[1],
-        real_vanish_applicable=realv[0],
-        real_vanish_holds=realv[1],
-        imag_vanish_applicable=imagv[0],
-        imag_vanish_holds=imagv[1],
+        norm_y=norm_y,
+        real_bound_ok=v_real * v_real <= bound_sq,
+        imag_bound_ok=v_imag * v_imag * m**n <= bound_sq,
+        joint_bound_ok=(v_real * v_imag) ** 2 * 2 ** (2 * n) * m**n <= bound_sq**2,
+        proportional_applicable=norm_y > gates.proportionality_sq,
+        proportional_holds=x2 * y.u1 == x.u1 * y2,
+        real_vanish_applicable=norm_y > gates.real_vanish_sq and b == 0,
+        real_vanish_holds=a == 0,
+        imag_vanish_applicable=norm_y > gates.imag_vanish_sq and y2 == 0,
+        imag_vanish_holds=x2 == 0,
     )

@@ -208,6 +208,9 @@ def test_decimal_str():
         ("check_json", ["check", "{problem}", "--json"]),
         ("abs_cubic", ["abs", "--coeffs", "-1 -3 0 1", "--kprime", "80", "--ymax", "2000"]),
         ("abs_cubic_json", ["abs", "--coeffs", "-1 -3 0 1", "--kprime", "80", "--ymax", "2000", "--json"]),
+        # every flag in every state: pass/FAIL, holds/VIOLATED/n/a
+        ("verify_states", ["verify", "{problem}", "1,0,-1,2", "0,0,-1,2", "0,1,2,0", "5,5,0,1", "4,0,2,0"]),
+        ("verify_states_json", ["verify", "{problem}", "1,0,-1,2", "0,0,-1,2", "0,1,2,0", "5,5,0,1", "4,0,2,0", "--json"]),
     ],
 )
 def test_output_matches_golden(capsys, problem_file, name, argv):
@@ -242,6 +245,26 @@ def test_each_command_builds_its_field_once(capsys, problem_file, argv):
     capsys.readouterr()
     assert status == 0
     assert calls["quadfield", "__post_init__"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "{problem}", "--height", "-1"], "--height: must be nonnegative"),
+        (["oracle", "{problem}", "--height", "-1"], "--height: must be nonnegative"),
+        (["solve", "{problem}", "--ymax", "-3"], "--ymax: must be nonnegative"),
+        (["check", "{problem}", "--ymax", "ten"], "--ymax: not an integer: 'ten'"),
+        (["solve", "{problem}", "--epsilon", "2"], "--epsilon: must lie strictly between 0 and 1"),
+        (["constants", "{problem}", "--epsilon", "1/0"], "--epsilon: not a rational number: '1/0'"),
+    ],
+)
+def test_override_flags_are_checked_like_their_fields_before_any_solving(capsys, problem_file, argv, message):
+    status, calls = profiled_calls(main, [arg.format(problem=problem_file) for arg in argv])
+    err = capsys.readouterr().err
+    assert status == 1
+    assert err == f"error: {message}\n"
+    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["reducer", "solve_relative"] == calls["oracle", "brute_force"] == 0
 
 
 def test_check_rejects_a_reach_short_of_the_box(capsys, tmp_path):

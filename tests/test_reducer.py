@@ -209,6 +209,8 @@ def test_family_members_are_neither_verified_nor_reported():
     assert len(result.quadruples()) > 1000
     assert calls["reducer", "_verify"] < 100
     assert calls["theorem", "full_report"] == len(result.solutions)
+    # one norm(F(x, y)) per verified candidate, reused by its solution, and one norm(y) per report
+    assert calls["quadfield", "norm"] == calls["reducer", "_verify"] + len(result.solutions)
 
 
 def test_no_process_global_cache():

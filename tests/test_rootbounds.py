@@ -124,7 +124,7 @@ def test_stable_constants_runs():
     assert problem.K == Fraction(3, 2)
     assert problem.gates == thresholds(problem.consts, 3, field)
     assert problem.gates.proportionality_sq > 0
-    assert problem.roots.width <= Fraction(1, 2**64)
+    assert max(hi - lo for lo, hi in problem.roots.intervals) <= Fraction(1, 2**64)
     assert problem.gates_stable
 
 
@@ -155,6 +155,10 @@ def test_nth_root_bounds_bracket(x, r):
     hi = nth_root_upper(x, r, 32)
     assert lo**r <= x <= hi**r
     assert hi - lo <= Fraction(2, 2**32)
+    # tight: one dyadic step past either bound crosses x
+    step = Fraction(1, 2**32)
+    assert (lo + step) ** r > x
+    assert r == 1 or x == 0 or (hi - step) ** r < x
 
 
 def test_nth_root_exact_powers():

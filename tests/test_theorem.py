@@ -4,76 +4,99 @@ from fractions import Fraction
 import pytest
 
 from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, full_report
-from relthue.theorem import (
-    check_imag_vanishing,
-    check_joint_bound,
-    check_part_bounds,
-    check_proportionality,
-    check_real_vanishing,
-)
 from util import imag_part_sq, real_part_sq
 
 F1 = BinaryForm((0, -4, 0, 1))
 K3 = QuadraticField(3)
 P3 = Problem(K3, F1, 1)
+P1 = Problem(QuadraticField(1), F1, 10)  # s = 1, abs_bound 10, squared gates 100, 10, 10
+# x^3 - 3xy^2 - y^3 over m = 7 (s = 2): squared gates 131.x, 30.x, 13.x, one apart from the next
+P7 = Problem(QuadraticField(7), BinaryForm((-1, -3, 0, 1)), 10)
 W = RingElement(0, 1)
 ZERO = RingElement(0, 0)
 
 
-def part_values(field, x, y):
-    """(F(a, b), F(x2, y2)) for the coordinate split of (x, y)."""
-    real_pair, imag_pair = field.split_coordinates(x, y)
-    return F1.evaluate(*real_pair), F1.evaluate(*imag_pair)
+def part_bounds(x, y, problem=P3):
+    """(real flag, imag flag) of the part bounds of full_report."""
+    report = full_report(problem, x, y)
+    return report.real_bound_ok, report.imag_bound_ok
+
+
+def gated(name, x, y, problem=P3):
+    """(applicable, holds) of one gated conclusion of full_report."""
+    report = full_report(problem, x, y)
+    return getattr(report, f"{name}_applicable"), getattr(report, f"{name}_holds")
 
 
 def test_part_bounds_examples():
-    assert check_part_bounds(P3, *part_values(K3, W, ZERO)) == (True, True)  # 1 <= 8, 27 <= 64
-    assert check_part_bounds(P3, *part_values(K3, ZERO, ZERO)) == (True, True)
-    assert check_part_bounds(P3, *part_values(K3, RingElement(4, 0), RingElement(2, 0))) == (True, True)
+    assert part_bounds(W, ZERO) == (True, True)  # 1 <= 8, 27 <= 64
+    assert part_bounds(ZERO, ZERO) == (True, True)
+    assert part_bounds(RingElement(4, 0), RingElement(2, 0)) == (True, True)
     # a clear non-solution violates the real part bound: F(6,0) = 216 > 8
-    assert check_part_bounds(P3, *part_values(K3, RingElement(3, 0), ZERO))[0] is False
+    assert part_bounds(RingElement(3, 0), ZERO)[0] is False
+    # F(2, 0) = 8 = s^n K: on the real bound, which is not strict
+    assert part_bounds(RingElement(1, 0), ZERO) == (True, True)
+    # F(-1, 1) = 3 inside |v| <= 8, but 3^2 * 3^3 > 64: the imag bound carries sqrt(m)^n
+    assert part_bounds(RingElement(0, -1), RingElement(0, 1)) == (True, False)
 
 
 def test_joint_bound_examples():
     # 1 * 1 * 2^6 * 27 = 1728 <= 2^12 = 4096
-    assert check_joint_bound(P3, *part_values(K3, W, ZERO))
-    assert check_joint_bound(P3, *part_values(K3, ZERO, ZERO))
+    assert full_report(P3, W, ZERO).joint_bound_ok
+    assert full_report(P3, ZERO, ZERO).joint_bound_ok
     # zero factor: F(2,0) = 8, F(0,0) = 0
-    assert check_joint_bound(P3, *part_values(K3, RingElement(1, 0), ZERO))
+    assert full_report(P3, RingElement(1, 0), ZERO).joint_bound_ok
+    # F(2, 0) * F(1, 1) = -24 passes both part bounds, but 24^2 * 2^6 = 36864 > 10^4
+    report = full_report(P1, RingElement(2, 1), RingElement(0, 1))
+    assert (report.real_bound_ok, report.imag_bound_ok, report.joint_bound_ok) == (True, True, False)
 
 
 def test_proportionality_example():
-    applicable, holds = check_proportionality(P3, RingElement(4, 0), RingElement(2, 0))
+    applicable, holds = gated("proportional", RingElement(4, 0), RingElement(2, 0))
     assert applicable  # norm(y) = 4 > threshold^2 = 4/3
     assert holds  # 0*2 == 4*0
-    applicable, _ = check_proportionality(P3, RingElement(4, 0), ZERO)
+    applicable, _ = gated("proportional", RingElement(4, 0), ZERO)
     assert not applicable
-    applicable, holds = check_proportionality(P3, ZERO, RingElement(2, 0))
+    applicable, holds = gated("proportional", ZERO, RingElement(2, 0))
     assert applicable and holds
+    # the gate is strict: norm(y) = 100 is not above it, 101 is
+    assert gated("proportional", W, RingElement(10, 0), P1) == (False, False)
+    assert gated("proportional", W, RingElement(10, 1), P1) == (True, False)
+    assert not gated("proportional", ZERO, RingElement(11, 0), P7)[0]  # 121
+    assert gated("proportional", ZERO, RingElement(12, 0), P7)[0]  # 144
 
 
 def test_real_vanishing_example():
     y = RingElement(-1, 2)  # i*sqrt(3): norm 3 > gate 2, real pair 2*(-1)+2 = 0
-    applicable, _ = check_real_vanishing(P3, ZERO, y)
+    applicable, _ = gated("real_vanish", ZERO, y)
     assert applicable
     # every actual solution with this y must have a vanishing real pair
     for x1 in range(-6, 7):
         for x2 in range(-6, 7):
             x = RingElement(x1, x2)
             if K3.norm(K3.evaluate_form(F1, x, y)) <= 1:
-                assert check_real_vanishing(P3, x, y)[1], (x1, x2)
-    applicable, _ = check_real_vanishing(P3, ZERO, RingElement(1, 0))
+                assert gated("real_vanish", x, y)[1], (x1, x2)
+    applicable, _ = gated("real_vanish", ZERO, RingElement(1, 0))
     assert not applicable  # real pair of y is 2 != 0
-    assert check_real_vanishing(P3, ZERO, y)[1]  # x = 0 vacuously vanishes
+    assert gated("real_vanish", ZERO, y)[1]  # x = 0 vacuously vanishes
+    # the gate reads y's real pair and the conclusion x's: (a, b) = (2*1 + 0, 2*(-1) + 2) = (2, 0)
+    assert gated("real_vanish", RingElement(1, 0), y) == (True, False)
+    assert gated("real_vanish", ZERO, RingElement(2, 0)) == (False, True)  # (a, b) = (0, 4)
+    # y = t*(1, -2) has b = 0 and norm 7t^2
+    assert not gated("real_vanish", ZERO, RingElement(2, -4), P7)[0]  # 28
+    assert gated("real_vanish", ZERO, RingElement(3, -6), P7)[0]  # 63
 
 
 def test_imag_vanishing_example():
     y = RingElement(2, 0)
-    applicable, holds = check_imag_vanishing(P3, RingElement(4, 0), y)
+    applicable, holds = gated("imag_vanish", RingElement(4, 0), y)
     assert applicable and holds
-    assert not check_imag_vanishing(P3, RingElement(4, 0), RingElement(1, 1))[0]
+    assert not gated("imag_vanish", RingElement(4, 0), RingElement(1, 1))[0]
     # x = (0,1) with this y would violate the conclusion, so it cannot solve:
     assert K3.norm(K3.evaluate_form(F1, RingElement(0, 1), y)) > 1
+    assert gated("imag_vanish", RingElement(0, 1), y) == (True, False)
+    assert not gated("imag_vanish", ZERO, RingElement(3, 0), P7)[0]  # 9
+    assert gated("imag_vanish", ZERO, RingElement(4, 0), P7)[0]  # 16
 
 
 @pytest.mark.parametrize("m", [1, 3])
