@@ -31,9 +31,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return self.u1 == 0 and self.u2 == 0
 
-    def __str__(self) -> str:
-        return f"({self.u1},{self.u2})"
-
 
 @dataclass(frozen=True)
 class QuadraticField:

@@ -3,6 +3,8 @@ import io
 import json
 import string
 import tempfile
+import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relthue import brute_force, solve_relative
-from relthue.cli import (
-    CliError,
-    ProblemSpec,
-    decimal_str,
-    main,
-    oracle_payload,
-    parse_problem_text,
-    solve_payload,
-)
+from relthue.cli import CliError, ProblemSpec, decimal_str, main, parse_problem_text
 from relthue.reducer import RelativeSolutionSet
 from util import form_from_roots, profiled_calls
 
@@ -96,7 +90,21 @@ def test_solve_json_round_trip(capsys, problem_file):
     parsed = json.loads(out)
     spec = parse_problem_text(PROBLEM)
     fresh = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, spec.ymax)
-    assert parsed == solve_payload(spec, fresh)
+    listed = {(r["x1"], r["x2"], r["y1"], r["y2"]): r["norm"] for r in parsed.pop("solutions")}
+    assert len(listed) == len(fresh.solutions) + len(list(fresh.family_members()))
+    assert listed == {s.quadruple: s.value_norm for s in fresh.solutions} | dict.fromkeys(fresh.family_members(), 0)
+    families = [{"root": f.root, "x_step": [f.root, 0], "y_step": [1, 0]} for f in fresh.families]
+    assert parsed == {
+        "command": "solve",
+        "coeffs": [0, -4, 0, 1],
+        "m": 3,
+        "s": 2,
+        "K": "1",
+        "epsilon": "1/2",
+        "ymax": fresh.search_height,
+        "families": families,
+        "cross_check_ok": fresh.cross_check_ok,
+    }
 
 
 def test_oracle_command_and_round_trip(capsys, problem_file):
@@ -105,7 +113,9 @@ def test_oracle_command_and_round_trip(capsys, problem_file):
     parsed = json.loads(out)
     spec = parse_problem_text(PROBLEM)
     fresh = brute_force(spec.field, spec.form, spec.K, 2)
-    assert parsed == oracle_payload(spec, 2, fresh)
+    listed = [((r["x1"], r["x2"], r["y1"], r["y2"]), r["norm"]) for r in parsed.pop("solutions")]
+    assert listed == list(fresh.solutions)
+    assert parsed == {"command": "oracle", "coeffs": [0, -4, 0, 1], "m": 3, "K": "1", "height": 2}
 
 
 def test_check_command_match(capsys, problem_file):
@@ -189,9 +199,9 @@ def test_deterministic_output(capsys, problem_file):
 
 
 def test_decimal_str():
-    assert decimal_str(Fraction(1, 2), 4) == "0.5000"
-    assert decimal_str(Fraction(-7, 3), 6) == "-2.333333"
-    assert decimal_str(Fraction(2), 3) == "2.000"
+    assert decimal_str(Fraction(1, 2)) == "0.5000000000"
+    assert decimal_str(Fraction(-7, 3)) == "-2.3333333333"
+    assert decimal_str(Fraction(2)) == "2.0000000000"
 
 
 @pytest.mark.parametrize(
@@ -211,6 +221,8 @@ def test_decimal_str():
         # every flag in every state: pass/FAIL, holds/VIOLATED/n/a
         ("verify_states", ["verify", "{problem}", "1,0,-1,2", "0,0,-1,2", "0,1,2,0", "5,5,0,1", "4,0,2,0"]),
         ("verify_states_json", ["verify", "{problem}", "1,0,-1,2", "0,0,-1,2", "0,1,2,0", "5,5,0,1", "4,0,2,0", "--json"]),
+        ("oracle", ["oracle", "{problem}"]),
+        ("check", ["check", "{problem}"]),
     ],
 )
 def test_output_matches_golden(capsys, problem_file, name, argv):
@@ -265,6 +277,60 @@ def test_override_flags_are_checked_like_their_fields_before_any_solving(capsys,
     assert err == f"error: {message}\n"
     assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
     assert calls["reducer", "solve_relative"] == calls["oracle", "brute_force"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,label,literal",
+    [
+        (["solve", "{problem}", "--epsilon", "{literal}"], "--epsilon", "1e-5000"),
+        (["constants", "{problem}", "--epsilon", "{literal}"], "--epsilon", "1e-100000000"),
+        (["check", "{huge}"], "field 'epsilon'", "1e-100000000"),
+        (["abs", "--coeffs", "0 -4 0 1", "--kprime", "{literal}", "--ymax", "2"], "--kprime", "1e-5000"),
+        (["abs", "--coeffs", "0 -4 0 1", "--kprime", "{literal}", "--ymax", "2"], "--kprime", "0.5e4301"),
+    ],
+)
+def test_rationals_too_long_to_print_are_rejected_unbuilt(capsys, problem_file, tmp_path, argv, label, literal):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(f"{PROBLEM}epsilon = {literal}\n", encoding="utf-8")
+    start = time.perf_counter()
+    status, calls = profiled_calls(main, [arg.format(problem=problem_file, huge=huge, literal=literal) for arg in argv])
+    assert time.perf_counter() - start < 1
+    message = f"error: {label}: numerator or denominator longer than 4300 digits: {literal!r}\n"
+    assert (status, capsys.readouterr().err) == (1, message)
+    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["reducer", "solve_relative"] == calls["abssolver", "solve_abs"] == 0
+
+
+def test_the_digit_limit_is_exact_and_reads_exponents_of_zero_and_of_junk():
+    base = "coeffs = 0 -4 0 1\nm = 3\n"
+    assert parse_problem_text(f"{base}K = 1e4299\n").K == 10**4299
+    assert parse_problem_text(f"{base}K = 1\nepsilon = 1e-4299\n").epsilon == Fraction(1, 10**4299)
+    for text, message in [
+        ("K = 1e4300", "'K': numerator or denominator longer than 4300 digits"),
+        ("K = 1\nepsilon = 1e-4300", "'epsilon': numerator or denominator longer than 4300 digits"),
+        ("K = 1\nepsilon = 0e-99999999", "'epsilon': must lie strictly between 0 and 1"),
+        ("K = x1e99999999", "'K': not a rational number"),
+    ]:
+        with pytest.raises(CliError, match=message):
+            parse_problem_text(f"{base}{text}\n")
+
+
+def test_check_reports_each_quadruple_only_one_side_found(capsys, problem_file, monkeypatch):
+    # an oracle that misses (0, 1, 0, 0), a solution, and lists (3, 3, 3, 3), which is none
+    def skewed(*args):
+        found = brute_force(*args)
+        kept = tuple(row for row in found.solutions if row[0] != (0, 1, 0, 0))
+        return replace(found, solutions=(*kept, ((3, 3, 3, 3), 0)))
+
+    monkeypatch.setattr("relthue.cli.brute_force", skewed)
+    status, out, _ = run(capsys, "check", problem_file)
+    assert status == 2
+    assert out.splitlines()[-4:] == ["common 70", "solver-only 0 1 0 0", "oracle-only 3 3 3 3", "MISMATCH"]
+    status, out, _ = run(capsys, "check", problem_file, "--json")
+    parsed = json.loads(out)
+    assert status == 2
+    assert (parsed["match"], parsed["common"], parsed["cross_check_ok"]) == (False, 70, True)
+    assert (parsed["solver_only"], parsed["oracle_only"]) == ([[0, 1, 0, 0]], [[3, 3, 3, 3]])
 
 
 def test_check_rejects_a_reach_short_of_the_box(capsys, tmp_path):

@@ -161,6 +161,14 @@ def test_nth_root_bounds_bracket(x, r):
     assert r == 1 or x == 0 or (hi - step) ** r < x
 
 
+@given(st.integers(0, 2**600), st.integers(1, 7), st.integers(0, 2**85), st.integers(-1, 1))
+def test_iroot_is_the_floor_of_the_real_root(k, r, base, step):
+    # besides a k drawn at random, an exact r-th power and its neighbours, where an off-by-one shows
+    for value in (k, max(0, base**r + step)):
+        root = _poly.iroot(value, r)
+        assert root**r <= value < (root + 1) ** r
+
+
 def test_nth_root_exact_powers():
     assert nth_root_upper(Fraction(1), 3) == 1
     assert nth_root_lower(Fraction(1), 3) == 1
