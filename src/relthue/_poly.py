@@ -1,34 +1,20 @@
 """Exact univariate polynomial helpers.
 
 Coefficient lists are ascending (``coeffs[k]`` multiplies ``x**k``).
-Evaluation is integer-only: :func:`evaluate` takes integer coefficients and
-an integer point (a, b) and returns the homogenized value, so the sign of f
-at a rational p/q comes from (p, q) and no Fraction reaches a polynomial
-evaluation.  Only the remainder in the Sturm chain divides over the
-rationals, and every chain member is scaled back to integer coefficients.
-Everything here is tolerance-free.
+Everything here is integer arithmetic and tolerance-free.  :func:`evaluate`
+takes integer coefficients and an integer point (a, b) and returns the
+homogenized value, so the sign of f at a rational p/q comes from (p, q) and
+no Fraction reaches a polynomial evaluation.  The Sturm chain takes each
+remainder as an integer pseudo-remainder, scaled by a positive factor, and
+keeps its primitive part.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 Coeffs = Sequence
-
-
-def strip(coeffs: Coeffs) -> tuple:
-    """Drop high-degree zero coefficients; the zero polynomial becomes ()."""
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def degree(coeffs: Coeffs) -> int:
-    """Degree of a stripped coefficient list; -1 for the zero polynomial."""
-    return len(coeffs) - 1
 
 
 def evaluate(coeffs: Coeffs, a: int, b: int = 1) -> int:
@@ -47,25 +33,6 @@ def derivative(coeffs: Coeffs) -> tuple:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 
 
-def poly_rem(num: Coeffs, den: Coeffs) -> tuple:
-    """Remainder of exact polynomial division over the rationals."""
-    den = [Fraction(c) for c in den]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in num]
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dd and rem:
-        shift = len(rem) - 1 - dd
-        factor = rem[-1] / lead
-        for i in range(dd + 1):
-            rem[shift + i] -= factor * den[i]
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return tuple(rem)
-
-
 def sign(x) -> int:
     if x > 0:
         return 1
@@ -74,40 +41,39 @@ def sign(x) -> int:
     return 0
 
 
-def variations(signs: Sequence[int]) -> int:
-    """Number of sign changes, zeros dropped."""
-    seq = [s for s in signs if s != 0]
-    return sum(1 for u, v in zip(seq, seq[1:]) if u != v)
-
-
-def primitive(coeffs: Coeffs) -> tuple[int, ...]:
-    """The positive multiple of a rational polynomial with coprime integer coefficients.
-
-    The factor is positive, so the sign at every point is unchanged.
-    """
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = math.gcd(*ints)
-    return tuple(c // content for c in ints)
+def _primitive(coeffs: Coeffs) -> tuple[int, ...]:
+    """Integer coefficients divided by their content, a positive factor: the sign at every point is kept."""
+    content = math.gcd(*coeffs)
+    return tuple(c // content for c in coeffs)
 
 
 def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
-    """Sturm sequence of f, each member scaled to coprime integer coefficients.
+    """Sturm sequence of f (degree >= 1, nonzero leading coefficient), each member primitive.
 
     ``p0 = f``, ``p1 = f'``, ``p_{k+1} = -rem(p_{k-1}, p_k)`` until the
     remainder vanishes, so the last member is gcd(f, f') up to a constant
     factor.  For squarefree f it is a nonzero constant, and the variation
-    difference V(a) - V(b) counts the distinct real roots in (a, b].
-    Scaling by positive factors keeps that count and keeps every evaluation
-    at an integer point in integer arithmetic.
+    difference V(a) - V(b) counts the distinct real roots in (a, b].  Each
+    remainder is taken in integers as the pseudo-remainder scaled by
+    |lead(p_k)|^e, a positive factor; its primitive part is then the
+    primitive part of the rational remainder, and no Fraction is needed.
     """
-    chain = [primitive(strip(coeffs))]
-    chain.append(primitive(derivative(chain[0])))
+    chain = [_primitive(coeffs), _primitive(derivative(coeffs))]
     while True:
-        rem = strip(poly_rem(chain[-2], chain[-1]))
+        rem, den = list(chain[-2]), chain[-1]
+        scale, lead_sign = abs(den[-1]), sign(den[-1])
+        while len(rem) >= len(den):
+            # rem <- |lead| * rem - sign(lead) * top * x^shift * den cancels the top coefficient
+            top = rem.pop() * lead_sign
+            shift = len(rem) + 1 - len(den)
+            rem = [scale * c for c in rem]
+            for i, d in enumerate(den[:-1]):
+                rem[shift + i] -= top * d
+            while rem and rem[-1] == 0:
+                rem.pop()
         if not rem:
             return tuple(chain)
-        chain.append(primitive([-c for c in rem]))
+        chain.append(_primitive([-c for c in rem]))
 
 
 def sign_at(coeffs: Coeffs, x) -> int:
@@ -115,13 +81,14 @@ def sign_at(coeffs: Coeffs, x) -> int:
     return sign(evaluate(coeffs, x.numerator, x.denominator))
 
 
-def chain_variations_at(chain: Sequence[Coeffs], x) -> int:
-    return variations([sign_at(p, x) for p in chain])
-
-
 def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
-    """Distinct real roots in (lo, hi]."""
-    return chain_variations_at(chain, lo) - chain_variations_at(chain, hi)
+    """Distinct real roots in (lo, hi]: how many sign changes of the chain, zeros dropped, are lost from lo to hi."""
+
+    def changes(x) -> int:
+        signs = [s for s in (sign_at(p, x) for p in chain) if s]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
 
 
 def root_radius(coeffs: Coeffs) -> int:

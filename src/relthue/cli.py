@@ -51,6 +51,11 @@ _MAX_DIGITS = 4300  # CPython's default cap on the digits of an int read from or
 _TOO_LONG = 10**_MAX_DIGITS
 
 
+def _too_long(value) -> bool:
+    """Whether the numerator or denominator of an integer or rational has more digits than Python will print."""
+    return max(abs(value.numerator), value.denominator) >= _TOO_LONG
+
+
 def _parse_rational(text: str, label: str) -> Fraction:
     # Fraction builds 10**|exponent| before it reduces.  With at most _MAX_DIGITS digits on each side
     # of the point, no nonzero value fits once |exponent| > 2 * _MAX_DIGITS, so such a literal is read
@@ -61,7 +66,7 @@ def _parse_rational(text: str, label: str) -> Fraction:
         value = Fraction(text[: exponent.start()] + "0" + text[exponent.end() :] if huge else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"{label}: not a rational number: {text!r}") from exc
-    if (huge and value) or max(abs(value.numerator), value.denominator) >= _TOO_LONG:
+    if (huge and value) or _too_long(value):
         raise CliError(f"{label}: numerator or denominator longer than {_MAX_DIGITS} digits: {text!r}")
     return value
 
@@ -129,8 +134,6 @@ def parse_problem_text(text: str) -> ProblemSpec:
     m = _parse_int(values["m"], "field 'm'")
     K = _parse_rational(values["K"], "field 'K'")
     optional = {key: _optional(key, values[key], f"field '{key}'") for key in OPTIONAL if key in values}
-    if m < 1:
-        raise CliError("field 'm': must be a positive integer")
     try:
         field = QuadraticField(m)
     except ValueError as exc:
@@ -179,7 +182,9 @@ def _text_head(spec: ProblemSpec) -> list[str]:
 
 
 def _row(quad, **values) -> dict:
-    """The JSON row of a quadruple: its coordinates x1, x2, y1, y2, then the values given."""
+    """The JSON row of a quadruple: its coordinates x1, x2, y1, y2, then the values given, none too long to print."""
+    if any(type(value) is int and _too_long(value) for value in values.values()):
+        raise CliError(f"quadruple {','.join(map(str, quad))}: norm of F has more than {_MAX_DIGITS} digits to print")
     return dict(zip(("x1", "x2", "y1", "y2"), quad), **values)
 
 
@@ -273,6 +278,9 @@ def cmd_constants(args) -> int:
         "real_vanish": (display[1], gates.real_vanish_sq),
         "imag_vanish": (display[2], gates.imag_vanish_sq),
     }
+    bounds = [*(ends for _, *ends in enclosures.values()), *thresholds.values()]
+    if any(_too_long(value) for pair in bounds for value in pair):
+        raise CliError(f"field 'K': a constant or threshold has more than {_MAX_DIGITS} digits to print")
     payload = {
         **_json_head("constants", spec),
         "degree": spec.form.degree,

@@ -94,7 +94,7 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     if f[-1] != 1:
         return AdmissibilityReport(False, "non-monic (leading coefficient of F(x,1) must be 1)")
     chain = _poly.sturm_chain(f)
-    if _poly.degree(chain[-1]) > 0:
+    if len(chain[-1]) > 1:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
     radius = _poly.root_radius(f)
     count = _poly.count_roots(chain, -radius, radius)

@@ -79,25 +79,20 @@ class QuadraticField:
         return z.u1 * z.u1 + self.m * z.u2 * z.u2
 
     def evaluate_form(self, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
-        """F(x, y) in the ring, by exact coordinate arithmetic.
+        """F(x, y) in the ring, by the homogeneous Horner scheme of :func:`relthue._poly.evaluate`.
 
-        The relative inequality |F(x, y)| <= K is then the exact comparison
+        acc <- acc*x + c_k*y^(n-k) for k = n-1, ..., 0, starting from c_n,
+        with the power of y carried along: 2n exact ring products.  The
+        relative inequality |F(x, y)| <= K is then the exact comparison
         norm(F(x, y)) <= K^2.
         """
-        n = form.degree
-        xp = [(1, 0)]
-        yp = [(1, 0)]
-        for _ in range(n):
-            xp.append(self._mul_raw(*xp[-1], x.u1, x.u2))
-            yp.append(self._mul_raw(*yp[-1], y.u1, y.u2))
-        acc1 = 0
-        acc2 = 0
-        for k, c in enumerate(form.coeffs):
-            if c:
-                t1, t2 = self._mul_raw(*xp[k], *yp[n - k])
-                acc1 += c * t1
-                acc2 += c * t2
-        return RingElement(acc1, acc2)
+        coeffs = form.coeffs
+        acc, ypow = (coeffs[-1], 0), (1, 0)
+        for c in reversed(coeffs[:-1]):
+            ypow = self._mul_raw(*ypow, y.u1, y.u2)
+            acc1, acc2 = self._mul_raw(*acc, x.u1, x.u2)
+            acc = (acc1 + c * ypow[0], acc2 + c * ypow[1])
+        return RingElement(*acc)
 
     def split_coordinates(self, x: RingElement, y: RingElement) -> tuple[IntegerPair, IntegerPair]:
         """Coordinate pairs feeding the real and imaginary part products.

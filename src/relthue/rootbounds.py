@@ -17,8 +17,8 @@ the safe direction, for
   those conclusions are not asserted,
 
 and, per field, upper bounds on the squared applicability thresholds of the
-three large-|y| conclusions.  n-th roots of rationals and square roots are
-bounded by dyadic binary search, so the whole pipeline stays exact-directional:
+three large-|y| conclusions.  n-th roots of rationals are bounded by an
+integer root on a dyadic grid, so the pipeline stays exact-directional:
 tightening the intervals can only raise lower bounds and lower upper bounds.
 
 :class:`Problem` validates one relative inequality and holds all of these
@@ -30,7 +30,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from math import floor
+from itertools import combinations
+from math import floor, prod
 
 from . import _poly
 from .forms import BinaryForm, require_admissible
@@ -45,34 +46,25 @@ ROOT_PREC_BITS = 48
 Interval = tuple[Fraction, Fraction]
 
 
-def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
-    """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    if r == 1:
-        return x
-    target = x.numerator << (bits * r)
-    c = _poly.iroot(target // x.denominator, r)
-    while c**r * x.denominator < target:
-        c += 1
-    return Fraction(c, 1 << bits)
-
-
 def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
     """Largest dyadic c/2^bits with (c/2^bits)^r <= x; exact for r = 1."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0)
     if r == 1:
         return x
     target = x.numerator << (bits * r)
     # c^r <= floor(target / den) exactly when c^r * den <= target, as c^r is an integer
     return Fraction(_poly.iroot(target // x.denominator, r), 1 << bits)
+
+
+def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
+    """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1.
+
+    It is the lower bound when that is exact, and the next dyadic above it otherwise.
+    """
+    lower = nth_root_lower(x, r, bits)
+    return lower if lower**r == x else lower + Fraction(1, 1 << bits)
 
 
 @dataclass(frozen=True)
@@ -91,28 +83,18 @@ class RootData:
 
 
 def _gap_enclosures(intervals):
+    """Bounds (min gap lower, upper, min gap product lower, upper) from sorted disjoint intervals.
+
+    The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each
+    pair's enclosure is built once and read by both minima.
+    """
     n = len(intervals)
-    a_lo = min(intervals[j + 1][0] - intervals[j][1] for j in range(n - 1))
-    a_hi = min(intervals[j + 1][1] - intervals[j][0] for j in range(n - 1))
-    b_lo = None
-    b_hi = None
-    for i in range(n):
-        p_lo = Fraction(1)
-        p_hi = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            if j > i:
-                d_lo = intervals[j][0] - intervals[i][1]
-                d_hi = intervals[j][1] - intervals[i][0]
-            else:
-                d_lo = intervals[i][0] - intervals[j][1]
-                d_hi = intervals[i][1] - intervals[j][0]
-            p_lo *= d_lo
-            p_hi *= d_hi
-        b_lo = p_lo if b_lo is None else min(b_lo, p_lo)
-        b_hi = p_hi if b_hi is None else min(b_hi, p_hi)
-    return a_lo, a_hi, b_lo, b_hi
+    dist = {}
+    for i, j in combinations(range(n), 2):
+        dist[i, j] = dist[j, i] = (intervals[j][0] - intervals[i][1], intervals[j][1] - intervals[i][0])
+    lows = [prod(dist[i, j][0] for j in range(n) if j != i) for i in range(n)]
+    highs = [prod(dist[i, j][1] for j in range(n) if j != i) for i in range(n)]
+    return min(lo for lo, _ in dist.values()), min(hi for _, hi in dist.values()), min(lows), min(highs)
 
 
 def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
@@ -140,20 +122,18 @@ def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
 
 
 def _separate(f, items: list[list[Fraction]]) -> None:
-    """Refine in place until all intervals are strictly pairwise disjoint."""
-    while True:
-        items.sort(key=lambda iv: (iv[0], iv[1]))
-        clash = None
-        for i in range(len(items) - 1):
-            if items[i][1] >= items[i + 1][0]:
-                clash = i
-                break
-        if clash is None:
-            return
-        for iv in (items[clash], items[clash + 1]):
-            if iv[0] != iv[1]:
-                width = (iv[1] - iv[0]) / 2
-                iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
+    """Refine in place until all intervals are strictly pairwise disjoint.
+
+    Sorted, the intervals hold the roots in order.  Each pair of neighbours
+    is bisected on both sides until it is strictly apart; refining only
+    shrinks an interval, so a pair already apart never clashes again.
+    """
+    items.sort()
+    for left, right in zip(items, items[1:]):
+        while left[1] >= right[0]:
+            for iv in (left, right):
+                if iv[0] != iv[1]:
+                    iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], (iv[1] - iv[0]) / 2)
 
 
 def _initial_isolation(form: BinaryForm):
@@ -210,8 +190,7 @@ def _refined(form: BinaryForm, exact, items: list[list[Fraction]], width: Fracti
         iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
     _separate(f, items)
     intervals = tuple((lo, hi) for lo, hi in items)
-    a_lo, a_hi, b_lo, b_hi = _gap_enclosures(intervals)
-    return RootData(intervals, exact, a_lo, a_hi, b_lo, b_hi)
+    return RootData(intervals, exact, *_gap_enclosures(intervals))
 
 
 def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootData:

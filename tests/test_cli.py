@@ -315,6 +315,29 @@ def test_the_digit_limit_is_exact_and_reads_exponents_of_zero_and_of_junk():
             parse_problem_text(f"{base}{text}\n")
 
 
+def test_values_too_long_to_print_name_their_input(capsys, problem_file, tmp_path):
+    huge = tmp_path / "huge.txt"
+    huge.write_text(PROBLEM.replace("K = 1", "K = 1e3000"), encoding="utf-8")
+    status, _, err = run(capsys, "constants", str(huge))
+    assert (status, err) == (1, "error: field 'K': a constant or threshold has more than 4300 digits to print\n")
+    candidate = f"{10**1000},0,1,0"
+    status, _, err = run(capsys, "verify", problem_file, "1,0,0,0", candidate, "--json")
+    assert (status, err) == (1, f"error: quadruple {candidate}: norm of F has more than 4300 digits to print\n")
+    huge.write_text(f"coeffs = 0 -{10**3000} 0 1\nm = 1\nK = 1e4000\n", encoding="utf-8")
+    status, _, err = run(capsys, "oracle", str(huge), "--height", "1")
+    assert (status, err) == (1, f"error: quadruple -1,-1,-1,0: norm of F has more than 4300 digits to print\n")
+    status, out, _ = run(capsys, "verify", problem_file, f"{10**700},0,1,0")
+    norm = (10**2100 - 4 * 10**700) ** 2  # F = x^3 - 4x at x = 10^700, y = 1
+    assert status == 0 and out.startswith(f"candidate {10**700},0,1,0 non-solution norm={norm} ")
+
+
+def test_m_is_checked_by_the_field(capsys, tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text(PROBLEM.replace("m = 3", "m = 0"), encoding="utf-8")
+    status, _, err = run(capsys, "solve", str(path))
+    assert (status, err) == (1, "error: field 'm': m must be a positive integer\n")
+
+
 def test_check_reports_each_quadruple_only_one_side_found(capsys, problem_file, monkeypatch):
     # an oracle that misses (0, 1, 0, 0), a solution, and lists (3, 3, 3, 3), which is none
     def skewed(*args):

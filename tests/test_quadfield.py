@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, QuadraticField, RingElement
-from util import conj, imag_part_sq, mul, real_part_sq
+from util import conj, imag_part_sq, mul, power_table_evaluate, real_part_sq
 
 F1 = BinaryForm((0, -4, 0, 1))
 
@@ -98,6 +98,12 @@ def test_evaluate_form_examples():
 def test_evaluate_form_embeds_integer_evaluation(field, a, b):
     value = field.evaluate_form(F1, RingElement(a, 0), RingElement(b, 0))
     assert value == RingElement(F1.evaluate(a, b), 0)
+
+
+@given(fields, st.lists(st.integers(-5, 5), min_size=1, max_size=6), st.integers(-5, 5).filter(bool), elements, elements)
+def test_evaluate_form_equals_the_power_table_sum(field, lower, lead, x, y):
+    form = BinaryForm((*lower, lead))  # degree 1-6, zero coefficients included
+    assert field.evaluate_form(form, x, y) == power_table_evaluate(field, form, x, y)
 
 
 def test_split_coordinates_examples():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from relthue import BinaryForm, InadmissibleFormError, Problem, QuadraticField, _poly, integer_roots, rootbounds
 from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
-from util import form_from_roots, profiled_calls
+from util import form_from_roots, fraction_sturm_chain, nested_gap_enclosures, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
 F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
@@ -175,6 +175,43 @@ def test_nth_root_exact_powers():
     assert nth_root_upper(Fraction(8), 3) == 2
     assert nth_root_lower(Fraction(27), 3) == 3
     assert nth_root_upper(Fraction(5, 3), 1) == Fraction(5, 3)
+
+
+@st.composite
+def polynomials(draw):
+    """Degree 1-7, monic or not; half of them times (a x + b)^2, so with a repeated factor."""
+    poly = [*draw(st.lists(st.integers(-9, 9), min_size=1, max_size=5)), draw(st.sampled_from((1, -1, 2, -3, 6)))]
+    if draw(st.booleans()):
+        b, a = draw(st.integers(-5, 5)), draw(st.integers(1, 3))
+        for _ in range(2):
+            poly = [b * c + a * prev for c, prev in zip([*poly, 0], [0, *poly])]
+    return poly
+
+
+@given(polynomials())
+def test_integer_sturm_chain_equals_the_rational_one(poly):
+    assert _poly.sturm_chain(poly) == fraction_sturm_chain(poly)
+
+
+@given(
+    st.integers(0, 6),
+    st.lists(st.tuples(st.one_of(st.just(0), st.integers(1, 40)), st.integers(1, 40)), min_size=2, max_size=6),
+    st.integers(-100, 100),
+)
+def test_gap_enclosures_equal_the_nested_loop(k, shape, start):
+    # sorted, disjoint dyadic intervals: (width, gap to the next) in units of 2^-k; width 0 is a point
+    intervals, lo = [], Fraction(start, 2**k)
+    for width, gap in shape:
+        intervals.append((lo, lo + Fraction(width, 2**k)))
+        lo = intervals[-1][1] + Fraction(gap, 2**k)
+    assert rootbounds._gap_enclosures(intervals) == nested_gap_enclosures(intervals)
+
+
+def test_separate_bisects_neighbours_until_strictly_apart():
+    # (x^2 - 2)(x^2 - 3): sqrt 2 in [1, 3/2] and sqrt 3 in [3/2, 2] touch, and still do after one halving each
+    items = [[Fraction(3, 2), Fraction(2)], [Fraction(1), Fraction(3, 2)]]
+    rootbounds._separate((6, 0, -5, 0, 1), items)
+    assert items == [[Fraction(11, 8), Fraction(3, 2)], [Fraction(13, 8), Fraction(7, 4)]]
 
 
 # Floors of the three squared gates and gates_stable, recorded before the

@@ -8,7 +8,10 @@ where the rectangle is too large.  The cell scan is the brute-force oracle
 as it was before it stepped by forward differences: one evaluation of F per
 cell, kept as the reference for ``brute_force``.  The ring helpers give the
 tests products, conjugates and part squares to check ``QuadraticField.norm``
-against.
+against.  The exact kernels as they were before each job had one helper are
+kept as references too: the Sturm chain with remainders divided over the
+rationals, the gap enclosures from a nested loop over ordered root pairs, and
+F evaluated in the ring from power tables of x and y.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import cProfile
 import pstats
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, gcd, isqrt, lcm
 from pathlib import Path
 
 from hypothesis import assume
@@ -190,3 +193,62 @@ def imag_part_sq(field: QuadraticField, z: RingElement) -> Fraction:
     if field.s == 2:
         return Fraction(field.m * z.u2 * z.u2, 4)
     return Fraction(field.m * z.u2 * z.u2)
+
+
+def fraction_sturm_chain(coeffs) -> tuple[tuple[int, ...], ...]:
+    """``_poly.sturm_chain`` with each remainder divided over the rationals, then scaled to coprime integers."""
+
+    def primitive(poly):
+        scale = lcm(*(Fraction(c).denominator for c in poly))
+        ints = [int(c * scale) for c in poly]
+        return tuple(c // gcd(*ints) for c in ints)
+
+    def remainder(num, den):
+        rem = [Fraction(c) for c in num]
+        while len(rem) >= len(den) and rem:
+            factor, shift = rem[-1] / den[-1], len(rem) - len(den)
+            for i, d in enumerate(den):
+                rem[shift + i] -= factor * d
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return rem
+
+    chain = [primitive(coeffs)]
+    chain.append(primitive([k * chain[0][k] for k in range(1, len(chain[0]))]))
+    while rem := remainder(chain[-2], chain[-1]):
+        chain.append(primitive([-c for c in rem]))
+    return tuple(chain)
+
+
+def nested_gap_enclosures(intervals):
+    """``rootbounds._gap_enclosures`` by a nested loop over the ordered pairs (i, j), i != j."""
+    n = len(intervals)
+    a_lo = min(intervals[j + 1][0] - intervals[j][1] for j in range(n - 1))
+    a_hi = min(intervals[j + 1][1] - intervals[j][0] for j in range(n - 1))
+    b_lo = b_hi = None
+    for i in range(n):
+        p_lo = p_hi = Fraction(1)
+        for j in range(n):
+            if j > i:
+                p_lo *= intervals[j][0] - intervals[i][1]
+                p_hi *= intervals[j][1] - intervals[i][0]
+            elif j < i:
+                p_lo *= intervals[i][0] - intervals[j][1]
+                p_hi *= intervals[i][1] - intervals[j][0]
+        b_lo = p_lo if b_lo is None else min(b_lo, p_lo)
+        b_hi = p_hi if b_hi is None else min(b_hi, p_hi)
+    return a_lo, a_hi, b_lo, b_hi
+
+
+def power_table_evaluate(field: QuadraticField, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
+    """F(x, y) in the ring as sum c_k x^k y^(n-k), from tables of the powers of x and of y."""
+    n = form.degree
+    xp, yp = [RingElement(1, 0)], [RingElement(1, 0)]
+    for _ in range(n):
+        xp.append(mul(field, xp[-1], x))
+        yp.append(mul(field, yp[-1], y))
+    terms = [mul(field, xp[k], yp[n - k]) for k in range(n + 1)]
+    return RingElement(
+        sum(c * t.u1 for c, t in zip(form.coeffs, terms)), sum(c * t.u2 for c, t in zip(form.coeffs, terms))
+    )
