@@ -81,19 +81,24 @@ def sign_at(coeffs: Coeffs, x) -> int:
     return sign(evaluate(coeffs, x.numerator, x.denominator))
 
 
+def variations(chain: Sequence[Coeffs], x) -> int:
+    """Sign changes of the chain at an integer or Fraction x, zeros dropped."""
+    signs = [s for s in (sign_at(p, x) for p in chain) if s]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
-    """Distinct real roots in (lo, hi]: how many sign changes of the chain, zeros dropped, are lost from lo to hi."""
-
-    def changes(x) -> int:
-        signs = [s for s in (sign_at(p, x) for p in chain) if s]
-        return sum(u != v for u, v in zip(signs, signs[1:]))
-
-    return changes(lo) - changes(hi)
+    """Distinct real roots in (lo, hi]: the sign changes of the chain lost from lo to hi."""
+    return variations(chain, lo) - variations(chain, hi)
 
 
 def root_radius(coeffs: Coeffs) -> int:
-    """A power of two R > 1 + max |c_k| for monic f: every root lies in (-R, R) (Cauchy)."""
-    return 1 << (1 + max(abs(c) for c in coeffs[:-1])).bit_length()
+    """A power of two R with every root of monic f in (-R, R): Fujiwara's or Cauchy's bound, whichever is smaller.
+
+    Fujiwara: |z| <= 2 max |c_k|^(1/(n-k)) < 2^(e+1), e = max ceil(bitlen(c_k)/(n-k)); Cauchy: |z| < 1 + max |c_k|.
+    """
+    e = max(-(-abs(c).bit_length() // j) for j, c in enumerate(reversed(coeffs[:-1]), 1))  # j = n - k
+    return min(1 << (e + 1), 1 << (1 + max(abs(c) for c in coeffs[:-1])).bit_length())
 
 
 def iroot(k: int, r: int) -> int:

@@ -97,8 +97,7 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     if len(chain[-1]) > 1:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
     radius = _poly.root_radius(f)
-    count = _poly.count_roots(chain, -radius, radius)
-    if count < n:
+    if _poly.count_roots(chain, -radius, radius) < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")
     return AdmissibilityReport(True, None, chain)
 

@@ -4,8 +4,8 @@ Roots of f(x) = F(x, 1) are found in one place: the Sturm chain that
 :func:`~relthue.forms.check_admissible` builds bisects (-2^e, 2^e] until
 each root is alone, and the integer roots fall out as point intervals
 (:func:`integer_roots` is that first stage).  The other roots are
-irrational, and bisection by the sign of f itself refines their
-intervals, on integer numerators over one power of two.  From the
+irrational; a Newton jump certified by two signs of f, or bisection by the
+sign of f, refines their intervals on integer numerators.  From the
 intervals the module derives one-sided rational bounds, always rounded in
 the safe direction, for
 
@@ -42,6 +42,8 @@ log = logging.getLogger(__name__)
 DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
 MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
 ROOT_PREC_BITS = 48
+JUMP_LEVELS = 8  # refinements by fewer levels only bisect: a jump and its certificate cost more
+NEWTON_STEPS, NEWTON_GUARD = 12, 8  # Newton steps tried before bisecting; bits kept below the target level
 
 Interval = tuple[Fraction, Fraction]
 
@@ -85,26 +87,52 @@ class RootData:
 def _gap_enclosures(intervals):
     """Bounds (min gap lower, upper, min gap product lower, upper) from sorted disjoint intervals.
 
-    The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each
-    pair's enclosure is built once and read by both minima.
+    The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built once
+    and read by both minima, on integer numerators over the largest denominator (the ends are dyadic).
     """
     n = len(intervals)
+    scale = max(end.denominator for iv in intervals for end in iv)
+    ends = [[end.numerator * scale // end.denominator for end in iv] for iv in intervals]
     dist = {}
     for i, j in combinations(range(n), 2):
-        dist[i, j] = dist[j, i] = (intervals[j][0] - intervals[i][1], intervals[j][1] - intervals[i][0])
+        dist[i, j] = dist[j, i] = (ends[j][0] - ends[i][1], ends[j][1] - ends[i][0])
     lows = [prod(dist[i, j][0] for j in range(n) if j != i) for i in range(n)]
     highs = [prod(dist[i, j][1] for j in range(n) if j != i) for i in range(n)]
-    return min(lo for lo, _ in dist.values()), min(hi for _, hi in dist.values()), min(lows), min(highs)
+    gaps = dist.values()
+    low, high = Fraction(min(lo for lo, _ in gaps), scale), Fraction(min(hi for _, hi in gaps), scale)
+    return low, high, Fraction(min(lows), scale ** (n - 1)), Fraction(min(highs), scale ** (n - 1))
+
+
+def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
+    """The k in [lo, hi) with the one root of (lo, hi)/2^level in (k, k + 1)/2^level, certified, or None.
+
+    Newton's method runs on x/2^bits, bits = level + ``NEWTON_GUARD``: a step is x -= 2^bits f/f', the integer
+    quotient of the homogenized values.  Each iterate's sign shrinks a bracket (a, b) of the root, and a step
+    that would leave it stops just inside, so a root next to a dyadic end takes a step or two.  The
+    certificate: f is nonzero with strictly opposite signs at the node's ends, hi's sign at k + 1.
+    """
+    one, df = 1 << (level + NEWTON_GUARD), _poly.derivative(f)
+    a, b, x = lo << NEWTON_GUARD, hi << NEWTON_GUARD, (lo + hi) << (NEWTON_GUARD - 1)
+    for _ in range(NEWTON_STEPS):
+        value, slope = _poly.evaluate(f, x, one), _poly.evaluate(df, x, one)
+        a, b = (a, x) if _poly.sign(value) == sign_hi else (x, b)
+        step = value // slope if slope else x - (a + b) // 2  # a zero slope bisects the bracket
+        if abs(step) < 1 << NEWTON_GUARD:
+            k, unit = (x - step) >> NEWTON_GUARD, 1 << level
+            signs = (_poly.sign(_poly.evaluate(f, k, unit)), _poly.sign(_poly.evaluate(f, k + 1, unit)))
+            return k if lo <= k < hi and signs == (-sign_hi, sign_hi) else None
+        x = min(max(x - step, a + 1), b - 1)
+    return None
 
 
 def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
-    """Bisect [lo, hi] down to ``width``; a non-point interval holds one irrational root of f in (lo, hi).
+    """Refine the node [lo, hi] down to ``width``; a non-point node holds one irrational root of f in (lo, hi).
 
-    The endpoints are dyadic, so they are kept as integer numerators over
-    one power of two and every step is integer arithmetic: the numerators
-    double, the midpoint is their old sum, and their difference never
-    changes.  f is monic, so it vanishes at no dyadic midpoint and not at
-    hi; lo may be an integer root, so the sign is anchored at hi.
+    The ends are integer numerators over one power of two.  The final level T, the least whose nodes are
+    no wider than ``width``, needs no evaluation, and a certified Newton jump goes there at once.  Bisection,
+    for a few levels or when the jump fails, reaches the same node: the numerators double, the midpoint is
+    their old sum.  f is monic, so it vanishes at no dyadic non-integer and not at hi; lo may be an integer
+    root, so signs are anchored at hi.
     """
     if lo == hi:
         return lo, hi
@@ -112,6 +140,9 @@ def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
     lo, hi = (lo.numerator << shift) // lo.denominator, (hi.numerator << shift) // hi.denominator
     sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << shift))
     gap = hi - lo
+    level = max(shift, (-(-gap * width.denominator // width.numerator) - 1).bit_length())
+    if (up := level - shift) > JUMP_LEVELS and (k := _newton_node(f, lo << up, hi << up, level, sign_hi)) is not None:
+        return Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
     while gap * width.denominator > width.numerator << shift:
         mid, lo, hi, shift = lo + hi, 2 * lo, 2 * hi, shift + 1
         if _poly.sign(_poly.evaluate(f, mid, 1 << shift)) == sign_hi:
@@ -139,33 +170,30 @@ def _separate(f, items: list[list[Fraction]]) -> None:
 def _initial_isolation(form: BinaryForm):
     """(integer roots, one [lo, hi] per root) from the Sturm chain of f.
 
-    The chain bisects (-R, R] with R = 2^e above every root, so every
-    midpoint is an integer until each root is alone in a unit interval
-    (k-1, k]; only roots sharing a unit interval need rational midpoints.
-    f is monic, so its rational roots are integers: the root alone in such
-    an interval (lo, hi] is hi exactly when f(hi) = 0, and becomes the point
-    [hi, hi]; every other root is irrational.  This costs O(n log R) exact
-    evaluations, whatever the size of f(0).
+    The chain bisects (-R, R] with R = 2^e above every root, so every midpoint is an integer until each root
+    is alone in a unit interval (k-1, k]; only roots sharing a unit interval need rational midpoints.  A node
+    carries the chain's sign variations at its ends, so a split evaluates the chain once.  f is monic, so its
+    rational roots are integers: the root alone in such an interval (lo, hi] is hi exactly when f(hi) = 0, and
+    becomes the point [hi, hi]; every other root is irrational.  This costs O(n log R) exact evaluations.
     """
     chain = require_admissible(form).chain
     f = form.coeffs
     radius = _poly.root_radius(f)
     exact, items = [], []
-    work = [(-radius, radius, form.degree)]
+    work = [(-radius, radius, _poly.variations(chain, -radius), _poly.variations(chain, radius))]
     while work:
-        lo, hi, count = work.pop()
-        if count == 0:
+        lo, hi, v_lo, v_hi = work.pop()
+        if v_lo == v_hi:
             continue
-        if count == 1 and hi - lo <= 1:
+        if v_lo - v_hi == 1 and hi - lo <= 1:
             if _poly.sign_at(f, hi) == 0:
                 exact.append(hi)
             else:
                 items.append([Fraction(lo), Fraction(hi)])
             continue
         mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi) / 2
-        left = _poly.count_roots(chain, lo, mid)
-        work.append((lo, mid, left))
-        work.append((mid, hi, count - left))
+        v_mid = _poly.variations(chain, mid)
+        work += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
     exact.sort()
     items += [[Fraction(r), Fraction(r)] for r in exact]
     return tuple(exact), items

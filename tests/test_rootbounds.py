@@ -1,14 +1,25 @@
 import logging
 from fractions import Fraction
 from math import floor
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from relthue import BinaryForm, InadmissibleFormError, Problem, QuadraticField, _poly, integer_roots, rootbounds
+from relthue import (
+    BinaryForm,
+    InadmissibleFormError,
+    Problem,
+    QuadraticField,
+    _poly,
+    check_admissible,
+    integer_roots,
+    rootbounds,
+)
+from relthue.abssolver import solve_abs
 from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
-from util import form_from_roots, fraction_sturm_chain, nested_gap_enclosures, profiled_calls
+from util import bisection_isolation, form_from_roots, fraction_sturm_chain, nested_gap_enclosures, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
 F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
@@ -248,9 +259,95 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
     for form, expected in ((split, (-(10**10) + 3, 10**10 - 11, 10**10 + 7)), (root_free, ())):
         found, calls = profiled_calls(integer_roots, form)
         assert found == expected
-        e = _poly.root_radius(form.coeffs).bit_length() - 1
-        assert calls["_poly", "count_roots"] <= form.degree * (e + 2)
+        n, f = form.degree, form.coeffs
+        # the Fujiwara exponent, written out: a Cauchy radius 2^bitlen(1 + max|c_k|) is ~2^100 here
+        e = max(-(-abs(f[k]).bit_length() // (n - k)) for k in range(n))
+        # one chain evaluation per bisection node, plus both ends of (-R, R] in the admissibility check
+        assert calls["_poly", "variations"] <= n * (e + 2) + 2
         assert calls["_poly", "sturm_chain"] == 1
+
+
+def test_root_radius_is_fujiwaras_power_of_two():
+    f = (16270, -889, -21, 1)  # e = max(ceil(14/3), ceil(10/2), ceil(5/1)) = 5, largest root ~ 32.999 > 2^5
+    assert _poly.root_radius(f) == 64
+    assert check_admissible(BinaryForm(f)).ok
+    assert isolate_roots(BinaryForm(f), Fraction(1, 2**10)).intervals[-1][0] > 32
+    assert _poly.root_radius((0, 4, -5, 1)) == 8  # x(x - 1)(x - 4): Cauchy's 2^bitlen(6) is below Fujiwara's 16
+
+
+@given(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=7), st.integers(0, 40))
+def test_root_radius_bounds_every_root_and_never_exceeds_cauchys(low, scale):
+    f = (*(c << scale for c in low), 1)
+    radius = _poly.root_radius(f)
+    assert radius & (radius - 1) == 0
+    assert radius <= 1 << (1 + max(abs(c) for c in f[:-1])).bit_length()
+    chain = _poly.sturm_chain(f)
+    assume(len(chain[-1]) == 1)  # squarefree, so the chain counts the distinct roots in (lo, hi]
+    far = 1 << (2 + max(abs(c) for c in f[:-1])).bit_length()
+    assert _poly.sign_at(f, radius) != 0
+    assert _poly.count_roots(chain, -radius, radius) == _poly.count_roots(chain, -far, far)
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return tuple(out)
+
+
+@st.composite
+def isolation_forms(draw):
+    """Admissible forms of degree 3-7 whose roots sit where a jump or its certificate could go wrong.
+
+    Either prod(x - r_i) + delta with small delta, whose roots lie next to integers (dyadic points) and, for
+    a repeated r_i, are close pairs sharing a unit interval; or (x - t)((x - t)^2 + a(x - t) - 1) times
+    distinct linear factors, where the integer root t is the left end of the unit interval of the
+    irrational root near t + 1/a.
+    """
+    n = draw(st.integers(3, 7))
+    if draw(st.booleans()):
+        coeffs = list(form_from_roots(draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n))).coeffs)
+        coeffs[0] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    else:
+        t, a = draw(st.integers(-20, 20)), draw(st.integers(-300, 300))
+        coeffs = _times((-t, 1), (t * t - a * t - 1, a - 2 * t, 1))
+        for r in draw(st.lists(st.integers(-40, 40), min_size=n - 3, max_size=n - 3, unique=True)):
+            coeffs = _times(coeffs, (-r, 1))
+    form = BinaryForm(tuple(coeffs))
+    assume(check_admissible(form).ok)
+    return form
+
+
+@settings(deadline=None, max_examples=60)
+@given(isolation_forms())
+def test_isolation_and_problem_facts_equal_the_bisection_reference(form):
+    for width in (Fraction(1, 2), Fraction(1, 2**10), Fraction(1, 2**64)):
+        data, reference = isolate_roots(form, width), bisection_isolation(form, width)
+        assert data == reference
+        assert refine(form, data, width / 2) == bisection_isolation(form, width / 2, reference)
+    field = QuadraticField(7)
+    problem = Problem(field, form, 10)
+    with (
+        mock.patch.object(rootbounds, "isolate_roots", bisection_isolation),
+        mock.patch.object(rootbounds, "refine", lambda form, data, width: bisection_isolation(form, width, data)),
+    ):
+        assert problem == Problem(field, form, 10)
+
+
+def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
+    # roots 0, 1/5, 21/20, 11/10, 6/5: clustered as no monic integer form's roots can be, so Newton from 1/2
+    # overshoots past 0, is stopped just inside the bracket and converges to the root at lo, not to 1/5
+    f = (0, 1386, -10665, 22025, -17750, 5000)  # x(5x - 1)(20x - 21)(10x - 11)(5x - 6)
+    k = rootbounds._newton_node(f, 0, 1 << 64, 64, _poly.sign(_poly.evaluate(f, 1)))
+    assert k is None or Fraction(k, 1 << 64) < Fraction(1, 5) < Fraction(k + 1, 1 << 64)
+
+
+def test_solve_abs_evaluation_count():
+    # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
+    result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
+    assert len(result.pairs()) == 157
+    assert calls["_poly", "evaluate"] == 312
 
 
 @given(

@@ -11,7 +11,10 @@ tests products, conjugates and part squares to check ``QuadraticField.norm``
 against.  The exact kernels as they were before each job had one helper are
 kept as references too: the Sturm chain with remainders divided over the
 rationals, the gap enclosures from a nested loop over ordered root pairs, and
-F evaluated in the ring from power tables of x and y.
+F evaluated in the ring from power tables of x and y.  The root isolation as
+it was before the certified Newton jump is kept as well: Sturm bisection of
+the Cauchy radius with both ends counted at every node, then bisection one
+level at a time.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from hypothesis import strategies as st
 
 import relthue
 from relthue import BinaryForm, QuadraticField, RingElement, check_admissible
-from relthue._poly import iroot
+from relthue._poly import count_roots, iroot, sign_at, sturm_chain
 from relthue.oracle import OracleResult
-from relthue.rootbounds import isolate_roots, nth_root_upper
+from relthue.rootbounds import RootData, isolate_roots, nth_root_upper
 
 
 def form_from_roots(roots) -> BinaryForm:
@@ -252,3 +255,48 @@ def power_table_evaluate(field: QuadraticField, form: BinaryForm, x: RingElement
     return RingElement(
         sum(c * t.u1 for c, t in zip(form.coeffs, terms)), sum(c * t.u2 for c, t in zip(form.coeffs, terms))
     )
+
+
+def bisection_isolation(form: BinaryForm, width, start: RootData | None = None) -> RootData:
+    """``isolate_roots(form, width)``, or ``refine(form, start, width)``, by bisection alone.
+
+    The Sturm chain bisects (-R, R] with R the Cauchy radius 2^bitlen(1 + max|c_k|), counting the roots of
+    every node afresh; each irrational root's interval is then halved one level at a time by the sign of f,
+    and neighbours that still touch are halved together until they are strictly apart.
+    """
+    f, width = form.coeffs, Fraction(width)
+
+    def bisect(lo, hi, target):
+        sign_hi = sign_at(f, hi)
+        while hi - lo > target:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if sign_at(f, mid) == sign_hi else (mid, hi)
+        return [lo, hi]
+
+    if start is None:
+        chain = sturm_chain(f)
+        radius = 1 << (1 + max(abs(c) for c in f[:-1])).bit_length()
+        exact, items, work = [], [], [(Fraction(-radius), Fraction(radius))]
+        while work:
+            lo, hi = work.pop()
+            count = count_roots(chain, lo, hi)
+            if count == 1 and hi - lo <= 1:
+                if sign_at(f, hi) == 0:
+                    exact.append(int(hi))
+                else:
+                    items.append([lo, hi])
+            elif count:
+                mid = (lo + hi) / 2
+                work += [(lo, mid), (mid, hi)]
+        exact.sort()
+        items += [[Fraction(r), Fraction(r)] for r in exact]
+    else:
+        exact, items = start.integer_roots, [list(iv) for iv in start.intervals]
+    items = sorted(iv if iv[0] == iv[1] else bisect(*iv, width) for iv in items)
+    for left, right in zip(items, items[1:]):
+        while left[1] >= right[0]:
+            for iv in (left, right):
+                if iv[0] != iv[1]:
+                    iv[:] = bisect(*iv, (iv[1] - iv[0]) / 2)
+    intervals = tuple((lo, hi) for lo, hi in items)
+    return RootData(intervals, tuple(exact), *nested_gap_enclosures(intervals))
