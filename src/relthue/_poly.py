@@ -87,11 +87,6 @@ def variations(chain: Sequence[Coeffs], x) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def count_roots(chain: Sequence[Coeffs], lo, hi) -> int:
-    """Distinct real roots in (lo, hi]: the sign changes of the chain lost from lo to hi."""
-    return variations(chain, lo) - variations(chain, hi)
-
-
 def root_radius(coeffs: Coeffs) -> int:
     """A power of two R with every root of monic f in (-R, R): Fujiwara's or Cauchy's bound, whichever is smaller.
 

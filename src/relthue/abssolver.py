@@ -69,13 +69,14 @@ def solve_abs(
     if roots is None:
         roots = isolate_roots(form)
     n = form.degree
+    cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
     found: list[tuple[int, int, int]] = []
 
     # b = 0: monic f gives F(a, 0) = a^n, so |a| <= bound^(1/n)
-    a_cap = _poly.iroot(floor(bound), n) if bound >= 1 else 0
+    a_cap = _poly.iroot(cap, n)
     for a in range(-a_cap, a_cap + 1):
         value = form.evaluate(a, 0)
-        if abs(value) <= bound:
+        if abs(value) <= cap:
             found.append((a, 0, value))
 
     # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b
@@ -94,7 +95,7 @@ def solve_abs(
         for a_lo, a_hi in ranges:
             for a in range(max(a_lo, start), a_hi + 1):
                 value = form.evaluate(a, b)
-                if abs(value) <= bound:
+                if abs(value) <= cap:
                     positive.append((a, b, value))
             start = max(start, a_hi + 1)
 

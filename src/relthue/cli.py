@@ -325,7 +325,7 @@ def cmd_verify(args) -> int:
         quad = _parse_candidate(text)
         x, y = RingElement(*quad[:2]), RingElement(*quad[2:])
         value_norm = spec.field.norm(spec.field.evaluate_form(spec.form, x, y))
-        is_solution = value_norm <= problem.K**2
+        is_solution = value_norm <= problem.norm_cap
         report = full_report(problem, x, y)
         if is_solution and not report.ok:
             status = 2

@@ -4,9 +4,9 @@ A binary form of degree n is F(x, y) = sum c_k x^k y^(n-k) with integer
 coefficients.  The solver only handles forms whose dehomogenization
 f(x) = F(x, 1) is monic with n distinct real roots; :func:`check_admissible`
 decides that exactly (no floating point, no tolerances) with one Sturm chain
-of f, which it hands on in its report: the root isolation in
-:mod:`relthue.rootbounds` bisects with that same chain and finds the integer
-roots on the way.
+of f, which it hands on in its report with its sign variations at -R and R:
+the root isolation in :mod:`relthue.rootbounds` starts from those and bisects
+with that same chain, finding the integer roots on the way.
 """
 
 from __future__ import annotations
@@ -72,11 +72,16 @@ class BinaryForm:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """The verdict; an admissible form's report also holds the Sturm chain of f."""
+    """The verdict, and for an admissible form what the root isolation starts from.
+
+    That is the Sturm chain of f, the root radius R and the chain's sign variations at -R and R.
+    """
 
     ok: bool
     reason: str | None = None
     chain: tuple[tuple[int, ...], ...] = ()
+    radius: int = 0
+    end_variations: tuple[int, int] = (0, 0)
 
 
 def check_admissible(form: BinaryForm) -> AdmissibilityReport:
@@ -97,9 +102,10 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     if len(chain[-1]) > 1:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
     radius = _poly.root_radius(f)
-    if _poly.count_roots(chain, -radius, radius) < n:
+    ends = (_poly.variations(chain, -radius), _poly.variations(chain, radius))
+    if ends[0] - ends[1] < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")
-    return AdmissibilityReport(True, None, chain)
+    return AdmissibilityReport(True, None, chain, radius, ends)
 
 
 def require_admissible(form: BinaryForm) -> AdmissibilityReport:

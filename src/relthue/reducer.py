@@ -133,13 +133,16 @@ def _reconstruct(field: QuadraticField, imag_pair, real_pair) -> Quad | None:
     return ((a - (s - 1) * x2) // s, x2, (b - (s - 1) * y2) // s, y2)
 
 
-def _verify(field, form, K_sq, quad: Quad):
-    """(x, y, F(x, y), norm(F(x, y))) when the quadruple solves the inequality, else None."""
+def _verify(field, form, norm_cap: int, quad: Quad):
+    """(x, y, F(x, y), norm(F(x, y))) when the quadruple solves the inequality, else None.
+
+    Norms are integers, so norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).
+    """
     x = RingElement(quad[0], quad[1])
     y = RingElement(quad[2], quad[3])
     value = field.evaluate_form(form, x, y)
     value_norm = field.norm(value)
-    if value_norm <= K_sq:
+    if value_norm <= norm_cap:
         return x, y, value, value_norm
     return None
 
@@ -147,12 +150,11 @@ def _verify(field, form, K_sq, quad: Quad):
 def _pair(problem: Problem, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
     """Reconstruct and verify each (imag_pair, real pair) candidate, recording the solutions in ``found``."""
     field, form = problem.field, problem.form
-    K_sq = problem.K * problem.K
     for real_pair in real_pairs:
         quad = _reconstruct(field, imag_pair, real_pair)
         if quad is None:
             continue
-        verified = _verify(field, form, K_sq, quad)
+        verified = _verify(field, form, problem.norm_cap, quad)
         if verified is not None:
             found[quad] = verified
 

@@ -176,11 +176,10 @@ def _initial_isolation(form: BinaryForm):
     rational roots are integers: the root alone in such an interval (lo, hi] is hi exactly when f(hi) = 0, and
     becomes the point [hi, hi]; every other root is irrational.  This costs O(n log R) exact evaluations.
     """
-    chain = require_admissible(form).chain
-    f = form.coeffs
-    radius = _poly.root_radius(f)
+    report = require_admissible(form)
+    chain, radius, f = report.chain, report.radius, form.coeffs
     exact, items = [], []
-    work = [(-radius, radius, _poly.variations(chain, -radius), _poly.variations(chain, radius))]
+    work = [(-radius, radius, *report.end_variations)]
     while work:
         lo, hi, v_lo, v_hi = work.pop()
         if v_lo == v_hi:
@@ -349,10 +348,11 @@ class Problem:
     The constructor is the one place a problem is checked (admissible form,
     K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
     and the predicates use: the root isolation (integer roots included), the
-    constants, the gates and ``abs_bound`` = s^n K, the bound of the absolute
-    inequality behind both part bounds.  ``gates_stable`` is False when the
-    gates had not settled after ``MAX_HALVINGS`` refinements; a warning is
-    logged then.
+    constants, the gates, ``abs_bound`` = s^n K, the bound of the absolute
+    inequality behind both part bounds, and ``norm_cap`` = floor(K^2): norms
+    are integers, so norm(F(x, y)) <= K^2 exactly when it is at most
+    ``norm_cap``.  ``gates_stable`` is False when the gates had not settled
+    after ``MAX_HALVINGS`` refinements; a warning is logged then.
     """
 
     field: QuadraticField
@@ -364,6 +364,7 @@ class Problem:
     gates: GateThresholds = dataclass_field(init=False)
     gates_stable: bool = dataclass_field(init=False)
     abs_bound: Fraction = dataclass_field(init=False)
+    norm_cap: int = dataclass_field(init=False)
 
     def __post_init__(self):
         K, epsilon = Fraction(self.K), Fraction(self.epsilon)
@@ -380,6 +381,7 @@ class Problem:
             "gates": gates,
             "gates_stable": stable,
             "abs_bound": Fraction(self.field.s) ** self.form.degree * K,
+            "norm_cap": floor(K * K),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, _poly, check_admissible, integer_roots
-from util import form_from_roots
+from util import count_roots, form_from_roots
 
 F1 = BinaryForm((0, -4, 0, 1))  # x^3 - 4 x y^2
 
@@ -37,7 +37,7 @@ def test_admissible_complex_roots():
     assert "complex" in report.reason
     f = (0, 1, 0, 1)
     radius = _poly.root_radius(f)
-    assert _poly.count_roots(_poly.sturm_chain(f), -radius, radius) == 1
+    assert count_roots(_poly.sturm_chain(f), -radius, radius) == 1
 
 
 def test_admissible_degree_too_small():

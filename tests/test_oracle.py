@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -78,7 +79,22 @@ def test_equals_the_cell_scan_on_workload_forms(m, K):
 
 def test_evaluates_the_form_only_at_the_seeds():
     form = BinaryForm((-1, 3, 3, -4, -1, 1))
-    n, side = form.degree, 15
-    _, calls = profiled_calls(brute_force, QuadraticField(7), form, 10, 7)
-    # (n+1)(n+2)/2 seed evaluations per y, in place of one per cell
-    assert calls["quadfield", "evaluate_form"] == (n + 1) * (n + 2) // 2 * side**2
+    for height in (7, 3):
+        _, calls = profiled_calls(brute_force, QuadraticField(7), form, 10, height)
+        # C(n+4, 4) seeds once per box, whatever its size, in place of one evaluation per cell
+        assert calls["quadfield", "evaluate_form"] == comb(form.degree + 4, 4) == 126
+
+
+# large m: a nonzero imaginary coordinate brings a factor of about sqrt(m), so kept norms reach 10^19 in a small box
+@pytest.mark.parametrize("m", [999_999_937, 2**31 - 1])  # s = 1 and s = 2, both prime
+@pytest.mark.parametrize("height", [0, 1, 2])
+def test_equals_the_cell_scan_at_large_m(m, height):
+    field = QuadraticField(m)
+    kept_imaginary = False
+    for coeffs in ((0, -4, 0, 1), (-1, -3, 0, 1), (6, 0, -5, 0, 1)):
+        form = BinaryForm(coeffs)
+        for K in (1, 10**6, Fraction(7 * 10**12, 2)):
+            result = brute_force(field, form, K, height)
+            assert result == cell_scan(field, form, K, height)
+            kept_imaginary |= any(x2 or y2 for (_, x2, _, y2), _ in result.solutions)
+    assert kept_imaginary == (height > 0)

@@ -80,7 +80,8 @@ def test_branches_disjoint_by_imag_value():
     assert not (set(zero_found) & set(nonzero_found))
 
 
-@pytest.mark.parametrize("m,K,form", [(3, 1, F1), (1, 1, F2), (2, 10, F3), (7, 10, F2)])
+# K = 9/2 on F1 over m = 3: cells of norm 21 = ceil(K^2) lie in the box, so a cap of ceil(K^2) would keep them
+@pytest.mark.parametrize("m,K,form", [(3, 1, F1), (1, 1, F2), (2, 10, F3), (7, 10, F2), (3, Fraction(9, 2), F1)])
 def test_oracle_equivalence_small(m, K, form):
     field = QuadraticField(m)
     result = solve_relative(field, form, K, Fraction(1, 2), 12)

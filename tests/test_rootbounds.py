@@ -19,7 +19,14 @@ from relthue import (
 )
 from relthue.abssolver import solve_abs
 from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
-from util import bisection_isolation, form_from_roots, fraction_sturm_chain, nested_gap_enclosures, profiled_calls
+from util import (
+    bisection_isolation,
+    count_roots,
+    form_from_roots,
+    fraction_sturm_chain,
+    nested_gap_enclosures,
+    profiled_calls,
+)
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
 F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
@@ -262,8 +269,8 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
         n, f = form.degree, form.coeffs
         # the Fujiwara exponent, written out: a Cauchy radius 2^bitlen(1 + max|c_k|) is ~2^100 here
         e = max(-(-abs(f[k]).bit_length() // (n - k)) for k in range(n))
-        # one chain evaluation per bisection node, plus both ends of (-R, R] in the admissibility check
-        assert calls["_poly", "variations"] <= n * (e + 2) + 2
+        # one chain evaluation per bisection node; the isolation reuses the admissibility check's two at -R and R
+        assert calls["_poly", "variations"] <= n * (e + 2)
         assert calls["_poly", "sturm_chain"] == 1
 
 
@@ -285,7 +292,7 @@ def test_root_radius_bounds_every_root_and_never_exceeds_cauchys(low, scale):
     assume(len(chain[-1]) == 1)  # squarefree, so the chain counts the distinct roots in (lo, hi]
     far = 1 << (2 + max(abs(c) for c in f[:-1])).bit_length()
     assert _poly.sign_at(f, radius) != 0
-    assert _poly.count_roots(chain, -radius, radius) == _poly.count_roots(chain, -far, far)
+    assert count_roots(chain, -radius, radius) == count_roots(chain, -far, far)
 
 
 def _times(p, q):
@@ -347,7 +354,7 @@ def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.pairs()) == 157
-    assert calls["_poly", "evaluate"] == 312
+    assert calls["_poly", "evaluate"] == 304
 
 
 @given(

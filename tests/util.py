@@ -31,9 +31,14 @@ from hypothesis import strategies as st
 
 import relthue
 from relthue import BinaryForm, QuadraticField, RingElement, check_admissible
-from relthue._poly import count_roots, iroot, sign_at, sturm_chain
+from relthue._poly import iroot, sign_at, sturm_chain, variations
 from relthue.oracle import OracleResult
 from relthue.rootbounds import RootData, isolate_roots, nth_root_upper
+
+
+def count_roots(chain, lo, hi) -> int:
+    """Distinct real roots in (lo, hi]: the sign changes of the Sturm chain lost from lo to hi."""
+    return variations(chain, lo) - variations(chain, hi)
 
 
 def form_from_roots(roots) -> BinaryForm:
