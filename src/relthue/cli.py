@@ -75,15 +75,15 @@ def _parse_int(text: str, label: str) -> int:
     try:
         return int(text)
     except ValueError as exc:
+        # int() refuses a well-formed literal only when it has more than _MAX_DIGITS digits
+        if re.fullmatch(r"\s*[-+]?\d+(_\d+)*\s*", text):
+            raise CliError(f"{label}: integer longer than {_MAX_DIGITS} digits: {text!r}") from exc
         raise CliError(f"{label}: not an integer: {text!r}") from exc
 
 
 def _parse_form(text: str, label: str) -> BinaryForm:
     """The binary form of a line of ascending integer coefficients."""
-    try:
-        coeffs = tuple(int(tok) for tok in text.split())
-    except ValueError as exc:
-        raise CliError(f"{label}: expected integers, got {text!r}") from exc
+    coeffs = tuple(_parse_int(tok, label) for tok in text.split())
     try:
         return BinaryForm(coeffs)
     except ValueError as exc:
@@ -201,11 +201,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 def cmd_solve(args) -> int:
     spec = _load(args)
     result = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, spec.ymax)
-    # every solution within reach, family members (norm 0) included, in the solver sort order
-    found = [(s.report.norm_y, s.quadruple, s.value_norm) for s in result.solutions]
-    found += [(spec.field.norm(RingElement(q[2], q[3])), q, 0) for q in result.family_members()]
-    found.sort(key=lambda row: (row[0], row[1][2], row[1][3], row[1][0], row[1][1]))
-    rows, row_lines = _listing((quad, norm) for _, quad, norm in found)
+    rows, row_lines = _listing(result.listing())
     payload = {
         **_json_head("solve", spec),
         "s": spec.field.s,
@@ -303,10 +299,7 @@ def _parse_candidate(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     if len(parts) != 4:
         raise CliError(f"candidate {text!r}: expected four comma-separated integers x1,x2,y1,y2")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise CliError(f"candidate {text!r}: expected integers") from exc
+    return tuple(_parse_int(p, f"candidate {text!r}") for p in parts)
 
 
 def _flag(applicable: bool, holds: bool) -> str:
@@ -317,12 +310,12 @@ def _flag(applicable: bool, holds: bool) -> str:
 
 def cmd_verify(args) -> int:
     spec = _load(args)
+    quads = [_parse_candidate(text) for text in args.candidates]
     problem = Problem(spec.field, spec.form, spec.K, spec.epsilon)
     rows = []
     lines = []
     status = 0
-    for text in args.candidates:
-        quad = _parse_candidate(text)
+    for quad in quads:
         x, y = RingElement(*quad[:2]), RingElement(*quad[2:])
         value_norm = spec.field.norm(spec.field.evaluate_form(spec.form, x, y))
         is_solution = value_norm <= problem.norm_cap

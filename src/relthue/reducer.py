@@ -1,21 +1,24 @@
 """Reduction of the relative inequality to absolute inequalities over Z.
 
 For a solution (x, y) write v_imag = F(x2, y2) and v_real = F(a, b) with
-(a, b) = (s*x1 + (s-1)*x2, s*y1 + (s-1)*y2).  The part bounds confine v_imag
-to a small integer range; splitting on v_imag = 0 versus v_imag != 0 gives:
+(a, b) = (s*x1 + (s-1)*x2, s*y1 + (s-1)*y2).  Both are values realized by
+one absolute enumeration, |F(a, b)| <= s^n K, and the part bound on v_imag
+filters those values.  Splitting on v_imag = 0 versus v_imag != 0 gives:
 
 * zero branch: (x2, y2) runs over the zero set of F on Z^2, that is (0, 0)
   and the integer-root lines (r*t, t), and (a, b) over |F(a, b)| <= s^n K.
   A pair with x2 = r*y2 and a = r*b is a member x = r*y of the zero family
   of r; members are not enumerated but kept as :class:`ZeroFamily` and
-  expanded by :meth:`RelativeSolutionSet.quadruples`.  Off the families,
+  expanded by :meth:`RelativeSolutionSet.quadruples`.  f is monic, so
+  F(a, b) = 0 only on the root lines: (x2, y2) = (0, 0) takes the real pairs
+  of nonzero value, and (0, 0) when f has no integer root.  Off the families,
   x - r*y = d = (a - r*b)/s is a nonzero rational integer and every other
   factor of F(x, y) has |x - rho*y| >= |r - rho|*|t|*sqrt(m)/s, so
   |F(x, y)| >= |d|*|f'(r)|*(|t|*sqrt(m)/s)^(n-1).  This exact derivative
   test ends each root line at the first t where even |d| = 1 fails, and
   pairs (r*t, t) only with real pairs in the window 0 < |a - r*b| <= s*d_max(t);
-* nonzero branch: for each realized value v_imag, v_real is confined by the
-  joint bound, and (a, b) runs over the exact-value solutions.
+* nonzero branch: for each realized v_imag != 0 within the part bound, the
+  joint bound confines (a, b) to a prefix of the real pairs sorted by |v_real|.
 
 Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s
 (kept only when integral, which for s = 2 is the parity filter a = x2 and
@@ -26,6 +29,7 @@ inequality.  One absolute enumeration at bound s^n K serves both branches.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,12 +119,15 @@ class RelativeSolutionSet:
     def quadruples(self) -> set[Quad]:
         return {sol.quadruple for sol in self.solutions}.union(self.family_members())
 
+    def listing(self) -> list[tuple[Quad, int]]:
+        """(quadruple, norm of F) of every solution within reach, members (norm 0) included, in solver order."""
+        rows = [(_solver_order(sol.report.norm_y, sol.quadruple), sol.value_norm) for sol in self.solutions]
+        rows += [(_solver_order(self.field.norm(RingElement(*q[2:])), q), 0) for q in self.family_members()]
+        return [((x1, x2, y1, y2), value_norm) for (_, y1, y2, x1, x2), value_norm in sorted(rows)]
 
-def imag_value_range(problem: Problem) -> list[int]:
-    """All integers v with v^2 * m^n <= (s^n K)^2 — the possible F(x2, y2) values."""
-    limit = problem.abs_bound**2 / problem.field.m**problem.form.degree
-    cap = isqrt(floor(limit))
-    return list(range(-cap, cap + 1))
+
+def _solver_order(norm_y: int, quad: Quad) -> tuple[int, int, int, int, int]:
+    return (norm_y, quad[2], quad[3], quad[0], quad[1])  # norm(y), then y1, y2, x1, x2
 
 
 def _reconstruct(field: QuadraticField, imag_pair, real_pair) -> Quad | None:
@@ -172,8 +179,8 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     roots = problem.integer_roots
     real_pairs = abs_solutions.pairs()
     found: Found = {}
-    # y2 = x2 = 0: x and y are rational integers, members when (a, b) is on a root line
-    _pair(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
+    # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
+    _pair(problem, (0, 0), [(a, b) for a, b, v in abs_solutions.solutions if v or not roots], found)
     f_prime = _poly.derivative(problem.form.coeffs)
     bound = problem.K**2 * s ** (2 * (n - 1))
     for r in roots:
@@ -189,25 +196,23 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
 
 
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
-    """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch."""
-    n = problem.form.degree
-    index = abs_solutions.values_index()
-    part_cap = floor(problem.abs_bound)  # |v_real| bound from the part inequality
+    """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch.
+
+    Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs whose
+    |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
+    """
+    n, m = problem.form.degree, problem.field.m
+    by_size = sorted(abs_solutions.solutions, key=lambda solution: abs(solution[2]))
+    sizes = [abs(v) for _, _, v in by_size]
+    real_pairs = [(a, b) for a, b, _ in by_size]
+    imag_cap = isqrt(floor(problem.abs_bound**2 / m**n))
     found: Found = {}
-    for v_imag in imag_value_range(problem):
-        if v_imag == 0:
-            continue
-        imag_pairs = index.get(v_imag, [])
-        if not imag_pairs:
-            log.debug("imag value %d not realized within height %d; skipped", v_imag, abs_solutions.height)
-            continue
-        joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n)
-        real_cap = min(part_cap, isqrt(floor(joint)))
-        for v_real, real_pairs in index.items():
-            if abs(v_real) > real_cap:
-                continue
+    for v_imag, imag_pairs in abs_solutions.values_index().items():
+        if 0 < abs(v_imag) <= imag_cap:
+            joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * m**n)
+            allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint)))]
             for imag_pair in imag_pairs:
-                _pair(problem, imag_pair, real_pairs, found)
+                _pair(problem, imag_pair, allowed, found)
     return found
 
 
@@ -236,7 +241,7 @@ def solve_relative(
         RelativeSolution(x=x, y=y, value=value, value_norm=value_norm, report=full_report(problem, x, y))
         for x, y, value, value_norm in candidates.values()
     ]
-    solutions.sort(key=lambda sol: (sol.report.norm_y, sol.y.u1, sol.y.u2, sol.x.u1, sol.x.u2))
+    solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:
         log.warning("a verified solution failed an applicable structure predicate")

@@ -1,0 +1,115 @@
+"""The standing mutation table: each entry breaks the package in one place, and its tests must notice.
+
+    python tests/mutants.py              # every entry
+    python tests/mutants.py 0 3          # the entries at these indexes
+
+For each entry the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, replaces the entry's snippet (which must occur exactly once in its file) and runs the
+entry's tests there with ``pytest -x``, one process at a time.  An entry is *killed* when its tests
+fail or run past ``TIMEOUT_S`` (a mutant can make a loop run forever), and *survived* when they
+pass.  Entries with a ``survives`` reason are expected to survive; the runner exits 1 when any
+entry ends otherwise than expected.  Tier-1 only checks that every snippet is still there once
+(``test_mutants.py``); running the table takes minutes.  Add each new mutation here, not to prose.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str  # under src/relthue
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the checkout root
+    survives: str | None = None  # why the mutant is expected to survive
+
+
+MUTANTS = [
+    # reduction branches read only realized values
+    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) < imag_cap:",
+           ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint)))]",
+           "allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint))) - 1]", ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 <= abs(v_imag) <= imag_cap:",
+           ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "for a, b, v in abs_solutions.solutions if v or not roots]",
+           "for a, b, v in abs_solutions.solutions if v]", ("tests/test_reducer.py",)),
+    # the oracle seeded once per box
+    Mutant("oracle.py", "if sum(order) <= n]", "if 0 < sum(order) <= n]", ("tests/test_oracle.py",)),
+    Mutant("oracle.py", "{o: g.u2 for o, g in zip(orders, seeds)}", "{o: g.u2 * any(o) for o, g in zip(orders, seeds)}",
+           ("tests/test_oracle.py",)),
+    Mutant("oracle.py", "_run([table[i, j, k, l] for l in range(count - j)], side)",
+           "_run([table[i, j, k, l] for l in range(count - j)], side + 1)[1:]", ("tests/test_oracle.py",)),
+    Mutant("oracle.py",
+           "        yield planes[0]\n        for i in range(len(planes) - 1):\n"
+           "            planes[i] = list(map(add, planes[i], planes[i + 1]))\n",
+           "        for i in range(len(planes) - 1):\n"
+           "            planes[i] = list(map(add, planes[i], planes[i + 1]))\n        yield planes[0]\n",
+           ("tests/test_oracle.py",)),
+    Mutant("oracle.py", "zip(span, _sweep(real_planes, side), _sweep(imag_planes, side))",
+           "zip(span, list(_sweep(real_planes, side + 1))[1:], list(_sweep(imag_planes, side + 1))[1:])",
+           ("tests/test_oracle.py",)),
+    Mutant("oracle.py", "{o: s * g.u1 + (s - 1) * g.u2 for o, g in zip(orders, seeds)}",
+           "{o: s * g.u1 for o, g in zip(orders, seeds)}", ("tests/test_oracle.py",)),
+    Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)", ("tests/test_abssolver.py",)),
+    Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
+    # expected survivors
+    Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound", "spread = 2 ** (n - 2) * bound",
+           ("tests/test_abssolver.py", "tests/test_reducer.py"),
+           survives="the factor 2 is slack: over the solutions of 3,000 random forms where the shrinking bound is "
+           "the smaller one, |a - rho_j*b| reaches at most 0.48 of it"),
+    Mutant("rootbounds.py", "signs == (-sign_hi, sign_hi)", "signs[0] != sign_hi and signs[1] == sign_hi",
+           ("tests/test_rootbounds.py",),
+           survives="equivalent: a zero of f at the node's left end inside [lo, hi] can only be the integer root lo, "
+           "and hi's sign at the right end then puts the one root of (lo, hi) in that node"),
+]
+
+
+def run(mutant: Mutant, work: Path) -> str:
+    """'killed', 'timeout' or 'survived' for one mutant, applied in the copy at ``work`` and then undone."""
+    path = work / "src" / "relthue" / mutant.file
+    original = path.read_text(encoding="utf-8")
+    if original.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.file}: the snippet must occur exactly once: {mutant.snippet!r}")
+    path.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    try:
+        proc = subprocess.run(command, cwd=work, capture_output=True, timeout=TIMEOUT_S)
+        return "survived" if proc.returncode == 0 else "killed"
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(arg) for arg in argv] or range(len(MUTANTS))
+    unexpected = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        for index in chosen:
+            mutant = MUTANTS[index]
+            outcome = run(mutant, work)
+            expected = outcome == "survived" if mutant.survives else outcome != "survived"
+            unexpected += not expected
+            note = f" (expected: {mutant.survives})" if mutant.survives else ""
+            print(f"{index:2d} {outcome:8s} {'' if expected else 'UNEXPECTED '}{mutant.file}: "
+                  f"{mutant.replacement.strip()!r}{note}", flush=True)
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -24,9 +24,8 @@ from relthue import (
     solve_abs,
     solve_relative,
 )
-from relthue.reducer import imag_value_range
 from relthue.rootbounds import constants, isolate_roots, refine
-from util import form_from_roots, imag_part_sq, mul, real_part_sq, rectangle_solutions
+from util import form_from_roots, imag_part_sq, imag_value_range, mul, real_part_sq, rectangle_solutions
 
 FORMS = {
     "x^3-4xy^2": BinaryForm((0, -4, 0, 1)),

@@ -301,6 +301,57 @@ def test_rationals_too_long_to_print_are_rejected_unbuilt(capsys, problem_file, 
     assert calls["reducer", "solve_relative"] == calls["abssolver", "solve_abs"] == 0
 
 
+LONG = "1" * 4400  # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize(
+    "argv,label,literal",
+    [
+        (["solve", "{huge}"], "field 'm'", LONG),
+        (["solve", "{huge}"], "field 'ymax'", LONG),
+        (["check", "{huge}"], "field 'oracle_height'", LONG),
+        (["solve", "{huge}"], "field 'coeffs'", "-" + LONG),
+        (["solve", "{problem}", "--ymax", LONG], "--ymax", LONG),
+        (["abs", "--coeffs", "0 -4 0 1", "--kprime", "1", "--ymax", LONG], "--ymax", LONG),
+        (["abs", "--coeffs", f"0 {LONG} 0 1", "--kprime", "1", "--ymax", "2"], "--coeffs", LONG),
+        (["check", "{problem}", "--height", LONG], "--height", LONG),
+        (["verify", "{problem}", "1,0,0,0", f"0,{LONG},0,0"], f"candidate {f'0,{LONG},0,0'!r}", LONG),
+    ],
+    ids=["m", "ymax", "oracle_height", "coeffs", "solve --ymax", "abs --ymax", "abs --coeffs", "check --height",
+         "verify candidate"],
+)
+def test_integers_too_long_to_read_are_rejected_unbuilt(capsys, problem_file, tmp_path, argv, label, literal):
+    huge = tmp_path / "huge.txt"
+    field = label.removeprefix("field '").removesuffix("'")
+    fields = {"coeffs": "0 -4 0 1", "m": "3", "K": "1"}
+    if field in ("m", "ymax", "oracle_height"):
+        fields[field] = literal
+    elif field == "coeffs":
+        fields[field] = f"0 {literal} 0 1"
+    huge.write_text("".join(f"{key} = {value}\n" for key, value in fields.items()), encoding="utf-8")
+    start = time.perf_counter()
+    status, calls = profiled_calls(main, [arg.format(problem=problem_file, huge=huge) for arg in argv])
+    assert time.perf_counter() - start < 1
+    message = f"error: {label}: integer longer than 4300 digits: {literal!r}\n"
+    assert (status, capsys.readouterr().err) == (1, message)
+    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["reducer", "solve_relative"] == calls["abssolver", "solve_abs"] == 0
+
+
+def test_integer_literals_are_read_up_to_the_digit_limit():
+    base = "coeffs = 0 -4 0 1\nm = 3\nK = 1\n"
+    assert parse_problem_text(f"{base}ymax = {'9' * 4300}\n").ymax == 10**4300 - 1
+    assert parse_problem_text(f"{base}ymax = {'1_' * 4299}1\n").ymax == int("1" * 4300)
+    for text, message in [
+        (f"ymax = 0{'0' * 4300}", "'ymax': integer longer than 4300 digits"),
+        (f"ymax = {'1_' * 4300}1", "'ymax': integer longer than 4300 digits"),
+        ("ymax = 1_", "'ymax': not an integer"),
+        ("ymax = 1 2", "'ymax': not an integer"),
+    ]:
+        with pytest.raises(CliError, match=message):
+            parse_problem_text(f"{base}{text}\n")
+
+
 def test_the_digit_limit_is_exact_and_reads_exponents_of_zero_and_of_junk():
     base = "coeffs = 0 -4 0 1\nm = 3\n"
     assert parse_problem_text(f"{base}K = 1e4299\n").K == 10**4299

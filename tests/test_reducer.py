@@ -17,9 +17,17 @@ from relthue import (
     solve_relative,
 )
 from relthue.cli import main
-from relthue.reducer import imag_value_range, nonzero_value_branch, zero_value_branch
+from relthue.abssolver import AbsSolutionSet
+from relthue.reducer import nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
-from util import admissible_forms, form_from_roots, profiled_calls
+from util import (
+    admissible_forms,
+    form_from_roots,
+    imag_value_range,
+    profiled_calls,
+    range_walk_nonzero_branch,
+    root_test_zero_branch,
+)
 
 F1 = BinaryForm((0, -4, 0, 1))
 F2 = BinaryForm((0, -2, -1, 1))
@@ -107,6 +115,73 @@ def test_oracle_equivalence_random_admissible_forms(form, m, K):
     box = {q for q in result.quadruples() if max(abs(c) for c in q) <= box_height}
     assert box == brute_force(field, form, K, box_height).quadruples()
     assert result.cross_check_ok
+
+
+# admissible forms without an integer root, degrees 3-5; admissible_forms() draws few of them
+ROOT_FREE = [BinaryForm(c) for c in ((-1, -3, 0, 1), (1, -4, 0, 1), (-3, -7, 2, 1), (6, 0, -5, 0, 1),
+                                     (1, 0, -4, 0, 1), (1, 8, 0, -6, 0, 1))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(admissible_forms(), st.sampled_from(ROOT_FREE)),
+    st.sampled_from(SQUAREFREE_M),
+    st.fractions(min_value=1, max_value=60, max_denominator=3),
+    st.integers(0, 25),
+)
+def test_branches_equal_the_range_walk_references(form, m, K, height):
+    problem, abs_solutions = branch_input(m, form, K, height)
+    assert zero_value_branch(problem, abs_solutions) == root_test_zero_branch(problem, abs_solutions)
+    assert nonzero_value_branch(problem, abs_solutions) == range_walk_nonzero_branch(problem, abs_solutions)
+
+
+class CountingIndex(dict):
+    """A value index that counts every key it is asked for and every entry it hands out."""
+
+    reads = 0
+
+    def _count(self, items):
+        for item in items:
+            CountingIndex.reads += 1
+            yield item
+
+    def get(self, key, default=None):
+        CountingIndex.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        CountingIndex.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        CountingIndex.reads += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        return self._count(super().__iter__())
+
+    def keys(self):
+        return self._count(super().keys())
+
+    def values(self):
+        return self._count(super().values())
+
+    def items(self):
+        return self._count(super().items())
+
+
+def test_nonzero_branch_reads_only_realized_values(monkeypatch):
+    # at height 0 the realized values are the cubes a^3, |a| <= 100, while the part bound admits every
+    # integer |v| <= 10^6: a walk over that range reads the index about 2*10^6 times
+    index = AbsSolutionSet.values_index
+    monkeypatch.setattr(AbsSolutionSet, "values_index", lambda self: CountingIndex(index(self)))
+    monkeypatch.setattr(CountingIndex, "reads", 0)
+    problem, abs_solutions = branch_input(1, F3, 10**6, 0)
+    realized = len(index(abs_solutions))
+    assert realized == 201
+    # y = 0 here, so the branch finds every x = x1 + x2*i with x2 != 0 and (x1^2 + x2^2)^3 <= K^2
+    assert len(nonzero_value_branch(problem, abs_solutions)) == 31_216
+    assert CountingIndex.reads <= 2 * realized**2
 
 
 def test_all_emitted_solutions_verified():

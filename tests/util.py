@@ -14,7 +14,10 @@ rationals, the gap enclosures from a nested loop over ordered root pairs, and
 F evaluated in the ring from power tables of x and y.  The root isolation as
 it was before the certified Newton jump is kept as well: Sturm bisection of
 the Cauchy radius with both ends counted at every node, then bisection one
-level at a time.
+level at a time.  So are the two reduction branches as they were before they
+read only the values the absolute enumeration realized: the nonzero branch
+walked every integer |v| within the part bound, and the zero branch kept the
+real pairs off every root line by testing each root.
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import relthue
-from relthue import BinaryForm, QuadraticField, RingElement, check_admissible
-from relthue._poly import iroot, sign_at, sturm_chain, variations
+from relthue import BinaryForm, Problem, QuadraticField, RingElement, check_admissible
+from relthue._poly import derivative, evaluate, iroot, sign_at, sturm_chain, variations
+from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult
+from relthue.reducer import Found, _pair
 from relthue.rootbounds import RootData, isolate_roots, nth_root_upper
 
 
@@ -305,3 +310,53 @@ def bisection_isolation(form: BinaryForm, width, start: RootData | None = None) 
                     iv[:] = bisect(*iv, (iv[1] - iv[0]) / 2)
     intervals = tuple((lo, hi) for lo, hi in items)
     return RootData(intervals, tuple(exact), *nested_gap_enclosures(intervals))
+
+
+def imag_value_range(problem: Problem) -> list[int]:
+    """All integers v with v^2 * m^n <= (s^n K)^2 — the possible F(x2, y2) values."""
+    limit = problem.abs_bound**2 / problem.field.m**problem.form.degree
+    cap = isqrt(floor(limit))
+    return list(range(-cap, cap + 1))
+
+
+def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
+    """``reducer.nonzero_value_branch`` by a walk over every integer v_imag of ``imag_value_range``."""
+    n = problem.form.degree
+    index = abs_solutions.values_index()
+    part_cap = floor(problem.abs_bound)  # |v_real| bound from the part inequality
+    found: Found = {}
+    for v_imag in imag_value_range(problem):
+        if v_imag == 0:
+            continue
+        imag_pairs = index.get(v_imag, [])
+        if not imag_pairs:
+            continue
+        joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * problem.field.m**n)
+        real_cap = min(part_cap, isqrt(floor(joint)))
+        for v_real, real_pairs in index.items():
+            if abs(v_real) > real_cap:
+                continue
+            for imag_pair in imag_pairs:
+                _pair(problem, imag_pair, real_pairs, found)
+    return found
+
+
+def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
+    """``reducer.zero_value_branch`` with the real pairs at (x2, y2) = (0, 0) kept by testing a != r*b per root."""
+    s, m, n = problem.s, problem.field.m, problem.form.degree
+    roots = problem.integer_roots
+    real_pairs = abs_solutions.pairs()
+    found: Found = {}
+    _pair(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
+    f_prime = derivative(problem.form.coeffs)
+    bound = problem.K**2 * s ** (2 * (n - 1))
+    for r in roots:
+        slope_sq = evaluate(f_prime, r) ** 2
+        for t in range(1, abs_solutions.height + 1):
+            d_max = isqrt(floor(bound / (slope_sq * (m * t * t) ** (n - 1))))
+            if d_max == 0:
+                break
+            window = [(a, b) for a, b in real_pairs if 0 < abs(a - r * b) <= s * d_max]
+            _pair(problem, (r * t, t), window, found)
+            _pair(problem, (-r * t, -t), window, found)
+    return found
