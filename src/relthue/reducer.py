@@ -33,7 +33,7 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 
 from . import _poly
 from .abssolver import AbsSolutionSet, solve_abs
@@ -182,11 +182,11 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
     _pair(problem, (0, 0), [(a, b) for a, b, v in abs_solutions.solutions if v or not roots], found)
     f_prime = _poly.derivative(problem.form.coeffs)
-    bound = problem.K**2 * s ** (2 * (n - 1))
     for r in roots:
         slope_sq = _poly.evaluate(f_prime, r) ** 2
         for t in range(1, abs_solutions.height + 1):
-            d_max = isqrt(floor(bound / (slope_sq * (m * t * t) ** (n - 1))))
+            # K^2 s^(2(n-1)) / D = (s^n K)^2 / (s^2 D), whose floor is part_cap // (s^2 D)
+            d_max = isqrt(problem.part_cap // (s * s * slope_sq * (m * t * t) ** (n - 1)))
             if d_max == 0:
                 break
             window = [(a, b) for a, b in real_pairs if 0 < abs(a - r * b) <= s * d_max]
@@ -205,12 +205,12 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     by_size = sorted(abs_solutions.solutions, key=lambda solution: abs(solution[2]))
     sizes = [abs(v) for _, _, v in by_size]
     real_pairs = [(a, b) for a, b, _ in by_size]
-    imag_cap = isqrt(floor(problem.abs_bound**2 / m**n))
+    imag_cap = isqrt(problem.part_cap // m**n)
     found: Found = {}
     for v_imag, imag_pairs in abs_solutions.values_index().items():
         if 0 < abs(v_imag) <= imag_cap:
-            joint = problem.abs_bound**4 / (v_imag * v_imag * 2 ** (2 * n) * m**n)
-            allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint)))]
+            joint_cap = problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n)
+            allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap))]
             for imag_pair in imag_pairs:
                 _pair(problem, imag_pair, allowed, found)
     return found

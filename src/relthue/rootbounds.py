@@ -1,9 +1,11 @@
 """Rigorous real-root isolation and directed-rounded constant enclosures.
 
-Roots of f(x) = F(x, 1) are found in one place: the Sturm chain that
-:func:`~relthue.forms.check_admissible` builds bisects (-2^e, 2^e] until
-each root is alone, and the integer roots fall out as point intervals
-(:func:`integer_roots` is that first stage).  The other roots are
+Roots of f(x) = F(x, 1) are found in one place: the isolation bisects
+(-2^e, 2^e] until each root is alone.  The Sturm chain that
+:func:`~relthue.forms.check_admissible` builds splits the nodes that hold two
+or more roots; a node holding one is split by the sign of f at its midpoint,
+and a zero there is an integer root.  The integer roots fall out as point
+intervals (:func:`integer_roots` is that first stage).  The other roots are
 irrational; a Newton jump certified by two signs of f, or bisection by the
 sign of f, refines their intervals on integer numerators.  From the
 intervals the module derives one-sided rational bounds, always rounded in
@@ -18,11 +20,14 @@ the safe direction, for
 
 and, per field, upper bounds on the squared applicability thresholds of the
 three large-|y| conclusions.  n-th roots of rationals are bounded by an
-integer root on a dyadic grid, so the pipeline stays exact-directional:
-tightening the intervals can only raise lower bounds and lower upper bounds.
+integer root on a dyadic grid (one kernel, :func:`_dyadic_root`), so the
+pipeline stays exact-directional: tightening the intervals can only raise
+lower bounds and lower upper bounds.  The constants and thresholds are taken
+on integer numerators and denominators, each Fraction built once.
 
 :class:`Problem` validates one relative inequality and holds all of these
-facts, computed once.
+facts, computed once, together with the integer floors of its bounds and
+squared gates that the predicates and the reducer compare with.
 """
 
 from __future__ import annotations
@@ -48,25 +53,31 @@ NEWTON_STEPS, NEWTON_GUARD = 12, 8  # Newton steps tried before bisecting; bits 
 Interval = tuple[Fraction, Fraction]
 
 
+def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tuple[int, int]:
+    """(c, d): c/2^bits is the largest and d/2^bits the smallest dyadic whose r-th power is <= and >= num/den.
+
+    d is c when c/2^bits is exact and c + 1 otherwise.  Every n-th root bound of the package comes from here.
+    """
+    if num < 0:
+        raise ValueError("negative radicand")
+    target = num << (bits * r)
+    # c^r <= floor(target / den) exactly when c^r * den <= target, as c^r is an integer
+    c = _poly.iroot(target // den, r)
+    return c, c if c**r * den == target else c + 1
+
+
 def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
     """Largest dyadic c/2^bits with (c/2^bits)^r <= x; exact for r = 1."""
     x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if r == 1:
-        return x
-    target = x.numerator << (bits * r)
-    # c^r <= floor(target / den) exactly when c^r * den <= target, as c^r is an integer
-    return Fraction(_poly.iroot(target // x.denominator, r), 1 << bits)
+    c = _dyadic_root(x.numerator, x.denominator, r, bits)[0]
+    return x if r == 1 else Fraction(c, 1 << bits)
 
 
 def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
-    """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1.
-
-    It is the lower bound when that is exact, and the next dyadic above it otherwise.
-    """
-    lower = nth_root_lower(x, r, bits)
-    return lower if lower**r == x else lower + Fraction(1, 1 << bits)
+    """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1."""
+    x = Fraction(x)
+    d = _dyadic_root(x.numerator, x.denominator, r, bits)[1]
+    return x if r == 1 else Fraction(d, 1 << bits)
 
 
 @dataclass(frozen=True)
@@ -168,13 +179,17 @@ def _separate(f, items: list[list[Fraction]]) -> None:
 
 
 def _initial_isolation(form: BinaryForm):
-    """(integer roots, one [lo, hi] per root) from the Sturm chain of f.
+    """(integer roots, one [lo, hi] per root) from the Sturm chain of f, then the sign of f.
 
-    The chain bisects (-R, R] with R = 2^e above every root, so every midpoint is an integer until each root
-    is alone in a unit interval (k-1, k]; only roots sharing a unit interval need rational midpoints.  A node
-    carries the chain's sign variations at its ends, so a split evaluates the chain once.  f is monic, so its
-    rational roots are integers: the root alone in such an interval (lo, hi] is hi exactly when f(hi) = 0, and
-    becomes the point [hi, hi]; every other root is irrational.  This costs O(n log R) exact evaluations.
+    The isolation bisects (-R, R] with R = 2^e above every root, so every midpoint is an integer until each
+    root is alone in a unit interval (k-1, k]; only roots sharing a unit interval need rational midpoints.
+    A node carries the chain's sign variations V at its ends.  While it holds two or more roots, a split
+    evaluates the chain once, at the midpoint.  Once it holds one root, the sign of f at the midpoint picks
+    the child: f is monic with V(hi) - V(R) roots above hi, so its sign just above hi is (-1)^(V(hi) - V(R)),
+    the root lies in (lo, mid) when f(mid) has that sign and in (mid, hi] when f(mid) has the other, and
+    f(mid) = 0 makes mid an integer root.  f is monic, so its rational roots are integers: the root alone in a
+    unit interval (lo, hi] is hi exactly when f(hi) = 0, and becomes the point [hi, hi]; every other root is
+    irrational.  This costs O(n log R) exact evaluations, the chain's only where roots share a node.
     """
     report = require_admissible(form)
     chain, radius, f = report.chain, report.radius, form.coeffs
@@ -182,17 +197,24 @@ def _initial_isolation(form: BinaryForm):
     work = [(-radius, radius, *report.end_variations)]
     while work:
         lo, hi, v_lo, v_hi = work.pop()
-        if v_lo == v_hi:
-            continue
-        if v_lo - v_hi == 1 and hi - lo <= 1:
-            if _poly.sign_at(f, hi) == 0:
-                exact.append(hi)
+        if v_lo - v_hi > 1:
+            mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi) / 2
+            v_mid = _poly.variations(chain, mid)
+            work += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+        elif v_lo - v_hi == 1:
+            above = 1 if (v_hi - report.end_variations[1]) % 2 == 0 else -1  # the sign of f just above hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                side = _poly.sign(_poly.evaluate(f, mid))
+                if side == 0:
+                    exact.append(mid)
+                    break
+                lo, hi = (lo, mid) if side == above else (mid, hi)
             else:
-                items.append([Fraction(lo), Fraction(hi)])
-            continue
-        mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi) / 2
-        v_mid = _poly.variations(chain, mid)
-        work += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+                if _poly.sign_at(f, hi) == 0:
+                    exact.append(hi)
+                else:
+                    items.append([Fraction(lo), Fraction(hi)])
     exact.sort()
     items += [[Fraction(r), Fraction(r)] for r in exact]
     return tuple(exact), items
@@ -266,27 +288,48 @@ class GateThresholds:
         )
 
 
+def _checked(K, epsilon) -> tuple[Fraction, Fraction]:
+    """K and epsilon as Fractions, with K >= 1 and 0 < epsilon < 1 checked."""
+    K, epsilon = Fraction(K), Fraction(epsilon)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    return K, epsilon
+
+
+def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> TheoremConstants:
+    """:func:`constants` from checked K and epsilon and ``k_root``, the numerators of K^(1/n)'s dyadic bounds.
+
+    Every quotient is taken on integer numerators and denominators, and each Fraction is built once.
+    """
+    if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
+        raise ValueError("root intervals are not strictly separated")
+    n = len(roots.intervals)
+    e_num, e_den = epsilon.numerator, epsilon.denominator
+
+    def over(num: int, den: int, gap: Fraction) -> Fraction:
+        return Fraction(num * gap.denominator, den * gap.numerator)
+
+    # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap)
+    c_num, c_den = K.numerator * e_den ** (n - 1), K.denominator * (e_den - e_num) ** (n - 1)
+    root_den = e_num << ROOT_PREC_BITS
+    return TheoremConstants(
+        approx_coeff_lower=over(c_num, c_den, roots.gap_product_upper),
+        approx_coeff_upper=over(c_num, c_den, roots.gap_product_lower),
+        gate_lower=over(k_root[0] * e_den, root_den, roots.min_gap_upper),
+        gate_upper=over(k_root[1] * e_den, root_den, roots.min_gap_lower),
+    )
+
+
 def constants(roots: RootData, K, epsilon) -> TheoremConstants:
     """Certified enclosures of approx_coeff and gate from root-gap enclosures.
 
     Requires rational K >= 1 and 0 < epsilon < 1.  Both upper bounds shrink
     monotonically as the isolation width shrinks.
     """
-    K = Fraction(K)
-    epsilon = Fraction(epsilon)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    n = len(roots.intervals)
-    if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
-        raise ValueError("root intervals are not strictly separated")
-    shrink = (1 - epsilon) ** (n - 1)
-    c_upper = K / (shrink * roots.gap_product_lower)
-    c_lower = K / (shrink * roots.gap_product_upper)
-    g_upper = nth_root_upper(K, n) / (epsilon * roots.min_gap_lower)
-    g_lower = nth_root_lower(K, n) / (epsilon * roots.min_gap_upper)
-    return TheoremConstants(c_lower, c_upper, g_lower, g_upper)
+    K, epsilon = _checked(K, epsilon)
+    return _constants(roots, K, epsilon, _dyadic_root(K.numerator, K.denominator, len(roots.intervals)))
 
 
 def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
@@ -295,15 +338,23 @@ def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateT
     The three conclusions require |y| > max(gate, X^(1/e)) with
     X = s*approx_coeff (real-vanish) or s*approx_coeff/sqrt(m) (the others)
     and e = n-2 or n-1; squaring removes the square roots, so everything is
-    an n-th root of a rational, bounded above dyadically.
+    an n-th root of a rational, bounded above dyadically.  The roots and the
+    comparisons with gate^2 are taken on integer numerators and denominators.
     """
-    s = field.s
-    gate_sq = consts.gate_upper**2
-    scaled_sq = Fraction(s * s) * consts.approx_coeff_upper**2
+    gate, coeff = consts.gate_upper, consts.approx_coeff_upper
+    gate_num, gate_den = gate.numerator**2, gate.denominator**2
+    scaled_num, scaled_den = (field.s * coeff.numerator) ** 2, coeff.denominator**2  # (s * approx_coeff)^2
+
+    def at_least_gate(num: int, den: int, r: int) -> Fraction:
+        """max(gate^2, the upper bound of (num/den)^(1/r))."""
+        if r > 1:
+            num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS
+        return Fraction(num, den) if num * gate_den > gate_num * den else Fraction(gate_num, gate_den)
+
     return GateThresholds(
-        proportionality_sq=max(gate_sq, nth_root_upper(scaled_sq / field.m, n - 2)),
-        real_vanish_sq=max(gate_sq, nth_root_upper(scaled_sq, n - 1)),
-        imag_vanish_sq=max(gate_sq, nth_root_upper(scaled_sq / field.m, n - 1)),
+        proportionality_sq=at_least_gate(scaled_num, scaled_den * field.m, n - 2),
+        real_vanish_sq=at_least_gate(scaled_num, scaled_den, n - 1),
+        imag_vanish_sq=at_least_gate(scaled_num, scaled_den * field.m, n - 1),
     )
 
 
@@ -324,16 +375,19 @@ def stable_constants(
     point where their floors stop moving cannot change any decision.  The
     flag is False when the floors still moved after ``MAX_HALVINGS`` halvings;
     the returned gates are then those of the finest isolation, still sound.
+    The bounds of K^(1/n) are taken once, not once per halving.
     """
     n = form.degree
     width = DEFAULT_ISOLATION_WIDTH
     data = isolate_roots(form, width)
-    consts = constants(data, K, epsilon)
+    K, epsilon = _checked(K, epsilon)
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+    consts = _constants(data, K, epsilon, k_root)
     gates = thresholds(consts, n, field)
     for _ in range(MAX_HALVINGS):
         width = width / 2
         finer = refine(form, data, width)
-        finer_consts = constants(finer, K, epsilon)
+        finer_consts = _constants(finer, K, epsilon, k_root)
         finer_gates = thresholds(finer_consts, n, field)
         if _gate_floors(finer_gates) == _gate_floors(gates):
             return finer, finer_consts, finer_gates, True
@@ -348,11 +402,16 @@ class Problem:
     The constructor is the one place a problem is checked (admissible form,
     K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
     and the predicates use: the root isolation (integer roots included), the
-    constants, the gates, ``abs_bound`` = s^n K, the bound of the absolute
-    inequality behind both part bounds, and ``norm_cap`` = floor(K^2): norms
-    are integers, so norm(F(x, y)) <= K^2 exactly when it is at most
-    ``norm_cap``.  ``gates_stable`` is False when the gates had not settled
-    after ``MAX_HALVINGS`` refinements; a warning is logged then.
+    constants, the gates and ``abs_bound`` = s^n K, the bound of the absolute
+    inequality behind both part bounds.  Norms and form values are integers,
+    and an integer v has v <= B exactly when v <= floor(B) and v > B exactly
+    when v > floor(B), so the bounds are also held as integer floors:
+    ``norm_cap`` = floor(K^2) for norm(F(x, y)), ``part_cap`` =
+    floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for the squared
+    part and joint bounds, and ``gate_caps``, the floors of the three squared
+    gates (proportionality, real vanishing, imaginary vanishing).
+    ``gates_stable`` is False when the gates had not settled after
+    ``MAX_HALVINGS`` refinements; a warning is logged then.
     """
 
     field: QuadraticField
@@ -365,6 +424,9 @@ class Problem:
     gates_stable: bool = dataclass_field(init=False)
     abs_bound: Fraction = dataclass_field(init=False)
     norm_cap: int = dataclass_field(init=False)
+    part_cap: int = dataclass_field(init=False)
+    joint_cap: int = dataclass_field(init=False)
+    gate_caps: tuple[int, int, int] = dataclass_field(init=False)
 
     def __post_init__(self):
         K, epsilon = Fraction(self.K), Fraction(self.epsilon)
@@ -373,6 +435,7 @@ class Problem:
             log.warning(
                 "gates of %s over m = %d did not stabilize in %d halvings", self.form, self.field.m, MAX_HALVINGS
             )
+        bound_num = self.field.s**self.form.degree * K.numerator  # s^n K = bound_num / K.denominator
         derived = {
             "K": K,
             "epsilon": epsilon,
@@ -380,8 +443,11 @@ class Problem:
             "consts": consts,
             "gates": gates,
             "gates_stable": stable,
-            "abs_bound": Fraction(self.field.s) ** self.form.degree * K,
+            "abs_bound": Fraction(bound_num, K.denominator),
             "norm_cap": floor(K * K),
+            "part_cap": bound_num**2 // K.denominator**2,
+            "joint_cap": bound_num**4 // K.denominator**4,
+            "gate_caps": _gate_floors(gates),
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)

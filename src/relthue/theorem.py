@@ -9,14 +9,18 @@ For a solution (x, y) with coordinate split ((a, b), (x2, y2)), where
 * real-pair vanishing: above its gate, b == 0 forces a == 0,
 * imag-coordinate vanishing: above its gate, y2 == 0 forces x2 == 0.
 
-All pass/fail decisions are exact integer/rational comparisons (the bounds
-are squared to remove sqrt(m)); gate applicability is decided against upper
-enclosures, so a conclusion is never asserted outside its proven range.
-The split, the two part values and norm(y) are each computed once per
-report, and the bounds and gates come from one
-:class:`~relthue.rootbounds.Problem`.  The bounds are written out here
-rather than shared with the reducer's pruning, so a report checks the
-bounds the reducer prunes with independently.
+All pass/fail decisions are exact integer comparisons.  The bounds are
+squared to remove sqrt(m), and every side a report computes (a value, a
+product of values, norm(y)) is an integer, so each is compared with the
+integer floor of its bound: v <= B exactly when v <= floor(B), and N > G
+exactly when N > floor(G).  Those floors, like the bounds and gates they
+come from, are computed once per problem and held by
+:class:`~relthue.rootbounds.Problem` (``part_cap``, ``joint_cap``,
+``gate_caps``).  Gate applicability is decided against upper enclosures, so
+a conclusion is never asserted outside its proven range.  The split, the two
+part values and norm(y) are each computed once per report.  Each inequality
+is still written out here rather than shared with the reducer's pruning, so a
+report checks the bounds the reducer prunes with independently.
 """
 
 from __future__ import annotations
@@ -60,18 +64,17 @@ def full_report(problem: Problem, x: RingElement, y: RingElement) -> TheoremRepo
     (a, b), (x2, y2) = problem.field.split_coordinates(x, y)
     v_real, v_imag = problem.form.evaluate(a, b), problem.form.evaluate(x2, y2)
     n, m = problem.form.degree, problem.field.m
-    bound_sq = problem.abs_bound**2
     norm_y = problem.field.norm(y)
-    gates = problem.gates
+    proportionality_cap, real_vanish_cap, imag_vanish_cap = problem.gate_caps
     return TheoremReport(
         norm_y=norm_y,
-        real_bound_ok=v_real * v_real <= bound_sq,
-        imag_bound_ok=v_imag * v_imag * m**n <= bound_sq,
-        joint_bound_ok=(v_real * v_imag) ** 2 * 2 ** (2 * n) * m**n <= bound_sq**2,
-        proportional_applicable=norm_y > gates.proportionality_sq,
+        real_bound_ok=v_real * v_real <= problem.part_cap,
+        imag_bound_ok=v_imag * v_imag * m**n <= problem.part_cap,
+        joint_bound_ok=(v_real * v_imag) ** 2 * 2 ** (2 * n) * m**n <= problem.joint_cap,
+        proportional_applicable=norm_y > proportionality_cap,
         proportional_holds=x2 * y.u1 == x.u1 * y2,
-        real_vanish_applicable=norm_y > gates.real_vanish_sq and b == 0,
+        real_vanish_applicable=norm_y > real_vanish_cap and b == 0,
         real_vanish_holds=a == 0,
-        imag_vanish_applicable=norm_y > gates.imag_vanish_sq and y2 == 0,
+        imag_vanish_applicable=norm_y > imag_vanish_cap and y2 == 0,
         imag_vanish_holds=x2 == 0,
     )

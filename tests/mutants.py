@@ -38,8 +38,8 @@ MUTANTS = [
     # reduction branches read only realized values
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) < imag_cap:",
            ("tests/test_reducer.py",)),
-    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint)))]",
-           "allowed = real_pairs[: bisect_right(sizes, isqrt(floor(joint))) - 1]", ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap))]",
+           "allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap)) - 1]", ("tests/test_reducer.py",)),
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 <= abs(v_imag) <= imag_cap:",
            ("tests/test_reducer.py",)),
     Mutant("reducer.py", "for a, b, v in abs_solutions.solutions if v or not roots]",
@@ -63,6 +63,18 @@ MUTANTS = [
            "{o: s * g.u1 for o, g in zip(orders, seeds)}", ("tests/test_oracle.py",)),
     Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)", ("tests/test_abssolver.py",)),
     Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
+    # problem setup and predicate reports on integers
+    Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == above else (mid, hi)",
+           "lo, hi = (mid, hi) if side == above else (lo, mid)",
+           ("tests/test_rootbounds.py::test_intervals_certified_by_sign_change_or_exact_root",)),
+    Mutant("rootbounds.py", "                if side == 0:\n                    exact.append(mid)\n                    break\n", "",
+           ("tests/test_rootbounds.py::test_integer_roots_at_the_midpoint_of_a_single_root_node",)),
+    Mutant("rootbounds.py", "return c, c if c**r * den == target else c + 1", "return c, c",
+           ("tests/test_rootbounds.py::test_constants_and_thresholds_equal_the_fraction_references",)),
+    Mutant("rootbounds.py", '"part_cap": bound_num**2 // K.denominator**2,', '"part_cap": -(-(bound_num**2) // K.denominator**2),',
+           ("tests/test_theorem.py::test_bounds_that_are_not_integers_are_decided_by_their_floors",)),
+    Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
+           "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound", "spread = 2 ** (n - 2) * bound",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, _poly, check_admissible, integer_roots
-from util import count_roots, form_from_roots
+from util import count_roots, form_from_roots, root_free_forms
 
 F1 = BinaryForm((0, -4, 0, 1))  # x^3 - 4 x y^2
 
@@ -108,3 +108,9 @@ def test_products_of_distinct_factors_admissible():
         assert check_admissible(form_from_roots(roots)).ok
     # squared factor must fail
     assert not check_admissible(form_from_roots([1, 1, -2])).ok
+
+
+@given(st.integers(3, 7).flatmap(root_free_forms))
+def test_root_free_forms_are_admissible_without_an_integer_root(form):
+    assert check_admissible(form).ok
+    assert integer_roots(form) == ()

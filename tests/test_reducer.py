@@ -117,7 +117,7 @@ def test_oracle_equivalence_random_admissible_forms(form, m, K):
     assert result.cross_check_ok
 
 
-# admissible forms without an integer root, degrees 3-5; admissible_forms() draws few of them
+# admissible forms without an integer root, degrees 3-5, beside the root-free kind of admissible_forms()
 ROOT_FREE = [BinaryForm(c) for c in ((-1, -3, 0, 1), (1, -4, 0, 1), (-3, -7, 2, 1), (6, 0, -5, 0, 1),
                                      (1, 0, -4, 0, 1), (1, 8, 0, -6, 0, 1))]
 

@@ -23,9 +23,12 @@ from util import (
     bisection_isolation,
     count_roots,
     form_from_roots,
+    fraction_constants,
     fraction_sturm_chain,
+    fraction_thresholds,
     nested_gap_enclosures,
     profiled_calls,
+    root_free_forms,
 )
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
@@ -269,9 +272,24 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
         n, f = form.degree, form.coeffs
         # the Fujiwara exponent, written out: a Cauchy radius 2^bitlen(1 + max|c_k|) is ~2^100 here
         e = max(-(-abs(f[k]).bit_length() // (n - k)) for k in range(n))
-        # one chain evaluation per bisection node; the isolation reuses the admissibility check's two at -R and R
-        assert calls["_poly", "variations"] <= n * (e + 2)
+        # the chain is evaluated at -R and R by the admissibility check, which the isolation reuses, and then
+        # only to split the nodes of (-R, R] holding two or more roots, at most n // 2 of them per level
+        radius = _poly.root_radius(f)
+        multi = _multi_root_nodes((-(10**10) + 3, 10**10 - 11, 10**10 + 7), -radius, radius)
+        assert calls["_poly", "variations"] == 2 + multi
+        assert multi <= n // 2 * (e + 2)
+        # a node with one root costs one evaluation of f per level, and one more at its unit interval's end
+        chain_length = len(_poly.sturm_chain(f))
+        assert calls["_poly", "evaluate"] <= chain_length * calls["_poly", "variations"] + n * (e + 3)
         assert calls["_poly", "sturm_chain"] == 1
+
+
+def _multi_root_nodes(roots, lo, hi) -> int:
+    """The nodes of the bisection of (lo, hi] that hold two or more of the given points."""
+    if sum(lo < r <= hi for r in roots) < 2:
+        return 0
+    mid = (lo + hi) // 2
+    return 1 + _multi_root_nodes(roots, lo, mid) + _multi_root_nodes(roots, mid, hi)
 
 
 def test_root_radius_is_fujiwaras_power_of_two():
@@ -354,7 +372,7 @@ def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.pairs()) == 157
-    assert calls["_poly", "evaluate"] == 304
+    assert calls["_poly", "evaluate"] == 298
 
 
 @given(
@@ -392,3 +410,47 @@ def test_polynomials_are_evaluated_at_integers_only(monkeypatch, coeffs):
     assert calls
     for c, a, b in calls:
         assert all(type(v) is int for v in (*c, a, b)), (c, a, b)
+
+
+@pytest.mark.parametrize("roots", [(-(2**20), 1, 2**30), (-8, 4, 12, 16), (-3, 0, 2, 64, 96)])
+def test_integer_roots_at_the_midpoint_of_a_single_root_node(roots):
+    # each root is the midpoint of a dyadic node of (-R, R] that holds it alone, where f vanishes at the midpoint
+    form = form_from_roots(roots)
+    assert integer_roots(form) == tuple(sorted(roots))
+    assert isolate_roots(form).intervals == tuple((r, r) for r in sorted(roots))
+
+
+@st.composite
+def constant_cases(draw):
+    """(form, m, K, epsilon): degree 3-7, split or root-free, both ring shapes, K a perfect n-th power or not."""
+    n = draw(st.integers(3, 7))
+    split = form_from_roots(draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n, unique=True)))
+    form = draw(st.one_of(st.just(split), root_free_forms(n)))
+    power = st.fractions(min_value=1, max_value=40, max_denominator=9).map(lambda q: q**n)
+    K = draw(st.one_of(power, st.fractions(min_value=1, max_value=10**9, max_denominator=10**4)))
+    m = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 15, 19, 999_999_937)))  # s = 1 and s = 2
+    return form, m, K, draw(st.sampled_from((Fraction(1, 2), Fraction(1, 3), Fraction(7, 8))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(constant_cases(), st.sampled_from((Fraction(1, 2), Fraction(1, 2**10), Fraction(1, 2**64))))
+def test_constants_and_thresholds_equal_the_fraction_references(case, width):
+    form, m, K, epsilon = case
+    data, field = isolate_roots(form, width), QuadraticField(m)
+    consts = constants(data, K, epsilon)
+    assert vars(consts) == vars(fraction_constants(data, K, epsilon))
+    n = form.degree
+    assert vars(thresholds(consts, n, field)) == vars(fraction_thresholds(consts, n, field))
+
+
+@settings(deadline=None, max_examples=40)
+@given(constant_cases())
+def test_problem_equals_the_one_built_on_the_fraction_references(case):
+    form, m, K, epsilon = case
+    field = QuadraticField(m)
+    problem = Problem(field, form, K, epsilon)
+    with (
+        mock.patch.object(rootbounds, "_constants", lambda roots, K, epsilon, _: fraction_constants(roots, K, epsilon)),
+        mock.patch.object(rootbounds, "thresholds", fraction_thresholds),
+    ):
+        assert vars(problem) == vars(Problem(field, form, K, epsilon))

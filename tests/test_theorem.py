@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -122,3 +123,27 @@ def test_am_gm_step():
             z = RingElement(rng.randint(-50, 50), rng.randint(-50, 50))
             re_sq, im_sq = real_part_sq(field, z), imag_part_sq(field, z)
             assert re_sq * im_sq <= Fraction(field.norm(z), 2) ** 2
+
+
+def test_bounds_that_are_not_integers_are_decided_by_their_floors():
+    # x^3 - 3xy^2 - y^3 over m = 1 (s = 1), F(1, 1) = -3 and F(2, 1) = 1
+    form, field = BinaryForm((-1, -3, 0, 1)), QuadraticField(1)
+    problem = Problem(field, form, Fraction(299, 100))  # (s^n K)^2 = 8.9401, below 9 = F(1, 1)^2
+    assert (problem.part_cap, problem.norm_cap) == (8, 8)
+    assert part_bounds(RingElement(1, 0), RingElement(1, 0), problem) == (False, True)
+    assert part_bounds(RingElement(0, 1), RingElement(0, 1), problem) == (True, False)
+    assert part_bounds(RingElement(2, 0), RingElement(1, 0), problem) == (True, True)
+    problem = Problem(field, form, Fraction(707, 250))  # (s^n K)^4 = 63.97..., below 1 * 1 * 2^6 * 1^3
+    assert problem.joint_cap == 63
+    report = full_report(problem, RingElement(2, 2), RingElement(1, 1))  # F(2, 1) = 1 on both sides
+    assert (report.real_bound_ok, report.imag_bound_ok, report.joint_bound_ok) == (True, True, False)
+
+
+@pytest.mark.parametrize("problem", [P3, P1, P7, Problem(QuadraticField(2), BinaryForm((-1, -3, 0, 1)), Fraction(7, 2))])
+def test_problem_caps_are_the_floors_of_its_bounds(problem):
+    gates = problem.gates
+    assert problem.part_cap == math.floor(problem.abs_bound**2)
+    assert problem.joint_cap == math.floor(problem.abs_bound**4)
+    assert problem.norm_cap == math.floor(problem.K**2)
+    squared_gates = (gates.proportionality_sq, gates.real_vanish_sq, gates.imag_vanish_sq)
+    assert problem.gate_caps == tuple(math.floor(g) for g in squared_gates)

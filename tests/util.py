@@ -17,7 +17,10 @@ the Cauchy radius with both ends counted at every node, then bisection one
 level at a time.  So are the two reduction branches as they were before they
 read only the values the absolute enumeration realized: the nonzero branch
 walked every integer |v| within the part bound, and the zero branch kept the
-real pairs off every root line by testing each root.
+real pairs off every root line by testing each root.  The constants and
+gates as they were before they were taken on integer numerators are the
+references for ``constants`` and ``thresholds``: every quotient a Fraction,
+and the n-th root bounds derived from a Fraction power.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from relthue._poly import derivative, evaluate, iroot, sign_at, sturm_chain, var
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult
 from relthue.reducer import Found, _pair
-from relthue.rootbounds import RootData, isolate_roots, nth_root_upper
+from relthue.rootbounds import GateThresholds, RootData, TheoremConstants, isolate_roots, nth_root_upper
 
 
 def count_roots(chain, lo, hi) -> int:
@@ -122,14 +125,32 @@ def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, i
 
 
 @st.composite
-def admissible_forms(draw):
-    """Admissible forms of degree 3-5: split, partly split or root-free.
+def root_free_forms(draw, n: int):
+    """prod(x - r_i) + delta of degree n >= 3, the r_i at least 3 apart and 1 <= |delta| <= 7: root-free by construction.
 
-    A partly split form is a product of distinct linear factors and an irreducible real quadratic; a
-    root-free one (in most draws) is a split form with f(0) moved by at most 3, kept when still admissible.
+    Admissible: between neighbouring r_i the product reaches at least 1.5 * 1.5 * 4.5 > 7 in absolute value,
+    with alternating signs, so adding delta keeps n distinct real roots.  No integer root: f(r_i) = delta, and
+    at any other integer k the distances to the r_i are at least 1, 2 and 4, so |prod(k - r_i)| >= 8 > |delta|.
+    """
+    gaps = draw(st.lists(st.integers(3, 5), min_size=n - 1, max_size=n - 1))
+    roots = [draw(st.integers(-12, 4))]
+    for gap in gaps:
+        roots.append(roots[-1] + gap)
+    coeffs = list(form_from_roots(roots).coeffs)
+    coeffs[0] += draw(st.sampled_from((-7, -6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6, 7)))
+    return BinaryForm(tuple(coeffs))
+
+
+@st.composite
+def admissible_forms(draw):
+    """Admissible forms of degree 3-5: split, partly split or root-free (:func:`root_free_forms`).
+
+    A partly split form is a product of distinct linear factors and an irreducible real quadratic.
     """
     n = draw(st.integers(3, 5))
     kind = draw(st.sampled_from(("split", "partly split", "root-free")))
+    if kind == "root-free":
+        return draw(root_free_forms(n))
     if kind == "partly split":
         b, c = draw(st.integers(-4, 4)), draw(st.integers(-10, 2))
         disc = b * b - 4 * c
@@ -141,8 +162,6 @@ def admissible_forms(draw):
                 coeffs[i + j] += u * v
     else:
         coeffs = list(form_from_roots(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))).coeffs)
-        if kind == "root-free":
-            coeffs[0] += draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
     form = BinaryForm(tuple(coeffs))
     assume(check_admissible(form).ok)
     return form
@@ -360,3 +379,49 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
             _pair(problem, (r * t, t), window, found)
             _pair(problem, (-r * t, -t), window, found)
     return found
+
+
+def fraction_nth_root_lower(x, r: int, bits: int = 48) -> Fraction:
+    """``rootbounds.nth_root_lower`` as it was before the integer kernel: largest c/2^bits with (c/2^bits)^r <= x."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative radicand")
+    if r == 1:
+        return x
+    return Fraction(iroot((x.numerator << (bits * r)) // x.denominator, r), 1 << bits)
+
+
+def fraction_nth_root_upper(x, r: int, bits: int = 48) -> Fraction:
+    """Smallest c/2^bits with (c/2^bits)^r >= x: the lower bound when it is exact, else one dyadic step above."""
+    lower = fraction_nth_root_lower(x, r, bits)
+    return lower if lower**r == x else lower + Fraction(1, 1 << bits)
+
+
+def fraction_constants(roots: RootData, K, epsilon) -> TheoremConstants:
+    """``rootbounds.constants`` in Fraction arithmetic, every quotient formed as it is written."""
+    K, epsilon = Fraction(K), Fraction(epsilon)
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    if not (0 < epsilon < 1):
+        raise ValueError("epsilon must lie strictly between 0 and 1")
+    n = len(roots.intervals)
+    if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
+        raise ValueError("root intervals are not strictly separated")
+    shrink = (1 - epsilon) ** (n - 1)
+    c_upper = K / (shrink * roots.gap_product_lower)
+    c_lower = K / (shrink * roots.gap_product_upper)
+    g_upper = fraction_nth_root_upper(K, n) / (epsilon * roots.min_gap_lower)
+    g_lower = fraction_nth_root_lower(K, n) / (epsilon * roots.min_gap_upper)
+    return TheoremConstants(c_lower, c_upper, g_lower, g_upper)
+
+
+def fraction_thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
+    """``rootbounds.thresholds`` in Fraction arithmetic: max(gate^2, upper bound of X^(2/e)) per conclusion."""
+    s = field.s
+    gate_sq = consts.gate_upper**2
+    scaled_sq = Fraction(s * s) * consts.approx_coeff_upper**2
+    return GateThresholds(
+        proportionality_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 2)),
+        real_vanish_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq, n - 1)),
+        imag_vanish_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 1)),
+    )
