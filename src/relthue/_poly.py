@@ -76,14 +76,9 @@ def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
         chain.append(_primitive([-c for c in rem]))
 
 
-def sign_at(coeffs: Coeffs, x) -> int:
-    """The sign of f(x) at an integer or Fraction x, from (numerator, denominator)."""
-    return sign(evaluate(coeffs, x.numerator, x.denominator))
-
-
-def variations(chain: Sequence[Coeffs], x) -> int:
-    """Sign changes of the chain at an integer or Fraction x, zeros dropped."""
-    signs = [s for s in (sign_at(p, x) for p in chain) if s]
+def variations(chain: Sequence[Coeffs], a: int, b: int = 1) -> int:
+    """Sign changes of the chain at a/b, b > 0, zeros dropped."""
+    signs = [s for s in (sign(evaluate(p, a, b)) for p in chain) if s]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 

@@ -16,7 +16,8 @@ gaps at any root from below.  So for each b every a within that half-width
 of some root interval times b is evaluated: the windows shrink like
 b^-(n-1), and once they are narrower than one cell each root holds at most
 one candidate per b, and most b hold none.  The window ends are floors and
-ceilings of integer numerators over one common denominator.
+ceilings of integer numerators over one common denominator, from the ends of
+the root intervals over 2^level as ``RootData`` holds them.
 
 Every candidate is kept only after exact evaluation of F, so no step rounds
 and the listing is exhaustive for |b| <= height.  Completeness is claimed
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
+from math import floor
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
@@ -82,15 +83,14 @@ def solve_abs(
     # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b
     window = max(Fraction(1), nth_root_upper(bound, n, 32))
     spread = 2 ** (n - 1) * bound / roots.gap_product_lower
-    unit = lcm(*(end.denominator for interval in roots.intervals for end in interval))
-    centers = [(int(lo * unit), int(hi * unit)) for lo, hi in roots.intervals]
+    unit = 1 << roots.level
     positive = []
     for b in range(1, height + 1):
         w_num, w_den = window.numerator, window.denominator
         if spread.numerator * w_den < w_num * spread.denominator * b ** (n - 1):
             w_num, w_den = spread.numerator, spread.denominator * b ** (n - 1)
         den, reach = unit * w_den, w_num * unit
-        ranges = [(-((reach - lo * b * w_den) // den), (hi * b * w_den + reach) // den) for lo, hi in centers]
+        ranges = [(-((reach - lo * b * w_den) // den), (hi * b * w_den + reach) // den) for lo, hi in roots.ends]
         start = ranges[0][0]  # the ranges are sorted; overlapping ones are scanned once
         for a_lo, a_hi in ranges:
             for a in range(max(a_lo, start), a_hi + 1):

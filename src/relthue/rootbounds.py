@@ -4,12 +4,14 @@ Roots of f(x) = F(x, 1) are found in one place: the isolation bisects
 (-2^e, 2^e] until each root is alone.  The Sturm chain that
 :func:`~relthue.forms.check_admissible` builds splits the nodes that hold two
 or more roots; a node holding one is split by the sign of f at its midpoint,
-and a zero there is an integer root.  The integer roots fall out as point
-intervals (:func:`integer_roots` is that first stage).  The other roots are
-irrational; a Newton jump certified by two signs of f, or bisection by the
-sign of f, refines their intervals on integer numerators.  From the
-intervals the module derives one-sided rational bounds, always rounded in
-the safe direction, for
+and a zero there is an integer root.  The integer roots fall out as points
+(:func:`integer_roots` is that first stage).  The other roots are
+irrational, and each is held as a node (c, level) of the dyadic bisection
+tree, the interval [c, c + 1]/2^level, from the first stage on; a Newton
+jump certified by two signs of f, or bisection by the sign of f, refines it
+on integers.  Every interval is so a pair of integer numerators over one
+power of two (:class:`RootData`).  From the intervals the module derives
+one-sided rational bounds, always rounded in the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -44,13 +46,11 @@ from .quadfield import QuadraticField
 
 log = logging.getLogger(__name__)
 
-DEFAULT_ISOLATION_WIDTH = Fraction(1, 2**64)
+ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of width 2^-ISOLATION_BITS
 MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
 ROOT_PREC_BITS = 48
 JUMP_LEVELS = 8  # refinements by fewer levels only bisect: a jump and its certificate cost more
 NEWTON_STEPS, NEWTON_GUARD = 12, 8  # Newton steps tried before bisecting; bits kept below the target level
-
-Interval = tuple[Fraction, Fraction]
 
 
 def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tuple[int, int]:
@@ -66,13 +66,6 @@ def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tupl
     return c, c if c**r * den == target else c + 1
 
 
-def nth_root_lower(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
-    """Largest dyadic c/2^bits with (c/2^bits)^r <= x; exact for r = 1."""
-    x = Fraction(x)
-    c = _dyadic_root(x.numerator, x.denominator, r, bits)[0]
-    return x if r == 1 else Fraction(c, 1 << bits)
-
-
 def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
     """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1."""
     x = Fraction(x)
@@ -82,12 +75,15 @@ def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
 
 @dataclass(frozen=True)
 class RootData:
-    """Isolating intervals (sorted, pairwise disjoint) plus gap enclosures.
+    """Isolating intervals of the n real roots, sorted and pairwise disjoint, plus gap enclosures.
 
-    The integer roots are the point intervals.
+    Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
+    the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
+    [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
     """
 
-    intervals: tuple[Interval, ...]
+    level: int
+    ends: tuple[tuple[int, int], ...]
     integer_roots: tuple[int, ...]
     min_gap_lower: Fraction
     min_gap_upper: Fraction
@@ -95,23 +91,25 @@ class RootData:
     gap_product_upper: Fraction
 
 
-def _gap_enclosures(intervals):
-    """Bounds (min gap lower, upper, min gap product lower, upper) from sorted disjoint intervals.
+def _gap_enclosures(level: int, ends) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Bounds (min gap lower, upper, min gap product lower, upper) from sorted disjoint intervals ``ends``/2^level.
 
     The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built once
-    and read by both minima, on integer numerators over the largest denominator (the ends are dyadic).
+    on the numerators and read by both minima.  These four are the only Fractions the isolation builds.
     """
-    n = len(intervals)
-    scale = max(end.denominator for iv in intervals for end in iv)
-    ends = [[end.numerator * scale // end.denominator for end in iv] for iv in intervals]
+    n = len(ends)
     dist = {}
     for i, j in combinations(range(n), 2):
         dist[i, j] = dist[j, i] = (ends[j][0] - ends[i][1], ends[j][1] - ends[i][0])
     lows = [prod(dist[i, j][0] for j in range(n) if j != i) for i in range(n)]
     highs = [prod(dist[i, j][1] for j in range(n) if j != i) for i in range(n)]
-    gaps = dist.values()
-    low, high = Fraction(min(lo for lo, _ in gaps), scale), Fraction(min(hi for _, hi in gaps), scale)
-    return low, high, Fraction(min(lows), scale ** (n - 1)), Fraction(min(highs), scale ** (n - 1))
+    gaps, unit, product_unit = dist.values(), 1 << level, 1 << (level * (n - 1))
+    return (
+        Fraction(min(lo for lo, _ in gaps), unit),
+        Fraction(min(hi for _, hi in gaps), unit),
+        Fraction(min(lows), product_unit),
+        Fraction(min(highs), product_unit),
+    )
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -136,88 +134,64 @@ def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
     return None
 
 
-def _refine_interval(f, lo: Fraction, hi: Fraction, width: Fraction):
-    """Refine the node [lo, hi] down to ``width``; a non-point node holds one irrational root of f in (lo, hi).
+def _refine_node(f, lo: int, hi: int, level: int, bits: int) -> tuple[int, int, int]:
+    """The interval [lo, hi]/2^level refined to level ``bits``, as (lo, hi, level).
 
-    The ends are integer numerators over one power of two.  The final level T, the least whose nodes are
-    no wider than ``width``, needs no evaluation, and a certified Newton jump goes there at once.  Bisection,
-    for a few levels or when the jump fails, reaches the same node: the numerators double, the midpoint is
-    their old sum.  f is monic, so it vanishes at no dyadic non-integer and not at hi; lo may be an integer
-    root, so signs are anchored at hi.
+    A point lo = hi is an integer root and stays as it is.  Any other interval is a node, hi = lo + 1, with
+    one irrational root of f inside.  Its node at level ``bits`` needs no evaluation to name, and a certified
+    Newton jump goes there at once.  Bisection, for a few levels or when the jump fails, reaches the same
+    node: the child is the lower one when f has hi's sign at the midpoint.  f is monic, so it vanishes at no
+    dyadic non-integer and not at hi; lo may be an integer root, so signs are anchored at hi.
     """
-    if lo == hi:
-        return lo, hi
-    shift = max(lo.denominator, hi.denominator).bit_length() - 1
-    lo, hi = (lo.numerator << shift) // lo.denominator, (hi.numerator << shift) // hi.denominator
-    sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << shift))
-    gap = hi - lo
-    level = max(shift, (-(-gap * width.denominator // width.numerator) - 1).bit_length())
-    if (up := level - shift) > JUMP_LEVELS and (k := _newton_node(f, lo << up, hi << up, level, sign_hi)) is not None:
-        return Fraction(k, 1 << level), Fraction(k + 1, 1 << level)
-    while gap * width.denominator > width.numerator << shift:
-        mid, lo, hi, shift = lo + hi, 2 * lo, 2 * hi, shift + 1
-        if _poly.sign(_poly.evaluate(f, mid, 1 << shift)) == sign_hi:
-            hi = mid
-        else:
-            lo = mid
-    return Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)
+    if lo == hi or level >= bits:
+        return lo, hi, level
+    sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << level))
+    if (up := bits - level) > JUMP_LEVELS and (k := _newton_node(f, lo << up, hi << up, bits, sign_hi)) is not None:
+        return k, k + 1, bits
+    for level in range(level + 1, bits + 1):
+        lo = 2 * lo + (_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) != sign_hi)
+    return lo, lo + 1, bits
 
 
-def _separate(f, items: list[list[Fraction]]) -> None:
-    """Refine in place until all intervals are strictly pairwise disjoint.
-
-    Sorted, the intervals hold the roots in order.  Each pair of neighbours
-    is bisected on both sides until it is strictly apart; refining only
-    shrinks an interval, so a pair already apart never clashes again.
-    """
-    items.sort()
-    for left, right in zip(items, items[1:]):
-        while left[1] >= right[0]:
-            for iv in (left, right):
-                if iv[0] != iv[1]:
-                    iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], (iv[1] - iv[0]) / 2)
-
-
-def _initial_isolation(form: BinaryForm):
-    """(integer roots, one [lo, hi] per root) from the Sturm chain of f, then the sign of f.
+def _initial_isolation(form: BinaryForm) -> list[tuple[int, int, int]]:
+    """One interval (lo, hi, level) per root, in root order, from the Sturm chain of f, then the sign of f.
 
     The isolation bisects (-R, R] with R = 2^e above every root, so every midpoint is an integer until each
-    root is alone in a unit interval (k-1, k]; only roots sharing a unit interval need rational midpoints.
-    A node carries the chain's sign variations V at its ends.  While it holds two or more roots, a split
-    evaluates the chain once, at the midpoint.  Once it holds one root, the sign of f at the midpoint picks
-    the child: f is monic with V(hi) - V(R) roots above hi, so its sign just above hi is (-1)^(V(hi) - V(R)),
-    the root lies in (lo, mid) when f(mid) has that sign and in (mid, hi] when f(mid) has the other, and
-    f(mid) = 0 makes mid an integer root.  f is monic, so its rational roots are integers: the root alone in a
-    unit interval (lo, hi] is hi exactly when f(hi) = 0, and becomes the point [hi, hi]; every other root is
-    irrational.  This costs O(n log R) exact evaluations, the chain's only where roots share a node.
+    root is alone in a unit interval (k-1, k]; only roots sharing a unit interval need nodes at levels >= 1,
+    whose ends are numerators over 2^level.  A node carries the chain's sign variations V at its ends.  While
+    it holds two or more roots, a split evaluates the chain once, at the midpoint.  Once it holds one root,
+    the sign of f at the midpoint picks the child: f is monic with V(hi) - V(R) roots above hi, so its sign
+    just above hi is (-1)^(V(hi) - V(R)), the root lies in (lo, mid) when f(mid) has that sign and in
+    (mid, hi] when f(mid) has the other, and f(mid) = 0 makes mid an integer root.  f is monic, so its
+    rational roots are integers: the root alone in a unit node (lo, hi]/2^level is the integer hi/2^level
+    exactly when f vanishes there, and becomes the point (r, r, 0); every other root is irrational, and its
+    node is kept.  This costs O(n log R) exact evaluations, the chain's only where roots share a node.
     """
     report = require_admissible(form)
     chain, radius, f = report.chain, report.radius, form.coeffs
-    exact, items = [], []
-    work = [(-radius, radius, *report.end_variations)]
+    items = []
+    work = [(-radius, radius, 0, *report.end_variations)]
     while work:
-        lo, hi, v_lo, v_hi = work.pop()
+        lo, hi, level, v_lo, v_hi = work.pop()
         if v_lo - v_hi > 1:
-            mid = (lo + hi) // 2 if hi - lo > 1 else Fraction(lo + hi) / 2
-            v_mid = _poly.variations(chain, mid)
-            work += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+            if hi - lo == 1:
+                lo, hi, level = 2 * lo, 2 * hi, level + 1
+            mid = (lo + hi) // 2
+            v_mid = _poly.variations(chain, mid, 1 << level)
+            work += [(mid, hi, level, v_mid, v_hi), (lo, mid, level, v_lo, v_mid)]  # the lower node pops first
         elif v_lo - v_hi == 1:
             above = 1 if (v_hi - report.end_variations[1]) % 2 == 0 else -1  # the sign of f just above hi
-            while hi - lo > 1:
+            while hi - lo > 1:  # only at level 0: nodes at finer levels are unit nodes
                 mid = (lo + hi) // 2
                 side = _poly.sign(_poly.evaluate(f, mid))
                 if side == 0:
-                    exact.append(mid)
+                    items.append((mid, mid, 0))
                     break
                 lo, hi = (lo, mid) if side == above else (mid, hi)
             else:
-                if _poly.sign_at(f, hi) == 0:
-                    exact.append(hi)
-                else:
-                    items.append([Fraction(lo), Fraction(hi)])
-    exact.sort()
-    items += [[Fraction(r), Fraction(r)] for r in exact]
-    return tuple(exact), items
+                r = hi >> level
+                items.append((r, r, 0) if _poly.sign(_poly.evaluate(f, hi, 1 << level)) == 0 else (lo, hi, level))
+    return items
 
 
 def integer_roots(form: BinaryForm) -> tuple[int, ...]:
@@ -227,34 +201,46 @@ def integer_roots(form: BinaryForm) -> tuple[int, ...]:
     F over Z^2 is exactly {(r*t, t)} for the returned r, together with (0, 0).
     Raises :class:`~relthue.forms.InadmissibleFormError` for inadmissible forms.
     """
-    return _initial_isolation(form)[0]
+    return tuple(lo for lo, hi, _ in _initial_isolation(form) if lo == hi)
 
 
-def _refined(form: BinaryForm, exact, items: list[list[Fraction]], width: Fraction) -> RootData:
-    width = Fraction(width)
-    if width <= 0:
-        raise ValueError("width must be positive")
-    f = form.coeffs
-    for iv in items:
-        iv[0], iv[1] = _refine_interval(f, iv[0], iv[1], width)
-    _separate(f, items)
-    intervals = tuple((lo, hi) for lo, hi in items)
-    return RootData(intervals, exact, *_gap_enclosures(intervals))
+def _refined(form: BinaryForm, items: list[tuple[int, int, int]], bits: int) -> RootData:
+    """RootData from one interval (lo, hi, level) per root, in root order, each node refined to level ``bits``.
 
-
-def isolate_roots(form: BinaryForm, width: Fraction = DEFAULT_ISOLATION_WIDTH) -> RootData:
-    """Isolate the n real roots of f in disjoint intervals of width <= ``width``.
-
-    Raises :class:`~relthue.forms.InadmissibleFormError` for inadmissible
-    forms.  Bisection is deterministic, so requesting a smaller width always
-    yields sub-intervals of the wider run (monotone enclosures).
+    Neighbours that still touch are then refined one level at a time, together, until they are strictly
+    apart; refining only shrinks an interval, so a pair already apart never clashes again.  The ends are
+    put over 2^level for the finest level any node reached.
     """
-    return _refined(form, *_initial_isolation(form), width)
+    f = form.coeffs
+    items = [_refine_node(f, *item, bits) for item in items]
+    for i in range(len(items) - 1):
+        left, right = items[i], items[i + 1]
+        while not left[1] << right[2] < right[0] << left[2]:  # hi/2^level of left < lo/2^level of right
+            left, right = (_refine_node(f, *item, item[2] + 1) for item in (left, right))
+        items[i], items[i + 1] = left, right
+    level = max(item[2] for item in items)
+    ends = tuple((lo << (level - node), hi << (level - node)) for lo, hi, node in items)
+    return RootData(level, ends, tuple(lo for lo, hi, _ in items if lo == hi), *_gap_enclosures(level, ends))
 
 
-def refine(form: BinaryForm, data: RootData, width: Fraction) -> RootData:
-    """Continue bisection of an existing isolation of ``form`` down to a smaller width."""
-    return _refined(form, data.integer_roots, [[lo, hi] for lo, hi in data.intervals], width)
+def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:
+    """Isolate the n real roots of f in disjoint intervals, each irrational one a node at level >= ``bits``.
+
+    Every interval is a node [c, c + 1]/2^l of the bisection of (-R, R], or an integer root's point, so its
+    width is at most 2^-bits.  Raises :class:`~relthue.forms.InadmissibleFormError` for inadmissible forms.
+    Bisection is deterministic, so a larger ``bits`` always yields sub-intervals of the coarser run
+    (monotone enclosures).
+    """
+    return _refined(form, _initial_isolation(form), bits)
+
+
+def refine(form: BinaryForm, data: RootData, bits: int) -> RootData:
+    """Continue the bisection of an existing isolation of ``form`` down to level ``bits``."""
+    items = []
+    for lo, hi in data.ends:
+        up = (hi - lo).bit_length() - 1 if hi > lo else data.level  # the levels from the node's own to data.level
+        items.append((lo >> up, hi >> up, data.level - up))
+    return _refined(form, items, bits)
 
 
 @dataclass(frozen=True)
@@ -299,13 +285,15 @@ def _checked(K, epsilon) -> tuple[Fraction, Fraction]:
 
 
 def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> TheoremConstants:
-    """:func:`constants` from checked K and epsilon and ``k_root``, the numerators of K^(1/n)'s dyadic bounds.
+    """Certified enclosures of approx_coeff and gate from root-gap enclosures, checked K and epsilon.
 
-    Every quotient is taken on integer numerators and denominators, and each Fraction is built once.
+    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  Both upper bounds shrink monotonically as
+    the intervals shrink.  Every quotient is taken on integer numerators and denominators, and each Fraction
+    is built once.
     """
     if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
         raise ValueError("root intervals are not strictly separated")
-    n = len(roots.intervals)
+    n = len(roots.ends)
     e_num, e_den = epsilon.numerator, epsilon.denominator
 
     def over(num: int, den: int, gap: Fraction) -> Fraction:
@@ -320,16 +308,6 @@ def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[in
         gate_lower=over(k_root[0] * e_den, root_den, roots.min_gap_upper),
         gate_upper=over(k_root[1] * e_den, root_den, roots.min_gap_lower),
     )
-
-
-def constants(roots: RootData, K, epsilon) -> TheoremConstants:
-    """Certified enclosures of approx_coeff and gate from root-gap enclosures.
-
-    Requires rational K >= 1 and 0 < epsilon < 1.  Both upper bounds shrink
-    monotonically as the isolation width shrinks.
-    """
-    K, epsilon = _checked(K, epsilon)
-    return _constants(roots, K, epsilon, _dyadic_root(K.numerator, K.denominator, len(roots.intervals)))
 
 
 def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
@@ -369,7 +347,7 @@ def _gate_floors(th: GateThresholds) -> tuple[int, int, int]:
 def stable_constants(
     form: BinaryForm, K, epsilon, field: QuadraticField
 ) -> tuple[RootData, TheoremConstants, GateThresholds, bool]:
-    """Isolate roots and halve the width until the integer gates stabilize.
+    """Check K and epsilon, isolate the roots and refine them a level at a time until the integer gates stabilize.
 
     The gates are compared against integer norms, so refinement beyond the
     point where their floors stop moving cannot change any decision.  The
@@ -378,15 +356,15 @@ def stable_constants(
     The bounds of K^(1/n) are taken once, not once per halving.
     """
     n = form.degree
-    width = DEFAULT_ISOLATION_WIDTH
-    data = isolate_roots(form, width)
     K, epsilon = _checked(K, epsilon)
+    bits = ISOLATION_BITS
+    data = isolate_roots(form, bits)
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     consts = _constants(data, K, epsilon, k_root)
     gates = thresholds(consts, n, field)
     for _ in range(MAX_HALVINGS):
-        width = width / 2
-        finer = refine(form, data, width)
+        bits += 1
+        finer = refine(form, data, bits)
         finer_consts = _constants(finer, K, epsilon, k_root)
         finer_gates = thresholds(finer_consts, n, field)
         if _gate_floors(finer_gates) == _gate_floors(gates):

@@ -67,12 +67,24 @@ MUTANTS = [
     Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == above else (mid, hi)",
            "lo, hi = (mid, hi) if side == above else (lo, mid)",
            ("tests/test_rootbounds.py::test_intervals_certified_by_sign_change_or_exact_root",)),
-    Mutant("rootbounds.py", "                if side == 0:\n                    exact.append(mid)\n                    break\n", "",
+    Mutant("rootbounds.py",
+           "                if side == 0:\n                    items.append((mid, mid, 0))\n                    break\n", "",
            ("tests/test_rootbounds.py::test_integer_roots_at_the_midpoint_of_a_single_root_node",)),
     Mutant("rootbounds.py", "return c, c if c**r * den == target else c + 1", "return c, c",
            ("tests/test_rootbounds.py::test_constants_and_thresholds_equal_the_fraction_references",)),
     Mutant("rootbounds.py", '"part_cap": bound_num**2 // K.denominator**2,', '"part_cap": -(-(bound_num**2) // K.denominator**2),',
            ("tests/test_theorem.py::test_bounds_that_are_not_integers_are_decided_by_their_floors",)),
+    # one dyadic interval format from the isolation to the window scan
+    Mutant("rootbounds.py", "r = hi >> level", "r = hi",
+           ("tests/test_rootbounds.py::test_integer_root_at_the_upper_end_of_a_finer_node",)),
+    Mutant("rootbounds.py", "(_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) != sign_hi)",
+           "(_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) == sign_hi)",
+           ("tests/test_rootbounds.py::test_separate_bisects_neighbours_until_strictly_apart",)),
+    Mutant("rootbounds.py", "while not left[1] << right[2] < right[0] << left[2]:",
+           "while not left[1] << right[2] <= right[0] << left[2]:",
+           ("tests/test_rootbounds.py::test_separate_bisects_neighbours_until_strictly_apart",)),
+    Mutant("rootbounds.py", "level = max(item[2] for item in items)", "level = bits",
+           ("tests/test_rootbounds.py::test_isolate_exact_integer_roots",)),
     Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
            "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
     # expected survivors

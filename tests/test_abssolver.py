@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, solve_abs
-from relthue.rootbounds import DEFAULT_ISOLATION_WIDTH, isolate_roots
+from relthue.rootbounds import ISOLATION_BITS, isolate_roots
 from util import admissible_forms, form_from_roots, rectangle_solutions, window_scan
 
 F1 = BinaryForm((0, -4, 0, 1))
@@ -141,14 +141,14 @@ def test_sporadic_forms_equal_the_window_scan(coeffs, s):
     admissible_forms(),
     st.fractions(min_value=0, max_value=500, max_denominator=3),
     st.integers(0, 400),
-    st.sampled_from((DEFAULT_ISOLATION_WIDTH, Fraction(1, 8), Fraction(1, 2))),
+    st.sampled_from((ISOLATION_BITS, 3, 1)),
 )
-@example(BinaryForm((0, -2, -1, 1)), Fraction(500), 60, DEFAULT_ISOLATION_WIDTH)  # split: windows stay wide
-@example(BinaryForm((-1, -3, 0, 1)), Fraction(80), 400, DEFAULT_ISOLATION_WIDTH)  # windows below one cell
-@example(BinaryForm((1, -7, 0, 1)), Fraction(23), 300, Fraction(1, 2))  # windows around coarse intervals
-def test_equals_the_window_scan(form, bound, height, width):
+@example(BinaryForm((0, -2, -1, 1)), Fraction(500), 60, ISOLATION_BITS)  # split: windows stay wide
+@example(BinaryForm((-1, -3, 0, 1)), Fraction(80), 400, ISOLATION_BITS)  # windows below one cell
+@example(BinaryForm((1, -7, 0, 1)), Fraction(23), 300, 1)  # windows around coarse intervals
+def test_equals_the_window_scan(form, bound, height, bits):
     # the roots handed in may be coarse: the windows must then cover each whole interval times b
-    got = solve_abs(form, bound, height, roots=isolate_roots(form, width))
+    got = solve_abs(form, bound, height, roots=isolate_roots(form, bits))
     assert got.solutions == window_scan(form, bound, height)
 
 
@@ -174,5 +174,5 @@ NEAR_RATIONAL_ROOTS = (
 def test_roots_near_rationals_equal_the_window_scan(coeffs):
     form = BinaryForm(coeffs)
     for bound in (0, 1, 8, 27, 100):
-        for roots in (None, isolate_roots(form, Fraction(1, 2))):
+        for roots in (None, isolate_roots(form, 1)):
             assert solve_abs(form, bound, 60, roots=roots).solutions == window_scan(form, bound, 60)

@@ -24,8 +24,8 @@ from relthue import (
     solve_abs,
     solve_relative,
 )
-from relthue.rootbounds import constants, isolate_roots, refine
-from util import form_from_roots, imag_part_sq, imag_value_range, mul, real_part_sq, rectangle_solutions
+from relthue.rootbounds import isolate_roots, refine
+from util import constants, form_from_roots, imag_part_sq, imag_value_range, mul, real_part_sq, rectangle_solutions
 
 FORMS = {
     "x^3-4xy^2": BinaryForm((0, -4, 0, 1)),
@@ -192,12 +192,12 @@ def test_criterion_7_abs_completeness_in_box():
 
 def test_criterion_8_precision_monotonicity():
     for name, form in FORMS.items():
-        width = Fraction(1, 2**16)
-        data = isolate_roots(form, width)
+        bits = 16
+        data = isolate_roots(form, bits)
         consts = constants(data, 1, EPS)
         for _ in range(8):
-            width /= 2
-            finer = refine(form, data, width)
+            bits += 1
+            finer = refine(form, data, bits)
             finer_consts = constants(finer, 1, EPS)
             assert finer.min_gap_lower >= data.min_gap_lower, name
             assert finer.gap_product_lower >= data.gap_product_lower, name

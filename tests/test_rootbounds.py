@@ -18,17 +18,21 @@ from relthue import (
     rootbounds,
 )
 from relthue.abssolver import solve_abs
-from relthue.rootbounds import constants, isolate_roots, nth_root_lower, nth_root_upper, refine, thresholds
+from relthue.rootbounds import _dyadic_root, isolate_roots, nth_root_upper, refine, thresholds
 from util import (
     bisection_isolation,
+    constants,
     count_roots,
     form_from_roots,
     fraction_constants,
+    fraction_nth_root_lower,
     fraction_sturm_chain,
     fraction_thresholds,
+    intervals,
     nested_gap_enclosures,
     profiled_calls,
     root_free_forms,
+    sign_at,
 )
 
 F1 = BinaryForm((0, -4, 0, 1))  # roots -2, 0, 2
@@ -36,37 +40,38 @@ F3 = BinaryForm((-1, -3, 0, 1))  # x^3 - 3x - 1, irreducible
 
 
 def test_isolate_exact_integer_roots():
-    data = isolate_roots(F1, Fraction(1, 1024))
-    assert len(data.intervals) == 3
-    for (lo, hi), root in zip(data.intervals, (-2, 0, 2)):
+    data = isolate_roots(F1, 10)
+    assert len(data.ends) == 3
+    for (lo, hi), root in zip(intervals(data), (-2, 0, 2)):
         assert lo <= root <= hi
         assert hi - lo <= Fraction(1, 1024)
-    # exact roots collapse to points
-    assert all(lo == hi for lo, hi in data.intervals)
+    # exact roots collapse to points, and with no irrational root the common level is 0
+    assert all(lo == hi for lo, hi in intervals(data))
+    assert (data.level, data.ends) == (0, ((-2, -2), (0, 0), (2, 2)))
 
 
 def test_isolate_irrational_roots():
-    data = isolate_roots(F3, Fraction(1, 1024))
-    assert len(data.intervals) == 3
-    lo, hi = data.intervals[1]
+    data = isolate_roots(F3, 10)
+    assert len(data.ends) == 3
+    lo, hi = intervals(data)[1]
     assert Fraction(-35, 100) < lo <= hi < Fraction(-34, 100)  # middle root ~ -0.3472963
-    assert all(hi - lo <= Fraction(1, 1024) for lo, hi in data.intervals)
+    assert all(hi - lo <= Fraction(1, 1024) for lo, hi in intervals(data))
     # intervals strictly separated and sorted
-    for left, right in zip(data.intervals, data.intervals[1:]):
+    for left, right in zip(data.ends, data.ends[1:]):
         assert left[1] < right[0]
 
 
 def test_intervals_certified_by_sign_change_or_exact_root():
     quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): four close irrational roots
     for form in (F1, F3, quartic):
-        data = isolate_roots(form, Fraction(1, 2**20))
+        data = isolate_roots(form, 20)
         f = form.coeffs
 
         def at(x):
             return sum(c * x**k for k, c in enumerate(f))
 
-        assert len(data.intervals) == form.degree
-        for lo, hi in data.intervals:
+        assert len(data.ends) == form.degree
+        for lo, hi in intervals(data):
             if lo == hi:
                 assert at(lo) == 0  # exact rational root, pinned
             else:
@@ -76,8 +81,6 @@ def test_intervals_certified_by_sign_change_or_exact_root():
 def test_isolate_rejects_inadmissible():
     with pytest.raises(InadmissibleFormError):
         isolate_roots(BinaryForm((0, 0, 1)))  # x^2: degree and repeated root
-    with pytest.raises(ValueError):
-        isolate_roots(F1, Fraction(0))
 
 
 def test_constants_exact_root_example():
@@ -98,29 +101,68 @@ def test_constants_irrational_gap():
 
 
 def test_constants_validation():
-    data = isolate_roots(F1)
+    field = QuadraticField(3)
     with pytest.raises(ValueError):
-        constants(data, Fraction(1, 2), Fraction(1, 2))
+        Problem(field, F1, Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ValueError):
-        constants(data, 1, Fraction(0))
+        Problem(field, F1, 1, Fraction(0))
     with pytest.raises(ValueError):
-        constants(data, 1, Fraction(1))
+        Problem(field, F1, 1, Fraction(1))
+
+
+def test_k_and_epsilon_are_checked_before_the_isolation(monkeypatch):
+    calls = []
+    evaluate = _poly.evaluate
+
+    def spy(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(_poly, "evaluate", spy)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        Problem(QuadraticField(7), F3, Fraction(1, 2))
+    assert calls == []
+    with pytest.raises(ValueError, match="epsilon"):
+        Problem(QuadraticField(7), F3, 1, Fraction(1))
+    assert calls == []
+    # the form is checked after K: x^3 + x has complex roots
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        Problem(QuadraticField(3), BinaryForm((0, 1, 0, 1)), 0)
+
+
+def test_isolation_builds_only_the_four_gap_enclosures_as_fractions(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(Fraction(*args))
+        return built[-1]
+
+    monkeypatch.setattr(rootbounds, "Fraction", counted)
+    quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): close roots, separated after the refinement
+    for form in (F1, F3, quartic):
+        data = isolate_roots(form)
+        finer = refine(form, data, 70)
+        assert built == [
+            *(data.min_gap_lower, data.min_gap_upper, data.gap_product_lower, data.gap_product_upper),
+            *(finer.min_gap_lower, finer.min_gap_upper, finer.gap_product_lower, finer.gap_product_upper),
+        ]
+        built.clear()
 
 
 def test_refinement_monotone():
-    width = Fraction(1, 2**8)
-    data = isolate_roots(F3, width)
+    bits = 8
+    data = isolate_roots(F3, bits)
     consts = constants(data, 10, Fraction(1, 3))
     for _ in range(8):
-        width /= 2
-        finer = refine(F3, data, width)
+        bits += 1
+        finer = refine(F3, data, bits)
         finer_consts = constants(finer, 10, Fraction(1, 3))
         assert finer.min_gap_lower >= data.min_gap_lower
         assert finer.gap_product_lower >= data.gap_product_lower
         assert finer_consts.approx_coeff_upper <= consts.approx_coeff_upper
         assert finer_consts.gate_upper <= consts.gate_upper
         # refined intervals nest inside the coarser ones
-        for (lo, hi), (flo, fhi) in zip(data.intervals, finer.intervals):
+        for (lo, hi), (flo, fhi) in zip(intervals(data), intervals(finer)):
             assert lo <= flo <= fhi <= hi
         data, consts = finer, finer_consts
 
@@ -145,7 +187,7 @@ def test_stable_constants_runs():
     assert problem.K == Fraction(3, 2)
     assert problem.gates == thresholds(problem.consts, 3, field)
     assert problem.gates.proportionality_sq > 0
-    assert max(hi - lo for lo, hi in problem.roots.intervals) <= Fraction(1, 2**64)
+    assert max(hi - lo for lo, hi in intervals(problem.roots)) <= Fraction(1, 2**64)
     assert problem.gates_stable
 
 
@@ -172,7 +214,7 @@ def test_problem_validates_once_at_construction():
     st.integers(1, 5),
 )
 def test_nth_root_bounds_bracket(x, r):
-    lo = nth_root_lower(x, r, 32)
+    lo = fraction_nth_root_lower(x, r, 32)
     hi = nth_root_upper(x, r, 32)
     assert lo**r <= x <= hi**r
     assert hi - lo <= Fraction(2, 2**32)
@@ -192,9 +234,9 @@ def test_iroot_is_the_floor_of_the_real_root(k, r, base, step):
 
 def test_nth_root_exact_powers():
     assert nth_root_upper(Fraction(1), 3) == 1
-    assert nth_root_lower(Fraction(1), 3) == 1
+    assert _dyadic_root(1, 1, 3) == (1 << 48, 1 << 48)
     assert nth_root_upper(Fraction(8), 3) == 2
-    assert nth_root_lower(Fraction(27), 3) == 3
+    assert _dyadic_root(27, 1, 3) == (3 << 48, 3 << 48)
     assert nth_root_upper(Fraction(5, 3), 1) == Fraction(5, 3)
 
 
@@ -221,18 +263,19 @@ def test_integer_sturm_chain_equals_the_rational_one(poly):
 )
 def test_gap_enclosures_equal_the_nested_loop(k, shape, start):
     # sorted, disjoint dyadic intervals: (width, gap to the next) in units of 2^-k; width 0 is a point
-    intervals, lo = [], Fraction(start, 2**k)
+    ends, lo = [], start
     for width, gap in shape:
-        intervals.append((lo, lo + Fraction(width, 2**k)))
-        lo = intervals[-1][1] + Fraction(gap, 2**k)
-    assert rootbounds._gap_enclosures(intervals) == nested_gap_enclosures(intervals)
+        ends.append((lo, lo + width))
+        lo = ends[-1][1] + gap
+    as_fractions = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi in ends]
+    assert rootbounds._gap_enclosures(k, ends) == nested_gap_enclosures(as_fractions)
 
 
 def test_separate_bisects_neighbours_until_strictly_apart():
     # (x^2 - 2)(x^2 - 3): sqrt 2 in [1, 3/2] and sqrt 3 in [3/2, 2] touch, and still do after one halving each
-    items = [[Fraction(3, 2), Fraction(2)], [Fraction(1), Fraction(3, 2)]]
-    rootbounds._separate((6, 0, -5, 0, 1), items)
-    assert items == [[Fraction(11, 8), Fraction(3, 2)], [Fraction(13, 8), Fraction(7, 4)]]
+    data = rootbounds._refined(BinaryForm((6, 0, -5, 0, 1)), [(2, 3, 1), (3, 4, 1)], 1)
+    assert intervals(data) == ((Fraction(11, 8), Fraction(3, 2)), (Fraction(13, 8), Fraction(7, 4)))
+    assert (data.level, data.ends) == (3, ((11, 12), (13, 14)))
 
 
 # Floors of the three squared gates and gates_stable, recorded before the
@@ -296,7 +339,7 @@ def test_root_radius_is_fujiwaras_power_of_two():
     f = (16270, -889, -21, 1)  # e = max(ceil(14/3), ceil(10/2), ceil(5/1)) = 5, largest root ~ 32.999 > 2^5
     assert _poly.root_radius(f) == 64
     assert check_admissible(BinaryForm(f)).ok
-    assert isolate_roots(BinaryForm(f), Fraction(1, 2**10)).intervals[-1][0] > 32
+    assert intervals(isolate_roots(BinaryForm(f), 10))[-1][0] > 32
     assert _poly.root_radius((0, 4, -5, 1)) == 8  # x(x - 1)(x - 4): Cauchy's 2^bitlen(6) is below Fujiwara's 16
 
 
@@ -309,7 +352,7 @@ def test_root_radius_bounds_every_root_and_never_exceeds_cauchys(low, scale):
     chain = _poly.sturm_chain(f)
     assume(len(chain[-1]) == 1)  # squarefree, so the chain counts the distinct roots in (lo, hi]
     far = 1 << (2 + max(abs(c) for c in f[:-1])).bit_length()
-    assert _poly.sign_at(f, radius) != 0
+    assert sign_at(f, radius) != 0
     assert count_roots(chain, -radius, radius) == count_roots(chain, -far, far)
 
 
@@ -347,15 +390,15 @@ def isolation_forms(draw):
 @settings(deadline=None, max_examples=60)
 @given(isolation_forms())
 def test_isolation_and_problem_facts_equal_the_bisection_reference(form):
-    for width in (Fraction(1, 2), Fraction(1, 2**10), Fraction(1, 2**64)):
-        data, reference = isolate_roots(form, width), bisection_isolation(form, width)
+    for bits in (1, 10, 64):
+        data, reference = isolate_roots(form, bits), bisection_isolation(form, bits)
         assert data == reference
-        assert refine(form, data, width / 2) == bisection_isolation(form, width / 2, reference)
+        assert refine(form, data, bits + 1) == bisection_isolation(form, bits + 1, reference)
     field = QuadraticField(7)
     problem = Problem(field, form, 10)
     with (
         mock.patch.object(rootbounds, "isolate_roots", bisection_isolation),
-        mock.patch.object(rootbounds, "refine", lambda form, data, width: bisection_isolation(form, width, data)),
+        mock.patch.object(rootbounds, "refine", lambda form, data, bits: bisection_isolation(form, bits, data)),
     ):
         assert problem == Problem(field, form, 10)
 
@@ -417,7 +460,16 @@ def test_integer_roots_at_the_midpoint_of_a_single_root_node(roots):
     # each root is the midpoint of a dyadic node of (-R, R] that holds it alone, where f vanishes at the midpoint
     form = form_from_roots(roots)
     assert integer_roots(form) == tuple(sorted(roots))
-    assert isolate_roots(form).intervals == tuple((r, r) for r in sorted(roots))
+    assert intervals(isolate_roots(form)) == tuple((r, r) for r in sorted(roots))
+
+
+def test_integer_root_at_the_upper_end_of_a_finer_node():
+    # (x - 1)((x - 1)^2 - 10(x - 1) - 1): the roots 0.901.. and 1 share nodes down to level 4, so 1 is found
+    # as the upper end of the node (15, 16]/2^4, numerator 16
+    form = BinaryForm((-10, 22, -13, 1))
+    assert integer_roots(form) == (1,)
+    data = isolate_roots(form)
+    assert data.integer_roots == (1,) and data.ends[1] == (1 << data.level, 1 << data.level)
 
 
 @st.composite
@@ -433,10 +485,10 @@ def constant_cases(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(constant_cases(), st.sampled_from((Fraction(1, 2), Fraction(1, 2**10), Fraction(1, 2**64))))
-def test_constants_and_thresholds_equal_the_fraction_references(case, width):
+@given(constant_cases(), st.sampled_from((1, 10, 64)))
+def test_constants_and_thresholds_equal_the_fraction_references(case, bits):
     form, m, K, epsilon = case
-    data, field = isolate_roots(form, width), QuadraticField(m)
+    data, field = isolate_roots(form, bits), QuadraticField(m)
     consts = constants(data, K, epsilon)
     assert vars(consts) == vars(fraction_constants(data, K, epsilon))
     n = form.degree

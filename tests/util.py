@@ -14,13 +14,16 @@ rationals, the gap enclosures from a nested loop over ordered root pairs, and
 F evaluated in the ring from power tables of x and y.  The root isolation as
 it was before the certified Newton jump is kept as well: Sturm bisection of
 the Cauchy radius with both ends counted at every node, then bisection one
-level at a time.  So are the two reduction branches as they were before they
-read only the values the absolute enumeration realized: the nonzero branch
-walked every integer |v| within the part bound, and the zero branch kept the
-real pairs off every root line by testing each root.  The constants and
+level at a time, all on Fraction intervals.  ``intervals`` is the Fraction
+view of a ``RootData``'s integer ends, which only the tests read.  So are
+the two reduction branches as they were before they read only the values the
+absolute enumeration realized: the nonzero branch walked every integer |v|
+within the part bound, and the zero branch kept the real pairs off every
+root line by testing each root.  The constants and
 gates as they were before they were taken on integer numerators are the
 references for ``constants`` and ``thresholds``: every quotient a Fraction,
-and the n-th root bounds derived from a Fraction power.
+and the n-th root bounds derived from a Fraction power; ``constants`` is the
+package's own, built from its integer kernels as ``Problem`` builds it.
 """
 
 from __future__ import annotations
@@ -37,16 +40,41 @@ from hypothesis import strategies as st
 
 import relthue
 from relthue import BinaryForm, Problem, QuadraticField, RingElement, check_admissible
-from relthue._poly import derivative, evaluate, iroot, sign_at, sturm_chain, variations
+from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variations
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult
 from relthue.reducer import Found, _pair
-from relthue.rootbounds import GateThresholds, RootData, TheoremConstants, isolate_roots, nth_root_upper
+from relthue.rootbounds import (
+    GateThresholds,
+    RootData,
+    TheoremConstants,
+    _checked,
+    _constants,
+    _dyadic_root,
+    isolate_roots,
+    nth_root_upper,
+)
+
+
+def sign_at(coeffs, x) -> int:
+    """The sign of f(x) at an integer or Fraction x, from (numerator, denominator)."""
+    return sign(evaluate(coeffs, x.numerator, x.denominator))
 
 
 def count_roots(chain, lo, hi) -> int:
-    """Distinct real roots in (lo, hi]: the sign changes of the Sturm chain lost from lo to hi."""
-    return variations(chain, lo) - variations(chain, hi)
+    """Distinct real roots in (lo, hi], at integers or Fractions: the chain's sign changes lost from lo to hi."""
+    return variations(chain, lo.numerator, lo.denominator) - variations(chain, hi.numerator, hi.denominator)
+
+
+def intervals(data: RootData) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The isolating intervals of ``data`` as Fractions: its ends over 2^level."""
+    return tuple((Fraction(lo, 1 << data.level), Fraction(hi, 1 << data.level)) for lo, hi in data.ends)
+
+
+def constants(roots: RootData, K, epsilon) -> TheoremConstants:
+    """The enclosures of approx_coeff and gate for K >= 1 and 0 < epsilon < 1, as ``Problem`` takes them."""
+    K, epsilon = _checked(K, epsilon)
+    return _constants(roots, K, epsilon, _dyadic_root(K.numerator, K.denominator, len(roots.ends)))
 
 
 def form_from_roots(roots) -> BinaryForm:
@@ -67,8 +95,8 @@ def rectangle_solutions(form: BinaryForm, bound, ymax: int) -> set[tuple[int, in
     would exceed the bound.
     """
     bound = Fraction(bound)
-    data = isolate_roots(form, Fraction(1, 2**10))
-    root_cap = max(max(abs(lo), abs(hi)) for lo, hi in data.intervals)
+    data = isolate_roots(form, 10)
+    root_cap = max(max(abs(lo), abs(hi)) for lo, hi in intervals(data))
     window = max(Fraction(1), nth_root_upper(bound, form.degree, 16))
     out = set()
     for b in range(-ymax, ymax + 1):
@@ -112,7 +140,7 @@ def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, i
         if b == 0:
             continue
         ranges = []
-        for lo, hi in roots.intervals:
+        for lo, hi in intervals(roots):
             center_lo, center_hi = (lo * b, hi * b) if b > 0 else (hi * b, lo * b)
             ranges.append((ceil(center_lo - window), floor(center_hi + window)))
         for a_lo, a_hi in _merge_ranges(ranges):
@@ -286,14 +314,15 @@ def power_table_evaluate(field: QuadraticField, form: BinaryForm, x: RingElement
     )
 
 
-def bisection_isolation(form: BinaryForm, width, start: RootData | None = None) -> RootData:
-    """``isolate_roots(form, width)``, or ``refine(form, start, width)``, by bisection alone.
+def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = None) -> RootData:
+    """``isolate_roots(form, bits)``, or ``refine(form, start, bits)``, by bisection alone.
 
     The Sturm chain bisects (-R, R] with R the Cauchy radius 2^bitlen(1 + max|c_k|), counting the roots of
-    every node afresh; each irrational root's interval is then halved one level at a time by the sign of f,
-    and neighbours that still touch are halved together until they are strictly apart.
+    every node afresh; each irrational root's interval is then halved one level at a time by the sign of f
+    down to width 2^-bits, and neighbours that still touch are halved together until they are strictly
+    apart.  The Fraction intervals become ends over 2^level, level the largest of their denominators' levels.
     """
-    f, width = form.coeffs, Fraction(width)
+    f, width = form.coeffs, Fraction(1, 1 << bits)
 
     def bisect(lo, hi, target):
         sign_hi = sign_at(f, hi)
@@ -320,15 +349,17 @@ def bisection_isolation(form: BinaryForm, width, start: RootData | None = None) 
         exact.sort()
         items += [[Fraction(r), Fraction(r)] for r in exact]
     else:
-        exact, items = start.integer_roots, [list(iv) for iv in start.intervals]
+        exact, items = start.integer_roots, [list(iv) for iv in intervals(start)]
     items = sorted(iv if iv[0] == iv[1] else bisect(*iv, width) for iv in items)
     for left, right in zip(items, items[1:]):
         while left[1] >= right[0]:
             for iv in (left, right):
                 if iv[0] != iv[1]:
                     iv[:] = bisect(*iv, (iv[1] - iv[0]) / 2)
-    intervals = tuple((lo, hi) for lo, hi in items)
-    return RootData(intervals, tuple(exact), *nested_gap_enclosures(intervals))
+    found = tuple((lo, hi) for lo, hi in items)
+    unit = max(end.denominator for iv in found for end in iv)
+    ends = tuple((int(lo * unit), int(hi * unit)) for lo, hi in found)
+    return RootData(unit.bit_length() - 1, ends, tuple(exact), *nested_gap_enclosures(found))
 
 
 def imag_value_range(problem: Problem) -> list[int]:
@@ -382,7 +413,7 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
 
 
 def fraction_nth_root_lower(x, r: int, bits: int = 48) -> Fraction:
-    """``rootbounds.nth_root_lower`` as it was before the integer kernel: largest c/2^bits with (c/2^bits)^r <= x."""
+    """Largest c/2^bits with (c/2^bits)^r <= x, by a Fraction power: the reference for ``rootbounds._dyadic_root``."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
@@ -398,13 +429,13 @@ def fraction_nth_root_upper(x, r: int, bits: int = 48) -> Fraction:
 
 
 def fraction_constants(roots: RootData, K, epsilon) -> TheoremConstants:
-    """``rootbounds.constants`` in Fraction arithmetic, every quotient formed as it is written."""
+    """:func:`constants` in Fraction arithmetic, every quotient formed as it is written."""
     K, epsilon = Fraction(K), Fraction(epsilon)
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    n = len(roots.intervals)
+    n = len(roots.ends)
     if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
         raise ValueError("root intervals are not strictly separated")
     shrink = (1 - epsilon) ** (n - 1)
