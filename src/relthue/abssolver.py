@@ -17,7 +17,9 @@ of some root interval times b is evaluated: the windows shrink like
 b^-(n-1), and once they are narrower than one cell each root holds at most
 one candidate per b, and most b hold none.  The window ends are floors and
 ceilings of integer numerators over one common denominator, from the ends of
-the root intervals over 2^level as ``RootData`` holds them.
+the root intervals over 2^level as ``RootData`` holds them.  The listing
+comes out sorted by (b, a) as it is built: the rows b < 0 are the rows
+b > 0 negated in reverse, then the row b = 0, then the rows b > 0.
 
 Every candidate is kept only after exact evaluation of F, so no step rounds
 and the listing is exhaustive for |b| <= height.  Completeness is claimed
@@ -34,7 +36,9 @@ from math import floor
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
-from .rootbounds import RootData, isolate_roots, nth_root_upper
+from .rootbounds import RootData, _dyadic_root, isolate_roots
+
+WINDOW_BITS = 32  # K'^(1/n) is bounded above on the grid 2^-WINDOW_BITS
 
 
 @dataclass(frozen=True)
@@ -71,24 +75,28 @@ def solve_abs(
         roots = isolate_roots(form)
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
-    found: list[tuple[int, int, int]] = []
+    zero_row: list[tuple[int, int, int]] = []
 
     # b = 0: monic f gives F(a, 0) = a^n, so |a| <= bound^(1/n)
     a_cap = _poly.iroot(cap, n)
     for a in range(-a_cap, a_cap + 1):
         value = form.evaluate(a, 0)
         if abs(value) <= cap:
-            found.append((a, 0, value))
+            zero_row.append((a, 0, value))
 
-    # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b
-    window = max(Fraction(1), nth_root_upper(bound, n, 32))
-    spread = 2 ** (n - 1) * bound / roots.gap_product_lower
+    # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b, with
+    # window = max(1, K'^(1/n)) from its dyadic upper bound d/2^32 and spread = 2^(n-1) K' / B, each a
+    # (numerator, denominator) pair
+    d = _dyadic_root(bound.numerator, bound.denominator, n, WINDOW_BITS)[1]
+    window = (d, 1 << WINDOW_BITS) if d >> WINDOW_BITS else (1, 1)
+    gap = roots.gap_product_lower
+    spread = 2 ** (n - 1) * bound.numerator * gap.denominator, bound.denominator * gap.numerator
     unit = 1 << roots.level
     positive = []
     for b in range(1, height + 1):
-        w_num, w_den = window.numerator, window.denominator
-        if spread.numerator * w_den < w_num * spread.denominator * b ** (n - 1):
-            w_num, w_den = spread.numerator, spread.denominator * b ** (n - 1)
+        w_num, w_den = window
+        if spread[0] * w_den < w_num * spread[1] * b ** (n - 1):
+            w_num, w_den = spread[0], spread[1] * b ** (n - 1)
         den, reach = unit * w_den, w_num * unit
         ranges = [(-((reach - lo * b * w_den) // den), (hi * b * w_den + reach) // den) for lo, hi in roots.ends]
         start = ranges[0][0]  # the ranges are sorted; overlapping ones are scanned once
@@ -99,8 +107,7 @@ def solve_abs(
                     positive.append((a, b, value))
             start = max(start, a_hi + 1)
 
+    # positive is sorted by (b, a), so negating it in reverse gives the rows b < 0 in that order
     sign = (-1) ** n
-    found += positive
-    found += [(-a, -b, sign * value) for a, b, value in positive]
-    found.sort(key=lambda t: (t[1], t[0]))
-    return AbsSolutionSet(bound=bound, height=height, solutions=tuple(found))
+    negative = [(-a, -b, sign * value) for a, b, value in reversed(positive)]
+    return AbsSolutionSet(bound=bound, height=height, solutions=(*negative, *zero_row, *positive))

@@ -20,10 +20,13 @@ filters those values.  Splitting on v_imag = 0 versus v_imag != 0 gives:
 * nonzero branch: for each realized v_imag != 0 within the part bound, the
   joint bound confines (a, b) to a prefix of the real pairs sorted by |v_real|.
 
-Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s
-(kept only when integral, which for s = 2 is the parity filter a = x2 and
-b = y2 mod 2) and every candidate is verified exactly against the original
-inequality.  One absolute enumeration at bound s^n K serves both branches.
+Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s,
+which is integral exactly when a = (s-1)*x2 and b = (s-1)*y2 mod s: for s = 2
+each branch splits the real pairs once into their classes (a mod 2, b mod 2),
+and each imaginary pair meets only its own class.  Every candidate is verified
+exactly against the original inequality by one plain-integer kernel; ring
+elements are built only for solutions.  One absolute enumeration at bound
+s^n K serves both branches.
 """
 
 from __future__ import annotations
@@ -130,38 +133,78 @@ def _solver_order(norm_y: int, quad: Quad) -> tuple[int, int, int, int, int]:
     return (norm_y, quad[2], quad[3], quad[0], quad[1])  # norm(y), then y1, y2, x1, x2
 
 
-def _reconstruct(field: QuadraticField, imag_pair, real_pair) -> Quad | None:
-    """Invert the coordinate split; None when the division is not integral."""
-    s = field.s
-    x2, y2 = imag_pair
-    a, b = real_pair
-    if (a - (s - 1) * x2) % s or (b - (s - 1) * y2) % s:
-        return None
-    return ((a - (s - 1) * x2) // s, x2, (b - (s - 1) * y2) // s, y2)
+def _ring(field: QuadraticField) -> tuple[int, int]:
+    """(q, t) with w^2 = t*w - q for the basis element w: ((1+m)/4, 1) when s = 2, (m, 0) when s = 1; t = s - 1."""
+    return ((1 + field.m) // 4, 1) if field.s == 2 else (field.m, 0)
 
 
-def _verify(field, form, norm_cap: int, quad: Quad):
+def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int]:
+    """(v1, v2, norm) for F(x, y) = v1 + v2*w, x = x1 + x2*w and y = y1 + y2*w, on plain integers.
+
+    The homogeneous Horner scheme of :meth:`QuadraticField.evaluate_form`, acc <- acc*x + c_k*y^(n-k), with the
+    ring's constants (q, t) of :func:`_ring` passed in: (u1 + u2*w)(z1 + z2*w) = (u1*z1 - q*u2*z2,
+    u1*z2 + u2*z1 + t*u2*z2), and norm(v1 + v2*w) = v1^2 + t*v1*v2 + q*v2^2.  Only the solver verifies
+    with it: ``brute_force`` and ``relthue verify`` keep ``evaluate_form``, so a fault here shows up as a
+    ``relthue check`` mismatch.
+    """
+    v1, v2, p1, p2 = coeffs[-1], 0, 1, 0
+    for c in coeffs[-2::-1]:
+        cross = p2 * y2
+        p1, p2 = p1 * y1 - q * cross, p1 * y2 + p2 * y1 + t * cross
+        cross = v2 * x2
+        v1, v2 = v1 * x1 - q * cross + c * p1, v1 * x2 + v2 * x1 + t * cross + c * p2
+    return v1, v2, v1 * v1 + t * v1 * v2 + q * v2 * v2
+
+
+def _verify(kernel: tuple, quad: Quad):
     """(x, y, F(x, y), norm(F(x, y))) when the quadruple solves the inequality, else None.
 
-    Norms are integers, so norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).
+    ``kernel`` is (coeffs, q, t, norm_cap) as :func:`_kernel` hoists it.  Norms are integers, so
+    norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).  Ring elements are built
+    only for a solution.
     """
-    x = RingElement(quad[0], quad[1])
-    y = RingElement(quad[2], quad[3])
-    value = field.evaluate_form(form, x, y)
-    value_norm = field.norm(value)
+    coeffs, q, t, norm_cap = kernel
+    v1, v2, value_norm = _evaluate(coeffs, q, t, *quad)
     if value_norm <= norm_cap:
-        return x, y, value, value_norm
+        return RingElement(quad[0], quad[1]), RingElement(quad[2], quad[3]), RingElement(v1, v2), value_norm
     return None
 
 
-def _pair(problem: Problem, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
-    """Reconstruct and verify each (imag_pair, real pair) candidate, recording the solutions in ``found``."""
-    field, form = problem.field, problem.form
-    for real_pair in real_pairs:
-        quad = _reconstruct(field, imag_pair, real_pair)
-        if quad is None:
-            continue
-        verified = _verify(field, form, problem.norm_cap, quad)
+def _kernel(problem: Problem) -> tuple:
+    """What :func:`_verify` reads of a problem, taken once per branch: (coeffs, q, t, norm_cap)."""
+    return (problem.form.coeffs, *_ring(problem.field), problem.norm_cap)
+
+
+def _classes(s: int, rows) -> dict[IntegerPair, list]:
+    """The rows (a, b, ...) by their class (a mod s, b mod s), each class in the order of ``rows``.
+
+    x1 = (a - (s-1)*x2)/s and y1 = (b - (s-1)*y2)/s are integers exactly when (a, b) lies in the class of
+    the imaginary pair, ((s-1)*x2 mod s, (s-1)*y2 mod s) (:func:`_class`), so for s = 2 each imaginary
+    pair is paired with one class of four; for s = 1 there is one class.
+    """
+    if s == 1:
+        return {(0, 0): rows}
+    classes: dict[IntegerPair, list] = {}
+    for row in rows:
+        classes.setdefault((row[0] % s, row[1] % s), []).append(row)
+    return classes
+
+
+def _class(s: int, imag_pair: IntegerPair) -> IntegerPair:
+    x2, y2 = imag_pair
+    return ((s - 1) * x2 % s, (s - 1) * y2 % s)
+
+
+def _pair(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
+    """Reconstruct and verify each (imag_pair, real pair) candidate, recording the solutions in ``found``.
+
+    Every real pair must lie in the class of ``imag_pair`` (:func:`_classes`), so each division is exact.
+    """
+    t = kernel[2]
+    s, (x2, y2) = t + 1, imag_pair
+    for a, b in real_pairs:
+        quad = ((a - t * x2) // s, x2, (b - t * y2) // s, y2)
+        verified = _verify(kernel, quad)
         if verified is not None:
             found[quad] = verified
 
@@ -173,46 +216,59 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     bounds y2 too.  For y2 = t != 0 on the line of root r, only real pairs with
     0 < |a - r*b| <= s*d_max(t) are tried, where d_max(t) is the largest d
     with d^2 * f'(r)^2 * (m*t^2)^(n-1) <= K^2 * s^(2(n-1)) (see the module
-    docstring); the line ends where d_max(t) = 0.
+    docstring); the line ends where d_max(t) = 0.  d_max only falls as t
+    grows, so each window is taken from the one before.
     """
     s, m, n = problem.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
-    real_pairs = abs_solutions.pairs()
+    kernel = _kernel(problem)
+    classes = _classes(s, abs_solutions.solutions)
     found: Found = {}
     # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
-    _pair(problem, (0, 0), [(a, b) for a, b, v in abs_solutions.solutions if v or not roots], found)
+    aligned = classes.get((0, 0), ())  # the real pairs with s | a and s | b
+    _pair(kernel, (0, 0), [(a, b) for a, b, v in aligned if v or not roots], found)
     f_prime = _poly.derivative(problem.form.coeffs)
     for r in roots:
         slope_sq = _poly.evaluate(f_prime, r) ** 2
+        windows: dict[IntegerPair, list[IntegerPair]] = {}
         for t in range(1, abs_solutions.height + 1):
             # K^2 s^(2(n-1)) / D = (s^n K)^2 / (s^2 D), whose floor is part_cap // (s^2 D)
             d_max = isqrt(problem.part_cap // (s * s * slope_sq * (m * t * t) ** (n - 1)))
             if d_max == 0:
                 break
-            window = [(a, b) for a, b in real_pairs if 0 < abs(a - r * b) <= s * d_max]
-            _pair(problem, (r * t, t), window, found)
-            _pair(problem, (-r * t, -t), window, found)
+            key = _class(s, (r * t, t))
+            wider = windows[key] if key in windows else [(a, b) for a, b, _ in classes.get(key, ())]
+            window = windows[key] = [(a, b) for a, b in wider if 0 < abs(a - r * b) <= s * d_max]
+            _pair(kernel, (r * t, t), window, found)
+            _pair(kernel, (-r * t, -t), window, found)
     return found
 
 
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch.
 
-    Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs whose
-    |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
+    Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs of its
+    class whose |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
+    When the part bound admits no v_imag != 0, nothing is sorted or indexed.
     """
-    n, m = problem.form.degree, problem.field.m
-    by_size = sorted(abs_solutions.solutions, key=lambda solution: abs(solution[2]))
-    sizes = [abs(v) for _, _, v in by_size]
-    real_pairs = [(a, b) for a, b, _ in by_size]
+    n, m, s = problem.form.degree, problem.field.m, problem.s
     imag_cap = isqrt(problem.part_cap // m**n)
+    if imag_cap == 0:
+        return {}
+    kernel = _kernel(problem)
+    by_size = sorted(abs_solutions.solutions, key=lambda solution: abs(solution[2]))
+    classes = {
+        key: ([abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows])
+        for key, rows in _classes(s, by_size).items()
+    }
     found: Found = {}
     for v_imag, imag_pairs in abs_solutions.values_index().items():
         if 0 < abs(v_imag) <= imag_cap:
-            joint_cap = problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n)
-            allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap))]
+            real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
             for imag_pair in imag_pairs:
-                _pair(problem, imag_pair, allowed, found)
+                sizes, real_pairs = classes.get(_class(s, imag_pair), ((), ()))
+                allowed = real_pairs[: bisect_right(sizes, real_cap)]
+                _pair(kernel, imag_pair, allowed, found)
     return found
 
 

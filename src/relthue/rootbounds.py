@@ -350,7 +350,9 @@ def stable_constants(
     """Check K and epsilon, isolate the roots and refine them a level at a time until the integer gates stabilize.
 
     The gates are compared against integer norms, so refinement beyond the
-    point where their floors stop moving cannot change any decision.  The
+    point where their floors stop moving cannot change any decision.  When
+    every root is an integer, the intervals are points and the enclosures
+    exact, so no refinement can move a gate and none is tried.  The
     flag is False when the floors still moved after ``MAX_HALVINGS`` halvings;
     the returned gates are then those of the finest isolation, still sound.
     The bounds of K^(1/n) are taken once, not once per halving.
@@ -362,6 +364,8 @@ def stable_constants(
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     consts = _constants(data, K, epsilon, k_root)
     gates = thresholds(consts, n, field)
+    if all(lo == hi for lo, hi in data.ends):  # every root an integer: the enclosures are exact already
+        return data, consts, gates, True
     for _ in range(MAX_HALVINGS):
         bits += 1
         finer = refine(form, data, bits)

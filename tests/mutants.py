@@ -38,12 +38,12 @@ MUTANTS = [
     # reduction branches read only realized values
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) < imag_cap:",
            ("tests/test_reducer.py",)),
-    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap))]",
-           "allowed = real_pairs[: bisect_right(sizes, isqrt(joint_cap)) - 1]", ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, real_cap)]",
+           "allowed = real_pairs[: bisect_right(sizes, real_cap) - 1]", ("tests/test_reducer.py",)),
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 <= abs(v_imag) <= imag_cap:",
            ("tests/test_reducer.py",)),
-    Mutant("reducer.py", "for a, b, v in abs_solutions.solutions if v or not roots]",
-           "for a, b, v in abs_solutions.solutions if v]", ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
+           ("tests/test_reducer.py",)),
     # the oracle seeded once per box
     Mutant("oracle.py", "if sum(order) <= n]", "if 0 < sum(order) <= n]", ("tests/test_oracle.py",)),
     Mutant("oracle.py", "{o: g.u2 for o, g in zip(orders, seeds)}", "{o: g.u2 * any(o) for o, g in zip(orders, seeds)}",
@@ -87,8 +87,21 @@ MUTANTS = [
            ("tests/test_rootbounds.py::test_isolate_exact_integer_roots",)),
     Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
            "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
+    # verification on plain integers, bound-first exits, no final sort
+    Mutant("reducer.py", "((1 + field.m) // 4, 1)", "((field.m - 1) // 4, 1)",
+           ("tests/test_reducer.py::test_verification_kernel_equals_the_ring_evaluation",)),
+    Mutant("reducer.py", "v1 * x2 + v2 * x1 + t * cross + c * p2", "v1 * x2 + v2 * x1 + c * p2",
+           ("tests/test_reducer.py::test_verification_kernel_equals_the_ring_evaluation",)),
+    Mutant("reducer.py", "if imag_cap == 0:", "if imag_cap <= 1:",
+           ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
+    Mutant("rootbounds.py", "if all(lo == hi for lo, hi in data.ends):", "if any(lo == hi for lo, hi in data.ends):",
+           ("tests/test_rootbounds.py::test_stable_constants_refines_only_when_a_root_is_irrational",)),
+    Mutant("reducer.py", "classes.setdefault((row[0] % s, row[1] % s), [])", "classes.setdefault((row[0] % s, 0), [])",
+           ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
+    Mutant("abssolver.py", "for a, b, value in reversed(positive)]", "for a, b, value in positive]",
+           ("tests/test_abssolver.py::test_solutions_come_sorted_by_b_then_a",)),
     # expected survivors
-    Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound", "spread = 2 ** (n - 2) * bound",
+    Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),
            survives="the factor 2 is slack: over the solutions of 3,000 random forms where the shrinking bound is "
            "the smaller one, |a - rho_j*b| reaches at most 0.48 of it"),

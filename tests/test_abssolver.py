@@ -176,3 +176,10 @@ def test_roots_near_rationals_equal_the_window_scan(coeffs):
     for bound in (0, 1, 8, 27, 100):
         for roots in (None, isolate_roots(form, 1)):
             assert solve_abs(form, bound, 60, roots=roots).solutions == window_scan(form, bound, 60)
+
+
+@settings(deadline=None, max_examples=100)
+@given(admissible_forms(), st.fractions(min_value=0, max_value=300, max_denominator=4), st.integers(0, 40))
+def test_solutions_come_sorted_by_b_then_a(form, bound, height):
+    solutions = solve_abs(form, bound, height).solutions
+    assert list(solutions) == sorted(solutions, key=lambda t: (t[1], t[0]))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,11 @@ from relthue import (
     solve_abs,
     solve_relative,
 )
+from relthue import reducer
 from relthue.cli import main
 from relthue.abssolver import AbsSolutionSet
-from relthue.reducer import nonzero_value_branch, zero_value_branch
+from relthue.quadfield import MAX_M
+from relthue.reducer import _evaluate, _ring, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
 from util import (
     admissible_forms,
@@ -285,8 +288,8 @@ def test_family_members_are_neither_verified_nor_reported():
     assert len(result.quadruples()) > 1000
     assert calls["reducer", "_verify"] < 100
     assert calls["theorem", "full_report"] == len(result.solutions)
-    # one norm(F(x, y)) per verified candidate, reused by its solution, and one norm(y) per report
-    assert calls["quadfield", "norm"] == calls["reducer", "_verify"] + len(result.solutions)
+    # the verification kernel takes norm(F(x, y)) on plain integers, so one norm(y) per report is all
+    assert calls["quadfield", "norm"] == len(result.solutions)
 
 
 def test_no_process_global_cache():
@@ -336,3 +339,55 @@ def test_family_members_solve_and_pass_every_predicate(m, K, form):
         assert abs(y2) <= height and abs(s * y1 + (s - 1) * y2) <= height
         assert field.evaluate_form(form, x, y).is_zero
         assert full_report(problem, x, y).ok
+
+
+@cache
+def field_of(m: int) -> QuadraticField:
+    return QuadraticField(m)  # the square-free check of an m near MAX_M takes ~0.5 s, so each is built once
+
+
+# square-free m of both ring shapes, from 1 up to MAX_M - 5 (s = 2) and MAX_M - 2 (s = 1)
+KERNEL_M = [1, 2, 3, 5, 7, 11, 15, 19, 163, 999_999_937, 2**31 - 1, MAX_M - 5, MAX_M - 2]
+SMALL_M = st.integers(1, 10**4).filter(lambda m: all(m % (d * d) for d in range(2, 101)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(3, 5).flatmap(lambda n: st.tuples(*[st.integers(-50, 50)] * n, st.integers(-50, 50).filter(bool))),
+    st.one_of(st.sampled_from(KERNEL_M), SMALL_M),
+    st.tuples(*[st.integers(-(10**6), 10**6)] * 4),
+)
+def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
+    field, form = field_of(m), BinaryForm(coeffs)
+    value = field.evaluate_form(form, RingElement(*quad[:2]), RingElement(*quad[2:]))
+    assert _evaluate(form.coeffs, *_ring(field), *quad) == (value.u1, value.u2, field.norm(value))
+
+
+def test_nonzero_branch_builds_no_index_when_the_part_bound_admits_no_value(monkeypatch):
+    # m^n = 163^3 > (s^n K)^2 = 64: no v_imag != 0 meets the part bound, so nothing is sorted or indexed
+    def refuse(self):
+        raise AssertionError("values_index was built")
+
+    monkeypatch.setattr(AbsSolutionSet, "values_index", refuse)
+    problem, abs_solutions = branch_input(163, F1, 1, 20)
+    assert nonzero_value_branch(problem, abs_solutions) == {}
+    result = solve_relative(problem.field, F1, 1, Fraction(1, 2), 20)
+    assert all(sol.quadruple[1] == sol.quadruple[3] == 0 for sol in result.solutions)
+
+
+@pytest.mark.parametrize("form,m,K", [case for case in OFF_LINE if QuadraticField(case[1]).s == 2])
+def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
+    # for s = 2 each imaginary pair meets only the real pairs of its class (a mod 2, b mod 2): the branches
+    # find what the references find by testing each division, and verify each candidate once, all integral
+    problem, abs_solutions = branch_input(m, form, K, 12)
+    verified = []
+    verify = reducer._verify
+    monkeypatch.setattr(reducer, "_verify", lambda kernel, quad: verified.append(quad) or verify(kernel, quad))
+    zero_found = zero_value_branch(problem, abs_solutions)
+    assert zero_found == root_test_zero_branch(problem, abs_solutions)
+    nonzero_found = nonzero_value_branch(problem, abs_solutions)
+    assert nonzero_found == range_walk_nonzero_branch(problem, abs_solutions)
+    assert zero_found and nonzero_found
+    assert len(verified) == len(set(verified))
+    realized = set(abs_solutions.pairs())
+    assert all((2 * x1 + x2, 2 * y1 + y2) in realized for x1, x2, y1, y2 in verified)

@@ -191,6 +191,20 @@ def test_stable_constants_runs():
     assert problem.gates_stable
 
 
+@pytest.mark.parametrize("coeffs,refined", [((0, -4, 0, 1), False), ((0, -2, 0, 1), True)])
+def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, coeffs, refined):
+    # x^3 - 4xy^2 has the integer roots -2, 0, 2: its enclosures are exact, so no refinement can move a gate;
+    # x^3 - 2xy^2 has the irrational roots +-sqrt(2) beside 0
+    form, field = BinaryForm(coeffs), QuadraticField(7)
+    calls = []
+    monkeypatch.setattr(rootbounds, "refine", lambda *args: calls.append(args) or refine(*args))
+    data, consts, gates, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
+    assert stable and bool(calls) == refined
+    if not refined:
+        assert data == isolate_roots(form) == refine(form, data, 65)
+        assert gates == thresholds(constants(data, 1, Fraction(1, 2)), 3, field)
+
+
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
     monkeypatch.setattr(rootbounds, "MAX_HALVINGS", 0)
     with caplog.at_level(logging.WARNING, logger="relthue.rootbounds"):

@@ -19,7 +19,10 @@ view of a ``RootData``'s integer ends, which only the tests read.  So are
 the two reduction branches as they were before they read only the values the
 absolute enumeration realized: the nonzero branch walked every integer |v|
 within the part bound, and the zero branch kept the real pairs off every
-root line by testing each root.  The constants and
+root line by testing each root.  Both pair candidates as the reducer did
+before its parity classes and integer kernel: every real pair is tried,
+kept when the divisions by s are exact, and verified with
+``evaluate_form``.  The constants and
 gates as they were before they were taken on integer numerators are the
 references for ``constants`` and ``thresholds``: every quotient a Fraction,
 and the n-th root bounds derived from a Fraction power; ``constants`` is the
@@ -43,7 +46,7 @@ from relthue import BinaryForm, Problem, QuadraticField, RingElement, check_admi
 from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variations
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult
-from relthue.reducer import Found, _pair
+from relthue.reducer import Found
 from relthue.rootbounds import (
     GateThresholds,
     RootData,
@@ -369,6 +372,23 @@ def imag_value_range(problem: Problem) -> list[int]:
     return list(range(-cap, cap + 1))
 
 
+def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> None:
+    """The reducer's pairing as it was before the parity classes and the integer kernel.
+
+    Each candidate is reconstructed only when the divisions by s are exact, and verified with ``evaluate_form``.
+    """
+    field, form, s = problem.field, problem.form, problem.s
+    x2, y2 = imag_pair
+    for a, b in real_pairs:
+        if (a - (s - 1) * x2) % s or (b - (s - 1) * y2) % s:
+            continue
+        x, y = RingElement((a - (s - 1) * x2) // s, x2), RingElement((b - (s - 1) * y2) // s, y2)
+        value = field.evaluate_form(form, x, y)
+        value_norm = field.norm(value)
+        if value_norm <= problem.norm_cap:
+            found[x.u1, x.u2, y.u1, y.u2] = (x, y, value, value_norm)
+
+
 def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """``reducer.nonzero_value_branch`` by a walk over every integer v_imag of ``imag_value_range``."""
     n = problem.form.degree
@@ -387,7 +407,7 @@ def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -
             if abs(v_real) > real_cap:
                 continue
             for imag_pair in imag_pairs:
-                _pair(problem, imag_pair, real_pairs, found)
+                pair_by_division(problem, imag_pair, real_pairs, found)
     return found
 
 
@@ -397,7 +417,7 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
     roots = problem.integer_roots
     real_pairs = abs_solutions.pairs()
     found: Found = {}
-    _pair(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
+    pair_by_division(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
     f_prime = derivative(problem.form.coeffs)
     bound = problem.K**2 * s ** (2 * (n - 1))
     for r in roots:
@@ -407,8 +427,8 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
             if d_max == 0:
                 break
             window = [(a, b) for a, b in real_pairs if 0 < abs(a - r * b) <= s * d_max]
-            _pair(problem, (r * t, t), window, found)
-            _pair(problem, (-r * t, -t), window, found)
+            pair_by_division(problem, (r * t, t), window, found)
+            pair_by_division(problem, (-r * t, -t), window, found)
     return found
 
 
