@@ -92,7 +92,12 @@ def root_radius(coeffs: Coeffs) -> int:
 
 
 def iroot(k: int, r: int) -> int:
-    """floor(k ** (1/r)) for k >= 0, r >= 1, by Newton iteration on integers."""
+    """floor(k ** (1/r)) for k >= 0, r >= 1, by Newton iteration on integers.
+
+    The start 2^ceil(bitlen(k)/r) is at least the floor.  Each integer Newton step from an x above the floor
+    lands strictly below x and, by the AM-GM inequality, not below the floor; at the floor the step does not
+    fall.  So the iteration stops exactly at the floor, and no correction is needed.
+    """
     if k < 0 or r < 1:
         raise ValueError("iroot needs k >= 0, r >= 1")
     if k == 0:
@@ -107,8 +112,4 @@ def iroot(k: int, r: int) -> int:
         if y >= x:
             break
         x = y
-    while x ** r > k:
-        x -= 1
-    while (x + 1) ** r <= k:
-        x += 1
     return x

@@ -21,11 +21,12 @@ the root intervals over 2^level as ``RootData`` holds them.  The listing
 comes out sorted by (b, a) as it is built: the rows b < 0 are the rows
 b > 0 negated in reverse, then the row b = 0, then the rows b > 0.
 
-Every candidate is kept only after exact evaluation of F, so no step rounds
-and the listing is exhaustive for |b| <= height.  Completeness is claimed
-only within the height bound, which the result carries.  The cost is
-O(n*height) window ends plus the cells inside them, in place of
-O(n*height*K'^(1/n)) cells for fixed windows of half-width W.
+Every candidate with b != 0 is kept only after exact evaluation of F, and the
+row b = 0 holds a^n exactly, so no step rounds and the listing is exhaustive
+for |b| <= height.  Completeness is claimed only within the height bound,
+which the result carries.  The cost is O(n*height) window ends plus the
+cells inside them, in place of O(n*height*K'^(1/n)) cells for fixed windows
+of half-width W.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from math import floor
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
-from .rootbounds import RootData, _dyadic_root, isolate_roots
-
-WINDOW_BITS = 32  # K'^(1/n) is bounded above on the grid 2^-WINDOW_BITS
+from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,16 @@ def solve_abs(
         roots = isolate_roots(form)
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
-    zero_row: list[tuple[int, int, int]] = []
 
-    # b = 0: monic f gives F(a, 0) = a^n, so |a| <= bound^(1/n)
+    # b = 0: monic f gives F(a, 0) = a^n, and |a^n| <= cap exactly when |a| <= floor(cap^(1/n))
     a_cap = _poly.iroot(cap, n)
-    for a in range(-a_cap, a_cap + 1):
-        value = form.evaluate(a, 0)
-        if abs(value) <= cap:
-            zero_row.append((a, 0, value))
+    zero_row = [(a, 0, a**n) for a in range(-a_cap, a_cap + 1)]
 
     # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b, with
-    # window = max(1, K'^(1/n)) from its dyadic upper bound d/2^32 and spread = 2^(n-1) K' / B, each a
-    # (numerator, denominator) pair
-    d = _dyadic_root(bound.numerator, bound.denominator, n, WINDOW_BITS)[1]
-    window = (d, 1 << WINDOW_BITS) if d >> WINDOW_BITS else (1, 1)
+    # window = max(1, K'^(1/n)) from its dyadic upper bound d/2^ROOT_PREC_BITS and spread = 2^(n-1) K' / B,
+    # each a (numerator, denominator) pair
+    d = _dyadic_root(bound.numerator, bound.denominator, n)[1]
+    window = (d, 1 << ROOT_PREC_BITS) if d >> ROOT_PREC_BITS else (1, 1)
     gap = roots.gap_product_lower
     spread = 2 ** (n - 1) * bound.numerator * gap.denominator, bound.denominator * gap.numerator
     unit = 1 << roots.level

@@ -63,8 +63,6 @@ class BinaryForm:
             if abs(c) != 1 or not mono:
                 body = f"{abs(c)}*{body}" if mono else str(abs(c))
             parts.append(("- " if c < 0 else "+ ") + body)
-        if not parts:
-            return "0"
         first = parts[0]
         first = "-" + first[2:] if first.startswith("- ") else first[2:]
         return " ".join([first, *parts[1:]])

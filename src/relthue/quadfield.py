@@ -12,7 +12,7 @@ in bounded time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import isqrt
 
 from .forms import BinaryForm, IntegerPair
@@ -34,9 +34,17 @@ class RingElement:
 
 @dataclass(frozen=True)
 class QuadraticField:
-    """The imaginary quadratic field Q(i*sqrt(m)) with its integer ring."""
+    """The imaginary quadratic field Q(i*sqrt(m)) with its integer ring.
+
+    The basis {1, w} is decided once, at construction: ``s`` as in the module docstring, and the integers
+    ``q`` and ``t`` of the relation w^2 = t*w - q, that is ((1+m)/4, 1) when s = 2 and (m, 0) when s = 1.
+    Every product, norm and coordinate split reads them; ``repr``, ``==`` and ``hash`` depend on m alone.
+    """
 
     m: int
+    s: int = dataclass_field(init=False, repr=False, compare=False)
+    q: int = dataclass_field(init=False, repr=False, compare=False)
+    t: int = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = int(self.m)
@@ -58,25 +66,19 @@ class QuadraticField:
         root = isqrt(rest)
         if rest > 1 and root * root == rest:
             raise ValueError(f"m = {m} is not square-free (divisible by {root}^2)")
-        object.__setattr__(self, "m", m)
-
-    @property
-    def s(self) -> int:
-        return 2 if self.m % 4 == 3 else 1
+        s = 2 if m % 4 == 3 else 1
+        # w = (1 + i*sqrt(m))/2 has w^2 = w - (1+m)/4, an integer relation since m = 3 (mod 4); (i*sqrt(m))^2 = -m
+        q, t = ((1 + m) // 4, 1) if s == 2 else (m, 0)
+        for name, value in (("m", m), ("s", s), ("q", q), ("t", t)):
+            object.__setattr__(self, name, value)
 
     def _mul_raw(self, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
-        if self.s == 2:
-            # w^2 = w - (1+m)/4, an integer relation since m = 3 (mod 4)
-            w = (1 + self.m) // 4
-            cross = a2 * b2
-            return (a1 * b1 - w * cross, a1 * b2 + a2 * b1 + cross)
-        return (a1 * b1 - self.m * a2 * b2, a1 * b2 + a2 * b1)
+        cross = a2 * b2
+        return (a1 * b1 - self.q * cross, a1 * b2 + a2 * b1 + self.t * cross)
 
     def norm(self, z: RingElement) -> int:
-        """|z|^2 = z * conj(z), a nonnegative rational integer."""
-        if self.s == 2:
-            return z.u1 * z.u1 + z.u1 * z.u2 + z.u2 * z.u2 * ((1 + self.m) // 4)
-        return z.u1 * z.u1 + self.m * z.u2 * z.u2
+        """|z|^2 = z * conj(z) = u1^2 + t*u1*u2 + q*u2^2, a nonnegative rational integer."""
+        return z.u1 * z.u1 + self.t * z.u1 * z.u2 + self.q * z.u2 * z.u2
 
     def evaluate_form(self, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
         """F(x, y) in the ring, by the homogeneous Horner scheme of :func:`relthue._poly.evaluate`.
@@ -97,9 +99,9 @@ class QuadraticField:
     def split_coordinates(self, x: RingElement, y: RingElement) -> tuple[IntegerPair, IntegerPair]:
         """Coordinate pairs feeding the real and imaginary part products.
 
-        Returns ((s*x1 + (s-1)*x2, s*y1 + (s-1)*y2), (x2, y2)): s times the
+        Returns ((s*x1 + t*x2, s*y1 + t*y2), (x2, y2)), where t = s - 1: s times the
         real parts of (x, y), and the coefficients of i*sqrt(m)/s.
         """
-        s = self.s
-        real_pair = (s * x.u1 + (s - 1) * x.u2, s * y.u1 + (s - 1) * y.u2)
+        s, t = self.s, self.t
+        real_pair = (s * x.u1 + t * x.u2, s * y.u1 + t * y.u2)
         return real_pair, (x.u2, y.u2)

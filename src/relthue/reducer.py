@@ -106,15 +106,15 @@ class RelativeSolutionSet:
         [-box, box]; only those are generated, so the work grows with the box
         and not with the reach.
         """
-        s, height = self.field.s, self.search_height
+        s, t, height = self.field.s, self.field.t, self.search_height
         for i, family in enumerate(self.families):
             r = family.root
             # |y1|, |y2| <= cap keeps r*y1 and r*y2 in the box; reach alone implies |y1| <= height
             cap = height if box is None else min(height, box // max(abs(r), 1))
             for y2 in range(-cap, cap + 1):
-                # y1 with |s*y1 + (s-1)*y2| <= height
-                y1_lo = max(-cap, -((height + (s - 1) * y2) // s))
-                y1_hi = min(cap, (height - (s - 1) * y2) // s)
+                # y1 with |s*y1 + t*y2| <= height
+                y1_lo = max(-cap, -((height + t * y2) // s))
+                y1_hi = min(cap, (height - t * y2) // s)
                 for y1 in range(y1_lo, y1_hi + 1):
                     if i == 0 or y1 or y2:  # (0, 0) is in every family
                         yield (r * y1, r * y2, y1, y2)
@@ -133,19 +133,14 @@ def _solver_order(norm_y: int, quad: Quad) -> tuple[int, int, int, int, int]:
     return (norm_y, quad[2], quad[3], quad[0], quad[1])  # norm(y), then y1, y2, x1, x2
 
 
-def _ring(field: QuadraticField) -> tuple[int, int]:
-    """(q, t) with w^2 = t*w - q for the basis element w: ((1+m)/4, 1) when s = 2, (m, 0) when s = 1; t = s - 1."""
-    return ((1 + field.m) // 4, 1) if field.s == 2 else (field.m, 0)
-
-
 def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int]:
     """(v1, v2, norm) for F(x, y) = v1 + v2*w, x = x1 + x2*w and y = y1 + y2*w, on plain integers.
 
     The homogeneous Horner scheme of :meth:`QuadraticField.evaluate_form`, acc <- acc*x + c_k*y^(n-k), with the
-    ring's constants (q, t) of :func:`_ring` passed in: (u1 + u2*w)(z1 + z2*w) = (u1*z1 - q*u2*z2,
-    u1*z2 + u2*z1 + t*u2*z2), and norm(v1 + v2*w) = v1^2 + t*v1*v2 + q*v2^2.  Only the solver verifies
-    with it: ``brute_force`` and ``relthue verify`` keep ``evaluate_form``, so a fault here shows up as a
-    ``relthue check`` mismatch.
+    ring's constants :attr:`QuadraticField.q` and :attr:`QuadraticField.t` (w^2 = t*w - q) passed in:
+    (u1 + u2*w)(z1 + z2*w) = (u1*z1 - q*u2*z2, u1*z2 + u2*z1 + t*u2*z2), and norm(v1 + v2*w) =
+    v1^2 + t*v1*v2 + q*v2^2.  Only the solver verifies with it: ``brute_force`` and ``relthue verify`` keep
+    ``evaluate_form``, so a fault here shows up as a ``relthue check`` mismatch.
     """
     v1, v2, p1, p2 = coeffs[-1], 0, 1, 0
     for c in coeffs[-2::-1]:
@@ -172,15 +167,15 @@ def _verify(kernel: tuple, quad: Quad):
 
 def _kernel(problem: Problem) -> tuple:
     """What :func:`_verify` reads of a problem, taken once per branch: (coeffs, q, t, norm_cap)."""
-    return (problem.form.coeffs, *_ring(problem.field), problem.norm_cap)
+    return (problem.form.coeffs, problem.field.q, problem.field.t, problem.norm_cap)
 
 
 def _classes(s: int, rows) -> dict[IntegerPair, list]:
     """The rows (a, b, ...) by their class (a mod s, b mod s), each class in the order of ``rows``.
 
-    x1 = (a - (s-1)*x2)/s and y1 = (b - (s-1)*y2)/s are integers exactly when (a, b) lies in the class of
-    the imaginary pair, ((s-1)*x2 mod s, (s-1)*y2 mod s) (:func:`_class`), so for s = 2 each imaginary
-    pair is paired with one class of four; for s = 1 there is one class.
+    x1 = (a - t*x2)/s and y1 = (b - t*y2)/s, t = s - 1, are integers exactly when (a, b) lies in the class of
+    the imaginary pair, (t*x2 mod s, t*y2 mod s) (:func:`_class`), so for s = 2 each imaginary pair is
+    paired with one class of four; for s = 1 there is one class.
     """
     if s == 1:
         return {(0, 0): rows}
@@ -190,9 +185,9 @@ def _classes(s: int, rows) -> dict[IntegerPair, list]:
     return classes
 
 
-def _class(s: int, imag_pair: IntegerPair) -> IntegerPair:
-    x2, y2 = imag_pair
-    return ((s - 1) * x2 % s, (s - 1) * y2 % s)
+def _class(field: QuadraticField, imag_pair: IntegerPair) -> IntegerPair:
+    (x2, y2), s, t = imag_pair, field.s, field.t
+    return (t * x2 % s, t * y2 % s)
 
 
 def _pair(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
@@ -219,7 +214,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     docstring); the line ends where d_max(t) = 0.  d_max only falls as t
     grows, so each window is taken from the one before.
     """
-    s, m, n = problem.s, problem.field.m, problem.form.degree
+    s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
     kernel = _kernel(problem)
     classes = _classes(s, abs_solutions.solutions)
@@ -236,7 +231,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
             d_max = isqrt(problem.part_cap // (s * s * slope_sq * (m * t * t) ** (n - 1)))
             if d_max == 0:
                 break
-            key = _class(s, (r * t, t))
+            key = _class(problem.field, (r * t, t))
             wider = windows[key] if key in windows else [(a, b) for a, b, _ in classes.get(key, ())]
             window = windows[key] = [(a, b) for a, b in wider if 0 < abs(a - r * b) <= s * d_max]
             _pair(kernel, (r * t, t), window, found)
@@ -251,7 +246,7 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     class whose |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
     When the part bound admits no v_imag != 0, nothing is sorted or indexed.
     """
-    n, m, s = problem.form.degree, problem.field.m, problem.s
+    n, m, s = problem.form.degree, problem.field.m, problem.field.s
     imag_cap = isqrt(problem.part_cap // m**n)
     if imag_cap == 0:
         return {}
@@ -266,7 +261,7 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
         if 0 < abs(v_imag) <= imag_cap:
             real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
             for imag_pair in imag_pairs:
-                sizes, real_pairs = classes.get(_class(s, imag_pair), ((), ()))
+                sizes, real_pairs = classes.get(_class(problem.field, imag_pair), ((), ()))
                 allowed = real_pairs[: bisect_right(sizes, real_cap)]
                 _pair(kernel, imag_pair, allowed, found)
     return found

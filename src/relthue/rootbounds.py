@@ -435,9 +435,5 @@ class Problem:
             object.__setattr__(self, name, value)
 
     @property
-    def s(self) -> int:
-        return self.field.s
-
-    @property
     def integer_roots(self) -> tuple[int, ...]:
         return self.roots.integer_roots

@@ -88,8 +88,7 @@ MUTANTS = [
     Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
            "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
     # verification on plain integers, bound-first exits, no final sort
-    Mutant("reducer.py", "((1 + field.m) // 4, 1)", "((field.m - 1) // 4, 1)",
-           ("tests/test_reducer.py::test_verification_kernel_equals_the_ring_evaluation",)),
+    Mutant("quadfield.py", "((1 + m) // 4, 1)", "((m - 1) // 4, 1)", ("tests/test_quadfield.py",)),
     Mutant("reducer.py", "v1 * x2 + v2 * x1 + t * cross + c * p2", "v1 * x2 + v2 * x1 + c * p2",
            ("tests/test_reducer.py::test_verification_kernel_equals_the_ring_evaluation",)),
     Mutant("reducer.py", "if imag_cap == 0:", "if imag_cap <= 1:",
@@ -100,6 +99,11 @@ MUTANTS = [
            ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
     Mutant("abssolver.py", "for a, b, value in reversed(positive)]", "for a, b, value in positive]",
            ("tests/test_abssolver.py::test_solutions_come_sorted_by_b_then_a",)),
+    # the basis decided once, and no arithmetic that no input reaches
+    Mutant("_poly.py", "x = 1 << ((k.bit_length() + r - 1) // r)", "x = 1 << ((k.bit_length() - 1) // r)",
+           ("tests/test_rootbounds.py::test_iroot_is_the_floor_of_the_real_root",)),
+    Mutant("abssolver.py", "for a in range(-a_cap, a_cap + 1)]", "for a in range(-a_cap + 1, a_cap + 1)]",
+           ("tests/test_abssolver.py",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),

@@ -183,6 +183,13 @@ def test_missing_field_is_status_1(capsys, tmp_path):
     assert "missing required field 'm'" in err
 
 
+def test_unreadable_problem_file_is_status_1(capsys, tmp_path):
+    path = tmp_path / "absent.txt"
+    status, out, err = run(capsys, "solve", str(path))
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: cannot read problem file {str(path)!r}")
+
+
 def test_usage_error_is_status_1(capsys):
     status, _, err = run(capsys, "frobnicate")
     assert status == 1

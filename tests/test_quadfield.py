@@ -26,6 +26,14 @@ def test_field_validation():
     assert QuadraticField(163).s == 2
 
 
+def test_basis_relation_is_decided_at_construction():
+    # w^2 = t*w - q: w = (1 + i*sqrt(m))/2 for m = 3 (mod 4), w = i*sqrt(m) otherwise
+    for m, s, q, t in ((1, 1, 1, 0), (2, 1, 2, 0), (3, 2, 1, 1), (7, 2, 2, 1), (163, 2, 41, 1)):
+        field = QuadraticField(m)
+        assert (field.s, field.q, field.t) == (s, q, t)
+        assert repr(field) == f"QuadraticField(m={m})"  # the derived fields stay out of repr
+
+
 def test_squarefree_check_is_fast_for_large_m():
     # primes near 10^6: trial division to sqrt(m) would take ~10^6 steps
     p, q = 999983, 1000003

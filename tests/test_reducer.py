@@ -21,7 +21,7 @@ from relthue import reducer
 from relthue.cli import main
 from relthue.abssolver import AbsSolutionSet
 from relthue.quadfield import MAX_M
-from relthue.reducer import _evaluate, _ring, nonzero_value_branch, zero_value_branch
+from relthue.reducer import _evaluate, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
 from util import (
     admissible_forms,
@@ -360,7 +360,7 @@ SMALL_M = st.integers(1, 10**4).filter(lambda m: all(m % (d * d) for d in range(
 def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
     field, form = field_of(m), BinaryForm(coeffs)
     value = field.evaluate_form(form, RingElement(*quad[:2]), RingElement(*quad[2:]))
-    assert _evaluate(form.coeffs, *_ring(field), *quad) == (value.u1, value.u2, field.norm(value))
+    assert _evaluate(form.coeffs, field.q, field.t, *quad) == (value.u1, value.u2, field.norm(value))
 
 
 def test_nonzero_branch_builds_no_index_when_the_part_bound_admits_no_value(monkeypatch):

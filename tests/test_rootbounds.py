@@ -18,7 +18,7 @@ from relthue import (
     rootbounds,
 )
 from relthue.abssolver import solve_abs
-from relthue.rootbounds import _dyadic_root, isolate_roots, nth_root_upper, refine, thresholds
+from relthue.rootbounds import ISOLATION_BITS, _dyadic_root, isolate_roots, nth_root_upper, refine, thresholds
 from util import (
     bisection_isolation,
     constants,
@@ -203,6 +203,18 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     if not refined:
         assert data == isolate_roots(form) == refine(form, data, 65)
         assert gates == thresholds(constants(data, 1, Fraction(1, 2)), 3, field)
+
+
+def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
+    # no workload problem moves a floor at the first halving, so one moved floor is forced: the first
+    # comparison sees a floor no gate has, and the isolation must come back two levels finer, and stable
+    field, floors = QuadraticField(7), rootbounds._gate_floors
+    moved = iter([(-1, -1, -1)])
+    monkeypatch.setattr(rootbounds, "_gate_floors", lambda th: next(moved, None) or floors(th))
+    data, consts, gates, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
+    assert stable and data.level == ISOLATION_BITS + 2
+    assert data == refine(F3, isolate_roots(F3), ISOLATION_BITS + 2)
+    assert gates == thresholds(constants(data, Fraction(3, 2), Fraction(1, 2)), 3, field)
 
 
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
@@ -429,7 +441,7 @@ def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.pairs()) == 157
-    assert calls["_poly", "evaluate"] == 298
+    assert calls["_poly", "evaluate"] == 289
 
 
 @given(

@@ -377,7 +377,7 @@ def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> N
 
     Each candidate is reconstructed only when the divisions by s are exact, and verified with ``evaluate_form``.
     """
-    field, form, s = problem.field, problem.form, problem.s
+    field, form, s = problem.field, problem.form, problem.field.s
     x2, y2 = imag_pair
     for a, b in real_pairs:
         if (a - (s - 1) * x2) % s or (b - (s - 1) * y2) % s:
@@ -413,7 +413,7 @@ def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -
 
 def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """``reducer.zero_value_branch`` with the real pairs at (x2, y2) = (0, 0) kept by testing a != r*b per root."""
-    s, m, n = problem.s, problem.field.m, problem.form.degree
+    s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
     real_pairs = abs_solutions.pairs()
     found: Found = {}
