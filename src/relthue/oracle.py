@@ -13,28 +13,54 @@ vanish for i + j + k + l > n, and those of order i + j + k + l <= n at the
 corner (-H, -H, -H, -H) need only the C(n+4, 4) seed values
 G(-H + i, -H + j, -H + k, -H + l) with i + j + k + l <= n (some seeds lie
 outside the box when 2H+1 < n+1).  F is evaluated only there, once per box;
-every cell follows by integer additions.  Running sums over y2 and x2 spread
-the differences of each order (i, k) in (x1, y1) over the whole (y2, x2)
-plane at (x1, y1) = (-H, -H), as flat lists.  Stepping y1 adds those planes
-elementwise and gives, at each y1, the n + 1 differences in x1 over the
-plane; each x1 step then takes n plane additions per coordinate, and one
-pass keeps the cells whose norm is at most floor(K^2).  Runtime is O(H^4);
-memory is the C(n+2, 2) planes of (2H+1)^2 integers per coordinate,
-O(n^2 * H^2).
+every cell follows by integer additions.
+
+Packed planes.  Each (y2, x2) plane, the difference of order i in x1 and k
+in y1 at every point of the plane, is one Python integer of (2H+1)^2 lanes
+of W bits, lane t = (y2 + H)*(2H+1) + (x2 + H) at bit t*W.  By Newton's
+formula the plane is the sum over (j, l) of the corner difference of order
+(i, j, k, l) times the plane of C(x2 + H, j)*C(y2 + H, l), and those
+binomial planes are built once per box.  A packed integer is the sum of its
+lane values times 2^(t*W), so adding two planes adds them lane by lane as an
+exact integer identity, whatever the signs.  Stepping y1 adds the planes of
+each order in y1 to the next lower one and gives, at each y1, the n + 1
+differences in x1; each x1 step is then n big-integer additions per
+coordinate.
+
+Lane width.  At a point corner + t of the box (0 <= t_a <= 2H) the
+difference of order a is the sum over b of T[a + b] * prod C(t_a, b_a), T
+the corner tableau, so its size is at most the sum of |T[a + b]| *
+prod C(2H, b_a); that bound is taken one axis at a time, in O(n) terms per
+tableau entry.  W exceeds its bit length by two, so every entry the sweep
+holds lies strictly between -2^(W-2) and 2^(W-2).  Only the value plane
+carries a bias of 2^(W-2) in every lane: its lanes then lie in
+[0, 2^(W-1)), so they are its base-2^W digits and each top bit, the guard
+bit, is clear.  The difference planes stay plain signed integers.
+
+Filter, then exact test.  A kept cell has v^2 + m*u2^2 <= bound, so
+|v| <= isqrt(bound) and |u2| <= isqrt(bound // m).  Adding a constant to
+every lane of a value plane sets a lane's guard bit exactly when the lane
+reaches a threshold, with no carry out of the lane; two such sums, for
+-radius and radius + 1, mark every lane inside the range at once.  This is
+not pruning: the ranges follow from the inequality itself, every cell is
+still visited, and the cells that pass are decided by v^2 + m*u2^2 <= bound
+exactly.  Runtime is O(H^4) lane operations, O(H^2) big-integer additions of
+O(H^2 * W) bits each; memory is the C(n+2, 2) planes per coordinate and the
+C(n+2, 2) binomial planes, O(n^2 * H^2 * W) bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-from math import floor
-from operator import add
+from itertools import product
+from math import comb, floor, isqrt
 
 from .forms import BinaryForm
 from .quadfield import QuadraticField, RingElement
 
 Quad = tuple[int, int, int, int]
+Table = dict[tuple[int, ...], int]  # forward differences at the corner, by order (i, j, k, l)
 
 
 @dataclass(frozen=True)
@@ -55,24 +81,16 @@ def _differences(values: list[int]) -> list[int]:
     return diffs
 
 
-def _run(diffs: list[int], length: int) -> list[int]:
-    """p(0), ..., p(length - 1) for the polynomial p whose forward differences at 0 are diffs."""
-    values = [diffs[-1]] * length
-    for d in reversed(diffs[:-1]):
-        values = list(accumulate(values[: length - 1], initial=d))
-    return values
-
-
-def _sweep(planes: list[list[int]], count: int):
+def _sweep(planes: list[int], count: int):
     """planes[0] at count consecutive points; each step adds to every difference plane the next order's."""
     for _ in range(count - 1):
         yield planes[0]
         for i in range(len(planes) - 1):
-            planes[i] = list(map(add, planes[i], planes[i + 1]))
+            planes[i] += planes[i + 1]
     yield planes[0]
 
 
-def _tableau(seeds: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...], int]:
+def _tableau(seeds: Table, n: int) -> Table:
     """Forward differences at the corner of every order in the simplex, from the seeds, one axis at a time."""
     table = dict(seeds)
     for axis in range(4):
@@ -82,45 +100,88 @@ def _tableau(seeds: dict[tuple[int, ...], int], n: int) -> dict[tuple[int, ...],
     return table
 
 
-def _x_planes(table: dict[tuple[int, ...], int], n: int, side: int):
-    """For y1 = -H, ..., H: the x1-differences of orders 0..n at x1 = -H, each a flat (y2, x2) plane.
-
-    y_planes[i][k], the difference of order i in x1 and k in y1 at (-H, -H) over the plane, comes from
-    running sums over y2 for each order j in x2, then over x2 for each y2.
-    """
-    y_planes = []
-    for i in range(n + 1):
-        y_planes.append([])
-        for k in range(n + 1 - i):
-            count = n + 1 - i - k
-            by_y2 = [_run([table[i, j, k, l] for l in range(count - j)], side) for j in range(count)]
-            y_planes[i].append([v for b in range(side) for v in _run([d[b] for d in by_y2], side)])
-    return map(list, zip(*(_sweep(planes, side) for planes in y_planes)))
-
-
-def brute_force(field: QuadraticField, form: BinaryForm, K, height: int) -> OracleResult:
-    if height < 0:
-        raise ValueError("height must be nonnegative")
-    s, m, n = field.s, field.m, form.degree
-    # norms are integers, so norm <= K^2 exactly when s^2 * norm = v^2 + m*u2^2 <= s^2 * floor(K^2)
-    bound = s * s * floor(Fraction(K) ** 2)
-    side = 2 * height + 1
-    span = range(-height, height + 1)
+def _tableaux(field: QuadraticField, form: BinaryForm, height: int) -> tuple[Table, Table]:
+    """The corner tableaux of v and u2, from F at the C(n+4, 4) seeds."""
+    s, n = field.s, form.degree
     orders = [order for order in product(range(n + 1), repeat=4) if sum(order) <= n]
     seeds = [
         field.evaluate_form(form, RingElement(i - height, j - height), RingElement(k - height, l - height))
         for i, j, k, l in orders
     ]
-    reals = _x_planes(_tableau({o: s * g.u1 + (s - 1) * g.u2 for o, g in zip(orders, seeds)}, n), n, side)
-    imags = _x_planes(_tableau({o: g.u2 for o, g in zip(orders, seeds)}, n), n, side)
-    cells = range(side * side)
+    return (
+        _tableau({o: s * g.u1 + (s - 1) * g.u2 for o, g in zip(orders, seeds)}, n),
+        _tableau({o: g.u2 for o, g in zip(orders, seeds)}, n),
+    )
+
+
+def _lane_width(tables: tuple[Table, ...], n: int, side: int) -> int:
+    """W for both coordinates: 2^(W-2) exceeds |entry| of every plane the sweep holds."""
+    binomials = [comb(side - 1, b) for b in range(n + 1)]
+    bound = {key: max(abs(table[key]) for table in tables) for key in tables[0]}
+    for axis in range(4):
+        bound = {
+            key: sum(
+                bound[(*key[:axis], key[axis] + b, *key[axis + 1 :])] * binomials[b] for b in range(n + 1 - sum(key))
+            )
+            for key in bound
+        }
+    # the sweep holds the orders (i, 0, k, 0) over the (y2, x2) plane
+    return max(bound[i, 0, k, 0] for i in range(n + 1) for k in range(n + 1 - i)).bit_length() + 2
+
+
+def _window(bias: int, radius: int, ones: int) -> tuple[int, int]:
+    """Addends that set a biased lane's guard bit from bias - radius on, and from bias + radius + 1 on."""
+    guard = 2 * bias
+    return (guard - (bias - radius)) * ones, (guard - (bias + radius + 1)) * ones
+
+
+def brute_force(field: QuadraticField, form: BinaryForm, K, height: int) -> OracleResult:
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    s, m, n = field.s, field.m, form.degree
+    # norms are integers, so norm <= K^2 exactly when s^2 * norm = v^2 + m*u2^2 <= s^2 * floor(K^2)
+    bound = s * s * floor(Fraction(K) ** 2)
+    side = 2 * height + 1
+    span = range(-height, height + 1)
+    tables = _tableaux(field, form, height)
+    width = _lane_width(tables, n, side)
+    bias, lane = 1 << (width - 2), (1 << width) - 1
+    rows = [sum(comb(c, j) << (c * width) for c in range(side)) for j in range(n + 1)]
+    columns = [sum(comb(b, l) << (b * side * width) for b in range(side)) for l in range(n + 1)]
+    binomial_planes = {(j, l): rows[j] * columns[l] for j in range(n + 1) for l in range(n + 1 - j)}
+    ones = binomial_planes[0, 0]
+    guards = ones << (width - 1)
+    # a radius of at least 2^(W-2) - 1 would let every lane pass; capped there, the addends stay nonnegative
+    v_low, v_high = _window(bias, min(isqrt(bound), bias - 1), ones)
+    u_low, u_high = _window(bias, min(isqrt(bound // m), bias - 1), ones)
+
+    def x_planes(table: Table):
+        """For y1 = -H, ..., H: the x1-differences of orders 0..n at x1 = -H, each a packed (y2, x2) plane."""
+        y_planes = [
+            [
+                sum(table[i, j, k, l] * plane for (j, l), plane in binomial_planes.items() if j + l <= n - i - k)
+                for k in range(n + 1 - i)
+            ]
+            for i in range(n + 1)
+        ]
+        y_planes[0][0] += bias * ones
+        return map(list, zip(*(_sweep(planes, side) for planes in y_planes)))
+
     found = []
-    for y1, real_planes, imag_planes in zip(span, reals, imags):
+    for y1, real_planes, imag_planes in zip(span, x_planes(tables[0]), x_planes(tables[1])):
         for x1, values, imag_values in zip(span, _sweep(real_planes, side), _sweep(imag_planes, side)):
-            kept = [(t, q) for t, v, u in zip(cells, values, imag_values) if (q := v * v + m * u * u) <= bound]
-            for t, scaled_norm in kept:
-                y2, x2 = divmod(t, side)
-                y2, x2 = y2 - height, x2 - height
-                found.append((field.norm(RingElement(y1, y2)), (x1, x2, y1, y2), scaled_norm // (s * s)))
+            # guard bits of the lanes whose v and u2 both lie in range: set by the low addend, not by the high one
+            passed = ((values + v_low) ^ (values + v_high)) & ((imag_values + u_low) ^ (imag_values + u_high)) & guards
+            while passed:
+                t = passed.bit_length() // width - 1
+                passed ^= 1 << (t * width + width - 1)
+                v = (values >> (t * width) & lane) - bias
+                u = (imag_values >> (t * width) & lane) - bias
+                if (scaled_norm := v * v + m * u * u) <= bound:
+                    y2, x2 = divmod(t, side)
+                    y2, x2 = y2 - height, x2 - height
+                    found.append((field.norm(RingElement(y1, y2)), (x1, x2, y1, y2), scaled_norm // (s * s)))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
     return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))

@@ -48,19 +48,25 @@ MUTANTS = [
     Mutant("oracle.py", "if sum(order) <= n]", "if 0 < sum(order) <= n]", ("tests/test_oracle.py",)),
     Mutant("oracle.py", "{o: g.u2 for o, g in zip(orders, seeds)}", "{o: g.u2 * any(o) for o, g in zip(orders, seeds)}",
            ("tests/test_oracle.py",)),
-    Mutant("oracle.py", "_run([table[i, j, k, l] for l in range(count - j)], side)",
-           "_run([table[i, j, k, l] for l in range(count - j)], side + 1)[1:]", ("tests/test_oracle.py",)),
+    Mutant("oracle.py", "comb(b, l) << (b * side * width) for b in range(side)",
+           "comb(b + 1, l) << (b * side * width) for b in range(side)", ("tests/test_oracle.py",)),
     Mutant("oracle.py",
-           "        yield planes[0]\n        for i in range(len(planes) - 1):\n"
-           "            planes[i] = list(map(add, planes[i], planes[i + 1]))\n",
-           "        for i in range(len(planes) - 1):\n"
-           "            planes[i] = list(map(add, planes[i], planes[i + 1]))\n        yield planes[0]\n",
+           "        yield planes[0]\n        for i in range(len(planes) - 1):\n            planes[i] += planes[i + 1]\n",
+           "        for i in range(len(planes) - 1):\n            planes[i] += planes[i + 1]\n        yield planes[0]\n",
            ("tests/test_oracle.py",)),
     Mutant("oracle.py", "zip(span, _sweep(real_planes, side), _sweep(imag_planes, side))",
            "zip(span, list(_sweep(real_planes, side + 1))[1:], list(_sweep(imag_planes, side + 1))[1:])",
            ("tests/test_oracle.py",)),
     Mutant("oracle.py", "{o: s * g.u1 + (s - 1) * g.u2 for o, g in zip(orders, seeds)}",
            "{o: s * g.u1 for o, g in zip(orders, seeds)}", ("tests/test_oracle.py",)),
+    # packed planes: lanes of W bits, a biased value plane, a range filter on the guard bits
+    Mutant("oracle.py", "(guard - (bias + radius + 1)) * ones", "(guard - (bias + radius)) * ones",
+           ("tests/test_oracle.py::test_cells_on_the_filter_ends_are_kept",)),
+    Mutant("oracle.py", "for k in range(n + 1 - i)).bit_length() + 2", "for k in range(n + 1 - i)).bit_length() + 1",
+           ("tests/test_oracle.py::test_lanes_hold_every_entry_of_the_list_sweep",)),
+    Mutant("oracle.py", "        y_planes[0][0] += bias * ones\n",
+           "        y_planes[0][0] += bias * ones\n        y_planes[1][0] += bias * ones\n",
+           ("tests/test_oracle.py::test_equals_the_cell_scan_on_workload_forms",)),
     Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)", ("tests/test_abssolver.py",)),
     Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
     # problem setup and predicate reports on integers
@@ -109,6 +115,8 @@ MUTANTS = [
            ("tests/test_abssolver.py", "tests/test_reducer.py"),
            survives="the factor 2 is slack: over the solutions of 3,000 random forms where the shrinking bound is "
            "the smaller one, |a - rho_j*b| reaches at most 0.48 of it"),
+    Mutant("oracle.py", "min(isqrt(bound // m), bias - 1)", "min(isqrt(bound), bias - 1)", ("tests/test_oracle.py",),
+           survives="a looser filter only costs time: every cell that passes it is decided by the exact norm test"),
     Mutant("rootbounds.py", "signs == (-sign_hi, sign_hi)", "signs[0] != sign_hi and signs[1] == sign_hi",
            ("tests/test_rootbounds.py",),
            survives="equivalent: a zero of f at the node's left end inside [lo, hi] can only be the integer root lo, "

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, QuadraticField, brute_force
-from util import cell_scan, profiled_calls
+from relthue.oracle import _lane_width, _tableaux
+from util import cell_scan, list_sweep_peak, profiled_calls
 
 F1 = BinaryForm((0, -4, 0, 1))
+# (x - 9967)(x + 10009)(x - 10037) + 5: no integer root, |f(0)| about 1.0e12
+CUBIC_NEAR_10_12 = (1001288139016, -100181257, -9995, 1)
 
 
 def test_height_zero():
@@ -47,6 +50,15 @@ def test_sorted_deterministic():
 def test_rejects_negative_height():
     with pytest.raises(ValueError):
         brute_force(QuadraticField(3), F1, 1, -1)
+
+
+def test_rejects_negative_K():
+    # |F| <= -1 has no solution, while K^2 = 1 would keep the units
+    for K in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="K must be nonnegative"):
+            brute_force(QuadraticField(3), F1, K, 1)
+    result = brute_force(QuadraticField(3), F1, 0, 1)
+    assert result.solutions and all(norm_value == 0 for _, norm_value in result.solutions)
 
 
 @st.composite
@@ -98,3 +110,33 @@ def test_equals_the_cell_scan_at_large_m(m, height):
             assert result == cell_scan(field, form, K, height)
             kept_imaginary |= any(x2 or y2 for (_, x2, _, y2), _ in result.solutions)
     assert kept_imaginary == (height > 0)
+
+
+# the box of `relthue check`: lanes of 15^2 cells, with entries far beyond 64 bits
+@pytest.mark.parametrize(
+    "coeffs,m,K",
+    [((-1, 3, 3, -4, -1, 1), 2**31 - 1, 10**22), (CUBIC_NEAR_10_12, 7, 10**13)],
+)
+def test_equals_the_cell_scan_at_the_check_box(coeffs, m, K):
+    field, form = QuadraticField(m), BinaryForm(coeffs)
+    result = brute_force(field, form, K, 7)
+    assert result == cell_scan(field, form, K, 7)
+    assert any(x2 or y2 for (_, x2, _, y2), _ in result.solutions)
+    assert len(result.solutions) < 15**4
+
+
+def test_cells_on_the_filter_ends_are_kept():
+    # m = 3 (s = 2), K = 3: bound = s^2 * K^2 = 36, so the filter admits |v| <= 6 and |u2| <= isqrt(36 // 3) = 3
+    result = brute_force(QuadraticField(3), BinaryForm((-1, -3, 0, 1)), 3, 2)
+    norms = dict(result.solutions)
+    assert norms[2, 0, -1, 0] == 9  # F = 3: v = 6, u2 = 0, v^2 = bound
+    assert norms[1, 0, -1, 1] == 9  # F = 3w: v = 3, u2 = 3, v^2 + m*u2^2 = bound
+
+
+@pytest.mark.parametrize("height", [0, 1, 3])
+def test_lanes_hold_every_entry_of_the_list_sweep(height):
+    # at height 0 the bound is the largest entry itself, so a lane one bit narrower would not hold it
+    for m, coeffs in ((7, (-1, 3, 3, -4, -1, 1)), (2**31 - 1, (0, -4, 0, 1)), (5, CUBIC_NEAR_10_12)):
+        field, form = QuadraticField(m), BinaryForm(coeffs)
+        width = _lane_width(_tableaux(field, form, height), form.degree, 2 * height + 1)
+        assert list_sweep_peak(field, form, height) < 2 ** (width - 2)

@@ -6,9 +6,12 @@ The windowed scan is the absolute enumeration the package used before its
 windows shrank with b, kept as the reference for ``solve_abs`` at heights
 where the rectangle is too large.  The cell scan is the brute-force oracle
 as it was before it stepped by forward differences: one evaluation of F per
-cell, kept as the reference for ``brute_force``.  The ring helpers give the
-tests products, conjugates and part squares to check ``QuadraticField.norm``
-against.  The exact kernels as they were before each job had one helper are
+cell, kept as the reference for ``brute_force``.  The list sweep is the
+oracle as it was before its planes were packed into lanes: flat lists of
+(y2, x2) values, built by running sums and stepped elementwise; it gives the
+largest entry the sweep holds, which the packed lanes must fit.  The ring
+helpers give the tests products, conjugates and part squares to check
+``QuadraticField.norm`` against.  The exact kernels as they were before each job had one helper are
 kept as references too: the Sturm chain with remainders divided over the
 rationals, the gap enclosures from a nested loop over ordered root pairs, and
 F evaluated in the ring from power tables of x and y.  The root isolation as
@@ -35,7 +38,9 @@ import cProfile
 import pstats
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, floor, gcd, isqrt, lcm
+from operator import add
 from pathlib import Path
 
 from hypothesis import assume
@@ -45,7 +50,7 @@ import relthue
 from relthue import BinaryForm, Problem, QuadraticField, RingElement, check_admissible
 from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variations
 from relthue.abssolver import AbsSolutionSet
-from relthue.oracle import OracleResult
+from relthue.oracle import OracleResult, _tableaux
 from relthue.reducer import Found
 from relthue.rootbounds import (
     GateThresholds,
@@ -227,6 +232,41 @@ def cell_scan(field: QuadraticField, form: BinaryForm, K, height: int) -> Oracle
                         found.append((norm_y, (x1, x2, y1, y2), field.norm(value)))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
     return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))
+
+
+def _run(diffs: list[int], length: int) -> list[int]:
+    """p(0), ..., p(length - 1) for the polynomial p whose forward differences at 0 are diffs."""
+    values = [diffs[-1]] * length
+    for d in reversed(diffs[:-1]):
+        values = list(accumulate(values[: length - 1], initial=d))
+    return values
+
+
+def list_sweep_peak(field: QuadraticField, form: BinaryForm, height: int) -> int:
+    """The largest |entry| of every (y2, x2) plane the list sweep holds over the box, for v and u2 both."""
+    n, side = form.degree, 2 * height + 1
+    peak = 0
+
+    def sweep(planes: list[list[int]], count: int):
+        nonlocal peak
+        for step in range(count):
+            peak = max(peak, *(abs(v) for plane in planes for v in plane))
+            yield planes[0]
+            if step < count - 1:
+                planes[:-1] = [list(map(add, a, b)) for a, b in zip(planes, planes[1:])]
+
+    for table in _tableaux(field, form, height):
+        y_planes = []
+        for i in range(n + 1):
+            y_planes.append([])
+            for k in range(n + 1 - i):
+                count = n + 1 - i - k
+                by_y2 = [_run([table[i, j, k, l] for l in range(count - j)], side) for j in range(count)]
+                y_planes[i].append([v for b in range(side) for v in _run([d[b] for d in by_y2], side)])
+        for x_planes in zip(*(sweep(planes, side) for planes in y_planes)):
+            for _ in sweep(list(x_planes), side):
+                pass
+    return peak
 
 
 def mul(field: QuadraticField, z: RingElement, v: RingElement) -> RingElement:
