@@ -11,8 +11,9 @@ n factors gives
     |a - rho_j*b| <= min(W, 2^(n-1)*K' / (b^(n-1)*B)),
 
 where W = max(1, K'^(1/n)) bounds the smallest of n factors whose product is
-at most K', and B = ``RootData.gap_product_lower`` bounds the product of the
-gaps at any root from below.  So for each b every a within that half-width
+at most K', and B, the lower end of the gap product enclosure of
+:class:`~relthue.rootbounds.RootData`, bounds the product of the gaps at any
+root from below.  So for each b every a within that half-width
 of some root interval times b is evaluated: the windows shrink like
 b^-(n-1), and once they are narrower than one cell each root holds at most
 one candidate per b, and most b hold none.  The window ends are floors and
@@ -84,8 +85,8 @@ def solve_abs(
     # each a (numerator, denominator) pair
     d = _dyadic_root(bound.numerator, bound.denominator, n)[1]
     window = (d, 1 << ROOT_PREC_BITS) if d >> ROOT_PREC_BITS else (1, 1)
-    gap = roots.gap_product_lower
-    spread = 2 ** (n - 1) * bound.numerator * gap.denominator, bound.denominator * gap.numerator
+    # B is the gap product's lower numerator over 2^(level (n-1))
+    spread = 2 ** (n - 1) * bound.numerator << (roots.level * (n - 1)), bound.denominator * roots.gap_numerators[2]
     unit = 1 << roots.level
     positive = []
     for b in range(1, height + 1):

@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import cache
 
 from .abssolver import solve_abs
 from .forms import BinaryForm
@@ -428,9 +429,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser, built on the first call and reused: it holds no problem data, and import stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:  # InadmissibleFormError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,10 @@ in bounded time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import chain
 from math import isqrt
 
+from . import _poly
 from .forms import BinaryForm, IntegerPair
 
 MAX_M = 2**63
@@ -54,15 +56,14 @@ class QuadraticField:
             raise ValueError(f"m = {m} exceeds the supported limit 2^63")
         # Strip each prime up to m^(1/3) once; a second factor means a square.
         # The cofactor then has at most two prime factors, so it is square-free
-        # unless it is a perfect square.
+        # unless it is a perfect square.  Once 2 is stripped, rest is odd, so
+        # only odd d are tried; a composite d never divides rest.
         rest = m
-        d = 2
-        while d * d * d <= m:
+        for d in chain((2,), range(3, _poly.iroot(m, 3) + 1, 2)):
             if rest % d == 0:
                 rest //= d
                 if rest % d == 0:
                     raise ValueError(f"m = {m} is not square-free (divisible by {d}^2)")
-            d += 1
         root = isqrt(rest)
         if rest > 1 and root * root == rest:
             raise ValueError(f"m = {m} is not square-free (divisible by {root}^2)")

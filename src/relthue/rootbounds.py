@@ -24,12 +24,17 @@ and, per field, upper bounds on the squared applicability thresholds of the
 three large-|y| conclusions.  n-th roots of rationals are bounded by an
 integer root on a dyadic grid (one kernel, :func:`_dyadic_root`), so the
 pipeline stays exact-directional: tightening the intervals can only raise
-lower bounds and lower upper bounds.  The constants and thresholds are taken
-on integer numerators and denominators, each Fraction built once.
+lower bounds and lower upper bounds.
 
-:class:`Problem` validates one relative inequality and holds all of these
-facts, computed once, together with the integer floors of its bounds and
-squared gates that the predicates and the reducer compare with.
+The whole pipeline runs on integers: each bound is a pair of integer
+numerator and denominator, not reduced, and :func:`stable_constants` compares
+the integer floors of the squared gates from one refinement level to the next
+without building a Fraction.  :class:`Problem` validates one relative
+inequality and holds the kept isolation, the floors of its bounds and squared
+gates that the predicates and the reducer compare with, and the flag that
+says whether the gates settled.  The gap enclosures, :class:`TheoremConstants`
+and :class:`GateThresholds` are Fraction views of the same integers, built
+on first read; only the ``constants`` command reads them.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import floor, prod
+from math import floor
 
 from . import _poly
 from .forms import BinaryForm, require_admissible
@@ -75,41 +81,53 @@ def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
 
 @dataclass(frozen=True)
 class RootData:
-    """Isolating intervals of the n real roots, sorted and pairwise disjoint, plus gap enclosures.
+    """Isolating intervals of the n real roots, sorted and pairwise disjoint, and the gap enclosures they give.
 
     Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
+    ``gap_numerators`` holds the gap enclosures on integers; the four Fraction enclosures are views of them,
+    built on first read, so ``repr`` and ``==`` show the isolation alone.
     """
 
     level: int
     ends: tuple[tuple[int, int], ...]
     integer_roots: tuple[int, ...]
-    min_gap_lower: Fraction
-    min_gap_upper: Fraction
-    gap_product_lower: Fraction
-    gap_product_upper: Fraction
 
+    @cached_property
+    def gap_numerators(self) -> tuple[int, int, int, int]:
+        """(min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
 
-def _gap_enclosures(level: int, ends) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Bounds (min gap lower, upper, min gap product lower, upper) from sorted disjoint intervals ``ends``/2^level.
+        The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
+        once and multiplies into the products at both roots.  The intervals are sorted, so the smallest gap
+        is between neighbours.
+        """
+        ends, n = self.ends, len(self.ends)
+        lows, highs = [1] * n, [1] * n
+        for i, j in combinations(range(n), 2):
+            low, high = ends[j][0] - ends[i][1], ends[j][1] - ends[i][0]
+            lows[i] *= low
+            lows[j] *= low
+            highs[i] *= high
+            highs[j] *= high
+        pairs = list(zip(ends, ends[1:]))
+        return min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
 
-    The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built once
-    on the numerators and read by both minima.  These four are the only Fractions the isolation builds.
-    """
-    n = len(ends)
-    dist = {}
-    for i, j in combinations(range(n), 2):
-        dist[i, j] = dist[j, i] = (ends[j][0] - ends[i][1], ends[j][1] - ends[i][0])
-    lows = [prod(dist[i, j][0] for j in range(n) if j != i) for i in range(n)]
-    highs = [prod(dist[i, j][1] for j in range(n) if j != i) for i in range(n)]
-    gaps, unit, product_unit = dist.values(), 1 << level, 1 << (level * (n - 1))
-    return (
-        Fraction(min(lo for lo, _ in gaps), unit),
-        Fraction(min(hi for _, hi in gaps), unit),
-        Fraction(min(lows), product_unit),
-        Fraction(min(highs), product_unit),
-    )
+    @cached_property
+    def min_gap_lower(self) -> Fraction:
+        return Fraction(self.gap_numerators[0], 1 << self.level)
+
+    @cached_property
+    def min_gap_upper(self) -> Fraction:
+        return Fraction(self.gap_numerators[1], 1 << self.level)
+
+    @cached_property
+    def gap_product_lower(self) -> Fraction:
+        return Fraction(self.gap_numerators[2], 1 << (self.level * (len(self.ends) - 1)))
+
+    @cached_property
+    def gap_product_upper(self) -> Fraction:
+        return Fraction(self.gap_numerators[3], 1 << (self.level * (len(self.ends) - 1)))
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -120,10 +138,10 @@ def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
     that would leave it stops just inside, so a root next to a dyadic end takes a step or two.  The
     certificate: f is nonzero with strictly opposite signs at the node's ends, hi's sign at k + 1.
     """
-    one, df = 1 << (level + NEWTON_GUARD), _poly.derivative(f)
+    one = 1 << (level + NEWTON_GUARD)
     a, b, x = lo << NEWTON_GUARD, hi << NEWTON_GUARD, (lo + hi) << (NEWTON_GUARD - 1)
     for _ in range(NEWTON_STEPS):
-        value, slope = _poly.evaluate(f, x, one), _poly.evaluate(df, x, one)
+        value, slope = _poly.value_and_slope(f, x, one)
         a, b = (a, x) if _poly.sign(value) == sign_hi else (x, b)
         step = value // slope if slope else x - (a + b) // 2  # a zero slope bisects the bracket
         if abs(step) < 1 << NEWTON_GUARD:
@@ -220,7 +238,7 @@ def _refined(form: BinaryForm, items: list[tuple[int, int, int]], bits: int) -> 
         items[i], items[i + 1] = left, right
     level = max(item[2] for item in items)
     ends = tuple((lo << (level - node), hi << (level - node)) for lo, hi, node in items)
-    return RootData(level, ends, tuple(lo for lo, hi, _ in items if lo == hi), *_gap_enclosures(level, ends))
+    return RootData(level, ends, tuple(lo for lo, hi, _ in items if lo == hi))
 
 
 def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:
@@ -284,29 +302,55 @@ def _checked(K, epsilon) -> tuple[Fraction, Fraction]:
     return K, epsilon
 
 
-def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> TheoremConstants:
-    """Certified enclosures of approx_coeff and gate from root-gap enclosures, checked K and epsilon.
+def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of approx_coeff lower, upper and gate lower, upper, from checked K and epsilon.
 
-    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  Both upper bounds shrink monotonically as
-    the intervals shrink.  Every quotient is taken on integer numerators and denominators, and each Fraction
-    is built once.
+    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The pairs are not reduced: each reader takes
+    a floor, a dyadic root or a cross-multiplied comparison of them, and each of those depends on the value
+    alone.  Both upper bounds shrink monotonically as the intervals shrink.
     """
-    if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
+    gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
+    if gap_lower <= 0 or product_lower <= 0:
         raise ValueError("root intervals are not strictly separated")
-    n = len(roots.ends)
+    n, level = len(roots.ends), roots.level
     e_num, e_den = epsilon.numerator, epsilon.denominator
-
-    def over(num: int, den: int, gap: Fraction) -> Fraction:
-        return Fraction(num * gap.denominator, den * gap.numerator)
-
-    # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap)
-    c_num, c_den = K.numerator * e_den ** (n - 1), K.denominator * (e_den - e_num) ** (n - 1)
+    # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap), the gaps over 2^(level (n-1)) and 2^level
+    c_num, c_den = K.numerator * e_den ** (n - 1) << (level * (n - 1)), K.denominator * (e_den - e_num) ** (n - 1)
     root_den = e_num << ROOT_PREC_BITS
-    return TheoremConstants(
-        approx_coeff_lower=over(c_num, c_den, roots.gap_product_upper),
-        approx_coeff_upper=over(c_num, c_den, roots.gap_product_lower),
-        gate_lower=over(k_root[0] * e_den, root_den, roots.min_gap_upper),
-        gate_upper=over(k_root[1] * e_den, root_den, roots.min_gap_lower),
+    return (
+        (c_num, c_den * product_upper),
+        (c_num, c_den * product_lower),
+        (k_root[0] * e_den << level, root_den * gap_upper),
+        (k_root[1] * e_den << level, root_den * gap_lower),
+    )
+
+
+def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> TheoremConstants:
+    """The enclosures of :func:`_quotients` as Fractions."""
+    return TheoremConstants(*(Fraction(num, den) for num, den in _quotients(roots, K, epsilon, k_root)))
+
+
+def _gate_squares(
+    coeff: tuple[int, int], gate: tuple[int, int], n: int, field: QuadraticField
+) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of the three squared gates, from the upper bounds of approx_coeff and gate.
+
+    Each is max(gate^2, the upper bound of X^(2/e)) with X and e as :func:`thresholds` says; the roots and
+    the comparisons with gate^2 are taken on integer numerators and denominators.
+    """
+    gate_num, gate_den = gate[0] ** 2, gate[1] ** 2
+    scaled_num, scaled_den = (field.s * coeff[0]) ** 2, coeff[1] ** 2  # (s * approx_coeff)^2
+
+    def at_least_gate(num: int, den: int, r: int) -> tuple[int, int]:
+        """max(gate^2, the upper bound of (num/den)^(1/r))."""
+        if r > 1:
+            num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS
+        return (num, den) if num * gate_den > gate_num * den else (gate_num, gate_den)
+
+    return (
+        at_least_gate(scaled_num, scaled_den * field.m, n - 2),
+        at_least_gate(scaled_num, scaled_den, n - 1),
+        at_least_gate(scaled_num, scaled_den * field.m, n - 1),
     )
 
 
@@ -316,65 +360,50 @@ def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateT
     The three conclusions require |y| > max(gate, X^(1/e)) with
     X = s*approx_coeff (real-vanish) or s*approx_coeff/sqrt(m) (the others)
     and e = n-2 or n-1; squaring removes the square roots, so everything is
-    an n-th root of a rational, bounded above dyadically.  The roots and the
-    comparisons with gate^2 are taken on integer numerators and denominators.
+    an n-th root of a rational, bounded above dyadically.
     """
-    gate, coeff = consts.gate_upper, consts.approx_coeff_upper
-    gate_num, gate_den = gate.numerator**2, gate.denominator**2
-    scaled_num, scaled_den = (field.s * coeff.numerator) ** 2, coeff.denominator**2  # (s * approx_coeff)^2
-
-    def at_least_gate(num: int, den: int, r: int) -> Fraction:
-        """max(gate^2, the upper bound of (num/den)^(1/r))."""
-        if r > 1:
-            num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS
-        return Fraction(num, den) if num * gate_den > gate_num * den else Fraction(gate_num, gate_den)
-
-    return GateThresholds(
-        proportionality_sq=at_least_gate(scaled_num, scaled_den * field.m, n - 2),
-        real_vanish_sq=at_least_gate(scaled_num, scaled_den, n - 1),
-        imag_vanish_sq=at_least_gate(scaled_num, scaled_den * field.m, n - 1),
-    )
+    coeff, gate = consts.approx_coeff_upper, consts.gate_upper
+    squares = _gate_squares((coeff.numerator, coeff.denominator), (gate.numerator, gate.denominator), n, field)
+    return GateThresholds(*(Fraction(num, den) for num, den in squares))
 
 
-def _gate_floors(th: GateThresholds) -> tuple[int, int, int]:
-    return (
-        floor(th.proportionality_sq),
-        floor(th.real_vanish_sq),
-        floor(th.imag_vanish_sq),
-    )
+def _gate_floors(
+    roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], n: int, field: QuadraticField
+) -> tuple[int, ...]:
+    """floor() of the three squared gates of :func:`thresholds` at ``roots``, as integer quotients."""
+    _, coeff_upper, _, gate_upper = _quotients(roots, K, epsilon, k_root)
+    return tuple(num // den for num, den in _gate_squares(coeff_upper, gate_upper, n, field))
 
 
 def stable_constants(
     form: BinaryForm, K, epsilon, field: QuadraticField
-) -> tuple[RootData, TheoremConstants, GateThresholds, bool]:
+) -> tuple[RootData, tuple[int, int, int], bool]:
     """Check K and epsilon, isolate the roots and refine them a level at a time until the integer gates stabilize.
 
-    The gates are compared against integer norms, so refinement beyond the
-    point where their floors stop moving cannot change any decision.  When
-    every root is an integer, the intervals are points and the enclosures
-    exact, so no refinement can move a gate and none is tried.  The
-    flag is False when the floors still moved after ``MAX_HALVINGS`` halvings;
-    the returned gates are then those of the finest isolation, still sound.
-    The bounds of K^(1/n) are taken once, not once per halving.
+    Returns the kept isolation, the floors of its three squared gates and whether they settled.  The gates
+    are compared against integer norms, so refinement beyond the point where their floors stop moving
+    cannot change any decision.  When every root is an integer, the intervals are points and the
+    enclosures exact, so no refinement can move a gate and none is tried.  The flag is False when the
+    floors still moved after ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest
+    isolation, still sound.  The bounds of K^(1/n) are taken once, not once per halving, and no halving
+    builds a Fraction.
     """
     n = form.degree
     K, epsilon = _checked(K, epsilon)
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
     bits = ISOLATION_BITS
     data = isolate_roots(form, bits)
-    k_root = _dyadic_root(K.numerator, K.denominator, n)
-    consts = _constants(data, K, epsilon, k_root)
-    gates = thresholds(consts, n, field)
+    caps = _gate_floors(data, K, epsilon, k_root, n, field)
     if all(lo == hi for lo, hi in data.ends):  # every root an integer: the enclosures are exact already
-        return data, consts, gates, True
+        return data, caps, True
     for _ in range(MAX_HALVINGS):
         bits += 1
         finer = refine(form, data, bits)
-        finer_consts = _constants(finer, K, epsilon, k_root)
-        finer_gates = thresholds(finer_consts, n, field)
-        if _gate_floors(finer_gates) == _gate_floors(gates):
-            return finer, finer_consts, finer_gates, True
-        data, consts, gates = finer, finer_consts, finer_gates
-    return data, consts, gates, False
+        finer_caps = _gate_floors(finer, K, epsilon, k_root, n, field)
+        if finer_caps == caps:
+            return finer, finer_caps, True
+        data, caps = finer, finer_caps
+    return data, caps, False
 
 
 @dataclass(frozen=True)
@@ -383,17 +412,20 @@ class Problem:
 
     The constructor is the one place a problem is checked (admissible form,
     K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
-    and the predicates use: the root isolation (integer roots included), the
-    constants, the gates and ``abs_bound`` = s^n K, the bound of the absolute
-    inequality behind both part bounds.  Norms and form values are integers,
-    and an integer v has v <= B exactly when v <= floor(B) and v > B exactly
-    when v > floor(B), so the bounds are also held as integer floors:
-    ``norm_cap`` = floor(K^2) for norm(F(x, y)), ``part_cap`` =
-    floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for the squared
-    part and joint bounds, and ``gate_caps``, the floors of the three squared
-    gates (proportionality, real vanishing, imaginary vanishing).
-    ``gates_stable`` is False when the gates had not settled after
-    ``MAX_HALVINGS`` refinements; a warning is logged then.
+    and the predicates use, on integers: the root isolation (integer roots
+    included), the floors of the gates and ``abs_bound`` = s^n K, the bound
+    of the absolute inequality behind both part bounds.  Norms and form
+    values are integers, and an integer v has v <= B exactly when
+    v <= floor(B) and v > B exactly when v > floor(B), so the bounds are
+    held as integer floors: ``norm_cap`` = floor(K^2) for norm(F(x, y)),
+    ``part_cap`` = floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for
+    the squared part and joint bounds, and ``gate_caps``, the floors of the
+    three squared gates (proportionality, real vanishing, imaginary
+    vanishing).  ``gates_stable`` is False when the gates had not settled
+    after ``MAX_HALVINGS`` refinements; a warning is logged then.  The
+    constants and the gates themselves, ``consts`` and ``gates``, are
+    Fraction views of the kept isolation, built on first read; only the
+    ``constants`` command reads them, and ``repr`` and ``==`` leave them out.
     """
 
     field: QuadraticField
@@ -401,8 +433,6 @@ class Problem:
     K: Fraction
     epsilon: Fraction = Fraction(1, 2)
     roots: RootData = dataclass_field(init=False)
-    consts: TheoremConstants = dataclass_field(init=False)
-    gates: GateThresholds = dataclass_field(init=False)
     gates_stable: bool = dataclass_field(init=False)
     abs_bound: Fraction = dataclass_field(init=False)
     norm_cap: int = dataclass_field(init=False)
@@ -412,7 +442,7 @@ class Problem:
 
     def __post_init__(self):
         K, epsilon = Fraction(self.K), Fraction(self.epsilon)
-        roots, consts, gates, stable = stable_constants(self.form, K, epsilon, self.field)
+        roots, gate_caps, stable = stable_constants(self.form, K, epsilon, self.field)
         if not stable:
             log.warning(
                 "gates of %s over m = %d did not stabilize in %d halvings", self.form, self.field.m, MAX_HALVINGS
@@ -422,17 +452,24 @@ class Problem:
             "K": K,
             "epsilon": epsilon,
             "roots": roots,
-            "consts": consts,
-            "gates": gates,
             "gates_stable": stable,
             "abs_bound": Fraction(bound_num, K.denominator),
             "norm_cap": floor(K * K),
             "part_cap": bound_num**2 // K.denominator**2,
             "joint_cap": bound_num**4 // K.denominator**4,
-            "gate_caps": _gate_floors(gates),
+            "gate_caps": gate_caps,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def consts(self) -> TheoremConstants:
+        K = self.K
+        return _constants(self.roots, K, self.epsilon, _dyadic_root(K.numerator, K.denominator, self.form.degree))
+
+    @cached_property
+    def gates(self) -> GateThresholds:
+        return thresholds(self.consts, self.form.degree, self.field)
 
     @property
     def integer_roots(self) -> tuple[int, ...]:

@@ -67,7 +67,8 @@ MUTANTS = [
     Mutant("oracle.py", "        y_planes[0][0] += bias * ones\n",
            "        y_planes[0][0] += bias * ones\n        y_planes[1][0] += bias * ones\n",
            ("tests/test_oracle.py::test_equals_the_cell_scan_on_workload_forms",)),
-    Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)", ("tests/test_abssolver.py",)),
+    Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)",
+           ("tests/test_abssolver.py::test_a_bound_below_one_keeps_only_the_zeros",)),
     Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
     # problem setup and predicate reports on integers
     Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == above else (mid, hi)",
@@ -110,6 +111,13 @@ MUTANTS = [
            ("tests/test_rootbounds.py::test_iroot_is_the_floor_of_the_real_root",)),
     Mutant("abssolver.py", "for a in range(-a_cap, a_cap + 1)]", "for a in range(-a_cap + 1, a_cap + 1)]",
            ("tests/test_abssolver.py",)),
+    # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
+    Mutant("rootbounds.py", "_, coeff_upper, _, gate_upper = _quotients(", "_, coeff_upper, gate_upper, _ = _quotients(",
+           ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_views",)),
+    Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
+           ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
+    Mutant("quadfield.py", "chain((2,), range(3, ", "chain((2,), range(5, ",
+           ("tests/test_quadfield.py::test_trial_division_by_two_and_odd_d_finds_odd_squares",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),
@@ -121,6 +129,10 @@ MUTANTS = [
            ("tests/test_rootbounds.py",),
            survives="equivalent: a zero of f at the node's left end inside [lo, hi] can only be the integer root lo, "
            "and hi's sign at the right end then puts the one root of (lo, hi) in that node"),
+    Mutant("rootbounds.py", "if num * gate_den > gate_num * den else", "if num * gate_den >= gate_num * den else",
+           ("tests/test_rootbounds.py",),
+           survives="equivalent: on equality both sides of the comparison are the same value, so every floor and "
+           "every Fraction view is the same"),
 ]
 
 

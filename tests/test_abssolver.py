@@ -31,6 +31,16 @@ def test_small_inequality_frozen_set():
     assert set(result.pairs()) == rectangle_solutions(F1, 1, 2)
 
 
+@pytest.mark.parametrize("coeffs", [(-1, -3, 0, 1), (0, -2, -1, 1)])
+def test_a_bound_below_one_keeps_only_the_zeros(coeffs):
+    # values are integers, so |F| <= 1/2 keeps F = 0 alone; the values +-1 lie between the bound and its ceiling
+    form = BinaryForm(coeffs)
+    got = solve_abs(form, Fraction(1, 2), 30)
+    assert got.solutions == window_scan(form, Fraction(1, 2), 30)
+    assert all(value == 0 for *_, value in got.solutions)
+    assert any(abs(value) == 1 for *_, value in solve_abs(form, 1, 30).solutions)
+
+
 def test_zero_bound_gives_zero_set():
     result = solve_abs(F1, 0, 3)
     expected = {(0, 0)}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relthue import brute_force, solve_relative
+from relthue import brute_force, cli, solve_relative
 from relthue.cli import CliError, ProblemSpec, decimal_str, main, parse_problem_text
 from relthue.reducer import RelativeSolutionSet
 from util import form_from_roots, profiled_calls
@@ -188,6 +188,17 @@ def test_unreadable_problem_file_is_status_1(capsys, tmp_path):
     status, out, err = run(capsys, "solve", str(path))
     assert status == 1 and out == ""
     assert err.startswith(f"error: cannot read problem file {str(path)!r}")
+
+
+def test_the_parser_is_built_once_and_reused_across_commands(capsys, problem_file):
+    argvs = (["constants", problem_file, "--json"], ["solve", problem_file, "--families"])
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in argvs] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_usage_error_is_status_1(capsys):

@@ -46,6 +46,21 @@ def test_squarefree_check_is_fast_for_large_m():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize(
+    "m,p",
+    [
+        (3**2 * 7, 3),
+        (5**2 * 11, 5),
+        (101**2 * 97, 101),  # 101 just above m^(1/3) ~ 99.6: trial division stops below it, the cofactor is 101^2
+        (101**2 * 103, 101),  # 101 just below m^(1/3) ~ 101.7: trial division finds it
+    ],
+)
+def test_trial_division_by_two_and_odd_d_finds_odd_squares(m, p):
+    with pytest.raises(ValueError, match=rf"not square-free \(divisible by {p}\^2\)"):
+        QuadraticField(m)
+    assert QuadraticField(m // p).m == m // p
+
+
 def test_m_is_limited_to_2_pow_63():
     assert QuadraticField(10**18 + 3).m == 10**18 + 3
     with pytest.raises(ValueError, match="not square-free"):

@@ -4,7 +4,7 @@ from math import floor
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relthue import (
@@ -16,6 +16,7 @@ from relthue import (
     check_admissible,
     integer_roots,
     rootbounds,
+    solve_relative,
 )
 from relthue.abssolver import solve_abs
 from relthue.rootbounds import ISOLATION_BITS, _dyadic_root, isolate_roots, nth_root_upper, refine, thresholds
@@ -130,22 +131,29 @@ def test_k_and_epsilon_are_checked_before_the_isolation(monkeypatch):
         Problem(QuadraticField(3), BinaryForm((0, 1, 0, 1)), 0)
 
 
-def test_isolation_builds_only_the_four_gap_enclosures_as_fractions(monkeypatch):
+def test_solve_relative_builds_no_enclosure_constant_or_gate_fraction(monkeypatch):
+    # the isolation, the stable loop and the solver run on integers; the enclosures, TheoremConstants and
+    # GateThresholds are Fraction views that only a reader of Problem.roots' enclosures, consts or gates builds
     built = []
 
     def counted(*args):
         built.append(Fraction(*args))
         return built[-1]
 
+    def refused(*args):
+        raise AssertionError("a Fraction view was built")
+
     monkeypatch.setattr(rootbounds, "Fraction", counted)
+    monkeypatch.setattr(rootbounds, "TheoremConstants", refused)
+    monkeypatch.setattr(rootbounds, "GateThresholds", refused)
     quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): close roots, separated after the refinement
     for form in (F1, F3, quartic):
-        data = isolate_roots(form)
-        finer = refine(form, data, 70)
-        assert built == [
-            *(data.min_gap_lower, data.min_gap_upper, data.gap_product_lower, data.gap_product_upper),
-            *(finer.min_gap_lower, finer.min_gap_upper, finer.gap_product_lower, finer.gap_product_upper),
-        ]
+        refine(form, isolate_roots(form), 70)
+        assert built == []
+        result = solve_relative(QuadraticField(7), form, Fraction(3, 2), height=5)
+        assert result.cross_check_ok
+        # the only Fractions are K, epsilon and s^n K, as Problem keeps them
+        assert set(built) == {Fraction(3, 2), Fraction(1, 2), Fraction(2**form.degree * 3, 2)}
         built.clear()
 
 
@@ -198,11 +206,11 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     form, field = BinaryForm(coeffs), QuadraticField(7)
     calls = []
     monkeypatch.setattr(rootbounds, "refine", lambda *args: calls.append(args) or refine(*args))
-    data, consts, gates, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
+    data, caps, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
     assert stable and bool(calls) == refined
     if not refined:
         assert data == isolate_roots(form) == refine(form, data, 65)
-        assert gates == thresholds(constants(data, 1, Fraction(1, 2)), 3, field)
+        assert caps == gate_floors(thresholds(constants(data, 1, Fraction(1, 2)), 3, field))
 
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
@@ -210,11 +218,11 @@ def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     # comparison sees a floor no gate has, and the isolation must come back two levels finer, and stable
     field, floors = QuadraticField(7), rootbounds._gate_floors
     moved = iter([(-1, -1, -1)])
-    monkeypatch.setattr(rootbounds, "_gate_floors", lambda th: next(moved, None) or floors(th))
-    data, consts, gates, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
+    monkeypatch.setattr(rootbounds, "_gate_floors", lambda *args: next(moved, None) or floors(*args))
+    data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
     assert data == refine(F3, isolate_roots(F3), ISOLATION_BITS + 2)
-    assert gates == thresholds(constants(data, Fraction(3, 2), Fraction(1, 2)), 3, field)
+    assert caps == gate_floors(thresholds(constants(data, Fraction(3, 2), Fraction(1, 2)), 3, field))
 
 
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
@@ -294,7 +302,9 @@ def test_gap_enclosures_equal_the_nested_loop(k, shape, start):
         ends.append((lo, lo + width))
         lo = ends[-1][1] + gap
     as_fractions = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi in ends]
-    assert rootbounds._gap_enclosures(k, ends) == nested_gap_enclosures(as_fractions)
+    data = rootbounds.RootData(k, tuple(ends), ())
+    views = (data.min_gap_lower, data.min_gap_upper, data.gap_product_lower, data.gap_product_upper)
+    assert views == nested_gap_enclosures(as_fractions)
 
 
 def test_separate_bisects_neighbours_until_strictly_apart():
@@ -302,6 +312,10 @@ def test_separate_bisects_neighbours_until_strictly_apart():
     data = rootbounds._refined(BinaryForm((6, 0, -5, 0, 1)), [(2, 3, 1), (3, 4, 1)], 1)
     assert intervals(data) == ((Fraction(11, 8), Fraction(3, 2)), (Fraction(13, 8), Fraction(7, 4)))
     assert (data.level, data.ends) == (3, ((11, 12), (13, 14)))
+
+
+def gate_floors(gates) -> tuple[int, int, int]:
+    return floor(gates.proportionality_sq), floor(gates.real_vanish_sq), floor(gates.imag_vanish_sq)
 
 
 # Floors of the three squared gates and gates_stable, recorded before the
@@ -439,9 +453,22 @@ def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
 
 def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
+    # one call per evaluation of f, and one per Newton step, which evaluates f and f' together
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.pairs()) == 157
-    assert calls["_poly", "evaluate"] == 289
+    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (253, 18)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+    st.integers(-(10**30), 10**30),
+    st.one_of(st.integers(1, 10**6), st.integers(0, 80).map(lambda k: 1 << k)),
+)
+def test_value_and_slope_equal_evaluate_and_derivative(coeffs, a, b):
+    assert _poly.value_and_slope(coeffs, a, b) == (
+        _poly.evaluate(coeffs, a, b),
+        _poly.evaluate(_poly.derivative(coeffs), a, b),
+    )
 
 
 @given(
@@ -524,11 +551,37 @@ def test_constants_and_thresholds_equal_the_fraction_references(case, bits):
 @settings(deadline=None, max_examples=40)
 @given(constant_cases())
 def test_problem_equals_the_one_built_on_the_fraction_references(case):
+    # the Fraction views of a Problem, and its integer gate floors, equal the references at its isolation
     form, m, K, epsilon = case
     field = QuadraticField(m)
     problem = Problem(field, form, K, epsilon)
-    with (
-        mock.patch.object(rootbounds, "_constants", lambda roots, K, epsilon, _: fraction_constants(roots, K, epsilon)),
-        mock.patch.object(rootbounds, "thresholds", fraction_thresholds),
-    ):
-        assert vars(problem) == vars(Problem(field, form, K, epsilon))
+    consts = fraction_constants(problem.roots, K, epsilon)
+    gates = fraction_thresholds(consts, form.degree, field)
+    assert problem.gate_caps == gate_floors(gates)
+    assert (problem.consts, problem.gates) == (consts, gates)
+
+
+@settings(deadline=None, max_examples=60)
+@given(constant_cases(), st.integers(ISOLATION_BITS, ISOLATION_BITS + 3))
+# x(x - 1)(x - 2)(x - 3) at K = 4: the squared gate is 2 / (eps * min gap)^2 = 8 exactly, every squared gate is
+# the gate's, and the lower bound of K^(1/4) = sqrt(2) squares to just below 8, so its floor would read 7
+@example((form_from_roots((0, 1, 2, 3)), 5, Fraction(4), Fraction(1, 2)), ISOLATION_BITS)
+def test_integer_gate_floors_equal_the_floors_of_the_fraction_views(case, bits):
+    form, m, K, epsilon = case
+    field, n = QuadraticField(m), form.degree
+    data = isolate_roots(form, bits)
+    K, epsilon = Fraction(K), Fraction(epsilon)
+    floors = rootbounds._gate_floors(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n), n, field)
+    assert floors == gate_floors(thresholds(constants(data, K, epsilon), n, field))
+    assert floors == gate_floors(fraction_thresholds(fraction_constants(data, K, epsilon), n, field))
+
+
+def test_problem_views_are_built_on_first_read_and_left_out_of_repr_and_eq():
+    field = QuadraticField(7)
+    problem, other = Problem(field, F3, Fraction(3, 2)), Problem(field, F3, Fraction(3, 2))
+    assert "consts" not in vars(problem) and "gates" not in vars(problem)
+    assert "min_gap_lower" not in vars(problem.roots)
+    text = repr(problem)
+    assert problem.gates == thresholds(problem.consts, 3, field)
+    assert "consts" in vars(problem) and "gates" in vars(problem)
+    assert problem == other and repr(problem) == text == repr(other)

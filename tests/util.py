@@ -325,7 +325,7 @@ def fraction_sturm_chain(coeffs) -> tuple[tuple[int, ...], ...]:
 
 
 def nested_gap_enclosures(intervals):
-    """``rootbounds._gap_enclosures`` by a nested loop over the ordered pairs (i, j), i != j."""
+    """The four gap enclosures of ``RootData`` by a nested loop over the ordered pairs (i, j), i != j."""
     n = len(intervals)
     a_lo = min(intervals[j + 1][0] - intervals[j][1] for j in range(n - 1))
     a_hi = min(intervals[j + 1][1] - intervals[j][0] for j in range(n - 1))
@@ -402,7 +402,7 @@ def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = No
     found = tuple((lo, hi) for lo, hi in items)
     unit = max(end.denominator for iv in found for end in iv)
     ends = tuple((int(lo * unit), int(hi * unit)) for lo, hi in found)
-    return RootData(unit.bit_length() - 1, ends, tuple(exact), *nested_gap_enclosures(found))
+    return RootData(unit.bit_length() - 1, ends, tuple(exact))
 
 
 def imag_value_range(problem: Problem) -> list[int]:
