@@ -5,8 +5,8 @@ oracle for verification.  All accept/reject decisions use exact integer and
 rational arithmetic.
 
 The names below are the documented entry points; the building blocks (root
-isolation, constants, gates, the two reduction branches) are imported from
-their modules."""
+isolation, the bounds that ``rootbounds.enclosures`` prints as Fractions, the
+two reduction branches) are imported from their modules."""
 
 from .abssolver import solve_abs
 from .forms import BinaryForm, InadmissibleFormError, check_admissible

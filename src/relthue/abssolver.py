@@ -49,9 +49,6 @@ class AbsSolutionSet:
     height: int
     solutions: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
 
-    def pairs(self) -> tuple[IntegerPair, ...]:
-        return tuple((a, b) for a, b, _ in self.solutions)
-
     def values_index(self) -> dict[int, list[IntegerPair]]:
         index: dict[int, list[IntegerPair]] = {}
         for a, b, v in self.solutions:

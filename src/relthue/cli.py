@@ -28,7 +28,7 @@ from .forms import BinaryForm
 from .oracle import brute_force
 from .quadfield import QuadraticField, RingElement
 from .reducer import solve_relative
-from .rootbounds import Problem
+from .rootbounds import Problem, enclosures
 from .theorem import full_report
 
 
@@ -259,37 +259,31 @@ def cmd_abs(args) -> int:
 
 def cmd_constants(args) -> int:
     spec = _load(args)
-    problem = Problem(spec.field, spec.form, spec.K, spec.epsilon)
-    roots, consts, gates = problem.roots, problem.consts, problem.gates
-    # JSON key -> (text label, lower end, upper end) of each certified enclosure
-    enclosures = {
-        "min_gap": ("A (min root gap)", roots.min_gap_lower, roots.min_gap_upper),
-        "gap_product": ("B (min gap product)", roots.gap_product_lower, roots.gap_product_upper),
-        "approx_coeff": ("C (approx coefficient)", consts.approx_coeff_lower, consts.approx_coeff_upper),
-        "gate": ("G (gate radius)", consts.gate_lower, consts.gate_upper),
+    bounds = enclosures(Problem(spec.field, spec.form, spec.K, spec.epsilon))
+    # JSON key -> text label of each certified enclosure
+    labels = {
+        "min_gap": "A (min root gap)",
+        "gap_product": "B (min gap product)",
+        "approx_coeff": "C (approx coefficient)",
+        "gate": "G (gate radius)",
     }
+    enclosed = dict(zip(labels, bounds))  # JSON key -> (lower end, upper end)
     # JSON key -> (upper bound of the threshold, of its square)
-    display = gates.display()
-    thresholds = {
-        "proportionality": (display[0], gates.proportionality_sq),
-        "real_vanish": (display[1], gates.real_vanish_sq),
-        "imag_vanish": (display[2], gates.imag_vanish_sq),
-    }
-    bounds = [*(ends for _, *ends in enclosures.values()), *thresholds.values()]
+    thresholds = dict(zip(("proportionality", "real_vanish", "imag_vanish"), bounds[4:]))
     if any(_too_long(value) for pair in bounds for value in pair):
         raise CliError(f"field 'K': a constant or threshold has more than {_MAX_DIGITS} digits to print")
     payload = {
         **_json_head("constants", spec),
         "degree": spec.form.degree,
         "epsilon": str(spec.epsilon),
-        **{key: [str(lo), str(hi)] for key, (_, lo, hi) in enclosures.items()},
+        **{key: [str(lo), str(hi)] for key, (lo, hi) in enclosed.items()},
         "thresholds": {key: str(bound) for key, (bound, _) in thresholds.items()},
         "thresholds_sq": {key: str(bound_sq) for key, (_, bound_sq) in thresholds.items()},
     }
     lines = _text_head(spec)
     lines[-1] += f"  epsilon {spec.epsilon}"
-    for label, lo, hi in enclosures.values():
-        lines.append(f"{label:<22} in [{lo}, {hi}] ~ [{decimal_str(lo)}, {decimal_str(hi)}]")
+    for key, (lo, hi) in enclosed.items():
+        lines.append(f"{labels[key]:<22} in [{lo}, {hi}] ~ [{decimal_str(lo)}, {decimal_str(hi)}]")
     for key, (bound, _) in thresholds.items():
         lines.append(f"threshold {key.replace('_', '-'):<15} <= {bound} ~ {decimal_str(bound)}")
     _emit(args, payload, lines)

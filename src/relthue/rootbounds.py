@@ -32,9 +32,9 @@ the integer floors of the squared gates from one refinement level to the next
 without building a Fraction.  :class:`Problem` validates one relative
 inequality and holds the kept isolation, the floors of its bounds and squared
 gates that the predicates and the reducer compare with, and the flag that
-says whether the gates settled.  The gap enclosures, :class:`TheoremConstants`
-and :class:`GateThresholds` are Fraction views of the same integers, built
-on first read; only the ``constants`` command reads them.
+says whether the gates settled.  The integer pairs are the one definition
+of each bound; :func:`enclosures` turns them into Fractions for the
+``constants`` command, the only reader that prints them.
 """
 
 from __future__ import annotations
@@ -72,13 +72,6 @@ def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tupl
     return c, c if c**r * den == target else c + 1
 
 
-def nth_root_upper(x: Fraction, r: int, bits: int = ROOT_PREC_BITS) -> Fraction:
-    """Smallest dyadic c/2^bits with (c/2^bits)^r >= x; exact for r = 1."""
-    x = Fraction(x)
-    d = _dyadic_root(x.numerator, x.denominator, r, bits)[1]
-    return x if r == 1 else Fraction(d, 1 << bits)
-
-
 @dataclass(frozen=True)
 class RootData:
     """Isolating intervals of the n real roots, sorted and pairwise disjoint, and the gap enclosures they give.
@@ -86,8 +79,8 @@ class RootData:
     Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
-    ``gap_numerators`` holds the gap enclosures on integers; the four Fraction enclosures are views of them,
-    built on first read, so ``repr`` and ``==`` show the isolation alone.
+    ``gap_numerators`` holds the gap enclosures on integers, built on first read, so ``repr`` and ``==``
+    show the isolation alone.
     """
 
     level: int
@@ -112,22 +105,6 @@ class RootData:
             highs[j] *= high
         pairs = list(zip(ends, ends[1:]))
         return min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
-
-    @cached_property
-    def min_gap_lower(self) -> Fraction:
-        return Fraction(self.gap_numerators[0], 1 << self.level)
-
-    @cached_property
-    def min_gap_upper(self) -> Fraction:
-        return Fraction(self.gap_numerators[1], 1 << self.level)
-
-    @cached_property
-    def gap_product_lower(self) -> Fraction:
-        return Fraction(self.gap_numerators[2], 1 << (self.level * (len(self.ends) - 1)))
-
-    @cached_property
-    def gap_product_upper(self) -> Fraction:
-        return Fraction(self.gap_numerators[3], 1 << (self.level * (len(self.ends) - 1)))
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -261,47 +238,6 @@ def refine(form: BinaryForm, data: RootData, bits: int) -> RootData:
     return _refined(form, items, bits)
 
 
-@dataclass(frozen=True)
-class TheoremConstants:
-    """Directed-rounded enclosures of approx_coeff and gate (the gap enclosures are in :class:`RootData`)."""
-
-    approx_coeff_lower: Fraction
-    approx_coeff_upper: Fraction
-    gate_lower: Fraction
-    gate_upper: Fraction
-
-
-@dataclass(frozen=True)
-class GateThresholds:
-    """Upper bounds for the squared |y| gates of the three rigidity conclusions.
-
-    A conclusion is asserted only when norm(y) strictly exceeds the squared
-    bound, i.e. only strictly inside its proven range.
-    """
-
-    proportionality_sq: Fraction
-    real_vanish_sq: Fraction
-    imag_vanish_sq: Fraction
-
-    def display(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Rational upper bounds for the three un-squared thresholds."""
-        return (
-            nth_root_upper(self.proportionality_sq, 2),
-            nth_root_upper(self.real_vanish_sq, 2),
-            nth_root_upper(self.imag_vanish_sq, 2),
-        )
-
-
-def _checked(K, epsilon) -> tuple[Fraction, Fraction]:
-    """K and epsilon as Fractions, with K >= 1 and 0 < epsilon < 1 checked."""
-    K, epsilon = Fraction(K), Fraction(epsilon)
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must lie strictly between 0 and 1")
-    return K, epsilon
-
-
 def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """(numerator, denominator) of approx_coeff lower, upper and gate lower, upper, from checked K and epsilon.
 
@@ -325,18 +261,16 @@ def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[in
     )
 
 
-def _constants(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> TheoremConstants:
-    """The enclosures of :func:`_quotients` as Fractions."""
-    return TheoremConstants(*(Fraction(num, den) for num, den in _quotients(roots, K, epsilon, k_root)))
-
-
 def _gate_squares(
     coeff: tuple[int, int], gate: tuple[int, int], n: int, field: QuadraticField
 ) -> tuple[tuple[int, int], ...]:
     """(numerator, denominator) of the three squared gates, from the upper bounds of approx_coeff and gate.
 
-    Each is max(gate^2, the upper bound of X^(2/e)) with X and e as :func:`thresholds` says; the roots and
-    the comparisons with gate^2 are taken on integer numerators and denominators.
+    The three conclusions require |y| > max(gate, X^(1/e)) with X = s*approx_coeff (real vanishing) or
+    s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or n-1.  Squaring removes the square
+    roots, so each squared gate is max(gate^2, the upper bound of X^(2/e)), an n-th root of a rational
+    bounded above dyadically.  A conclusion is asserted only when norm(y) strictly exceeds its squared gate.
+    The roots and the comparisons with gate^2 are taken on integer numerators and denominators.
     """
     gate_num, gate_den = gate[0] ** 2, gate[1] ** 2
     scaled_num, scaled_den = (field.s * coeff[0]) ** 2, coeff[1] ** 2  # (s * approx_coeff)^2
@@ -354,42 +288,28 @@ def _gate_squares(
     )
 
 
-def thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
-    """Squared applicability gates for a form of degree n over ``field``, rounded upward.
-
-    The three conclusions require |y| > max(gate, X^(1/e)) with
-    X = s*approx_coeff (real-vanish) or s*approx_coeff/sqrt(m) (the others)
-    and e = n-2 or n-1; squaring removes the square roots, so everything is
-    an n-th root of a rational, bounded above dyadically.
-    """
-    coeff, gate = consts.approx_coeff_upper, consts.gate_upper
-    squares = _gate_squares((coeff.numerator, coeff.denominator), (gate.numerator, gate.denominator), n, field)
-    return GateThresholds(*(Fraction(num, den) for num, den in squares))
-
-
 def _gate_floors(
     roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], n: int, field: QuadraticField
 ) -> tuple[int, ...]:
-    """floor() of the three squared gates of :func:`thresholds` at ``roots``, as integer quotients."""
+    """floor() of the three squared gates of :func:`_gate_squares` at ``roots``, as integer quotients."""
     _, coeff_upper, _, gate_upper = _quotients(roots, K, epsilon, k_root)
     return tuple(num // den for num, den in _gate_squares(coeff_upper, gate_upper, n, field))
 
 
 def stable_constants(
-    form: BinaryForm, K, epsilon, field: QuadraticField
+    form: BinaryForm, K: Fraction, epsilon: Fraction, field: QuadraticField
 ) -> tuple[RootData, tuple[int, int, int], bool]:
-    """Check K and epsilon, isolate the roots and refine them a level at a time until the integer gates stabilize.
+    """Isolate the roots and refine them a level at a time until the integer gates stabilize.
 
-    Returns the kept isolation, the floors of its three squared gates and whether they settled.  The gates
-    are compared against integer norms, so refinement beyond the point where their floors stop moving
-    cannot change any decision.  When every root is an integer, the intervals are points and the
-    enclosures exact, so no refinement can move a gate and none is tried.  The flag is False when the
-    floors still moved after ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest
-    isolation, still sound.  The bounds of K^(1/n) are taken once, not once per halving, and no halving
-    builds a Fraction.
+    K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of its
+    three squared gates and whether they settled.  The gates are compared against integer norms, so
+    refinement beyond the point where their floors stop moving cannot change any decision.  When every root
+    is an integer, the intervals are points and the enclosures exact, so no refinement can move a gate and
+    none is tried.  The flag is False when the floors still moved after ``MAX_HALVINGS`` halvings; the
+    returned floors are then those of the finest isolation, still sound.  The bounds of K^(1/n) are taken
+    once, not once per halving, and no halving builds a Fraction.
     """
     n = form.degree
-    K, epsilon = _checked(K, epsilon)
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     bits = ISOLATION_BITS
     data = isolate_roots(form, bits)
@@ -423,9 +343,9 @@ class Problem:
     three squared gates (proportionality, real vanishing, imaginary
     vanishing).  ``gates_stable`` is False when the gates had not settled
     after ``MAX_HALVINGS`` refinements; a warning is logged then.  The
-    constants and the gates themselves, ``consts`` and ``gates``, are
-    Fraction views of the kept isolation, built on first read; only the
-    ``constants`` command reads them, and ``repr`` and ``==`` leave them out.
+    constants and the squared gates themselves are held nowhere as
+    Fractions: :func:`enclosures` builds them from the kept isolation for
+    the ``constants`` command.
     """
 
     field: QuadraticField
@@ -442,6 +362,10 @@ class Problem:
 
     def __post_init__(self):
         K, epsilon = Fraction(self.K), Fraction(self.epsilon)
+        if K < 1:
+            raise ValueError("K must be >= 1")
+        if not (0 < epsilon < 1):
+            raise ValueError("epsilon must lie strictly between 0 and 1")
         roots, gate_caps, stable = stable_constants(self.form, K, epsilon, self.field)
         if not stable:
             log.warning(
@@ -462,15 +386,30 @@ class Problem:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def consts(self) -> TheoremConstants:
-        K = self.K
-        return _constants(self.roots, K, self.epsilon, _dyadic_root(K.numerator, K.denominator, self.form.degree))
-
-    @cached_property
-    def gates(self) -> GateThresholds:
-        return thresholds(self.consts, self.form.degree, self.field)
-
     @property
     def integer_roots(self) -> tuple[int, ...]:
         return self.roots.integer_roots
+
+
+def enclosures(problem: Problem) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The certified bounds the ``constants`` command prints, as Fractions of the problem's integer pairs.
+
+    (lower, upper) of A, B, C and G, then, for each squared gate (proportionality, real vanishing, imaginary
+    vanishing), the upper bound of its square root and the squared gate itself.  Each is built from the
+    pairs of ``RootData.gap_numerators``, :func:`_quotients` and :func:`_gate_squares`, the one definition
+    of each bound; a Fraction shows only the value, so it does not matter that the pairs are not reduced.
+    """
+    roots, K, n = problem.roots, problem.K, problem.form.degree
+    gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
+    gap_den, product_den = 1 << roots.level, 1 << (roots.level * (n - 1))
+    coeff_lower, coeff_upper, gate_lower, gate_upper = _quotients(
+        roots, K, problem.epsilon, _dyadic_root(K.numerator, K.denominator, n)
+    )
+    squares = _gate_squares(coeff_upper, gate_upper, n, problem.field)
+    return (
+        (Fraction(gap_lower, gap_den), Fraction(gap_upper, gap_den)),
+        (Fraction(product_lower, product_den), Fraction(product_upper, product_den)),
+        (Fraction(*coeff_lower), Fraction(*coeff_upper)),
+        (Fraction(*gate_lower), Fraction(*gate_upper)),
+        *((Fraction(_dyadic_root(num, den, 2)[1], 1 << ROOT_PREC_BITS), Fraction(num, den)) for num, den in squares),
+    )

@@ -7,9 +7,12 @@ For each entry the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to 
 directory, replaces the entry's snippet (which must occur exactly once in its file) and runs the
 entry's tests there with ``pytest -x``, one process at a time.  An entry is *killed* when its tests
 fail or run past ``TIMEOUT_S`` (a mutant can make a loop run forever), and *survived* when they
-pass.  Entries with a ``survives`` reason are expected to survive; the runner exits 1 when any
-entry ends otherwise than expected.  Tier-1 only checks that every snippet is still there once
-(``test_mutants.py``); running the table takes minutes.  Add each new mutation here, not to prose.
+pass.  An entry whose tests pytest cannot find (exit 4 or 5, a node id that no longer exists)
+raises instead of counting as killed; a collection error the mutant causes (exit 2) is a kill.
+Entries with a ``survives`` reason are expected to survive; the runner exits 1 when any entry
+ends otherwise than expected.  Tier-1 only checks that every snippet is still there once and
+that every test an entry names is defined (``test_mutants.py``); running the table takes
+minutes.  Add each new mutation here, not to prose.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ MUTANTS = [
            "                if side == 0:\n                    items.append((mid, mid, 0))\n                    break\n", "",
            ("tests/test_rootbounds.py::test_integer_roots_at_the_midpoint_of_a_single_root_node",)),
     Mutant("rootbounds.py", "return c, c if c**r * den == target else c + 1", "return c, c",
-           ("tests/test_rootbounds.py::test_constants_and_thresholds_equal_the_fraction_references",)),
+           ("tests/test_rootbounds.py::test_quotients_and_gate_squares_equal_the_fraction_references",)),
     Mutant("rootbounds.py", '"part_cap": bound_num**2 // K.denominator**2,', '"part_cap": -(-(bound_num**2) // K.denominator**2),',
            ("tests/test_theorem.py::test_bounds_that_are_not_integers_are_decided_by_their_floors",)),
     # one dyadic interval format from the isolation to the window scan
@@ -113,11 +116,15 @@ MUTANTS = [
            ("tests/test_abssolver.py",)),
     # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
     Mutant("rootbounds.py", "_, coeff_upper, _, gate_upper = _quotients(", "_, coeff_upper, gate_upper, _ = _quotients(",
-           ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_views",)),
+           ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_references",)),
     Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
            ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
     Mutant("quadfield.py", "chain((2,), range(3, ", "chain((2,), range(5, ",
            ("tests/test_quadfield.py::test_trial_division_by_two_and_odd_d_finds_odd_squares",)),
+    # the constants held only as integer pairs, turned into Fractions once for printing
+    Mutant("rootbounds.py", "Fraction(_dyadic_root(num, den, 2)[1], 1 << ROOT_PREC_BITS)",
+           "Fraction(_dyadic_root(num, den, 2)[0], 1 << ROOT_PREC_BITS)",
+           ("tests/test_rootbounds.py::test_thresholds_exact_values",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),
@@ -132,7 +139,7 @@ MUTANTS = [
     Mutant("rootbounds.py", "if num * gate_den > gate_num * den else", "if num * gate_den >= gate_num * den else",
            ("tests/test_rootbounds.py",),
            survives="equivalent: on equality both sides of the comparison are the same value, so every floor and "
-           "every Fraction view is the same"),
+           "every printed bound is the same"),
 ]
 
 
@@ -146,6 +153,8 @@ def run(mutant: Mutant, work: Path) -> str:
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
     try:
         proc = subprocess.run(command, cwd=work, capture_output=True, timeout=TIMEOUT_S)
+        if proc.returncode in (4, 5):  # usage error or no tests collected: a stale node id, not a kill
+            raise ValueError(f"{mutant.tests}: pytest found no such tests (exit {proc.returncode})")
         return "survived" if proc.returncode == 0 else "killed"
     except subprocess.TimeoutExpired:
         return "timeout"

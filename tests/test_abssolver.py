@@ -27,8 +27,8 @@ def test_small_inequality_frozen_set():
         (-2, 1), (0, 1), (2, 1),
         (-4, 2), (0, 2), (4, 2),
     }
-    assert set(result.pairs()) == expected
-    assert set(result.pairs()) == rectangle_solutions(F1, 1, 2)
+    assert {(a, b) for a, b, _ in result.solutions} == expected
+    assert {(a, b) for a, b, _ in result.solutions} == rectangle_solutions(F1, 1, 2)
 
 
 @pytest.mark.parametrize("coeffs", [(-1, -3, 0, 1), (0, -2, -1, 1)])
@@ -47,13 +47,13 @@ def test_zero_bound_gives_zero_set():
     for r in (-2, 0, 2):
         for t in range(-3, 4):
             expected.add((r * t, t))
-    assert set(result.pairs()) == expected
+    assert {(a, b) for a, b, _ in result.solutions} == expected
     assert all(v == 0 for _, _, v in result.solutions)
 
 
 def test_height_zero_monic_axis():
     result = solve_abs(F1, 1, 0)
-    assert set(result.pairs()) == {(-1, 0), (0, 0), (1, 0)}
+    assert {(a, b) for a, b, _ in result.solutions} == {(-1, 0), (0, 0), (1, 0)}
 
 
 def test_equation_zero_set():
@@ -87,10 +87,10 @@ def test_values_are_exact():
 
 def test_sign_flip_symmetry():
     # F(-a,-b) = (-1)^n F(a,b), so the solution set is symmetric for any n
-    result = set(solve_abs(F1, 9, 6).pairs())
+    result = {(a, b) for a, b, _ in solve_abs(F1, 9, 6).solutions}
     assert result == {(-a, -b) for a, b in result}
     quartic = form_from_roots([-3, -1, 2, 4])
-    result = set(solve_abs(quartic, 25, 5).pairs())
+    result = {(a, b) for a, b, _ in solve_abs(quartic, 25, 5).solutions}
     assert result == {(-a, -b) for a, b in result}
 
 
@@ -102,13 +102,15 @@ def test_rectangle_oracle_equivalence_random_forms():
         form = form_from_roots(roots)
         bound = Fraction(rng.randint(1, 40))
         ymax = rng.randint(2, 12)
-        assert set(solve_abs(form, bound, ymax).pairs()) == rectangle_solutions(form, bound, ymax)
+        found = {(a, b) for a, b, _ in solve_abs(form, bound, ymax).solutions}
+        assert found == rectangle_solutions(form, bound, ymax)
 
 
 def test_rectangle_oracle_equivalence_irrational_roots():
     form = BinaryForm((-1, -3, 0, 1))  # irreducible cubic
     for bound, ymax in ((1, 8), (Fraction(19, 2), 6), (50, 5)):
-        assert set(solve_abs(form, bound, ymax).pairs()) == rectangle_solutions(form, bound, ymax)
+        found = {(a, b) for a, b, _ in solve_abs(form, bound, ymax).solutions}
+        assert found == rectangle_solutions(form, bound, ymax)
 
 
 def test_validation():

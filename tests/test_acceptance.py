@@ -25,7 +25,7 @@ from relthue import (
     solve_relative,
 )
 from relthue.rootbounds import isolate_roots, refine
-from util import constants, form_from_roots, imag_part_sq, imag_value_range, mul, real_part_sq, rectangle_solutions
+from util import constants, form_from_roots, gaps, imag_part_sq, imag_value_range, mul, real_part_sq, rectangle_solutions
 
 FORMS = {
     "x^3-4xy^2": BinaryForm((0, -4, 0, 1)),
@@ -112,12 +112,13 @@ def test_criterion_2_predicate_soundness(instances):
 
 def test_criterion_3_constants_reproduction():
     data = isolate_roots(BinaryForm((0, -4, 0, 1)))
-    consts = constants(data, 1, Fraction(1, 2))
+    gap_lower, gap_upper, product_lower, product_upper = gaps(data)
+    _, coeff_upper, _, gate_upper = constants(data, 1, Fraction(1, 2))
     ok = (
-        data.min_gap_lower <= 2 <= data.min_gap_upper
-        and data.gap_product_lower <= 4 <= data.gap_product_upper
-        and 1 <= consts.approx_coeff_upper <= 1 + Fraction(1, 2**30)
-        and 1 <= consts.gate_upper <= 1 + Fraction(1, 2**30)
+        gap_lower <= 2 <= gap_upper
+        and product_lower <= 4 <= product_upper
+        and 1 <= coeff_upper <= 1 + Fraction(1, 2**30)
+        and 1 <= gate_upper <= 1 + Fraction(1, 2**30)
     )
     _report(3, ok, "A encloses 2, B encloses 4, C_upper and G_upper within [1, 1+2^-30] at default precision")
 
@@ -138,7 +139,7 @@ def test_criterion_5_large_m_reduction():
     result = solve_relative(field, form, 1, EPS, YMAX)
     zero_imag = all(q[1] == 0 and q[3] == 0 for q in result.quadruples())
     embedded = {(q[0], q[2]) for q in result.quadruples()}
-    matches = embedded == set(solve_abs(form, 1, YMAX // 2).pairs())
+    matches = embedded == {(a, b) for a, b, _ in solve_abs(form, 1, YMAX // 2).solutions}
     _report(5, zero_imag and matches, f"m=163: all {len(embedded)} solutions have x2=y2=0 and equal the absolute solution set over Z")
 
 
@@ -184,7 +185,7 @@ def test_criterion_7_abs_completeness_in_box():
     for form in forms:
         bound = Fraction(rng.randint(1, 50))
         ymax = rng.randint(5, 30)
-        got = set(solve_abs(form, bound, ymax).pairs())
+        got = {(a, b) for a, b, _ in solve_abs(form, bound, ymax).solutions}
         want = rectangle_solutions(form, bound, ymax)
         assert got == want, (form.coeffs, bound, ymax)
     _report(7, True, "solve_abs equals full-rectangle brute force for 20 random admissible forms (K' <= 50, Y_max <= 30)")
@@ -199,9 +200,9 @@ def test_criterion_8_precision_monotonicity():
             bits += 1
             finer = refine(form, data, bits)
             finer_consts = constants(finer, 1, EPS)
-            assert finer.min_gap_lower >= data.min_gap_lower, name
-            assert finer.gap_product_lower >= data.gap_product_lower, name
-            assert finer_consts.approx_coeff_upper <= consts.approx_coeff_upper, name
-            assert finer_consts.gate_upper <= consts.gate_upper, name
+            assert gaps(finer)[0] >= gaps(data)[0], name
+            assert gaps(finer)[2] >= gaps(data)[2], name
+            assert finer_consts[1] <= consts[1], name  # approx_coeff upper
+            assert finer_consts[3] <= consts[3], name  # gate upper
             data, consts = finer, finer_consts
     _report(8, True, "halving the isolation width never hurts any enclosure across the criterion-1 forms")

@@ -201,7 +201,7 @@ def test_large_m_forces_zero_imag_coords():
     result = solve_relative(field, F3, 1, Fraction(1, 2), 20)
     assert all(q[1] == 0 and q[3] == 0 for q in result.quadruples())
     embedded = {(q[0], q[2]) for q in result.quadruples()}
-    assert embedded == set(solve_abs(F3, 1, 10).pairs())
+    assert embedded == {(a, b) for a, b, _ in solve_abs(F3, 1, 10).solutions}
     assert result.families == ()  # irreducible: no zero families
 
 
@@ -266,7 +266,7 @@ def test_s1_reconstruction_degenerates():
     # for s = 1 the real pair is (x1, y1) itself: solutions embed absolute pairs directly
     field = QuadraticField(2)
     result = solve_relative(field, F1, 1, Fraction(1, 2), 8)
-    abs_pairs = set(solve_abs(F1, 1, 8).pairs())
+    abs_pairs = {(a, b) for a, b, _ in solve_abs(F1, 1, 8).solutions}
     for q in result.quadruples():
         if q[1] == 0 and q[3] == 0:
             assert (q[0], q[2]) in abs_pairs
@@ -389,5 +389,5 @@ def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
     assert nonzero_found == range_walk_nonzero_branch(problem, abs_solutions)
     assert zero_found and nonzero_found
     assert len(verified) == len(set(verified))
-    realized = set(abs_solutions.pairs())
+    realized = {(a, b) for a, b, _ in abs_solutions.solutions}
     assert all((2 * x1 + x2, 2 * y1 + y2) in realized for x1, x2, y1, y2 in verified)

@@ -19,7 +19,7 @@ from relthue import (
     solve_relative,
 )
 from relthue.abssolver import solve_abs
-from relthue.rootbounds import ISOLATION_BITS, _dyadic_root, isolate_roots, nth_root_upper, refine, thresholds
+from relthue.rootbounds import ISOLATION_BITS, _dyadic_root, enclosures, isolate_roots, refine
 from util import (
     bisection_isolation,
     constants,
@@ -27,8 +27,10 @@ from util import (
     form_from_roots,
     fraction_constants,
     fraction_nth_root_lower,
+    fraction_nth_root_upper,
     fraction_sturm_chain,
     fraction_thresholds,
+    gaps,
     intervals,
     nested_gap_enclosures,
     profiled_calls,
@@ -86,19 +88,19 @@ def test_isolate_rejects_inadmissible():
 
 def test_constants_exact_root_example():
     data = isolate_roots(F1)
-    consts = constants(data, 1, Fraction(1, 2))
-    assert data.min_gap_lower <= 2 <= data.min_gap_upper
-    assert data.gap_product_lower <= 4 <= data.gap_product_upper
-    assert 1 <= consts.approx_coeff_upper <= 1 + Fraction(1, 2**30)
-    assert 1 <= consts.gate_upper <= 1 + Fraction(1, 2**30)
+    _, coeff_upper, _, gate_upper = constants(data, 1, Fraction(1, 2))
+    # the integer roots -2, 0, 2 are points: the gaps are exact, over 2^0
+    assert (data.level, data.gap_numerators) == (0, (2, 2, 4, 4))
+    assert 1 <= coeff_upper <= 1 + Fraction(1, 2**30)
+    assert 1 <= gate_upper <= 1 + Fraction(1, 2**30)
 
 
 def test_constants_irrational_gap():
-    data = isolate_roots(F3)
+    gap_lower, gap_upper, _, _ = gaps(isolate_roots(F3))
     # min gap ~ 1.1847925 between the two smaller roots
-    assert data.min_gap_lower <= Fraction(1184793, 1000000)
-    assert data.min_gap_upper >= Fraction(1184792, 1000000)
-    assert data.min_gap_upper - data.min_gap_lower < Fraction(1, 2**50)
+    assert gap_lower <= Fraction(1184793, 1000000)
+    assert gap_upper >= Fraction(1184792, 1000000)
+    assert gap_upper - gap_lower < Fraction(1, 2**50)
 
 
 def test_constants_validation():
@@ -132,28 +134,23 @@ def test_k_and_epsilon_are_checked_before_the_isolation(monkeypatch):
 
 
 def test_solve_relative_builds_no_enclosure_constant_or_gate_fraction(monkeypatch):
-    # the isolation, the stable loop and the solver run on integers; the enclosures, TheoremConstants and
-    # GateThresholds are Fraction views that only a reader of Problem.roots' enclosures, consts or gates builds
+    # the isolation, the stable loop and the solver run on integers; only enclosures() turns the bounds into
+    # Fractions, for the constants command
     built = []
 
     def counted(*args):
         built.append(Fraction(*args))
         return built[-1]
 
-    def refused(*args):
-        raise AssertionError("a Fraction view was built")
-
     monkeypatch.setattr(rootbounds, "Fraction", counted)
-    monkeypatch.setattr(rootbounds, "TheoremConstants", refused)
-    monkeypatch.setattr(rootbounds, "GateThresholds", refused)
     quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): close roots, separated after the refinement
     for form in (F1, F3, quartic):
         refine(form, isolate_roots(form), 70)
         assert built == []
         result = solve_relative(QuadraticField(7), form, Fraction(3, 2), height=5)
         assert result.cross_check_ok
-        # the only Fractions are K, epsilon and s^n K, as Problem keeps them
-        assert set(built) == {Fraction(3, 2), Fraction(1, 2), Fraction(2**form.degree * 3, 2)}
+        # the only Fractions are K, epsilon and s^n K, as Problem keeps them, each built once
+        assert built == [Fraction(3, 2), Fraction(1, 2), Fraction(2**form.degree * 3, 2)]
         built.clear()
 
 
@@ -165,10 +162,10 @@ def test_refinement_monotone():
         bits += 1
         finer = refine(F3, data, bits)
         finer_consts = constants(finer, 10, Fraction(1, 3))
-        assert finer.min_gap_lower >= data.min_gap_lower
-        assert finer.gap_product_lower >= data.gap_product_lower
-        assert finer_consts.approx_coeff_upper <= consts.approx_coeff_upper
-        assert finer_consts.gate_upper <= consts.gate_upper
+        assert gaps(finer)[0] >= gaps(data)[0]
+        assert gaps(finer)[2] >= gaps(data)[2]
+        assert finer_consts[1] <= consts[1]  # approx_coeff upper
+        assert finer_consts[3] <= consts[3]  # gate upper
         # refined intervals nest inside the coarser ones
         for (lo, hi), (flo, fhi) in zip(intervals(data), intervals(finer)):
             assert lo <= flo <= fhi <= hi
@@ -176,25 +173,23 @@ def test_refinement_monotone():
 
 
 def test_thresholds_exact_values():
-    field = QuadraticField(3)
-    consts = constants(isolate_roots(F1), 1, Fraction(1, 2))
-    gates = thresholds(consts, 3, field)
+    proportionality, real_vanish, imag_vanish = enclosures(Problem(QuadraticField(3), F1, 1))[4:]
     # s*C = 2, so squared gates are 4/3, 2 and ub(2/sqrt(3)) respectively
-    assert gates.proportionality_sq == Fraction(4, 3)
-    assert gates.real_vanish_sq == 2
-    assert gates.imag_vanish_sq**2 >= Fraction(4, 3)  # tight upper bound of 2/sqrt(3)
-    assert (gates.imag_vanish_sq - Fraction(1, 2**40)) ** 2 < Fraction(4, 3)
-    lin = gates.display()
-    assert lin[0] ** 2 >= Fraction(4, 3)
-    assert lin[1] ** 2 >= 2
+    assert proportionality[1] == Fraction(4, 3)
+    assert real_vanish[1] == 2
+    assert imag_vanish[1] ** 2 >= Fraction(4, 3)  # tight upper bound of 2/sqrt(3)
+    assert (imag_vanish[1] - Fraction(1, 2**40)) ** 2 < Fraction(4, 3)
+    assert proportionality[0] ** 2 >= Fraction(4, 3)
+    assert real_vanish[0] ** 2 >= 2
 
 
 def test_stable_constants_runs():
     field = QuadraticField(7)
     problem = Problem(field, F3, Fraction(3, 2))
     assert problem.K == Fraction(3, 2)
-    assert problem.gates == thresholds(problem.consts, 3, field)
-    assert problem.gates.proportionality_sq > 0
+    squared_gates = [square for _, square in enclosures(problem)[4:]]
+    assert problem.gate_caps == tuple(floor(square) for square in squared_gates)
+    assert squared_gates[0] > 0
     assert max(hi - lo for lo, hi in intervals(problem.roots)) <= Fraction(1, 2**64)
     assert problem.gates_stable
 
@@ -210,7 +205,7 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     assert stable and bool(calls) == refined
     if not refined:
         assert data == isolate_roots(form) == refine(form, data, 65)
-        assert caps == gate_floors(thresholds(constants(data, 1, Fraction(1, 2)), 3, field))
+        assert caps == gate_floors(fraction_thresholds(fraction_constants(data, 1, Fraction(1, 2)), 3, field))
 
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
@@ -222,7 +217,8 @@ def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
     assert data == refine(F3, isolate_roots(F3), ISOLATION_BITS + 2)
-    assert caps == gate_floors(thresholds(constants(data, Fraction(3, 2), Fraction(1, 2)), 3, field))
+    consts = fraction_constants(data, Fraction(3, 2), Fraction(1, 2))
+    assert caps == gate_floors(fraction_thresholds(consts, 3, field))
 
 
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
@@ -248,14 +244,15 @@ def test_problem_validates_once_at_construction():
     st.integers(1, 5),
 )
 def test_nth_root_bounds_bracket(x, r):
-    lo = fraction_nth_root_lower(x, r, 32)
-    hi = nth_root_upper(x, r, 32)
+    lo, hi = (Fraction(end, 2**32) for end in _dyadic_root(x.numerator, x.denominator, r, 32))
     assert lo**r <= x <= hi**r
-    assert hi - lo <= Fraction(2, 2**32)
+    assert hi - lo <= Fraction(1, 2**32)
     # tight: one dyadic step past either bound crosses x
     step = Fraction(1, 2**32)
     assert (lo + step) ** r > x
-    assert r == 1 or x == 0 or (hi - step) ** r < x
+    assert x == 0 or (hi - step) ** r < x
+    # the Fraction-power references agree wherever they are dyadic (for r = 1 they return x itself)
+    assert r == 1 or (lo, hi) == (fraction_nth_root_lower(x, r, 32), fraction_nth_root_upper(x, r, 32))
 
 
 @given(st.integers(0, 2**600), st.integers(1, 7), st.integers(0, 2**85), st.integers(-1, 1))
@@ -267,11 +264,11 @@ def test_iroot_is_the_floor_of_the_real_root(k, r, base, step):
 
 
 def test_nth_root_exact_powers():
-    assert nth_root_upper(Fraction(1), 3) == 1
     assert _dyadic_root(1, 1, 3) == (1 << 48, 1 << 48)
-    assert nth_root_upper(Fraction(8), 3) == 2
+    assert _dyadic_root(8, 1, 3) == (2 << 48, 2 << 48)
     assert _dyadic_root(27, 1, 3) == (3 << 48, 3 << 48)
-    assert nth_root_upper(Fraction(5, 3), 1) == Fraction(5, 3)
+    assert _dyadic_root(16, 2, 3) == (2 << 48, 2 << 48)  # the value counts, not the pair
+    assert _dyadic_root(5, 3, 1) == ((5 << 48) // 3, (5 << 48) // 3 + 1)
 
 
 @st.composite
@@ -302,9 +299,7 @@ def test_gap_enclosures_equal_the_nested_loop(k, shape, start):
         ends.append((lo, lo + width))
         lo = ends[-1][1] + gap
     as_fractions = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi in ends]
-    data = rootbounds.RootData(k, tuple(ends), ())
-    views = (data.min_gap_lower, data.min_gap_upper, data.gap_product_lower, data.gap_product_upper)
-    assert views == nested_gap_enclosures(as_fractions)
+    assert gaps(rootbounds.RootData(k, tuple(ends), ())) == nested_gap_enclosures(as_fractions)
 
 
 def test_separate_bisects_neighbours_until_strictly_apart():
@@ -314,8 +309,8 @@ def test_separate_bisects_neighbours_until_strictly_apart():
     assert (data.level, data.ends) == (3, ((11, 12), (13, 14)))
 
 
-def gate_floors(gates) -> tuple[int, int, int]:
-    return floor(gates.proportionality_sq), floor(gates.real_vanish_sq), floor(gates.imag_vanish_sq)
+def gate_floors(squared_gates) -> tuple[int, ...]:
+    return tuple(floor(square) for square in squared_gates)
 
 
 # Floors of the three squared gates and gates_stable, recorded before the
@@ -335,8 +330,7 @@ GATE_FLOORS = [
 @pytest.mark.parametrize("coeffs,m,K,floors", GATE_FLOORS)
 def test_gate_floors_of_irrational_root_forms(coeffs, m, K, floors):
     problem = Problem(QuadraticField(m), BinaryForm(coeffs), K)
-    gates = problem.gates
-    assert (floor(gates.proportionality_sq), floor(gates.real_vanish_sq), floor(gates.imag_vanish_sq)) == floors
+    assert problem.gate_caps == gate_floors(square for _, square in enclosures(problem)[4:]) == floors
     assert problem.gates_stable
     assert problem.integer_roots == ()
 
@@ -455,7 +449,7 @@ def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
     # one call per evaluation of f, and one per Newton step, which evaluates f and f' together
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
-    assert len(result.pairs()) == 157
+    assert len(result.solutions) == 157
     assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (253, 18)
 
 
@@ -539,26 +533,35 @@ def constant_cases(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(constant_cases(), st.sampled_from((1, 10, 64)))
-def test_constants_and_thresholds_equal_the_fraction_references(case, bits):
+def test_quotients_and_gate_squares_equal_the_fraction_references(case, bits):
     form, m, K, epsilon = case
-    data, field = isolate_roots(form, bits), QuadraticField(m)
+    data, field, n = isolate_roots(form, bits), QuadraticField(m), form.degree
     consts = constants(data, K, epsilon)
-    assert vars(consts) == vars(fraction_constants(data, K, epsilon))
-    n = form.degree
-    assert vars(thresholds(consts, n, field)) == vars(fraction_thresholds(consts, n, field))
+    assert consts == fraction_constants(data, K, epsilon)
+    K, epsilon = Fraction(K), Fraction(epsilon)
+    pairs = rootbounds._quotients(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n))
+    squares = rootbounds._gate_squares(pairs[1], pairs[3], n, field)
+    assert tuple(Fraction(num, den) for num, den in squares) == fraction_thresholds(consts, n, field)
 
 
 @settings(deadline=None, max_examples=40)
 @given(constant_cases())
 def test_problem_equals_the_one_built_on_the_fraction_references(case):
-    # the Fraction views of a Problem, and its integer gate floors, equal the references at its isolation
+    # enclosures() of a Problem, and its integer gate floors, equal the references at its isolation
     form, m, K, epsilon = case
     field = QuadraticField(m)
     problem = Problem(field, form, K, epsilon)
     consts = fraction_constants(problem.roots, K, epsilon)
-    gates = fraction_thresholds(consts, form.degree, field)
-    assert problem.gate_caps == gate_floors(gates)
-    assert (problem.consts, problem.gates) == (consts, gates)
+    squared_gates = fraction_thresholds(consts, form.degree, field)
+    assert problem.gate_caps == gate_floors(squared_gates)
+    gap_lower, gap_upper, product_lower, product_upper = nested_gap_enclosures(intervals(problem.roots))
+    assert enclosures(problem) == (
+        (gap_lower, gap_upper),
+        (product_lower, product_upper),
+        consts[:2],
+        consts[2:],
+        *((fraction_nth_root_upper(square, 2), square) for square in squared_gates),
+    )
 
 
 @settings(deadline=None, max_examples=60)
@@ -566,22 +569,10 @@ def test_problem_equals_the_one_built_on_the_fraction_references(case):
 # x(x - 1)(x - 2)(x - 3) at K = 4: the squared gate is 2 / (eps * min gap)^2 = 8 exactly, every squared gate is
 # the gate's, and the lower bound of K^(1/4) = sqrt(2) squares to just below 8, so its floor would read 7
 @example((form_from_roots((0, 1, 2, 3)), 5, Fraction(4), Fraction(1, 2)), ISOLATION_BITS)
-def test_integer_gate_floors_equal_the_floors_of_the_fraction_views(case, bits):
+def test_integer_gate_floors_equal_the_floors_of_the_fraction_references(case, bits):
     form, m, K, epsilon = case
     field, n = QuadraticField(m), form.degree
     data = isolate_roots(form, bits)
     K, epsilon = Fraction(K), Fraction(epsilon)
     floors = rootbounds._gate_floors(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n), n, field)
-    assert floors == gate_floors(thresholds(constants(data, K, epsilon), n, field))
     assert floors == gate_floors(fraction_thresholds(fraction_constants(data, K, epsilon), n, field))
-
-
-def test_problem_views_are_built_on_first_read_and_left_out_of_repr_and_eq():
-    field = QuadraticField(7)
-    problem, other = Problem(field, F3, Fraction(3, 2)), Problem(field, F3, Fraction(3, 2))
-    assert "consts" not in vars(problem) and "gates" not in vars(problem)
-    assert "min_gap_lower" not in vars(problem.roots)
-    text = repr(problem)
-    assert problem.gates == thresholds(problem.consts, 3, field)
-    assert "consts" in vars(problem) and "gates" in vars(problem)
-    assert problem == other and repr(problem) == text == repr(other)

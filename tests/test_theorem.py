@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from relthue import BinaryForm, Problem, QuadraticField, RingElement, brute_force, full_report
+from relthue.rootbounds import enclosures
 from util import imag_part_sq, real_part_sq
 
 F1 = BinaryForm((0, -4, 0, 1))
@@ -141,9 +142,8 @@ def test_bounds_that_are_not_integers_are_decided_by_their_floors():
 
 @pytest.mark.parametrize("problem", [P3, P1, P7, Problem(QuadraticField(2), BinaryForm((-1, -3, 0, 1)), Fraction(7, 2))])
 def test_problem_caps_are_the_floors_of_its_bounds(problem):
-    gates = problem.gates
     assert problem.part_cap == math.floor(problem.abs_bound**2)
     assert problem.joint_cap == math.floor(problem.abs_bound**4)
     assert problem.norm_cap == math.floor(problem.K**2)
-    squared_gates = (gates.proportionality_sq, gates.real_vanish_sq, gates.imag_vanish_sq)
+    squared_gates = [square for _, square in enclosures(problem)[4:]]
     assert problem.gate_caps == tuple(math.floor(g) for g in squared_gates)

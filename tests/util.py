@@ -26,10 +26,11 @@ root line by testing each root.  Both pair candidates as the reducer did
 before its parity classes and integer kernel: every real pair is tried,
 kept when the divisions by s are exact, and verified with
 ``evaluate_form``.  The constants and
-gates as they were before they were taken on integer numerators are the
-references for ``constants`` and ``thresholds``: every quotient a Fraction,
-and the n-th root bounds derived from a Fraction power; ``constants`` is the
-package's own, built from its integer kernels as ``Problem`` builds it.
+squared gates as they were before they were taken on integer numerators are
+the references for the package's integer quotients and squared gates: every
+quotient a Fraction, and the n-th root bounds derived from a Fraction power;
+``constants`` and ``gaps`` are the package's own quotients and gap
+enclosures, read as Fractions.
 """
 
 from __future__ import annotations
@@ -52,16 +53,7 @@ from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variat
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult, _tableaux
 from relthue.reducer import Found
-from relthue.rootbounds import (
-    GateThresholds,
-    RootData,
-    TheoremConstants,
-    _checked,
-    _constants,
-    _dyadic_root,
-    isolate_roots,
-    nth_root_upper,
-)
+from relthue.rootbounds import RootData, _dyadic_root, _quotients, isolate_roots
 
 
 def sign_at(coeffs, x) -> int:
@@ -79,10 +71,18 @@ def intervals(data: RootData) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((Fraction(lo, 1 << data.level), Fraction(hi, 1 << data.level)) for lo, hi in data.ends)
 
 
-def constants(roots: RootData, K, epsilon) -> TheoremConstants:
-    """The enclosures of approx_coeff and gate for K >= 1 and 0 < epsilon < 1, as ``Problem`` takes them."""
-    K, epsilon = _checked(K, epsilon)
-    return _constants(roots, K, epsilon, _dyadic_root(K.numerator, K.denominator, len(roots.ends)))
+def gaps(data: RootData) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The gap enclosures of ``data`` as Fractions: its ``gap_numerators`` over 2^level and 2^(level (n-1))."""
+    gap_den, product_den = 1 << data.level, 1 << (data.level * (len(data.ends) - 1))
+    dens = (gap_den, gap_den, product_den, product_den)
+    return tuple(Fraction(num, den) for num, den in zip(data.gap_numerators, dens))
+
+
+def constants(roots: RootData, K, epsilon) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(approx_coeff lower, upper, gate lower, upper) as Fractions of the package's integer quotients."""
+    K, epsilon = Fraction(K), Fraction(epsilon)
+    k_root = _dyadic_root(K.numerator, K.denominator, len(roots.ends))
+    return tuple(Fraction(num, den) for num, den in _quotients(roots, K, epsilon, k_root))
 
 
 def form_from_roots(roots) -> BinaryForm:
@@ -105,7 +105,7 @@ def rectangle_solutions(form: BinaryForm, bound, ymax: int) -> set[tuple[int, in
     bound = Fraction(bound)
     data = isolate_roots(form, 10)
     root_cap = max(max(abs(lo), abs(hi)) for lo, hi in intervals(data))
-    window = max(Fraction(1), nth_root_upper(bound, form.degree, 16))
+    window = max(Fraction(1), fraction_nth_root_upper(bound, form.degree, 16))
     out = set()
     for b in range(-ymax, ymax + 1):
         a_cap = ceil(root_cap * abs(b) + window) + 1
@@ -137,7 +137,7 @@ def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, i
     bound = Fraction(bound)
     roots = isolate_roots(form)
     n = form.degree
-    window = max(Fraction(1), nth_root_upper(bound, n, 32))
+    window = max(Fraction(1), fraction_nth_root_upper(bound, n, 32))
     found = []
     a_cap = iroot(floor(bound), n) if bound >= 1 else 0
     for a in range(-a_cap, a_cap + 1):
@@ -455,7 +455,7 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
     """``reducer.zero_value_branch`` with the real pairs at (x2, y2) = (0, 0) kept by testing a != r*b per root."""
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
-    real_pairs = abs_solutions.pairs()
+    real_pairs = [(a, b) for a, b, _ in abs_solutions.solutions]
     found: Found = {}
     pair_by_division(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
     f_prime = derivative(problem.form.coeffs)
@@ -488,31 +488,39 @@ def fraction_nth_root_upper(x, r: int, bits: int = 48) -> Fraction:
     return lower if lower**r == x else lower + Fraction(1, 1 << bits)
 
 
-def fraction_constants(roots: RootData, K, epsilon) -> TheoremConstants:
-    """:func:`constants` in Fraction arithmetic, every quotient formed as it is written."""
+def fraction_constants(roots: RootData, K, epsilon) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """:func:`constants` in Fraction arithmetic, every quotient formed as it is written.
+
+    The gap enclosures come from :func:`nested_gap_enclosures` of the Fraction intervals.
+    """
     K, epsilon = Fraction(K), Fraction(epsilon)
     if K < 1:
         raise ValueError("K must be >= 1")
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must lie strictly between 0 and 1")
     n = len(roots.ends)
-    if roots.min_gap_lower <= 0 or roots.gap_product_lower <= 0:
+    gap_lower, gap_upper, product_lower, product_upper = nested_gap_enclosures(intervals(roots))
+    if gap_lower <= 0 or product_lower <= 0:
         raise ValueError("root intervals are not strictly separated")
     shrink = (1 - epsilon) ** (n - 1)
-    c_upper = K / (shrink * roots.gap_product_lower)
-    c_lower = K / (shrink * roots.gap_product_upper)
-    g_upper = fraction_nth_root_upper(K, n) / (epsilon * roots.min_gap_lower)
-    g_lower = fraction_nth_root_lower(K, n) / (epsilon * roots.min_gap_upper)
-    return TheoremConstants(c_lower, c_upper, g_lower, g_upper)
+    c_upper = K / (shrink * product_lower)
+    c_lower = K / (shrink * product_upper)
+    g_upper = fraction_nth_root_upper(K, n) / (epsilon * gap_lower)
+    g_lower = fraction_nth_root_lower(K, n) / (epsilon * gap_upper)
+    return c_lower, c_upper, g_lower, g_upper
 
 
-def fraction_thresholds(consts: TheoremConstants, n: int, field: QuadraticField) -> GateThresholds:
-    """``rootbounds.thresholds`` in Fraction arithmetic: max(gate^2, upper bound of X^(2/e)) per conclusion."""
+def fraction_thresholds(consts, n: int, field: QuadraticField) -> tuple[Fraction, Fraction, Fraction]:
+    """The squared gates (proportionality, real vanishing, imaginary vanishing) in Fraction arithmetic.
+
+    ``consts`` is (approx_coeff lower, upper, gate lower, upper); each squared gate is max(gate^2, the upper
+    bound of X^(2/e)), as ``rootbounds._gate_squares`` takes it on integers.
+    """
     s = field.s
-    gate_sq = consts.gate_upper**2
-    scaled_sq = Fraction(s * s) * consts.approx_coeff_upper**2
-    return GateThresholds(
-        proportionality_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 2)),
-        real_vanish_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq, n - 1)),
-        imag_vanish_sq=max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 1)),
+    gate_sq = consts[3] ** 2
+    scaled_sq = Fraction(s * s) * consts[1] ** 2
+    return (
+        max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 2)),
+        max(gate_sq, fraction_nth_root_upper(scaled_sq, n - 1)),
+        max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 1)),
     )
