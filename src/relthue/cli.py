@@ -19,7 +19,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 
@@ -314,10 +314,10 @@ def cmd_verify(args) -> int:
         x, y = RingElement(*quad[:2]), RingElement(*quad[2:])
         value_norm = spec.field.norm(spec.field.evaluate_form(spec.form, x, y))
         is_solution = value_norm <= problem.norm_cap
-        report = full_report(problem, x, y)
+        report = full_report(problem, quad)
         if is_solution and not report.ok:
             status = 2
-        checks = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "norm_y"}
+        checks = {name: value for name, value in report._asdict().items() if name != "norm_y"}
         rows.append(_row(quad, norm_value=value_norm, is_solution=is_solution, **checks, all_ok=report.ok))
         kind = "solution" if is_solution else "non-solution"
         lines.append(

@@ -97,12 +97,12 @@ class QuadraticField:
             acc = (acc1 + c * ypow[0], acc2 + c * ypow[1])
         return RingElement(*acc)
 
-    def split_coordinates(self, x: RingElement, y: RingElement) -> tuple[IntegerPair, IntegerPair]:
-        """Coordinate pairs feeding the real and imaginary part products.
+    def split_coordinates(self, quad: tuple[int, int, int, int]) -> tuple[IntegerPair, IntegerPair]:
+        """Coordinate pairs feeding the real and imaginary part products, for x = x1 + x2*w, y = y1 + y2*w.
 
-        Returns ((s*x1 + t*x2, s*y1 + t*y2), (x2, y2)), where t = s - 1: s times the
-        real parts of (x, y), and the coefficients of i*sqrt(m)/s.
+        ``quad`` is (x1, x2, y1, y2).  Returns ((s*x1 + t*x2, s*y1 + t*y2), (x2, y2)), where t = s - 1: s times
+        the real parts of (x, y), and the coefficients of i*sqrt(m)/s.
         """
+        x1, x2, y1, y2 = quad
         s, t = self.s, self.t
-        real_pair = (s * x.u1 + t * x.u2, s * y.u1 + t * y.u2)
-        return real_pair, (x.u2, y.u2)
+        return (s * x1 + t * x2, s * y1 + t * y2), (x2, y2)

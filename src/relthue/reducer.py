@@ -24,9 +24,10 @@ Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s,
 which is integral exactly when a = (s-1)*x2 and b = (s-1)*y2 mod s: for s = 2
 each branch splits the real pairs once into their classes (a mod 2, b mod 2),
 and each imaginary pair meets only its own class.  Every candidate is verified
-exactly against the original inequality by one plain-integer kernel; ring
-elements are built only for solutions.  One absolute enumeration at bound
-s^n K serves both branches.
+exactly against the original inequality by one plain-integer kernel, and a
+solution is kept as plain integers: its quadruple, the value F(x, y) and its
+norm, and its report, which :func:`~relthue.theorem.full_report` decides from
+the quadruple.  One absolute enumeration at bound s^n K serves both branches.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from . import _poly
 from .abssolver import AbsSolutionSet, solve_abs
@@ -48,7 +50,7 @@ from .theorem import TheoremReport, full_report
 log = logging.getLogger(__name__)
 
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
-Found = dict[Quad, tuple[RingElement, RingElement, RingElement, int]]  # quad -> (x, y, F(x, y), its norm)
+Found = dict[Quad, tuple[int, int, int]]  # quad -> (v1, v2, norm) for F(x, y) = v1 + v2*w
 
 
 @dataclass(frozen=True)
@@ -67,17 +69,26 @@ class ZeroFamily:
     root: int
 
 
-@dataclass(frozen=True)
-class RelativeSolution:
-    x: RingElement
-    y: RingElement
-    value: RingElement
+class RelativeSolution(NamedTuple):
+    """One verified solution as plain integers: (x1, x2, y1, y2), F(x, y) = v1 + v2*w as (v1, v2), its norm,
+    and its predicate report.  ``x``, ``y`` and ``value`` build the ring elements on read."""
+
+    quadruple: Quad
+    value_pair: tuple[int, int]
     value_norm: int
     report: TheoremReport
 
     @property
-    def quadruple(self) -> Quad:
-        return (self.x.u1, self.x.u2, self.y.u1, self.y.u2)
+    def x(self) -> RingElement:
+        return RingElement(*self.quadruple[:2])
+
+    @property
+    def y(self) -> RingElement:
+        return RingElement(*self.quadruple[2:])
+
+    @property
+    def value(self) -> RingElement:
+        return RingElement(*self.value_pair)
 
 
 @dataclass(frozen=True)
@@ -125,7 +136,11 @@ class RelativeSolutionSet:
     def listing(self) -> list[tuple[Quad, int]]:
         """(quadruple, norm of F) of every solution within reach, members (norm 0) included, in solver order."""
         rows = [(_solver_order(sol.report.norm_y, sol.quadruple), sol.value_norm) for sol in self.solutions]
-        rows += [(_solver_order(self.field.norm(RingElement(*q[2:])), q), 0) for q in self.family_members()]
+        q, t = self.field.q, self.field.t  # norm(y) = y1^2 + t*y1*y2 + q*y2^2, as QuadraticField.norm takes it
+        rows += [
+            (_solver_order(y1 * y1 + t * y1 * y2 + q * y2 * y2, (x1, x2, y1, y2)), 0)
+            for x1, x2, y1, y2 in self.family_members()
+        ]
         return [((x1, x2, y1, y2), value_norm) for (_, y1, y2, x1, x2), value_norm in sorted(rows)]
 
 
@@ -152,17 +167,14 @@ def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int
 
 
 def _verify(kernel: tuple, quad: Quad):
-    """(x, y, F(x, y), norm(F(x, y))) when the quadruple solves the inequality, else None.
+    """(v1, v2, norm) of F(x, y) = v1 + v2*w when the quadruple solves the inequality, else None.
 
     ``kernel`` is (coeffs, q, t, norm_cap) as :func:`_kernel` hoists it.  Norms are integers, so
-    norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).  Ring elements are built
-    only for a solution.
+    norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).
     """
     coeffs, q, t, norm_cap = kernel
-    v1, v2, value_norm = _evaluate(coeffs, q, t, *quad)
-    if value_norm <= norm_cap:
-        return RingElement(quad[0], quad[1]), RingElement(quad[2], quad[3]), RingElement(v1, v2), value_norm
-    return None
+    verified = _evaluate(coeffs, q, t, *quad)
+    return verified if verified[2] <= norm_cap else None
 
 
 def _kernel(problem: Problem) -> tuple:
@@ -289,8 +301,8 @@ def solve_relative(
     candidates = zero_value_branch(problem, abs_solutions)
     candidates.update(nonzero_value_branch(problem, abs_solutions))
     solutions = [
-        RelativeSolution(x=x, y=y, value=value, value_norm=value_norm, report=full_report(problem, x, y))
-        for x, y, value, value_norm in candidates.values()
+        RelativeSolution(quad, (v1, v2), value_norm, full_report(problem, quad))
+        for quad, (v1, v2, value_norm) in candidates.items()
     ]
     solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)

@@ -27,8 +27,9 @@ pipeline stays exact-directional: tightening the intervals can only raise
 lower bounds and lower upper bounds.
 
 The whole pipeline runs on integers: each bound is a pair of integer
-numerator and denominator, not reduced, and :func:`stable_constants` compares
-the integer floors of the squared gates from one refinement level to the next
+numerator and denominator, not reduced, and :func:`stable_constants` keeps
+the first level where the integer floors of the lower and upper squared-gate
+bounds agree, or else where one halving leaves the upper floors as they were,
 without building a Fraction.  :class:`Problem` validates one relative
 inequality and holds the kept isolation, the floors of its bounds and squared
 gates that the predicates and the reducer compare with, and the flag that
@@ -262,23 +263,24 @@ def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[in
 
 
 def _gate_squares(
-    coeff: tuple[int, int], gate: tuple[int, int], n: int, field: QuadraticField
+    coeff: tuple[int, int], gate: tuple[int, int], n: int, field: QuadraticField, side: int = 1
 ) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of the three squared gates, from the upper bounds of approx_coeff and gate.
+    """(numerator, denominator) of the three squared gates, upper bounds from the upper bounds of approx_coeff
+    and gate (``side`` 1), or lower bounds from their lower bounds (``side`` 0).
 
     The three conclusions require |y| > max(gate, X^(1/e)) with X = s*approx_coeff (real vanishing) or
     s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or n-1.  Squaring removes the square
-    roots, so each squared gate is max(gate^2, the upper bound of X^(2/e)), an n-th root of a rational
-    bounded above dyadically.  A conclusion is asserted only when norm(y) strictly exceeds its squared gate.
-    The roots and the comparisons with gate^2 are taken on integer numerators and denominators.
+    roots, so each squared gate is max(gate^2, X^(2/e)), an n-th root of a rational bounded dyadically on
+    ``side``.  A conclusion is asserted only when norm(y) strictly exceeds its upper bound.  The roots and the
+    comparisons with gate^2 are taken on integer numerators and denominators.
     """
     gate_num, gate_den = gate[0] ** 2, gate[1] ** 2
     scaled_num, scaled_den = (field.s * coeff[0]) ** 2, coeff[1] ** 2  # (s * approx_coeff)^2
 
     def at_least_gate(num: int, den: int, r: int) -> tuple[int, int]:
-        """max(gate^2, the upper bound of (num/den)^(1/r))."""
+        """max(gate^2, the bound of (num/den)^(1/r) on ``side``)."""
         if r > 1:
-            num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS
+            num, den = _dyadic_root(num, den, r)[side], 1 << ROOT_PREC_BITS
         return (num, den) if num * gate_den > gate_num * den else (gate_num, gate_den)
 
     return (
@@ -290,40 +292,48 @@ def _gate_squares(
 
 def _gate_floors(
     roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], n: int, field: QuadraticField
-) -> tuple[int, ...]:
-    """floor() of the three squared gates of :func:`_gate_squares` at ``roots``, as integer quotients."""
-    _, coeff_upper, _, gate_upper = _quotients(roots, K, epsilon, k_root)
-    return tuple(num // den for num, den in _gate_squares(coeff_upper, gate_upper, n, field))
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """floor() of the lower and of the upper bounds of the three squared gates at ``roots``, as integer quotients."""
+    coeff_lower, coeff_upper, gate_lower, gate_upper = _quotients(roots, K, epsilon, k_root)
+    lower = _gate_squares(coeff_lower, gate_lower, n, field, 0)
+    upper = _gate_squares(coeff_upper, gate_upper, n, field)
+    return tuple(num // den for num, den in lower), tuple(num // den for num, den in upper)
 
 
 def stable_constants(
     form: BinaryForm, K: Fraction, epsilon: Fraction, field: QuadraticField
 ) -> tuple[RootData, tuple[int, int, int], bool]:
-    """Isolate the roots and refine them a level at a time until the integer gates stabilize.
+    """Isolate the roots and refine them a level at a time until the integer gates are settled.
 
-    K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of its
-    three squared gates and whether they settled.  The gates are compared against integer norms, so
-    refinement beyond the point where their floors stop moving cannot change any decision.  When every root
-    is an integer, the intervals are points and the enclosures exact, so no refinement can move a gate and
-    none is tried.  The flag is False when the floors still moved after ``MAX_HALVINGS`` halvings; the
-    returned floors are then those of the finest isolation, still sound.  The bounds of K^(1/n) are taken
-    once, not once per halving, and no halving builds a Fraction.
+    K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of the
+    upper bounds of its three squared gates and whether they settled.  The gates are compared against integer
+    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  Two
+    rules stop the refinement.  The certificate: at a level where the floors of the lower bounds equal those
+    of the upper bounds, no finer isolation can move a floor, since a finer upper bound lies between the two
+    (the upper bounds shrink with the intervals and never fall below the true gate), so the level is kept at
+    once.  Otherwise the floors settle when one halving leaves them as they were, and the finer level is
+    kept.  When every root is an integer, the intervals are points and the enclosures exact, so no
+    refinement can move a gate and none is tried.  The flag is False when neither rule held after
+    ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest isolation, still sound.  The
+    bounds of K^(1/n) are taken once, not once per halving, and no halving builds a Fraction.
     """
     n = form.degree
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     bits = ISOLATION_BITS
     data = isolate_roots(form, bits)
-    caps = _gate_floors(data, K, epsilon, k_root, n, field)
+    lower, caps = _gate_floors(data, K, epsilon, k_root, n, field)
     if all(lo == hi for lo, hi in data.ends):  # every root an integer: the enclosures are exact already
         return data, caps, True
     for _ in range(MAX_HALVINGS):
+        if lower == caps:  # the certificate
+            return data, caps, True
         bits += 1
         finer = refine(form, data, bits)
-        finer_caps = _gate_floors(finer, K, epsilon, k_root, n, field)
+        lower, finer_caps = _gate_floors(finer, K, epsilon, k_root, n, field)
         if finer_caps == caps:
             return finer, finer_caps, True
         data, caps = finer, finer_caps
-    return data, caps, False
+    return data, caps, lower == caps
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,12 @@ report checks the bounds the reducer prunes with independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .quadfield import RingElement
 from .rootbounds import Problem
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of all checks for one candidate pair."""
 
     norm_y: int
@@ -59,12 +57,14 @@ class TheoremReport:
         )
 
 
-def full_report(problem: Problem, x: RingElement, y: RingElement) -> TheoremReport:
-    """Every check of the module docstring for the candidate (x, y)."""
-    (a, b), (x2, y2) = problem.field.split_coordinates(x, y)
-    v_real, v_imag = problem.form.evaluate(a, b), problem.form.evaluate(x2, y2)
-    n, m = problem.form.degree, problem.field.m
-    norm_y = problem.field.norm(y)
+def full_report(problem: Problem, quad: tuple[int, int, int, int]) -> TheoremReport:
+    """Every check of the module docstring for the candidate x = x1 + x2*w, y = y1 + y2*w, quad = (x1, x2, y1, y2)."""
+    field, form = problem.field, problem.form
+    (a, b), (x2, y2) = field.split_coordinates(quad)
+    x1, y1 = quad[0], quad[2]
+    v_real, v_imag = form.evaluate(a, b), form.evaluate(x2, y2)
+    n, m = form.degree, field.m
+    norm_y = y1 * y1 + field.t * y1 * y2 + field.q * y2 * y2  # QuadraticField.norm of y, on its coordinates
     proportionality_cap, real_vanish_cap, imag_vanish_cap = problem.gate_caps
     return TheoremReport(
         norm_y=norm_y,
@@ -72,7 +72,7 @@ def full_report(problem: Problem, x: RingElement, y: RingElement) -> TheoremRepo
         imag_bound_ok=v_imag * v_imag * m**n <= problem.part_cap,
         joint_bound_ok=(v_real * v_imag) ** 2 * 2 ** (2 * n) * m**n <= problem.joint_cap,
         proportional_applicable=norm_y > proportionality_cap,
-        proportional_holds=x2 * y.u1 == x.u1 * y2,
+        proportional_holds=x2 * y1 == x1 * y2,
         real_vanish_applicable=norm_y > real_vanish_cap and b == 0,
         real_vanish_holds=a == 0,
         imag_vanish_applicable=norm_y > imag_vanish_cap and y2 == 0,

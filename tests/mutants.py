@@ -5,13 +5,16 @@
 
 For each entry the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
 directory, replaces the entry's snippet (which must occur exactly once in its file) and runs the
-entry's tests there with ``pytest -x``, one process at a time.  An entry is *killed* when its tests
-fail or run past ``TIMEOUT_S`` (a mutant can make a loop run forever), and *survived* when they
-pass.  An entry whose tests pytest cannot find (exit 4 or 5, a node id that no longer exists)
-raises instead of counting as killed; a collection error the mutant causes (exit 2) is a kill.
-Entries with a ``survives`` reason are expected to survive; the runner exits 1 when any entry
-ends otherwise than expected.  Tier-1 only checks that every snippet is still there once and
-that every test an entry names is defined (``test_mutants.py``); running the table takes
+entry's tests there with ``pytest -x``, one process at a time.  Every entry runs with the fixed
+``--hypothesis-seed`` ``HYPOTHESIS_SEED`` and an empty example database, so its verdict is the
+same on every run, whichever entries ran before it; tier-1 keeps random draws.  An entry is
+*killed* when its tests fail or run past ``TIMEOUT_S`` (a mutant can make a loop run forever),
+and *survived* when they pass.  An entry whose tests pytest cannot find (exit 4 or 5, a node id
+that no longer exists) raises instead of counting as killed; a collection error the mutant
+causes (exit 2) is a kill.  Entries with a ``survives`` reason are expected to survive; the
+runner exits 1 when any entry ends otherwise than expected, and its last line counts the
+outcomes and gives its wall time.  Tier-1 only checks that every snippet is still there once
+and that every test an entry names is defined (``test_mutants.py``); running the table takes
 minutes.  Add each new mutation here, not to prose.
 """
 
@@ -21,11 +24,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
+HYPOTHESIS_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -115,7 +121,8 @@ MUTANTS = [
     Mutant("abssolver.py", "for a in range(-a_cap, a_cap + 1)]", "for a in range(-a_cap + 1, a_cap + 1)]",
            ("tests/test_abssolver.py",)),
     # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
-    Mutant("rootbounds.py", "_, coeff_upper, _, gate_upper = _quotients(", "_, coeff_upper, gate_upper, _ = _quotients(",
+    Mutant("rootbounds.py", "upper = _gate_squares(coeff_upper, gate_upper, n, field)",
+           "upper = _gate_squares(coeff_upper, gate_lower, n, field)",
            ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_references",)),
     Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
            ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
@@ -125,6 +132,12 @@ MUTANTS = [
     Mutant("rootbounds.py", "Fraction(_dyadic_root(num, den, 2)[1], 1 << ROOT_PREC_BITS)",
            "Fraction(_dyadic_root(num, den, 2)[0], 1 << ROOT_PREC_BITS)",
            ("tests/test_rootbounds.py::test_thresholds_exact_values",)),
+    # the gate certificate: lower floors equal to the upper ones end the refinement at once
+    Mutant("rootbounds.py", "num, den = _dyadic_root(num, den, r)[side], 1 << ROOT_PREC_BITS",
+           "num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS",
+           ("tests/test_rootbounds.py::test_quotients_and_gate_squares_equal_the_fraction_references",)),
+    Mutant("rootbounds.py", "if finer_caps == caps:", "if lower == finer_caps:",
+           ("tests/test_rootbounds.py::test_without_a_certificate_the_floors_settle_after_one_halving",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),
@@ -150,7 +163,9 @@ def run(mutant: Mutant, work: Path) -> str:
     if original.count(mutant.snippet) != 1:
         raise ValueError(f"{mutant.file}: the snippet must occur exactly once: {mutant.snippet!r}")
     path.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)  # no example saved by an earlier entry is replayed
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               f"--hypothesis-seed={HYPOTHESIS_SEED}", *mutant.tests]
     try:
         proc = subprocess.run(command, cwd=work, capture_output=True, timeout=TIMEOUT_S)
         if proc.returncode in (4, 5):  # usage error or no tests collected: a stale node id, not a kill
@@ -164,7 +179,7 @@ def run(mutant: Mutant, work: Path) -> str:
 
 def main(argv: list[str]) -> int:
     chosen = [int(arg) for arg in argv] or range(len(MUTANTS))
-    unexpected = 0
+    start, outcomes, unexpected = time.perf_counter(), Counter(), 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -173,11 +188,14 @@ def main(argv: list[str]) -> int:
         for index in chosen:
             mutant = MUTANTS[index]
             outcome = run(mutant, work)
+            outcomes[outcome] += 1
             expected = outcome == "survived" if mutant.survives else outcome != "survived"
             unexpected += not expected
             note = f" (expected: {mutant.survives})" if mutant.survives else ""
             print(f"{index:2d} {outcome:8s} {'' if expected else 'UNEXPECTED '}{mutant.file}: "
                   f"{mutant.replacement.strip()!r}{note}", flush=True)
+    counts = ", ".join(f"{count} {outcome}" for outcome, count in sorted(outcomes.items()))
+    print(f"{len(chosen)} entries: {counts}, {unexpected} unexpected, in {time.perf_counter() - start:.0f} s")
     return 1 if unexpected else 0
 
 

@@ -81,8 +81,7 @@ def test_criterion_2_predicate_soundness(instances):
     checked = 0
     for inst in instances:
         for quad, _ in inst.oracle.solutions:
-            x, y = RingElement(quad[0], quad[1]), RingElement(quad[2], quad[3])
-            report = full_report(inst.problem, x, y)
+            report = full_report(inst.problem, quad)
             assert report.ok, (inst.name, inst.field.m, inst.K, quad)
             checked += 1
     oracle_count = checked
@@ -104,7 +103,7 @@ def test_criterion_2_predicate_soundness(instances):
                     continue
                 hits += 1
                 sampled += 1
-                report = full_report(inst.problem, x, y)
+                report = full_report(inst.problem, (x.u1, x.u2, y.u1, y.u2))
                 assert report.ok, (inst.name, inst.field.m, inst.K, (x, y))
     assert sampled >= 1000, f"rejection sampling found only {sampled} solutions"
     _report(2, True, f"predicates pass on {oracle_count} oracle solutions + {sampled} sampled solutions, zero violations")

@@ -131,7 +131,7 @@ def test_evaluate_form_equals_the_power_table_sum(field, lower, lead, x, y):
 
 def test_split_coordinates_examples():
     k3 = QuadraticField(3)
-    assert k3.split_coordinates(RingElement(0, 1), RingElement(0, 0)) == ((1, 0), (1, 0))
-    assert k3.split_coordinates(RingElement(4, 0), RingElement(2, 0)) == ((8, 4), (0, 0))
+    assert k3.split_coordinates((0, 1, 0, 0)) == ((1, 0), (1, 0))
+    assert k3.split_coordinates((4, 0, 2, 0)) == ((8, 4), (0, 0))
     k1 = QuadraticField(1)
-    assert k1.split_coordinates(RingElement(3, 2), RingElement(1, 5)) == ((3, 1), (2, 5))
+    assert k1.split_coordinates((3, 2, 1, 5)) == ((3, 1), (2, 5))

@@ -210,10 +210,11 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     # no workload problem moves a floor at the first halving, so one moved floor is forced: the first
-    # comparison sees a floor no gate has, and the isolation must come back two levels finer, and stable
+    # comparison sees a floor no gate has, and with the certificate withheld (no lower floors) the isolation
+    # must come back two levels finer, and stable
     field, floors = QuadraticField(7), rootbounds._gate_floors
-    moved = iter([(-1, -1, -1)])
-    monkeypatch.setattr(rootbounds, "_gate_floors", lambda *args: next(moved, None) or floors(*args))
+    moved = iter([(None, (-1, -1, -1))])
+    monkeypatch.setattr(rootbounds, "_gate_floors", lambda *args: next(moved, None) or (None, floors(*args)[1]))
     data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
     assert data == refine(F3, isolate_roots(F3), ISOLATION_BITS + 2)
@@ -221,12 +222,41 @@ def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     assert caps == gate_floors(fraction_thresholds(consts, 3, field))
 
 
+# x^4 - x^3 - 50x^2 + 50x = x(x - 1)(x^2 - 50) at K = 4: the min gap is 1 exactly (between the integer roots 0
+# and 1, beside the irrational +-sqrt(50)) and every squared gate is the gate's, 2 / (eps * 1)^2 = 8 exactly; the
+# lower bound of K^(1/4) = sqrt(2) squares to just below 8, so the lower floors read 7 at every level and the
+# certificate can never fire
+NO_CERTIFICATE = (BinaryForm((0, 50, -50, -1, 1)), Fraction(4), Fraction(1, 2))
+
+
+def test_without_a_certificate_the_floors_settle_after_one_halving():
+    form, K, epsilon = NO_CERTIFICATE
+    field = QuadraticField(7)
+    lower, upper = rootbounds._gate_floors(
+        isolate_roots(form), K, epsilon, _dyadic_root(K.numerator, K.denominator, 4), 4, field
+    )
+    assert (lower, upper) == ((7, 7, 7), (8, 8, 8))
+    data, caps, stable = rootbounds.stable_constants(form, K, epsilon, field)
+    assert (data.level, caps, stable) == (ISOLATION_BITS + 1, (8, 8, 8), True)
+    assert data.integer_roots == (0, 1)
+
+
+def test_the_certificate_keeps_the_first_level():
+    # x^3 - 3xy^2 - y^3: the lower and upper floors agree at level 64, so no halving is taken
+    field = QuadraticField(7)
+    problem = Problem(field, F3, 10)
+    assert (problem.roots.level, problem.gate_caps, problem.gates_stable) == (ISOLATION_BITS, (131, 30, 13), True)
+    assert problem.roots == isolate_roots(F3)
+
+
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
     monkeypatch.setattr(rootbounds, "MAX_HALVINGS", 0)
     with caplog.at_level(logging.WARNING, logger="relthue.rootbounds"):
-        problem = Problem(QuadraticField(7), F3, Fraction(3, 2))
+        problem = Problem(QuadraticField(7), *NO_CERTIFICATE)
+        assert Problem(QuadraticField(7), F3, Fraction(3, 2)).gates_stable  # the certificate needs no halving
     assert not problem.gates_stable
-    assert "did not stabilize" in caplog.text
+    assert problem.gate_caps == (8, 8, 8) and problem.roots.level == ISOLATION_BITS
+    assert caplog.text.count("did not stabilize") == 1
 
 
 def test_problem_validates_once_at_construction():
@@ -533,6 +563,8 @@ def constant_cases(draw):
 
 @settings(deadline=None, max_examples=150)
 @given(constant_cases(), st.sampled_from((1, 10, 64)))
+# x^3 - 3xy^2 - y^3 over m = 1 at K = 50: the real-vanishing gate is a square root of s*approx_coeff, above gate^2
+@example((F3, 1, Fraction(50), Fraction(1, 2)), 64)
 def test_quotients_and_gate_squares_equal_the_fraction_references(case, bits):
     form, m, K, epsilon = case
     data, field, n = isolate_roots(form, bits), QuadraticField(m), form.degree
@@ -542,6 +574,8 @@ def test_quotients_and_gate_squares_equal_the_fraction_references(case, bits):
     pairs = rootbounds._quotients(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n))
     squares = rootbounds._gate_squares(pairs[1], pairs[3], n, field)
     assert tuple(Fraction(num, den) for num, den in squares) == fraction_thresholds(consts, n, field)
+    lower = rootbounds._gate_squares(pairs[0], pairs[2], n, field, 0)
+    assert tuple(Fraction(num, den) for num, den in lower) == fraction_thresholds(consts, n, field, lower=True)
 
 
 @settings(deadline=None, max_examples=40)
@@ -574,5 +608,7 @@ def test_integer_gate_floors_equal_the_floors_of_the_fraction_references(case, b
     field, n = QuadraticField(m), form.degree
     data = isolate_roots(form, bits)
     K, epsilon = Fraction(K), Fraction(epsilon)
-    floors = rootbounds._gate_floors(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n), n, field)
-    assert floors == gate_floors(fraction_thresholds(fraction_constants(data, K, epsilon), n, field))
+    lower, upper = rootbounds._gate_floors(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n), n, field)
+    consts = fraction_constants(data, K, epsilon)
+    assert upper == gate_floors(fraction_thresholds(consts, n, field))
+    assert lower == gate_floors(fraction_thresholds(consts, n, field, lower=True))

@@ -18,15 +18,20 @@ W = RingElement(0, 1)
 ZERO = RingElement(0, 0)
 
 
+def coords(x, y):
+    """The quadruple (x1, x2, y1, y2) that full_report takes."""
+    return (x.u1, x.u2, y.u1, y.u2)
+
+
 def part_bounds(x, y, problem=P3):
     """(real flag, imag flag) of the part bounds of full_report."""
-    report = full_report(problem, x, y)
+    report = full_report(problem, coords(x, y))
     return report.real_bound_ok, report.imag_bound_ok
 
 
 def gated(name, x, y, problem=P3):
     """(applicable, holds) of one gated conclusion of full_report."""
-    report = full_report(problem, x, y)
+    report = full_report(problem, coords(x, y))
     return getattr(report, f"{name}_applicable"), getattr(report, f"{name}_holds")
 
 
@@ -44,12 +49,12 @@ def test_part_bounds_examples():
 
 def test_joint_bound_examples():
     # 1 * 1 * 2^6 * 27 = 1728 <= 2^12 = 4096
-    assert full_report(P3, W, ZERO).joint_bound_ok
-    assert full_report(P3, ZERO, ZERO).joint_bound_ok
+    assert full_report(P3, coords(W, ZERO)).joint_bound_ok
+    assert full_report(P3, coords(ZERO, ZERO)).joint_bound_ok
     # zero factor: F(2,0) = 8, F(0,0) = 0
-    assert full_report(P3, RingElement(1, 0), ZERO).joint_bound_ok
+    assert full_report(P3, coords(RingElement(1, 0), ZERO)).joint_bound_ok
     # F(2, 0) * F(1, 1) = -24 passes both part bounds, but 24^2 * 2^6 = 36864 > 10^4
-    report = full_report(P1, RingElement(2, 1), RingElement(0, 1))
+    report = full_report(P1, coords(RingElement(2, 1), RingElement(0, 1)))
     assert (report.real_bound_ok, report.imag_bound_ok, report.joint_bound_ok) == (True, True, False)
 
 
@@ -109,10 +114,7 @@ def test_soundness_on_box(m, K):
     result = brute_force(field, F1, K, 2)
     assert result.solutions  # sanity: the sweep is not vacuous
     for quad, _ in result.solutions:
-        x = RingElement(quad[0], quad[1])
-        y = RingElement(quad[2], quad[3])
-        report = full_report(problem, x, y)
-        assert report.ok, quad
+        assert full_report(problem, quad).ok, quad
 
 
 def test_am_gm_step():
@@ -136,7 +138,7 @@ def test_bounds_that_are_not_integers_are_decided_by_their_floors():
     assert part_bounds(RingElement(2, 0), RingElement(1, 0), problem) == (True, True)
     problem = Problem(field, form, Fraction(707, 250))  # (s^n K)^4 = 63.97..., below 1 * 1 * 2^6 * 1^3
     assert problem.joint_cap == 63
-    report = full_report(problem, RingElement(2, 2), RingElement(1, 1))  # F(2, 1) = 1 on both sides
+    report = full_report(problem, coords(RingElement(2, 2), RingElement(1, 1)))  # F(2, 1) = 1 on both sides
     assert (report.real_bound_ok, report.imag_bound_ok, report.joint_bound_ok) == (True, True, False)
 
 

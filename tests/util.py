@@ -426,7 +426,7 @@ def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> N
         value = field.evaluate_form(form, x, y)
         value_norm = field.norm(value)
         if value_norm <= problem.norm_cap:
-            found[x.u1, x.u2, y.u1, y.u2] = (x, y, value, value_norm)
+            found[x.u1, x.u2, y.u1, y.u2] = (value.u1, value.u2, value_norm)
 
 
 def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
@@ -510,17 +510,19 @@ def fraction_constants(roots: RootData, K, epsilon) -> tuple[Fraction, Fraction,
     return c_lower, c_upper, g_lower, g_upper
 
 
-def fraction_thresholds(consts, n: int, field: QuadraticField) -> tuple[Fraction, Fraction, Fraction]:
+def fraction_thresholds(consts, n: int, field: QuadraticField, lower: bool = False) -> tuple[Fraction, ...]:
     """The squared gates (proportionality, real vanishing, imaginary vanishing) in Fraction arithmetic.
 
     ``consts`` is (approx_coeff lower, upper, gate lower, upper); each squared gate is max(gate^2, the upper
-    bound of X^(2/e)), as ``rootbounds._gate_squares`` takes it on integers.
+    bound of X^(2/e)), as ``rootbounds._gate_squares`` takes it on integers.  With ``lower``, the lower bounds:
+    max(gate lower^2, the lower bound of X^(2/e) from the lower bound of approx_coeff).
     """
     s = field.s
-    gate_sq = consts[3] ** 2
-    scaled_sq = Fraction(s * s) * consts[1] ** 2
+    gate_sq = consts[2 if lower else 3] ** 2
+    scaled_sq = Fraction(s * s) * consts[0 if lower else 1] ** 2
+    root = fraction_nth_root_lower if lower else fraction_nth_root_upper
     return (
-        max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 2)),
-        max(gate_sq, fraction_nth_root_upper(scaled_sq, n - 1)),
-        max(gate_sq, fraction_nth_root_upper(scaled_sq / field.m, n - 1)),
+        max(gate_sq, root(scaled_sq / field.m, n - 2)),
+        max(gate_sq, root(scaled_sq, n - 1)),
+        max(gate_sq, root(scaled_sq / field.m, n - 1)),
     )
