@@ -92,7 +92,12 @@ def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
 
 def variations(chain: Sequence[Coeffs], a: int, b: int = 1) -> int:
     """Sign changes of the chain at a/b, b > 0, zeros dropped."""
-    signs = [s for s in (sign(evaluate(p, a, b)) for p in chain) if s]
+    return sign_changes([sign(evaluate(p, a, b)) for p in chain])
+
+
+def sign_changes(signs: Sequence[int]) -> int:
+    """Sign changes along a sequence of signs, zeros dropped."""
+    signs = [s for s in signs if s]
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 

@@ -32,17 +32,16 @@ of half-width W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
 from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
-@dataclass(frozen=True)
-class AbsSolutionSet:
+class AbsSolutionSet(NamedTuple):
     """All (a, b) with |b| <= height and |F(a, b)| <= bound, sorted by (b, a)."""
 
     bound: Fraction

@@ -19,9 +19,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .abssolver import solve_abs
 from .forms import BinaryForm
@@ -36,8 +36,7 @@ class CliError(Exception):
     """Usage or validation failure; maps to exit status 1."""
 
 
-@dataclass
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """A parsed problem file; the field and the form are built, and so validated, once."""
 
     field: QuadraticField
@@ -161,7 +160,7 @@ def _load(args) -> ProblemSpec:
         for key, (flag, *_) in OPTIONAL.items()
         if getattr(args, key, None) is not None
     }
-    return replace(spec, **overrides)
+    return spec._replace(**overrides)
 
 
 def decimal_str(x: Fraction) -> str:
@@ -182,17 +181,25 @@ def _text_head(spec: ProblemSpec) -> list[str]:
     return [f"form {spec.form}", f"m {spec.field.m} (s={spec.field.s})", f"K {spec.K}"]
 
 
+def _long_norm(quad) -> CliError:
+    return CliError(f"quadruple {','.join(map(str, quad))}: norm of F has more than {_MAX_DIGITS} digits to print")
+
+
 def _row(quad, **values) -> dict:
     """The JSON row of a quadruple: its coordinates x1, x2, y1, y2, then the values given, none too long to print."""
     if any(type(value) is int and _too_long(value) for value in values.values()):
-        raise CliError(f"quadruple {','.join(map(str, quad))}: norm of F has more than {_MAX_DIGITS} digits to print")
+        raise _long_norm(quad)
     return dict(zip(("x1", "x2", "y1", "y2"), quad), **values)
 
 
-def _listing(solutions) -> tuple[list[dict], list[str]]:
-    """JSON rows and text lines of (quadruple, norm of F) pairs, in the given order."""
-    rows = [_row(quad, norm=norm) for quad, norm in solutions]
-    return rows, [" ".join(map(str, row.values())) for row in rows]
+def _listing(args, solutions) -> list:
+    """The JSON rows with --json, else the text lines, of (quadruple, norm of F) pairs in the given order."""
+    if args.json:
+        return [_row(quad, norm=norm) for quad, norm in solutions]
+    for quad, norm in solutions:
+        if norm >= _TOO_LONG:
+            raise _long_norm(quad)
+    return [f"{x1} {x2} {y1} {y2} {norm}" for (x1, x2, y1, y2), norm in solutions]
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
@@ -202,7 +209,7 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 def cmd_solve(args) -> int:
     spec = _load(args)
     result = solve_relative(spec.field, spec.form, spec.K, spec.epsilon, spec.ymax)
-    rows, row_lines = _listing(result.listing())
+    rows = _listing(args, result.listing())
     payload = {
         **_json_head("solve", spec),
         "s": spec.field.s,
@@ -212,7 +219,7 @@ def cmd_solve(args) -> int:
         "families": [{"root": f.root, "x_step": [f.root, 0], "y_step": [1, 0]} for f in result.families],
         "cross_check_ok": result.cross_check_ok,
     }
-    lines = [*_text_head(spec), f"ymax {spec.ymax}", f"solutions {len(rows)}", *row_lines]
+    lines = [*_text_head(spec), f"ymax {spec.ymax}", f"solutions {len(rows)}", *rows]
     if args.families:
         lines.append(f"families {len(result.families)}")
         lines += [f"family root={f.root} x_step=({f.root},0) y_step=(1,0)" for f in result.families]
@@ -224,9 +231,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     spec = _load(args)
     result = brute_force(spec.field, spec.form, spec.K, spec.oracle_height)
-    rows, row_lines = _listing(result.solutions)
+    rows = _listing(args, result.solutions)
     payload = {**_json_head("oracle", spec), "height": spec.oracle_height, "solutions": rows}
-    lines = [*_text_head(spec), f"height {spec.oracle_height}", f"solutions {len(rows)}", *row_lines]
+    lines = [*_text_head(spec), f"height {spec.oracle_height}", f"solutions {len(rows)}", *rows]
     _emit(args, payload, lines)
     return 0
 

@@ -11,7 +11,8 @@ with that same chain, finding the integer roots on the way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import _poly
 
@@ -22,22 +23,21 @@ class InadmissibleFormError(ValueError):
     """Raised when an operation requires an admissible form and gets none."""
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(namedtuple("BinaryForm", "coeffs")):
     """Binary form with ascending coefficients: coeffs[k] multiplies x^k y^(n-k).
 
     The same tuple lists the coefficients of f(x) = F(x, 1).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) < 2:
             raise ValueError("a binary form needs degree >= 1")
         if coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
+        return tuple.__new__(cls, (coeffs,))
 
     @property
     def degree(self) -> int:
@@ -68,11 +68,11 @@ class BinaryForm:
         return " ".join([first, *parts[1:]])
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     """The verdict, and for an admissible form what the root isolation starts from.
 
-    That is the Sturm chain of f, the root radius R and the chain's sign variations at -R and R.
+    That is the Sturm chain of f, the root radius R and the chain's sign variations at -R and R; every root of
+    f lies in (-R, R), so those are the variations at -infinity and +infinity, read from leading coefficients.
     """
 
     ok: bool
@@ -86,9 +86,8 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     """Decide whether f(x) = F(x, 1) is monic of degree >= 3 with n distinct real roots.
 
     The Sturm chain of f ends in gcd(f, f') up to a constant, which decides
-    squarefreeness; the same chain counts the real roots on (-R, R], where
-    R is a power of two above every root.  The report names the first
-    failed condition.
+    squarefreeness; the same chain counts the real roots, from the signs of
+    its leading coefficients.  The report names the first failed condition.
     """
     f = form.coeffs
     n = form.degree
@@ -99,11 +98,11 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     chain = _poly.sturm_chain(f)
     if len(chain[-1]) > 1:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
-    radius = _poly.root_radius(f)
-    ends = (_poly.variations(chain, -radius), _poly.variations(chain, radius))
+    tops = [_poly.sign(p[-1]) for p in chain]  # each member's sign at +infinity, times (-1)^degree at -infinity
+    ends = (_poly.sign_changes([s if len(p) % 2 else -s for s, p in zip(tops, chain)]), _poly.sign_changes(tops))
     if ends[0] - ends[1] < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")
-    return AdmissibilityReport(True, None, chain, radius, ends)
+    return AdmissibilityReport(True, None, chain, _poly.root_radius(f), ends)
 
 
 def require_admissible(form: BinaryForm) -> AdmissibilityReport:

@@ -51,10 +51,10 @@ C(n+2, 2) binomial planes, O(n^2 * H^2 * W) bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, floor, isqrt
+from typing import NamedTuple
 
 from .forms import BinaryForm
 from .quadfield import QuadraticField, RingElement
@@ -63,8 +63,7 @@ Quad = tuple[int, int, int, int]
 Table = dict[tuple[int, ...], int]  # forward differences at the corner, by order (i, j, k, l)
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     height: int
     solutions: tuple[tuple[Quad, int], ...]  # (quadruple, norm of F), solver sort order
 

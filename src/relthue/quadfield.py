@@ -12,9 +12,10 @@ in bounded time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from itertools import chain
 from math import isqrt
+from typing import NamedTuple
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair
@@ -22,8 +23,7 @@ from .forms import BinaryForm, IntegerPair
 MAX_M = 2**63
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(NamedTuple):
     """Element u1 + u2*w (s=2) or u1 + u2*i*sqrt(m) (s=1), coordinates exact."""
 
     u1: int
@@ -34,22 +34,24 @@ class RingElement:
         return self.u1 == 0 and self.u2 == 0
 
 
-@dataclass(frozen=True)
-class QuadraticField:
+class QuadraticField(namedtuple("QuadraticField", "m s q t")):
     """The imaginary quadratic field Q(i*sqrt(m)) with its integer ring.
 
     The basis {1, w} is decided once, at construction: ``s`` as in the module docstring, and the integers
     ``q`` and ``t`` of the relation w^2 = t*w - q, that is ((1+m)/4, 1) when s = 2 and (m, 0) when s = 1.
-    Every product, norm and coordinate split reads them; ``repr``, ``==`` and ``hash`` depend on m alone.
+    Every product, norm and coordinate split reads them; they follow from m, so ``repr`` shows m alone.
     """
 
-    m: int
-    s: int = dataclass_field(init=False, repr=False, compare=False)
-    q: int = dataclass_field(init=False, repr=False, compare=False)
-    t: int = dataclass_field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = int(self.m)
+    def __new__(cls, m):
+        # __post_init__ is looked up on the class at each call, so the bench tracer can wrap it (ROADMAP item 5)
+        return tuple.__new__(cls, cls.__post_init__(m))
+
+    @staticmethod
+    def __post_init__(m) -> tuple[int, int, int, int]:
+        """(m, s, q, t) for a square-free integer 1 <= m <= MAX_M; raises ValueError for any other m."""
+        m = int(m)
         if m < 1:
             raise ValueError("m must be a positive integer")
         if m > MAX_M:
@@ -67,11 +69,16 @@ class QuadraticField:
         root = isqrt(rest)
         if rest > 1 and root * root == rest:
             raise ValueError(f"m = {m} is not square-free (divisible by {root}^2)")
-        s = 2 if m % 4 == 3 else 1
         # w = (1 + i*sqrt(m))/2 has w^2 = w - (1+m)/4, an integer relation since m = 3 (mod 4); (i*sqrt(m))^2 = -m
+        s = 2 if m % 4 == 3 else 1
         q, t = ((1 + m) // 4, 1) if s == 2 else (m, 0)
-        for name, value in (("m", m), ("s", s), ("q", q), ("t", t)):
-            object.__setattr__(self, name, value)
+        return m, s, q, t
+
+    def __repr__(self) -> str:
+        return f"QuadraticField(m={self.m!r})"
+
+    def __getnewargs__(self) -> tuple[int]:
+        return (self.m,)
 
     def _mul_raw(self, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
         cross = a2 * b2

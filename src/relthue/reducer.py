@@ -32,10 +32,8 @@ the quadruple.  One absolute enumeration at bound s^n K serves both branches.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -47,14 +45,11 @@ from .quadfield import QuadraticField, RingElement
 from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
 
-log = logging.getLogger(__name__)
-
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
 Found = dict[Quad, tuple[int, int, int]]  # quad -> (v1, v2, norm) for F(x, y) = v1 + v2*w
 
 
-@dataclass(frozen=True)
-class ZeroFamily:
+class ZeroFamily(NamedTuple):
     """One integer-root line of F: every (w*root, w) with w in the ring solves exactly.
 
     A member x = r*y has F(x, y) = 0, and every predicate of
@@ -91,8 +86,7 @@ class RelativeSolution(NamedTuple):
         return RingElement(*self.value_pair)
 
 
-@dataclass(frozen=True)
-class RelativeSolutionSet:
+class RelativeSolutionSet(NamedTuple):
     """The solutions within reach: the zero families plus every solution outside them.
 
     ``solutions`` holds only the solutions that are not family members, each
@@ -307,7 +301,8 @@ def solve_relative(
     solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:
-        log.warning("a verified solution failed an applicable structure predicate")
+        import logging  # only this warning needs it: every run whose cross-check passes skips loading it
+        logging.getLogger(__name__).warning("a verified solution failed an applicable structure predicate")
     return RelativeSolutionSet(
         solutions=tuple(solutions),
         search_height=height,

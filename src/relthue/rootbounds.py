@@ -40,18 +40,14 @@ of each bound; :func:`enclosures` turns them into Fractions for the
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from math import floor
 
 from . import _poly
 from .forms import BinaryForm, require_admissible
 from .quadfield import QuadraticField
-
-log = logging.getLogger(__name__)
 
 ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of width 2^-ISOLATION_BITS
 MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
@@ -73,30 +69,24 @@ def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tupl
     return c, c if c**r * den == target else c + 1
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(namedtuple("RootData", "level ends integer_roots gap_numerators")):
     """Isolating intervals of the n real roots, sorted and pairwise disjoint, and the gap enclosures they give.
 
     Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
-    ``gap_numerators`` holds the gap enclosures on integers, built on first read, so ``repr`` and ``==``
-    show the isolation alone.
+    ``gap_numerators`` holds the gap enclosures on integers: (min gap lower, upper) as numerators over
+    2^level, (min gap product lower, upper) over 2^(level (n-1)).  The constructor builds them from the
+    ends, once per isolation; they follow from the ends, so ``repr`` shows the isolation alone.
     """
 
-    level: int
-    ends: tuple[tuple[int, int], ...]
-    integer_roots: tuple[int, ...]
+    __slots__ = ()
 
-    @cached_property
-    def gap_numerators(self) -> tuple[int, int, int, int]:
-        """(min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
-
-        The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
-        once and multiplies into the products at both roots.  The intervals are sorted, so the smallest gap
-        is between neighbours.
-        """
-        ends, n = self.ends, len(self.ends)
+    def __new__(cls, level: int, ends: tuple[tuple[int, int], ...], integer_roots: tuple[int, ...]):
+        # The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
+        # once and multiplies into the products at both roots.  The intervals are sorted, so the smallest gap
+        # is between neighbours.
+        n = len(ends)
         lows, highs = [1] * n, [1] * n
         for i, j in combinations(range(n), 2):
             low, high = ends[j][0] - ends[i][1], ends[j][1] - ends[i][0]
@@ -105,7 +95,14 @@ class RootData:
             highs[i] *= high
             highs[j] *= high
         pairs = list(zip(ends, ends[1:]))
-        return min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
+        gaps = min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
+        return tuple.__new__(cls, (level, ends, integer_roots, gaps))
+
+    def __repr__(self) -> str:
+        return f"RootData(level={self.level!r}, ends={self.ends!r}, integer_roots={self.integer_roots!r})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[:3]
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -336,8 +333,9 @@ def stable_constants(
     return data, caps, lower == caps
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(
+    namedtuple("Problem", "field form K epsilon roots gates_stable abs_bound norm_cap part_cap joint_cap gate_caps")
+):
     """One relative inequality |F(x, y)| <= K over the integers of ``field``, validated.
 
     The constructor is the one place a problem is checked (admissible form,
@@ -358,33 +356,22 @@ class Problem:
     the ``constants`` command.
     """
 
-    field: QuadraticField
-    form: BinaryForm
-    K: Fraction
-    epsilon: Fraction = Fraction(1, 2)
-    roots: RootData = dataclass_field(init=False)
-    gates_stable: bool = dataclass_field(init=False)
-    abs_bound: Fraction = dataclass_field(init=False)
-    norm_cap: int = dataclass_field(init=False)
-    part_cap: int = dataclass_field(init=False)
-    joint_cap: int = dataclass_field(init=False)
-    gate_caps: tuple[int, int, int] = dataclass_field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        K, epsilon = Fraction(self.K), Fraction(self.epsilon)
+    def __new__(cls, field: QuadraticField, form: BinaryForm, K, epsilon=Fraction(1, 2)):
+        K, epsilon = Fraction(K), Fraction(epsilon)
         if K < 1:
             raise ValueError("K must be >= 1")
         if not (0 < epsilon < 1):
             raise ValueError("epsilon must lie strictly between 0 and 1")
-        roots, gate_caps, stable = stable_constants(self.form, K, epsilon, self.field)
+        roots, gate_caps, stable = stable_constants(form, K, epsilon, field)
         if not stable:
-            log.warning(
-                "gates of %s over m = %d did not stabilize in %d halvings", self.form, self.field.m, MAX_HALVINGS
+            import logging  # only this warning needs it: every run that settles its gates skips loading it
+            logging.getLogger(__name__).warning(
+                "gates of %s over m = %d did not stabilize in %d halvings", form, field.m, MAX_HALVINGS
             )
-        bound_num = self.field.s**self.form.degree * K.numerator  # s^n K = bound_num / K.denominator
+        bound_num = field.s**form.degree * K.numerator  # s^n K = bound_num / K.denominator
         derived = {
-            "K": K,
-            "epsilon": epsilon,
             "roots": roots,
             "gates_stable": stable,
             "abs_bound": Fraction(bound_num, K.denominator),
@@ -393,8 +380,10 @@ class Problem:
             "joint_cap": bound_num**4 // K.denominator**4,
             "gate_caps": gate_caps,
         }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        return super().__new__(cls, field, form, K, epsilon, **derived)
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
 
     @property
     def integer_roots(self) -> tuple[int, ...]:

@@ -138,6 +138,23 @@ MUTANTS = [
            ("tests/test_rootbounds.py::test_quotients_and_gate_squares_equal_the_fraction_references",)),
     Mutant("rootbounds.py", "if finer_caps == caps:", "if lower == finer_caps:",
            ("tests/test_rootbounds.py::test_without_a_certificate_the_floors_settle_after_one_halving",)),
+    # the validated types check their input in __new__; the chain's end variations come from its leading
+    # coefficients; text listings are built without JSON rows
+    Mutant("forms.py", "if len(coeffs) < 2:", "if len(coeffs) < 1:",
+           ("tests/test_forms.py::test_constructor_rejects_bad_input",)),
+    Mutant("forms.py", "if coeffs[-1] == 0:", "if coeffs[-1] is None:",
+           ("tests/test_forms.py::test_constructor_rejects_bad_input",)),
+    Mutant("quadfield.py", "if m < 1:", "if m < 0:", ("tests/test_cli.py::test_m_is_checked_by_the_field",)),
+    Mutant("quadfield.py", "if m > MAX_M:", "if m > MAX_M * MAX_M:",
+           ("tests/test_quadfield.py::test_m_is_limited_to_2_pow_63",)),
+    Mutant("rootbounds.py", "if K < 1:", "if K < 0:",
+           ("tests/test_rootbounds.py::test_problem_validates_once_at_construction",)),
+    Mutant("rootbounds.py", "if not (0 < epsilon < 1):", "if not (0 < epsilon <= 1):",
+           ("tests/test_rootbounds.py::test_problem_validates_once_at_construction",)),
+    Mutant("forms.py", "[s if len(p) % 2 else -s for", "[s for",
+           ("tests/test_forms.py::test_admissible_pass",)),
+    Mutant("cli.py", "if norm >= _TOO_LONG:", "if norm < 0:",
+           ("tests/test_cli.py::test_values_too_long_to_print_name_their_input",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),

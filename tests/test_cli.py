@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import os
 import string
+import subprocess
+import sys
 import tempfile
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,7 +295,7 @@ def test_override_flags_are_checked_like_their_fields_before_any_solving(capsys,
     err = capsys.readouterr().err
     assert status == 1
     assert err == f"error: {message}\n"
-    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["rootbounds", "__new__"] == 0  # no Problem built, nor any RootData
     assert calls["reducer", "solve_relative"] == calls["oracle", "brute_force"] == 0
 
 
@@ -315,7 +317,7 @@ def test_rationals_too_long_to_print_are_rejected_unbuilt(capsys, problem_file, 
     assert time.perf_counter() - start < 1
     message = f"error: {label}: numerator or denominator longer than 4300 digits: {literal!r}\n"
     assert (status, capsys.readouterr().err) == (1, message)
-    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["rootbounds", "__new__"] == 0  # no Problem built, nor any RootData
     assert calls["reducer", "solve_relative"] == calls["abssolver", "solve_abs"] == 0
 
 
@@ -352,7 +354,7 @@ def test_integers_too_long_to_read_are_rejected_unbuilt(capsys, problem_file, tm
     assert time.perf_counter() - start < 1
     message = f"error: {label}: integer longer than 4300 digits: {literal!r}\n"
     assert (status, capsys.readouterr().err) == (1, message)
-    assert calls["rootbounds", "__post_init__"] == 0  # no Problem built
+    assert calls["rootbounds", "__new__"] == 0  # no Problem built, nor any RootData
     assert calls["reducer", "solve_relative"] == calls["abssolver", "solve_abs"] == 0
 
 
@@ -393,8 +395,9 @@ def test_values_too_long_to_print_name_their_input(capsys, problem_file, tmp_pat
     status, _, err = run(capsys, "verify", problem_file, "1,0,0,0", candidate, "--json")
     assert (status, err) == (1, f"error: quadruple {candidate}: norm of F has more than 4300 digits to print\n")
     huge.write_text(f"coeffs = 0 -{10**3000} 0 1\nm = 1\nK = 1e4000\n", encoding="utf-8")
-    status, _, err = run(capsys, "oracle", str(huge), "--height", "1")
-    assert (status, err) == (1, f"error: quadruple -1,-1,-1,0: norm of F has more than 4300 digits to print\n")
+    for json_flag in ((), ("--json",)):
+        status, _, err = run(capsys, "oracle", str(huge), "--height", "1", *json_flag)
+        assert (status, err) == (1, f"error: quadruple -1,-1,-1,0: norm of F has more than 4300 digits to print\n")
     status, out, _ = run(capsys, "verify", problem_file, f"{10**700},0,1,0")
     norm = (10**2100 - 4 * 10**700) ** 2  # F = x^3 - 4x at x = 10^700, y = 1
     assert status == 0 and out.startswith(f"candidate {10**700},0,1,0 non-solution norm={norm} ")
@@ -412,7 +415,7 @@ def test_check_reports_each_quadruple_only_one_side_found(capsys, problem_file, 
     def skewed(*args):
         found = brute_force(*args)
         kept = tuple(row for row in found.solutions if row[0] != (0, 1, 0, 0))
-        return replace(found, solutions=(*kept, ((3, 3, 3, 3), 0)))
+        return found._replace(solutions=(*kept, ((3, 3, 3, 3), 0)))
 
     monkeypatch.setattr("relthue.cli.brute_force", skewed)
     status, out, _ = run(capsys, "check", problem_file)
@@ -586,3 +589,12 @@ def test_fuzzed_cli_runs_end_in_an_exit_status(text, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             status = main(argv)
     assert status in (0, 1, 2)
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses_logging_or_inspect():
+    # every relthue process pays for what this import loads; -S keeps site hooks from loading anything first
+    src = Path(__file__).parent.parent / "src"
+    code = "import sys; import relthue, relthue.cli; print(sorted({'dataclasses', 'logging', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

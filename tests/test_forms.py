@@ -114,3 +114,16 @@ def test_products_of_distinct_factors_admissible():
 def test_root_free_forms_are_admissible_without_an_integer_root(form):
     assert check_admissible(form).ok
     assert integer_roots(form) == ()
+
+
+@given(st.lists(st.integers(-60, 60), min_size=3, max_size=7))
+def test_end_variations_are_those_at_the_root_radius(lower):
+    # every root of monic f lies in (-R, R), so the chain's sign changes at -R and R are those at -inf and +inf
+    f = (*lower, 1)
+    chain = _poly.sturm_chain(f)
+    radius = _poly.root_radius(f)
+    at_radius = (_poly.variations(chain, -radius), _poly.variations(chain, radius))
+    report = check_admissible(BinaryForm(f))
+    assert report.ok == (len(chain[-1]) == 1 and at_radius[0] - at_radius[1] == len(lower))
+    if report.ok:
+        assert (report.radius, report.end_variations) == (radius, at_radius)

@@ -1,3 +1,4 @@
+import logging
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -260,6 +261,19 @@ def test_oracle_equivalence_rational_K():
 def test_rejects_small_K():
     with pytest.raises(ValueError):
         solve_relative(QuadraticField(3), F1, Fraction(1, 2))
+
+
+def test_a_failed_predicate_clears_the_cross_check_and_logs_one_warning(monkeypatch, caplog):
+    def failing(problem, quad):
+        return full_report(problem, quad)._replace(joint_bound_ok=False)
+
+    monkeypatch.setattr(reducer, "full_report", failing)
+    with caplog.at_level(logging.WARNING, logger="relthue.reducer"):
+        result = solve_relative(QuadraticField(3), F3, 10, height=6)
+    assert result.solutions
+    assert result.cross_check_ok is False
+    records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert records == [("relthue.reducer", logging.WARNING, "a verified solution failed an applicable structure predicate")]
 
 
 def test_s1_reconstruction_degenerates():

@@ -1,4 +1,5 @@
 import logging
+import pickle
 from fractions import Fraction
 from math import floor
 from unittest import mock
@@ -259,6 +260,28 @@ def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
     assert caplog.text.count("did not stabilize") == 1
 
 
+def test_validated_records_are_immutable_values_with_the_dataclass_repr():
+    field = QuadraticField(7)
+    problem = Problem(field, F3, Fraction(3, 2))
+    roots = problem.roots
+    assert repr(field) == "QuadraticField(m=7)" and field == (7, 2, 2, 1)
+    assert repr(roots) == f"RootData(level={roots.level}, ends={roots.ends}, integer_roots=())"
+    assert roots.gap_numerators == isolate_roots(F3).gap_numerators
+    assert repr(problem) == (
+        f"Problem(field=QuadraticField(m=7), form=BinaryForm(coeffs=(-1, -3, 0, 1)), K=Fraction(3, 2), "
+        f"epsilon=Fraction(1, 2), roots={roots!r}, gates_stable=True, abs_bound=Fraction(12, 1), norm_cap=2, "
+        f"part_cap=144, joint_cap=20736, gate_caps={problem.gate_caps!r})"
+    )
+    for record, args in ((F3, F3), (field, (7,)), (roots, roots[:3]), (problem, problem[:4])):
+        twin = type(record)(*args)
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
 def test_problem_validates_once_at_construction():
     with pytest.raises(InadmissibleFormError):
         Problem(QuadraticField(3), BinaryForm((0, 1, 0, 1)), 1)  # x^3 + x: complex roots
@@ -379,11 +402,11 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
         n, f = form.degree, form.coeffs
         # the Fujiwara exponent, written out: a Cauchy radius 2^bitlen(1 + max|c_k|) is ~2^100 here
         e = max(-(-abs(f[k]).bit_length() // (n - k)) for k in range(n))
-        # the chain is evaluated at -R and R by the admissibility check, which the isolation reuses, and then
+        # the chain's variations at -R and R come from the signs of its leading coefficients, so it is evaluated
         # only to split the nodes of (-R, R] holding two or more roots, at most n // 2 of them per level
         radius = _poly.root_radius(f)
         multi = _multi_root_nodes((-(10**10) + 3, 10**10 - 11, 10**10 + 7), -radius, radius)
-        assert calls["_poly", "variations"] == 2 + multi
+        assert calls["_poly", "variations"] == multi
         assert multi <= n // 2 * (e + 2)
         # a node with one root costs one evaluation of f per level, and one more at its unit interval's end
         chain_length = len(_poly.sturm_chain(f))
@@ -477,10 +500,11 @@ def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
 
 def test_solve_abs_evaluation_count():
     # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
-    # one call per evaluation of f, and one per Newton step, which evaluates f and f' together
+    # one call per evaluation of f, and one per Newton step, which evaluates f and f' together; the Sturm chain
+    # is evaluated only where nodes hold two or more roots, not at -R and R
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.solutions) == 157
-    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (253, 18)
+    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (245, 18)
 
 
 @given(
