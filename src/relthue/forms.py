@@ -23,7 +23,37 @@ class InadmissibleFormError(ValueError):
     """Raised when an operation requires an admissible form and gets none."""
 
 
-class BinaryForm(namedtuple("BinaryForm", "coeffs")):
+class Validated:
+    """Base of a namedtuple whose constructor checks its first ``_given`` fields, its arguments, and derives the rest.
+
+    ``_make``, ``_replace`` and unpickling all go through that constructor, so none builds an unchecked
+    instance.  ``_replace`` takes only argument fields and raises ValueError for a derived one; ``_make``
+    raises ValueError unless the derived fields it is given are the ones the constructor derives.
+    """
+
+    __slots__ = ()
+    _given = 1
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        made = cls(*values[: cls._given])
+        if made != values:
+            raise ValueError(f"{cls.__name__}: {values!r} does not hold the fields its arguments give")
+        return made
+
+    def _replace(self, **changes):
+        given = self._fields[: self._given]
+        rest = sorted(set(changes) - set(given))
+        if rest:
+            raise ValueError(f"{type(self).__name__}: only {given} can be replaced, not {rest}")
+        return type(self)(**{**dict(zip(given, self)), **changes})
+
+    def __getnewargs__(self) -> tuple:
+        return self[: self._given]
+
+
+class BinaryForm(Validated, namedtuple("BinaryForm", "coeffs")):
     """Binary form with ascending coefficients: coeffs[k] multiplies x^k y^(n-k).
 
     The same tuple lists the coefficients of f(x) = F(x, 1).

@@ -18,7 +18,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from . import _poly
-from .forms import BinaryForm, IntegerPair
+from .forms import BinaryForm, IntegerPair, Validated
 
 MAX_M = 2**63
 
@@ -34,7 +34,7 @@ class RingElement(NamedTuple):
         return self.u1 == 0 and self.u2 == 0
 
 
-class QuadraticField(namedtuple("QuadraticField", "m s q t")):
+class QuadraticField(Validated, namedtuple("QuadraticField", "m s q t")):
     """The imaginary quadratic field Q(i*sqrt(m)) with its integer ring.
 
     The basis {1, w} is decided once, at construction: ``s`` as in the module docstring, and the integers
@@ -76,9 +76,6 @@ class QuadraticField(namedtuple("QuadraticField", "m s q t")):
 
     def __repr__(self) -> str:
         return f"QuadraticField(m={self.m!r})"
-
-    def __getnewargs__(self) -> tuple[int]:
-        return (self.m,)
 
     def _mul_raw(self, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
         cross = a2 * b2

@@ -23,11 +23,21 @@ filters those values.  Splitting on v_imag = 0 versus v_imag != 0 gives:
 Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s,
 which is integral exactly when a = (s-1)*x2 and b = (s-1)*y2 mod s: for s = 2
 each branch splits the real pairs once into their classes (a mod 2, b mod 2),
-and each imaginary pair meets only its own class.  Every candidate is verified
-exactly against the original inequality by one plain-integer kernel, and a
-solution is kept as plain integers: its quadruple, the value F(x, y) and its
-norm, and its report, which :func:`~relthue.theorem.full_report` decides from
-the quadruple.  One absolute enumeration at bound s^n K serves both branches.
+and each imaginary pair meets only its own class.
+
+F has rational integer coefficients, so conjugation, which negates the
+imaginary pair and keeps the real pair, and (x, y) -> (-x, -y), which negates
+both, keep |F(x, y)|.  Both branches' candidate sets, the classes, the caps
+and the reach are closed under these maps, so each branch pairs only orbit
+representatives: imaginary pairs with y2 > 0, or y2 = 0 < x2, or (0, 0), with
+real pairs with b > 0, or b = 0 < a, or (0, 0).  A representative is verified
+exactly against the original inequality by one plain-integer kernel; when it
+solves, each other distinct member of its orbit (up to four in all) is
+verified by the same kernel, once, so every solution is still checked one by
+one.  A solution is kept as plain integers: its quadruple, the value F(x, y)
+and its norm, and its report, which :func:`~relthue.theorem.full_report`
+decides from the quadruple.  One absolute enumeration at bound s^n K serves
+both branches.
 """
 
 from __future__ import annotations
@@ -196,18 +206,43 @@ def _class(field: QuadraticField, imag_pair: IntegerPair) -> IntegerPair:
     return (t * x2 % s, t * y2 % s)
 
 
-def _pair(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
-    """Reconstruct and verify each (imag_pair, real pair) candidate, recording the solutions in ``found``.
+def _real_representatives(abs_solutions: AbsSolutionSet) -> tuple[tuple[int, int, int], ...]:
+    """The rows (a, b, F(a, b)) with b > 0, or b = 0 <= a: one real pair of each orbit {(a, b), (-a, -b)}.
 
-    Every real pair must lie in the class of ``imag_pair`` (:func:`_classes`), so each division is exact.
+    The listing is closed under negation, which reverses its order by (b, a), so these are its second half,
+    from its middle row (0, 0, 0) on.
+    """
+    rows = abs_solutions.solutions
+    return rows[len(rows) // 2 :]
+
+
+def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
+    """Verify each representative candidate (imag_pair, real pair) and, when it solves, every member of its orbit.
+
+    Conjugation negates the imaginary pair and keeps the real pair, and (x, y) -> (-x, -y) negates both;
+    each keeps |F(x, y)|.  ``imag_pair`` must be (0, 0) or have y2 > 0, or y2 = 0 < x2, and each real pair
+    must be (0, 0) or have b > 0, or b = 0 < a, so each orbit is reached once.  Every real pair must lie in
+    the class of ``imag_pair`` (:func:`_classes`), so each division is exact; the class of a negated pair is
+    its own.  A rejected representative costs one verification for its whole orbit; an accepted one's
+    result is kept, and each other distinct member is verified once, so every solution recorded in
+    ``found`` is checked by the kernel.
     """
     t = kernel[2]
     s, (x2, y2) = t + 1, imag_pair
     for a, b in real_pairs:
-        quad = ((a - t * x2) // s, x2, (b - t * y2) // s, y2)
+        x1, y1 = (a - t * x2) // s, (b - t * y2) // s
+        quad = (x1, x2, y1, y2)
         verified = _verify(kernel, quad)
-        if verified is not None:
-            found[quad] = verified
+        if verified is None:
+            continue
+        found[quad] = verified
+        conjugate = (x1 + t * x2, -x2, y1 + t * y2, -y2)  # (-imag_pair, real pair)
+        negated_real = (-x1 - t * x2, x2, -y1 - t * y2, y2)  # (imag_pair, -real pair)
+        for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:
+            if member != quad:
+                verified = _verify(kernel, member)
+                if verified is not None:
+                    found[member] = verified
 
 
 def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
@@ -223,11 +258,11 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
     kernel = _kernel(problem)
-    classes = _classes(s, abs_solutions.solutions)
+    classes = _classes(s, _real_representatives(abs_solutions))
     found: Found = {}
     # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
     aligned = classes.get((0, 0), ())  # the real pairs with s | a and s | b
-    _pair(kernel, (0, 0), [(a, b) for a, b, v in aligned if v or not roots], found)
+    _orbits(kernel, (0, 0), [(a, b) for a, b, v in aligned if v or not roots], found)
     f_prime = _poly.derivative(problem.form.coeffs)
     for r in roots:
         slope_sq = _poly.evaluate(f_prime, r) ** 2
@@ -240,8 +275,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
             key = _class(problem.field, (r * t, t))
             wider = windows[key] if key in windows else [(a, b) for a, b, _ in classes.get(key, ())]
             window = windows[key] = [(a, b) for a, b in wider if 0 < abs(a - r * b) <= s * d_max]
-            _pair(kernel, (r * t, t), window, found)
-            _pair(kernel, (-r * t, -t), window, found)
+            _orbits(kernel, (r * t, t), window, found)  # and (-r*t, -t), in the same orbits
     return found
 
 
@@ -257,7 +291,7 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     if imag_cap == 0:
         return {}
     kernel = _kernel(problem)
-    by_size = sorted(abs_solutions.solutions, key=lambda solution: abs(solution[2]))
+    by_size = sorted(_real_representatives(abs_solutions), key=lambda solution: abs(solution[2]))
     classes = {
         key: ([abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows])
         for key, rows in _classes(s, by_size).items()
@@ -266,10 +300,11 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     for v_imag, imag_pairs in abs_solutions.values_index().items():
         if 0 < abs(v_imag) <= imag_cap:
             real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
-            for imag_pair in imag_pairs:
-                sizes, real_pairs = classes.get(_class(problem.field, imag_pair), ((), ()))
-                allowed = real_pairs[: bisect_right(sizes, real_cap)]
-                _pair(kernel, imag_pair, allowed, found)
+            for x2, y2 in imag_pairs:
+                if y2 > 0 or (y2 == 0 and x2 > 0):  # one imaginary pair of each {(x2, y2), (-x2, -y2)}
+                    sizes, real_pairs = classes.get(_class(problem.field, (x2, y2)), ((), ()))
+                    allowed = real_pairs[: bisect_right(sizes, real_cap)]
+                    _orbits(kernel, (x2, y2), allowed, found)
     return found
 
 

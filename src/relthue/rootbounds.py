@@ -46,7 +46,7 @@ from itertools import combinations
 from math import floor
 
 from . import _poly
-from .forms import BinaryForm, require_admissible
+from .forms import BinaryForm, Validated, require_admissible
 from .quadfield import QuadraticField
 
 ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of width 2^-ISOLATION_BITS
@@ -69,7 +69,7 @@ def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tupl
     return c, c if c**r * den == target else c + 1
 
 
-class RootData(namedtuple("RootData", "level ends integer_roots gap_numerators")):
+class RootData(Validated, namedtuple("RootData", "level ends integer_roots gap_numerators")):
     """Isolating intervals of the n real roots, sorted and pairwise disjoint, and the gap enclosures they give.
 
     Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
@@ -81,6 +81,7 @@ class RootData(namedtuple("RootData", "level ends integer_roots gap_numerators")
     """
 
     __slots__ = ()
+    _given = 3
 
     def __new__(cls, level: int, ends: tuple[tuple[int, int], ...], integer_roots: tuple[int, ...]):
         # The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
@@ -100,9 +101,6 @@ class RootData(namedtuple("RootData", "level ends integer_roots gap_numerators")
 
     def __repr__(self) -> str:
         return f"RootData(level={self.level!r}, ends={self.ends!r}, integer_roots={self.integer_roots!r})"
-
-    def __getnewargs__(self) -> tuple:
-        return self[:3]
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -334,6 +332,7 @@ def stable_constants(
 
 
 class Problem(
+    Validated,
     namedtuple("Problem", "field form K epsilon roots gates_stable abs_bound norm_cap part_cap joint_cap gate_caps")
 ):
     """One relative inequality |F(x, y)| <= K over the integers of ``field``, validated.
@@ -357,6 +356,7 @@ class Problem(
     """
 
     __slots__ = ()
+    _given = 4
 
     def __new__(cls, field: QuadraticField, form: BinaryForm, K, epsilon=Fraction(1, 2)):
         K, epsilon = Fraction(K), Fraction(epsilon)
@@ -381,9 +381,6 @@ class Problem(
             "gate_caps": gate_caps,
         }
         return super().__new__(cls, field, form, K, epsilon, **derived)
-
-    def __getnewargs__(self) -> tuple:
-        return self[:4]
 
     @property
     def integer_roots(self) -> tuple[int, ...]:

@@ -53,6 +53,18 @@ MUTANTS = [
            ("tests/test_reducer.py",)),
     Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
            ("tests/test_reducer.py",)),
+    # one verified candidate per orbit of conjugation and negation, each member verified once
+    Mutant("reducer.py", "if y2 > 0 or (y2 == 0 and x2 > 0):", "if y2 > 0:",
+           ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
+    Mutant("reducer.py", "return rows[len(rows) // 2 :]",
+           "return [row for row in rows[len(rows) // 2 :] if row[1] or not row[0]]",
+           ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
+    Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
+           "for member in {negated_real, (-x1, -x2, -y1, -y2)}:",
+           ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
+    Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
+           "for member in {conjugate, (-x1, -x2, -y1, -y2)}:",
+           ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     # the oracle seeded once per box
     Mutant("oracle.py", "if sum(order) <= n]", "if 0 < sum(order) <= n]", ("tests/test_oracle.py",)),
     Mutant("oracle.py", "{o: g.u2 for o, g in zip(orders, seeds)}", "{o: g.u2 * any(o) for o, g in zip(orders, seeds)}",

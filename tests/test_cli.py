@@ -442,6 +442,17 @@ def test_check_rejects_a_reach_short_of_the_box(capsys, tmp_path):
     assert status == 0 and out.splitlines()[-1] == "MATCH"
 
 
+@pytest.mark.parametrize("k", [6, 24])
+@pytest.mark.parametrize("m,ymax", [(2, 4), (3, 12)])
+def test_check_matches_on_near_double_root_cubics(capsys, tmp_path, k, m, ymax):
+    # x^3 - 2(10^k x - 1)^2: two roots about 10^(-3k/2) apart
+    path = tmp_path / "near_double.txt"
+    coeffs = f"-2 {4 * 10**k} {-2 * 10 ** (2 * k)} 1"
+    path.write_text(f"coeffs = {coeffs}\nm = {m}\nK = 2\nymax = {ymax}\n", encoding="utf-8")
+    status, out, _ = run(capsys, "check", str(path), "--height", "4")
+    assert status == 0 and out.splitlines()[-1] == "MATCH"
+
+
 def test_check_expands_only_the_family_members_in_the_box(capsys, tmp_path, monkeypatch):
     generated = []
     expand = RelativeSolutionSet.family_members

@@ -72,6 +72,15 @@ def test_zero_branch_parity_reconstruction():
     assert (4, 0, 2, 0) in solve_relative(field, F1, 1, Fraction(1, 2), 6).quadruples()
 
 
+def test_orbits_with_a_representative_on_an_axis_are_found():
+    # x = w, y = 0 has the imaginary pair (1, 0), y2 = 0 < x2, and the real pair (1, 0), b = 0 < a: its orbit under
+    # conjugation and negation is x in {w, 1 - w, -w, w - 1}, y = 0, one candidate verified for all four
+    problem, abs_solutions = branch_input(3, F1, 1, 6)
+    found = nonzero_value_branch(problem, abs_solutions)
+    assert {(0, 1, 0, 0), (1, -1, 0, 0), (0, -1, 0, 0), (-1, 1, 0, 0)} <= set(found)
+    assert found == range_walk_nonzero_branch(problem, abs_solutions)
+
+
 def test_nonzero_branch_worked_example():
     # x = w, y = 0: imag value 1 realized by (1, 0), real pair (1, 0), x1 = 0
     problem, abs_solutions = branch_input(3, F1, 1, 6)
@@ -405,3 +414,71 @@ def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
     assert len(verified) == len(set(verified))
     realized = {(a, b) for a, b, _ in abs_solutions.solutions}
     assert all((2 * x1 + x2, 2 * y1 + y2) in realized for x1, x2, y1, y2 in verified)
+
+
+def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypatch):
+    # x^3 - 4xy^2, m = 1, K = 100, H = 100: verifying every candidate, not one per orbit, takes 44,164 calls
+    calls = []
+    verify = reducer._verify
+
+    def counting(kernel, quad):
+        verified = verify(kernel, quad)
+        calls.append((quad, verified is not None))
+        return verified
+
+    monkeypatch.setattr(reducer, "_verify", counting)
+    result = solve_relative(QuadraticField(1), F1, 100, height=100)
+    assert len(calls) <= 15_000
+    assert len({quad for quad, _ in calls}) == len(calls)
+    assert sum(accepted for _, accepted in calls) == len(result.solutions) == 2_212
+
+
+@settings(deadline=None)
+@given(
+    admissible_forms(),
+    st.fractions(min_value=1, max_value=30, max_denominator=3),
+    st.integers(1, 8),
+    st.data(),
+)
+def test_solutions_come_in_orbits_of_conjugation_and_negation(form, K, height, data):
+    # m small enough that the part bound admits v_imag != 0, m^n <= (s^n K)^2: m = 1 and m = 3 always are
+    n = form.degree
+    m = data.draw(st.sampled_from([m for m in SQUAREFREE_M if m**n <= ((2 if m % 4 == 3 else 1) ** n * K) ** 2]))
+    field = QuadraticField(m)
+    t, sign = field.t, (-1) ** n
+    result = solve_relative(field, form, K, Fraction(1, 2), height)
+    quads = result.quadruples()
+    for x1, x2, y1, y2 in quads:
+        assert (x1 + t * x2, -x2, y1 + t * y2, -y2) in quads  # conjugate
+        assert (-x1, -x2, -y1, -y2) in quads
+    by_quad = {sol.quadruple: sol for sol in result.solutions}
+    for (x1, x2, y1, y2), sol in by_quad.items():
+        v1, v2 = sol.value_pair
+        # F(conj x, conj y) = conj F(x, y) and F(-x, -y) = (-1)^n F(x, y); conj(v1 + v2*w) = (v1 + t*v2) - v2*w
+        members = {
+            (x1 + t * x2, -x2, y1 + t * y2, -y2): (v1 + t * v2, -v2),
+            (-x1, -x2, -y1, -y2): (sign * v1, sign * v2),
+            (-x1 - t * x2, x2, -y1 - t * y2, y2): (sign * (v1 + t * v2), -sign * v2),
+        }
+        for member, value in members.items():
+            other = by_quad[member]
+            assert (other.value_pair, other.value_norm, other.report) == (value, sol.value_norm, sol.report)
+
+
+# degree 5 with s = 2 and degree 4 with m = 1, where solutions of the nonzero branch lie in the oracle box
+@pytest.mark.parametrize(
+    "coeffs,m,K,box",
+    [
+        ((0, 4, 0, -5, 0, 1), 3, 1, 4),  # x(x^2 - 1)(x^2 - 4)
+        ((1, 8, 0, -6, 0, 1), 7, Fraction(19, 2), 3),
+        ((6, 0, -5, 0, 1), 1, Fraction(5, 2), 3),  # (x^2 - 2)(x^2 - 3)
+        ((0, 6, -5, -2, 1), 1, 3, 4),  # x(x - 1)(x + 2)(x - 3)
+    ],
+)
+def test_oracle_equivalence_where_the_nonzero_branch_reaches_the_box(coeffs, m, K, box):
+    field, form = QuadraticField(m), BinaryForm(coeffs)
+    result = solve_relative(field, form, K, Fraction(1, 2), (2 * field.s - 1) * box)
+    found = {q for q in result.quadruples() if max(map(abs, q)) <= box}
+    assert found == brute_force(field, form, K, box).quadruples()
+    assert any(form.evaluate(q[1], q[3]) for q in found)
+    assert result.cross_check_ok

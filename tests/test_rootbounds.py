@@ -20,7 +20,7 @@ from relthue import (
     solve_relative,
 )
 from relthue.abssolver import solve_abs
-from relthue.rootbounds import ISOLATION_BITS, _dyadic_root, enclosures, isolate_roots, refine
+from relthue.rootbounds import ISOLATION_BITS, RootData, _dyadic_root, enclosures, isolate_roots, refine
 from util import (
     bisection_isolation,
     constants,
@@ -280,6 +280,32 @@ def test_validated_records_are_immutable_values_with_the_dataclass_repr():
             setattr(record, record._fields[0], None)
         with pytest.raises(AttributeError):
             record.extra = None
+
+
+def test_replace_and_make_go_through_the_constructor():
+    field = QuadraticField(7)
+    problem = Problem(field, F3, Fraction(3, 2))
+    roots = problem.roots
+    assert field._replace(m=5) == QuadraticField(5) == (5, 1, 5, 0)
+    assert QuadraticField._make((7, 2, 2, 1)) == field
+    assert problem._replace(K=2) == Problem(field, F3, 2)
+    assert RootData._make(roots) == roots._replace(level=roots.level) == roots
+    assert BinaryForm._make([(0, -4, 0, 1)]) == F1
+    with pytest.raises(ValueError, match="leading coefficient"):
+        BinaryForm((0, 1, 0, 1))._replace(coeffs=(1, 0))
+    with pytest.raises(ValueError, match="not square-free"):
+        field._replace(m=12)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        problem._replace(K=Fraction(1, 2))
+    # a derived field cannot be replaced, and _make checks the derived fields it is given
+    for record, derived in ((field, "s"), (field, "q"), (field, "t"), (roots, "gap_numerators"), (problem, "part_cap"),
+                            (problem, "gate_caps"), (problem, "roots"), (F1, "degree")):
+        with pytest.raises(ValueError, match="can be replaced"):
+            record._replace(**{derived: getattr(record, derived)})
+    with pytest.raises(ValueError, match="does not hold"):
+        QuadraticField._make((5, 2, 2, 1))
+    with pytest.raises(ValueError, match="does not hold"):
+        Problem._make((*problem[:-1], (0, 0, 0)))
 
 
 def test_problem_validates_once_at_construction():
@@ -636,3 +662,13 @@ def test_integer_gate_floors_equal_the_floors_of_the_fraction_references(case, b
     consts = fraction_constants(data, K, epsilon)
     assert upper == gate_floors(fraction_thresholds(consts, n, field))
     assert lower == gate_floors(fraction_thresholds(consts, n, field, lower=True))
+
+
+@pytest.mark.parametrize("k,level", [(6, 64), (24, 200), (48, 400)])
+def test_near_double_roots_isolate_at_the_level_their_gap_needs(k, level):
+    form = BinaryForm((-2, 4 * 10**k, -2 * 10 ** (2 * k), 1))  # x^3 - 2(10^k x - 1)^2: two roots ~10^(-3k/2) apart
+    roots = isolate_roots(form)
+    assert roots.level == level and roots.integer_roots == ()
+    assert all(left[1] < right[0] for left, right in zip(roots.ends, roots.ends[1:]))
+    for lo, hi in roots.ends:  # f changes sign across each interval, so a root lies in each
+        assert _poly.sign(form.evaluate(lo, 1 << level)) == -_poly.sign(form.evaluate(hi, 1 << level)) != 0
