@@ -37,7 +37,7 @@ from math import floor
 from typing import NamedTuple
 
 from . import _poly
-from .forms import BinaryForm, IntegerPair
+from .forms import BinaryForm
 from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
@@ -47,12 +47,6 @@ class AbsSolutionSet(NamedTuple):
     bound: Fraction
     height: int
     solutions: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
-
-    def values_index(self) -> dict[int, list[IntegerPair]]:
-        index: dict[int, list[IntegerPair]] = {}
-        for a, b, v in self.solutions:
-            index.setdefault(v, []).append((a, b))
-        return index
 
 
 def solve_abs(

@@ -3,7 +3,21 @@
 For a solution (x, y) write v_imag = F(x2, y2) and v_real = F(a, b) with
 (a, b) = (s*x1 + (s-1)*x2, s*y1 + (s-1)*y2).  Both are values realized by
 one absolute enumeration, |F(a, b)| <= s^n K, and the part bound on v_imag
-filters those values.  Splitting on v_imag = 0 versus v_imag != 0 gives:
+filters those values.
+
+Both branches prune the integer-root lines by one exact derivative test.  For
+each root rho of f, s*(x - rho*y) = (a - rho*b) + i*sqrt(m)*(x2 - rho*y2) with
+both terms real, so the factor is at least either term in modulus.  When one
+of the two pairs lies on the line of an integer root r, as (h*r, h) with
+h != 0, the factor at r is the other pair's term alone, e, and every other
+factor is at least |r - rho|*|h|*sqrt(c), with c = 1 for the real pair and
+c = m for the imaginary one.  f is monic, so the product of |r - rho| over
+rho != r is |f'(r)|, and |F(x, y)| <= K needs
+
+    e^2 * f'(r)^2 * (c*h^2)^(n-1) <= (s^n K)^2, that is <= part_cap,
+
+since the left side is an integer.  Splitting on v_imag = 0 versus
+v_imag != 0 gives:
 
 * zero branch: (x2, y2) runs over the zero set of F on Z^2, that is (0, 0)
   and the integer-root lines (r*t, t), and (a, b) over |F(a, b)| <= s^n K.
@@ -12,13 +26,17 @@ filters those values.  Splitting on v_imag = 0 versus v_imag != 0 gives:
   expanded by :meth:`RelativeSolutionSet.quadruples`.  f is monic, so
   F(a, b) = 0 only on the root lines: (x2, y2) = (0, 0) takes the real pairs
   of nonzero value, and (0, 0) when f has no integer root.  Off the families,
-  x - r*y = d = (a - r*b)/s is a nonzero rational integer and every other
-  factor of F(x, y) has |x - rho*y| >= |r - rho|*|t|*sqrt(m)/s, so
-  |F(x, y)| >= |d|*|f'(r)|*(|t|*sqrt(m)/s)^(n-1).  This exact derivative
-  test ends each root line at the first t where even |d| = 1 fails, and
-  pairs (r*t, t) only with real pairs in the window 0 < |a - r*b| <= s*d_max(t);
+  e = a - r*b = s*d with d = x - r*y a nonzero rational integer, and h = t,
+  c = m: the test ends each root line at the first t where even |d| = 1
+  fails, and pairs (r*t, t) only with real pairs in the window
+  0 < |a - r*b| <= s*d_max(t);
 * nonzero branch: for each realized v_imag != 0 within the part bound, the
-  joint bound confines (a, b) to a prefix of the real pairs sorted by |v_real|.
+  joint bound confines (a, b) to the real pairs of value 0 and a prefix of
+  those of nonzero value sorted by |v_real|.  Value 0 is (0, 0) and the
+  root-line pairs (r*b, b); (x2, y2) lies on no root line, so
+  e = sqrt(m)*(x2 - r*y2) with x2 - r*y2 a nonzero integer, and h = b, c = 1:
+  the test keeps only b <= b_max, where b_max^(2(n-1)) <= part_cap //
+  (m*(x2 - r*y2)^2*f'(r)^2).
 
 Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s,
 which is integral exactly when a = (s-1)*x2 and b = (s-1)*y2 mod s: for s = 2
@@ -245,6 +263,12 @@ def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerP
                     found[member] = verified
 
 
+def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
+    """(r, f'(r)^2) for each integer root r of f, as the derivative test of the module docstring reads it."""
+    f_prime = _poly.derivative(problem.form.coeffs)
+    return [(r, _poly.evaluate(f_prime, r) ** 2) for r in problem.integer_roots]
+
+
 def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """Solutions with F(x2, y2) = 0 that are not zero-family members, verified exactly.
 
@@ -263,9 +287,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
     aligned = classes.get((0, 0), ())  # the real pairs with s | a and s | b
     _orbits(kernel, (0, 0), [(a, b) for a, b, v in aligned if v or not roots], found)
-    f_prime = _poly.derivative(problem.form.coeffs)
-    for r in roots:
-        slope_sq = _poly.evaluate(f_prime, r) ** 2
+    for r, slope_sq in _root_slopes(problem):
         windows: dict[IntegerPair, list[IntegerPair]] = {}
         for t in range(1, abs_solutions.height + 1):
             # K^2 s^(2(n-1)) / D = (s^n K)^2 / (s^2 D), whose floor is part_cap // (s^2 D)
@@ -279,32 +301,57 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     return found
 
 
+def _imag_values(representatives, imag_cap: int) -> dict[int, list[IntegerPair]]:
+    """The imaginary pairs (x2, y2) among ``representatives`` with 0 < |F(x2, y2)| <= ``imag_cap``, by value.
+
+    ``representatives`` are :func:`_real_representatives`; without (0, 0), whose value is 0, they are the
+    pairs with y2 > 0, or y2 = 0 < x2: one imaginary pair of each {(x2, y2), (-x2, -y2)}, as :func:`_orbits`
+    takes them.
+    """
+    index: dict[int, list[IntegerPair]] = {}
+    for x2, y2, v_imag in representatives:
+        if 0 < abs(v_imag) <= imag_cap:
+            index.setdefault(v_imag, []).append((x2, y2))
+    return index
+
+
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch.
 
     Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs of its
     class whose |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
-    When the part bound admits no v_imag != 0, nothing is sorted or indexed.
+    Of value 0 these are (0, 0) and, on the line of each integer root r, the pairs (r*b, b) with
+    1 <= b <= min(height, b_max), where b_max is the largest b with
+    m * (x2 - r*y2)^2 * f'(r)^2 * b^(2(n-1)) <= part_cap (see the module docstring).  When the part bound
+    admits no v_imag != 0, nothing is sorted or indexed.
     """
     n, m, s = problem.form.degree, problem.field.m, problem.field.s
     imag_cap = isqrt(problem.part_cap // m**n)
     if imag_cap == 0:
         return {}
     kernel = _kernel(problem)
-    by_size = sorted(_real_representatives(abs_solutions), key=lambda solution: abs(solution[2]))
+    representatives = _real_representatives(abs_solutions)
+    by_size = sorted((row for row in representatives if row[2]), key=lambda row: abs(row[2]))
     classes = {
         key: ([abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows])
         for key, rows in _classes(s, by_size).items()
     }
+    slopes = _root_slopes(problem)
+    height, exponent = abs_solutions.height, 2 * (n - 1)
     found: Found = {}
-    for v_imag, imag_pairs in abs_solutions.values_index().items():
-        if 0 < abs(v_imag) <= imag_cap:
-            real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
-            for x2, y2 in imag_pairs:
-                if y2 > 0 or (y2 == 0 and x2 > 0):  # one imaginary pair of each {(x2, y2), (-x2, -y2)}
-                    sizes, real_pairs = classes.get(_class(problem.field, (x2, y2)), ((), ()))
-                    allowed = real_pairs[: bisect_right(sizes, real_cap)]
-                    _orbits(kernel, (x2, y2), allowed, found)
+    for v_imag, imag_pairs in _imag_values(representatives, imag_cap).items():
+        real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
+        for x2, y2 in imag_pairs:
+            key = _class(problem.field, (x2, y2))
+            sizes, real_pairs = classes.get(key, ((), ()))
+            allowed = real_pairs[: bisect_right(sizes, real_cap)]
+            zeros = [(0, 0)] if key == (0, 0) else []
+            first = key[1] or s  # the least b >= 1 in the class, b = key[1] mod s
+            for r, slope_sq in slopes:
+                if r * first % s == key[0]:  # r*b mod s is the same for every b of the class
+                    b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent)
+                    zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]
+            _orbits(kernel, (x2, y2), zeros + allowed, found)
     return found
 
 

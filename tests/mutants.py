@@ -54,7 +54,7 @@ MUTANTS = [
     Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
            ("tests/test_reducer.py",)),
     # one verified candidate per orbit of conjugation and negation, each member verified once
-    Mutant("reducer.py", "if y2 > 0 or (y2 == 0 and x2 > 0):", "if y2 > 0:",
+    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) <= imag_cap and y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "return rows[len(rows) // 2 :]",
            "return [row for row in rows[len(rows) // 2 :] if row[1] or not row[0]]",
@@ -65,6 +65,18 @@ MUTANTS = [
     Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
            "for member in {conjugate, (-x1, -x2, -y1, -y2)}:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
+    # the root-line real pairs of the nonzero branch end at the derivative test's b_max
+    Mutant("reducer.py", "b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent)",
+           "b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent) - 1",
+           ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
+    Mutant("reducer.py", "                    zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]\n",
+           "                    zeros += []\n",
+           ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
+    Mutant("reducer.py", "zeros = [(0, 0)] if key == (0, 0) else []", "zeros = []",
+           ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
+    Mutant("reducer.py", "height, exponent = abs_solutions.height, 2 * (n - 1)",
+           "height, exponent = abs_solutions.height, 2 * n",
+           ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
     # the oracle seeded once per box
     Mutant("oracle.py", "if sum(order) <= n]", "if 0 < sum(order) <= n]", ("tests/test_oracle.py",)),
     Mutant("oracle.py", "{o: g.u2 for o, g in zip(orders, seeds)}", "{o: g.u2 * any(o) for o, g in zip(orders, seeds)}",

@@ -4,7 +4,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relthue
@@ -20,7 +20,6 @@ from relthue import (
 )
 from relthue import reducer
 from relthue.cli import main
-from relthue.abssolver import AbsSolutionSet
 from relthue.quadfield import MAX_M
 from relthue.reducer import _evaluate, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
@@ -31,6 +30,7 @@ from util import (
     profiled_calls,
     range_walk_nonzero_branch,
     root_test_zero_branch,
+    values_index,
 )
 
 F1 = BinaryForm((0, -4, 0, 1))
@@ -136,6 +136,8 @@ ROOT_FREE = [BinaryForm(c) for c in ((-1, -3, 0, 1), (1, -4, 0, 1), (-3, -7, 2, 
 
 
 @settings(deadline=None, max_examples=200)
+@example(F1, 1, Fraction(5), 4)  # the root-line real pair (0, 1) solves at b = b_max = 1
+@example(F1, 1, Fraction(17), 4)  # and (0, 2) at b = b_max = 2
 @given(
     st.one_of(admissible_forms(), st.sampled_from(ROOT_FREE)),
     st.sampled_from(SQUAREFREE_M),
@@ -185,16 +187,17 @@ class CountingIndex(dict):
 
 def test_nonzero_branch_reads_only_realized_values(monkeypatch):
     # at height 0 the realized values are the cubes a^3, |a| <= 100, while the part bound admits every
-    # integer |v| <= 10^6: a walk over that range reads the index about 2*10^6 times
-    index = AbsSolutionSet.values_index
-    monkeypatch.setattr(AbsSolutionSet, "values_index", lambda self: CountingIndex(index(self)))
+    # integer |v| <= 10^6: a walk over that range reads the index about 2*10^6 times; the branch's index
+    # holds only the imaginary representatives, (a, 0) with 0 < a <= 100, and is read once per value
+    index = reducer._imag_values
+    monkeypatch.setattr(reducer, "_imag_values", lambda *args: CountingIndex(index(*args)))
     monkeypatch.setattr(CountingIndex, "reads", 0)
     problem, abs_solutions = branch_input(1, F3, 10**6, 0)
-    realized = len(index(abs_solutions))
+    realized = len(values_index(abs_solutions))
     assert realized == 201
     # y = 0 here, so the branch finds every x = x1 + x2*i with x2 != 0 and (x1^2 + x2^2)^3 <= K^2
     assert len(nonzero_value_branch(problem, abs_solutions)) == 31_216
-    assert CountingIndex.reads <= 2 * realized**2
+    assert CountingIndex.reads == 100
 
 
 def test_all_emitted_solutions_verified():
@@ -387,13 +390,16 @@ def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
 
 
 def test_nonzero_branch_builds_no_index_when_the_part_bound_admits_no_value(monkeypatch):
-    # m^n = 163^3 > (s^n K)^2 = 64: no v_imag != 0 meets the part bound, so nothing is sorted or indexed
-    def refuse(self):
-        raise AssertionError("values_index was built")
+    # m^n = 163^3 > (s^n K)^2 = 64: no v_imag != 0 meets the part bound, so the listing is not even read,
+    # and nothing is sorted or indexed
+    def refuse(*args):
+        raise AssertionError("the nonzero branch read the listing")
 
-    monkeypatch.setattr(AbsSolutionSet, "values_index", refuse)
     problem, abs_solutions = branch_input(163, F1, 1, 20)
-    assert nonzero_value_branch(problem, abs_solutions) == {}
+    with monkeypatch.context() as patch:
+        patch.setattr(reducer, "_real_representatives", refuse)
+        patch.setattr(reducer, "_imag_values", refuse)
+        assert nonzero_value_branch(problem, abs_solutions) == {}
     result = solve_relative(problem.field, F1, 1, Fraction(1, 2), 20)
     assert all(sol.quadruple[1] == sol.quadruple[3] == 0 for sol in result.solutions)
 
@@ -417,7 +423,8 @@ def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
 
 
 def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypatch):
-    # x^3 - 4xy^2, m = 1, K = 100, H = 100: verifying every candidate, not one per orbit, takes 44,164 calls
+    # x^3 - 4xy^2, m = 1, K = 100, H = 100: verifying every candidate, not one per orbit, takes 44,164 calls, and
+    # one per orbit with every root-line real pair, not only those the derivative test admits, 12,700
     calls = []
     verify = reducer._verify
 
@@ -428,7 +435,7 @@ def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypa
 
     monkeypatch.setattr(reducer, "_verify", counting)
     result = solve_relative(QuadraticField(1), F1, 100, height=100)
-    assert len(calls) <= 15_000
+    assert len(calls) <= 3_000
     assert len({quad for quad, _ in calls}) == len(calls)
     assert sum(accepted for _, accepted in calls) == len(result.solutions) == 2_212
 
@@ -481,4 +488,32 @@ def test_oracle_equivalence_where_the_nonzero_branch_reaches_the_box(coeffs, m, 
     found = {q for q in result.quadruples() if max(map(abs, q)) <= box}
     assert found == brute_force(field, form, K, box).quadruples()
     assert any(form.evaluate(q[1], q[3]) for q in found)
+    assert result.cross_check_ok
+
+
+# x^3 - 4xy^2 over m = 1: x = i, y = b pairs the imaginary pair (1, 0) with the real pair (0, b) on the line of the
+# root 0, where |F(i, b)| = 1 + 4b^2.  With d = |x2 - 0*y2| = 1 and f'(0)^2 = 16 the derivative test keeps
+# b <= b_max, 16*b^4 <= part_cap = K^2: b_max = 1 at K = 5 and 2 at K = 17, where |F| = K.  At K = 1, x = i, y = 0
+# has the real pair (0, 0).
+@pytest.mark.parametrize("K,quad", [(1, (0, 1, 0, 0)), (5, (0, 1, 1, 0)), (17, (0, 1, 2, 0))])
+def test_real_pairs_of_value_zero_are_paired_up_to_b_max(K, quad):
+    problem, abs_solutions = branch_input(1, F1, K, 4)
+    found = nonzero_value_branch(problem, abs_solutions)
+    assert quad in found
+    assert found == range_walk_nonzero_branch(problem, abs_solutions)
+
+
+def test_oracle_equivalence_where_root_line_real_pairs_solve_with_s_2():
+    # x^3 - xy^2 over m = 3: in box 3 the nonzero branch has solutions whose real pair (2*x1 + x2, 2*y1 + y2) is
+    # (r*b, b) on a root line, at b = 1 and at b = 2
+    field, form = QuadraticField(3), BinaryForm((0, -1, 0, 1))
+    result = solve_relative(field, form, 8, height=9)
+    found = {q for q in result.quadruples() if max(map(abs, q)) <= 3}
+    assert found == brute_force(field, form, 8, 3).quadruples()
+    heights = {
+        abs(2 * y1 + y2)
+        for x1, x2, y1, y2 in found
+        if form.evaluate(x2, y2) and (2 * x1 + x2) in {r * (2 * y1 + y2) for r in (-1, 0, 1)}
+    }
+    assert {1, 2} <= heights
     assert result.cross_check_ok

@@ -22,10 +22,12 @@ view of a ``RootData``'s integer ends, which only the tests read.  So are
 the two reduction branches as they were before they read only the values the
 absolute enumeration realized: the nonzero branch walked every integer |v|
 within the part bound, and the zero branch kept the real pairs off every
-root line by testing each root.  Both pair candidates as the reducer did
-before its parity classes and integer kernel: every real pair is tried,
-kept when the divisions by s are exact, and verified with
-``evaluate_form``.  The constants and
+root line by testing each root.  The nonzero branch also tries every
+root-line real pair, as it did before the derivative test bounded them, and
+reads the listing through ``values_index``, every row by its value.  Both
+pair candidates as the reducer did before its parity classes and integer
+kernel: every real pair is tried, kept when the divisions by s are exact,
+and verified with ``evaluate_form``.  The constants and
 squared gates as they were before they were taken on integer numerators are
 the references for the package's integer quotients and squared gates: every
 quotient a Fraction, and the n-th root bounds derived from a Fraction power;
@@ -429,10 +431,21 @@ def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> N
             found[x.u1, x.u2, y.u1, y.u2] = (value.u1, value.u2, value_norm)
 
 
+def values_index(abs_solutions: AbsSolutionSet) -> dict[int, list[tuple[int, int]]]:
+    """Every row (a, b) of the absolute listing, by its value F(a, b), in listing order."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    for a, b, v in abs_solutions.solutions:
+        index.setdefault(v, []).append((a, b))
+    return index
+
+
 def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
-    """``reducer.nonzero_value_branch`` by a walk over every integer v_imag of ``imag_value_range``."""
+    """``reducer.nonzero_value_branch`` by a walk over every integer v_imag of ``imag_value_range``.
+
+    Every real pair within the joint bound is tried, the root-line pairs of value 0 without the derivative test.
+    """
     n = problem.form.degree
-    index = abs_solutions.values_index()
+    index = values_index(abs_solutions)
     part_cap = floor(problem.abs_bound)  # |v_real| bound from the part inequality
     found: Found = {}
     for v_imag in imag_value_range(problem):
