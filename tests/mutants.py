@@ -56,6 +56,8 @@ MUTANTS = [
     # one verified candidate per orbit of conjugation and negation, each member verified once
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) <= imag_cap and y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
+    Mutant("reducer.py", "if member != quad:", "if y2 > 0:",
+           ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "return rows[len(rows) // 2 :]",
            "return [row for row in rows[len(rows) // 2 :] if row[1] or not row[0]]",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
