@@ -22,12 +22,25 @@ the root intervals over 2^level as ``RootData`` holds them.  The listing
 comes out sorted by (b, a) as it is built: the rows b < 0 are the rows
 b > 0 negated in reverse, then the row b = 0, then the rows b > 0.
 
-Every candidate with b != 0 is kept only after exact evaluation of F, and the
-row b = 0 holds a^n exactly, so no step rounds and the listing is exhaustive
-for |b| <= height.  Completeness is claimed only within the height bound,
-which the result carries.  The cost is O(n*height) window ends plus the
-cells inside them, in place of O(n*height*K'^(1/n)) cells for fixed windows
-of half-width W.
+When every root is an integer the rows past
+
+    b_w = floor((2^(n-1)*K' / B)^(1/(n-1))),
+
+the last row whose half-width can reach one cell, need no scan: there the
+half-width is below 1, so each root's window is the one cell a = r*b, where
+F(r*b, b) = b^n f(r) = 0.  Those rows are listed as (r*b, b, 0) for the roots
+in ascending order, which is the order the scan gives them.  A form with an
+irrational root scans every row.
+
+Every candidate with b != 0 is kept only after exact evaluation of F, or,
+on a root line past b_w, after exact evaluation of f(r) = 0 once per root;
+the row b = 0 holds a^n exactly, so no step rounds and the listing is
+exhaustive for |b| <= height.  Completeness is claimed only within the
+height bound, which the result carries.  The cost is O(n*height) window
+ends plus the cells inside them, in place of O(n*height*K'^(1/n)) cells
+for fixed windows of half-width W; when every root is an integer it is
+O(n*min(height, b_w)) window ends and their cells plus n*height root-line
+rows.
 """
 
 from __future__ import annotations
@@ -78,8 +91,13 @@ def solve_abs(
     # B is the gap product's lower numerator over 2^(level (n-1))
     spread = 2 ** (n - 1) * bound.numerator << (roots.level * (n - 1)), bound.denominator * roots.gap_numerators[2]
     unit = 1 << roots.level
+    # past row b_w = floor(spread^(1/(n-1))) the half-width spread / b^(n-1) is below 1; when every root is an
+    # integer r, each window there is the one cell a = r*b, where F = b^n f(r) = 0, so those rows are not scanned.
+    # f(r) = 0 is evaluated here, so roots handed in for another form cannot put a wrong value in the listing.
+    on_lines = len(roots.integer_roots) == n and not any(form.evaluate(r, 1) for r in roots.integer_roots)
+    scanned = min(height, _poly.iroot(spread[0] // spread[1], n - 1)) if on_lines else height
     positive = []
-    for b in range(1, height + 1):
+    for b in range(1, scanned + 1):
         w_num, w_den = window
         if spread[0] * w_den < w_num * spread[1] * b ** (n - 1):
             w_num, w_den = spread[0], spread[1] * b ** (n - 1)
@@ -92,6 +110,7 @@ def solve_abs(
                 if abs(value) <= cap:
                     positive.append((a, b, value))
             start = max(start, a_hi + 1)
+    positive += [(r * b, b, 0) for b in range(scanned + 1, height + 1) for r in roots.integer_roots]
 
     # positive is sorted by (b, a), so negating it in reverse gives the rows b < 0 in that order
     sign = (-1) ** n

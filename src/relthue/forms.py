@@ -12,6 +12,7 @@ with that same chain, finding the integer roots on the way.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 from typing import NamedTuple
 
 from . import _poly
@@ -56,13 +57,14 @@ class Validated:
 class BinaryForm(Validated, namedtuple("BinaryForm", "coeffs")):
     """Binary form with ascending coefficients: coeffs[k] multiplies x^k y^(n-k).
 
-    The same tuple lists the coefficients of f(x) = F(x, 1).
+    The same tuple lists the coefficients of f(x) = F(x, 1).  Each coefficient must be an integer
+    (``operator.index``): a float, Fraction or string raises TypeError, not truncated.
     """
 
     __slots__ = ()
 
     def __new__(cls, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(index(c) for c in coeffs)
         if len(coeffs) < 2:
             raise ValueError("a binary form needs degree >= 1")
         if coeffs[-1] == 0:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 from math import isqrt
+from operator import index
 from typing import NamedTuple
 
 from . import _poly
@@ -50,8 +51,11 @@ class QuadraticField(Validated, namedtuple("QuadraticField", "m s q t")):
 
     @staticmethod
     def __post_init__(m) -> tuple[int, int, int, int]:
-        """(m, s, q, t) for a square-free integer 1 <= m <= MAX_M; raises ValueError for any other m."""
-        m = int(m)
+        """(m, s, q, t) for a square-free integer 1 <= m <= MAX_M; raises ValueError for any other integer m.
+
+        m must be an integer (``operator.index``): a float, Fraction or string raises TypeError, not truncated.
+        """
+        m = index(m)
         if m < 1:
             raise ValueError("m must be a positive integer")
         if m > MAX_M:

@@ -286,13 +286,21 @@ def _gate_squares(
 
 
 def _gate_floors(
-    roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], n: int, field: QuadraticField
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """floor() of the lower and of the upper bounds of the three squared gates at ``roots``, as integer quotients."""
-    coeff_lower, coeff_upper, gate_lower, gate_upper = _quotients(roots, K, epsilon, k_root)
-    lower = _gate_squares(coeff_lower, gate_lower, n, field, 0)
-    upper = _gate_squares(coeff_upper, gate_upper, n, field)
-    return tuple(num // den for num, den in lower), tuple(num // den for num, den in upper)
+    roots: RootData,
+    K: Fraction,
+    epsilon: Fraction,
+    k_root: tuple[int, int],
+    n: int,
+    field: QuadraticField,
+    sides: tuple[int, ...] = (0, 1),
+) -> tuple[tuple[int, ...], ...]:
+    """floor() of the lower (side 0) and of the upper (side 1) bounds of the three squared gates at ``roots``,
+    as integer quotients, one tuple for each of ``sides``."""
+    quotients = _quotients(roots, K, epsilon, k_root)  # approx_coeff lower, upper, gate lower, upper
+    return tuple(
+        tuple(num // den for num, den in _gate_squares(quotients[side], quotients[2 + side], n, field, side))
+        for side in sides
+    )
 
 
 def stable_constants(
@@ -308,17 +316,19 @@ def stable_constants(
     (the upper bounds shrink with the intervals and never fall below the true gate), so the level is kept at
     once.  Otherwise the floors settle when one halving leaves them as they were, and the finer level is
     kept.  When every root is an integer, the intervals are points and the enclosures exact, so no
-    refinement can move a gate and none is tried.  The flag is False when neither rule held after
-    ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest isolation, still sound.  The
-    bounds of K^(1/n) are taken once, not once per halving, and no halving builds a Fraction.
+    refinement can move a gate and none is tried, and only the upper floors are taken.  The flag is False
+    when neither rule held after ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest
+    isolation, still sound.  The bounds of K^(1/n) are taken once, not once per halving, and no halving
+    builds a Fraction.
     """
     n = form.degree
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     bits = ISOLATION_BITS
     data = isolate_roots(form, bits)
-    lower, caps = _gate_floors(data, K, epsilon, k_root, n, field)
     if all(lo == hi for lo, hi in data.ends):  # every root an integer: the enclosures are exact already
+        (caps,) = _gate_floors(data, K, epsilon, k_root, n, field, (1,))
         return data, caps, True
+    lower, caps = _gate_floors(data, K, epsilon, k_root, n, field)
     for _ in range(MAX_HALVINGS):
         if lower == caps:  # the certificate
             return data, caps, True

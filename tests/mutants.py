@@ -147,8 +147,8 @@ MUTANTS = [
     Mutant("abssolver.py", "for a in range(-a_cap, a_cap + 1)]", "for a in range(-a_cap + 1, a_cap + 1)]",
            ("tests/test_abssolver.py",)),
     # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
-    Mutant("rootbounds.py", "upper = _gate_squares(coeff_upper, gate_upper, n, field)",
-           "upper = _gate_squares(coeff_upper, gate_lower, n, field)",
+    Mutant("rootbounds.py", "_gate_squares(quotients[side], quotients[2 + side], n, field, side)",
+           "_gate_squares(quotients[side], quotients[2], n, field, side)",
            ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_references",)),
     Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
            ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
@@ -181,6 +181,20 @@ MUTANTS = [
            ("tests/test_forms.py::test_admissible_pass",)),
     Mutant("cli.py", "if norm >= _TOO_LONG:", "if norm < 0:",
            ("tests/test_cli.py::test_values_too_long_to_print_name_their_input",)),
+    # the root-line rows past b_w listed without a scan when every root is an integer
+    Mutant("abssolver.py", "min(height, _poly.iroot(spread[0] // spread[1], n - 1))",
+           "min(height, _poly.iroot(spread[0] // spread[1], n - 1) - 1)",
+           ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
+    Mutant("abssolver.py",
+           "    positive += [(r * b, b, 0) for b in range(scanned + 1, height + 1) for r in roots.integer_roots]\n",
+           "    positive += []\n",
+           ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
+    Mutant("abssolver.py", "for r in roots.integer_roots]", "for r in reversed(roots.integer_roots)]",
+           ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
+    Mutant("abssolver.py", "on_lines = len(roots.integer_roots) == n and", "on_lines = bool(roots.integer_roots) and",
+           ("tests/test_abssolver.py::test_a_form_with_integer_and_irrational_roots_scans_every_row",)),
+    Mutant("abssolver.py", "and not any(form.evaluate(r, 1) for r in roots.integer_roots)", "and True",
+           ("tests/test_abssolver.py::test_roots_of_another_form_put_no_wrong_value_in_the_listing",)),
     # expected survivors
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py", "tests/test_reducer.py"),

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from math import floor, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, solve_abs
+from relthue._poly import iroot
 from relthue.rootbounds import ISOLATION_BITS, isolate_roots
-from util import admissible_forms, form_from_roots, rectangle_solutions, window_scan
+from util import admissible_forms, form_from_roots, profiled_calls, rectangle_solutions, window_scan
 
 F1 = BinaryForm((0, -4, 0, 1))
 
@@ -195,3 +197,53 @@ def test_roots_near_rationals_equal_the_window_scan(coeffs):
 def test_solutions_come_sorted_by_b_then_a(form, bound, height):
     solutions = solve_abs(form, bound, height).solutions
     assert list(solutions) == sorted(solutions, key=lambda t: (t[1], t[0]))
+
+
+def last_window_row(roots, bound) -> int:
+    """b_w: the last b whose half-width 2^(n-1) K' / (b^(n-1) B) reaches one cell, B the exact gap product."""
+    n = len(roots)
+    gap_product = min(prod(abs(r - q) for q in roots if q != r) for r in roots)
+    return iroot(floor(2 ** (n - 1) * Fraction(bound) / gap_product), n - 1)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(-6, 6), min_size=3, max_size=5, unique=True),
+    st.fractions(min_value=0, max_value=300, max_denominator=4),
+    st.integers(-5, 40),
+)
+# x^3 - 4xy^2 at K' = 3: b_w = 1, and the row b = 1 holds (-1, 1) and (1, 1) with F = 3 and -3 off the root lines
+@example([-2, 0, 2], Fraction(3), 4)
+@example([-2, 0, 2], Fraction(0), 3)  # b_w = 0: every row b > 0 is the root lines alone
+@example([0, 1, 3, -4], Fraction(1, 2), 10)
+def test_forms_with_only_integer_roots_equal_the_window_scan(roots, bound, offset):
+    # past b_w every window is the one cell r*b per root, listed without a scan; heights fall on both sides of it
+    form, height = form_from_roots(roots), max(0, last_window_row(roots, bound) + offset)
+    assert solve_abs(form, bound, height).solutions == window_scan(form, bound, height)
+
+
+def test_a_form_with_integer_and_irrational_roots_scans_every_row():
+    # (x - y)(x^2 - 2y^2): past its b_w the convergents of sqrt(2) still solve, such as F(7, 5) = -2
+    form = BinaryForm((2, -2, -1, 1))
+    for bound in (0, 2, 5, 12):
+        got = solve_abs(form, bound, 60).solutions
+        assert got == window_scan(form, bound, 60)
+        assert ((7, 5, -2) in got) == (bound >= 2)
+
+
+def test_rows_past_the_last_window_make_no_evaluation():
+    # relthue abs --coeffs "0 -4 0 1" --kprime 10: b_w = 3, so only the rows b <= 3 evaluate F, whatever the height
+    assert (last_window_row([-2, 0, 2], 10), last_window_row([-2, 0, 2], 3)) == (3, 1)
+    assert solve_abs(F1, 10, 10).solutions == window_scan(F1, 10, 10)
+    for height in (10, 10**5):
+        result, calls = profiled_calls(solve_abs, F1, 10, height)
+        assert calls["forms", "evaluate"] <= 40
+        assert [row for row in result.solutions if row[1] > 3] == [
+            (r * b, b, 0) for b in range(4, height + 1) for r in (-2, 0, 2)
+        ]
+
+
+def test_roots_of_another_form_put_no_wrong_value_in_the_listing():
+    # the integer roots -1, 0, 1 of x^3 - xy^2 are not all roots of x^3 - 4xy^2: no row may be listed unevaluated
+    rows = solve_abs(F1, 1, 6, roots=isolate_roots(form_from_roots([-1, 0, 1]))).solutions
+    assert rows and all(value == F1.evaluate(a, b) for a, b, value in rows)

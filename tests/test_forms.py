@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -81,6 +82,12 @@ def test_constructor_rejects_bad_input():
         BinaryForm((1,))
     with pytest.raises(ValueError):
         BinaryForm((1, 2, 0))
+
+
+@pytest.mark.parametrize("coeffs", [(0.5, -4.7, 0, 1), (0, Fraction(-9, 2), 0, 1), ("0", "-4", "0", "1")])
+def test_coefficients_that_are_not_integers_are_refused_not_truncated(coeffs):
+    with pytest.raises(TypeError):
+        BinaryForm(coeffs)
 
 
 @given(

@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,12 @@ def test_field_validation():
     assert QuadraticField(3).s == 2
     assert QuadraticField(7).s == 2
     assert QuadraticField(163).s == 2
+
+
+@pytest.mark.parametrize("m", [7.9, Fraction(15, 2), "7"])
+def test_m_that_is_not_an_integer_is_refused_not_truncated(m):
+    with pytest.raises(TypeError):
+        QuadraticField(m)
 
 
 def test_basis_relation_is_decided_at_construction():

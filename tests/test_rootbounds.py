@@ -200,10 +200,12 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     # x^3 - 4xy^2 has the integer roots -2, 0, 2: its enclosures are exact, so no refinement can move a gate;
     # x^3 - 2xy^2 has the irrational roots +-sqrt(2) beside 0
     form, field = BinaryForm(coeffs), QuadraticField(7)
-    calls = []
+    calls, sides, squares = [], [], rootbounds._gate_squares
     monkeypatch.setattr(rootbounds, "refine", lambda *args: calls.append(args) or refine(*args))
+    monkeypatch.setattr(rootbounds, "_gate_squares", lambda *args: sides.append(args[4]) or squares(*args))
     data, caps, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
     assert stable and bool(calls) == refined
+    assert 0 in sides if refined else sides == [1]  # no lower floors where the enclosures are exact
     if not refined:
         assert data == isolate_roots(form) == refine(form, data, 65)
         assert caps == gate_floors(fraction_thresholds(fraction_constants(data, 1, Fraction(1, 2)), 3, field))
