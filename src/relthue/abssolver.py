@@ -28,19 +28,25 @@ When every root is an integer the rows past
 
 the last row whose half-width can reach one cell, need no scan: there the
 half-width is below 1, so each root's window is the one cell a = r*b, where
-F(r*b, b) = b^n f(r) = 0.  Those rows are listed as (r*b, b, 0) for the roots
-in ascending order, which is the order the scan gives them.  A form with an
-irrational root scans every row.
+F(r*b, b) = b^n f(r) = 0.  Those rows are not listed but held as a span: the
+roots and the first row past b_w, b_w + 1.  :attr:`AbsSolutionSet.solutions`
+expands the span into the rows (r*b, b, 0), for the roots in ascending order,
+which is the order the scan gives them; the reducer reads only the scanned
+rows.  A form with an irrational root scans every row.
 
-Every candidate with b != 0 is kept only after exact evaluation of F, or,
-on a root line past b_w, after exact evaluation of f(r) = 0 once per root;
-the row b = 0 holds a^n exactly, so no step rounds and the listing is
-exhaustive for |b| <= height.  Completeness is claimed only within the
-height bound, which the result carries.  The cost is O(n*height) window
-ends plus the cells inside them, in place of O(n*height*K'^(1/n)) cells
-for fixed windows of half-width W; when every root is an integer it is
-O(n*min(height, b_w)) window ends and their cells plus n*height root-line
-rows.
+An isolation the caller hands in is checked once, against the form: n sorted,
+disjoint intervals, each point an integer root and each other interval with a
+strict sign change of f at its ends.  f has n roots and each interval holds
+an odd number of them, so each holds exactly one, and no isolation of
+another form is scanned.  Every candidate with b != 0 is kept only after
+exact evaluation of F, and each root of a span is a point where the
+isolation or the check evaluated f(r) = 0 exactly; the row b = 0 holds a^n
+exactly, so no step rounds and the listing is exhaustive for |b| <= height.
+Completeness is claimed only within the height bound, which the result
+carries.  The cost is O(n*height) window ends plus the cells inside them, in
+place of O(n*height*K'^(1/n)) cells for fixed windows of half-width W; when
+every root is an integer it is O(n*min(height, b_w)) window ends and their
+cells, whatever the height.
 """
 
 from __future__ import annotations
@@ -50,16 +56,51 @@ from math import floor
 from typing import NamedTuple
 
 from . import _poly
-from .forms import BinaryForm
+from .forms import BinaryForm, InadmissibleFormError
 from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
 class AbsSolutionSet(NamedTuple):
-    """All (a, b) with |b| <= height and |F(a, b)| <= bound, sorted by (b, a)."""
+    """All (a, b) with |b| <= height and |F(a, b)| <= bound: the scanned rows and the root-line span.
+
+    ``rows`` holds the rows with |b| < ``span_start``, sorted by (b, a).  The span is (r*b, b, 0) for each r in
+    ``span_roots`` and ``span_start`` <= |b| <= ``height``; it is empty when no row was left unscanned.
+    """
 
     bound: Fraction
     height: int
-    solutions: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
+    rows: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
+    span_roots: tuple[int, ...]
+    span_start: int
+
+    @property
+    def solutions(self) -> tuple[tuple[int, int, int], ...]:
+        """Every row, the span expanded, sorted by (b, a)."""
+        span = [(r * b, b, 0) for b in range(self.span_start, self.height + 1) for r in self.span_roots]
+        return (*[(-a, -b, 0) for a, b, _ in reversed(span)], *self.rows, *span)
+
+
+def _check_isolation(form: BinaryForm, roots: RootData) -> None:
+    """Raise ValueError unless ``roots`` isolates the n roots of the monic f, as the module docstring states."""
+    f, unit = form.coeffs, 1 << roots.level
+    if f[-1] != 1:
+        raise InadmissibleFormError(f"{form}: f is not monic")
+    if len(roots.ends) != form.degree:
+        raise ValueError(f"roots: not {form.degree} intervals")
+    points, last = [], None
+    for lo, hi in roots.ends:
+        if lo > hi or (last is not None and lo <= last):
+            raise ValueError("roots: the intervals are not sorted and disjoint")
+        if lo < hi:
+            if _poly.evaluate(f, lo, unit) * _poly.evaluate(f, hi, unit) >= 0:
+                raise ValueError(f"roots: an interval without a sign change of {form}")
+        elif lo % unit or _poly.evaluate(f, lo // unit):
+            raise ValueError(f"roots: a point that is not an integer root of {form}")
+        else:
+            points.append(lo // unit)
+        last = hi
+    if roots.integer_roots != tuple(points):
+        raise ValueError("roots: the integer roots are not the points of the isolation")
 
 
 def solve_abs(
@@ -68,7 +109,7 @@ def solve_abs(
     height: int,
     roots: RootData | None = None,
 ) -> AbsSolutionSet:
-    """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively."""
+    """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively, with the isolation ``roots`` if given."""
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -76,6 +117,8 @@ def solve_abs(
         raise ValueError("height must be nonnegative")
     if roots is None:
         roots = isolate_roots(form)
+    else:
+        _check_isolation(form, roots)
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
 
@@ -92,10 +135,9 @@ def solve_abs(
     spread = 2 ** (n - 1) * bound.numerator << (roots.level * (n - 1)), bound.denominator * roots.gap_numerators[2]
     unit = 1 << roots.level
     # past row b_w = floor(spread^(1/(n-1))) the half-width spread / b^(n-1) is below 1; when every root is an
-    # integer r, each window there is the one cell a = r*b, where F = b^n f(r) = 0, so those rows are not scanned.
-    # f(r) = 0 is evaluated here, so roots handed in for another form cannot put a wrong value in the listing.
-    on_lines = len(roots.integer_roots) == n and not any(form.evaluate(r, 1) for r in roots.integer_roots)
-    scanned = min(height, _poly.iroot(spread[0] // spread[1], n - 1)) if on_lines else height
+    # integer r, each window there is the one cell a = r*b, where F = b^n f(r) = 0, so those rows are a span.
+    span_roots = roots.integer_roots if len(roots.integer_roots) == n else ()
+    scanned = min(height, _poly.iroot(spread[0] // spread[1], n - 1)) if span_roots else height
     positive = []
     for b in range(1, scanned + 1):
         w_num, w_den = window
@@ -110,9 +152,9 @@ def solve_abs(
                 if abs(value) <= cap:
                     positive.append((a, b, value))
             start = max(start, a_hi + 1)
-    positive += [(r * b, b, 0) for b in range(scanned + 1, height + 1) for r in roots.integer_roots]
 
     # positive is sorted by (b, a), so negating it in reverse gives the rows b < 0 in that order
     sign = (-1) ** n
     negative = [(-a, -b, sign * value) for a, b, value in reversed(positive)]
-    return AbsSolutionSet(bound=bound, height=height, solutions=(*negative, *zero_row, *positive))
+    rows = (*negative, *zero_row, *positive)
+    return AbsSolutionSet(bound=bound, height=height, rows=rows, span_roots=span_roots, span_start=scanned + 1)

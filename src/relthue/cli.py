@@ -245,20 +245,21 @@ def cmd_abs(args) -> int:
         raise CliError("--kprime: must be nonnegative")
     height = _optional("ymax", args.ymax, "--ymax")
     result = solve_abs(form, bound, height)  # an inadmissible form raises InadmissibleFormError
+    rows = result.solutions  # the span expanded once
     payload = {
         "command": "abs",
         "coeffs": list(form.coeffs),
         "bound": str(result.bound),
         "ymax": result.height,
         "complete_within_height": True,
-        "solutions": [[a, b, v] for a, b, v in result.solutions],
+        "solutions": [[a, b, v] for a, b, v in rows],
     }
     lines = [
         f"form {form}",
         f"bound {result.bound}",
         f"ymax {result.height}",
-        f"solutions {len(result.solutions)}",
-        *[f"{a} {b} {v}" for a, b, v in result.solutions],
+        f"solutions {len(rows)}",
+        *[f"{a} {b} {v}" for a, b, v in rows],
     ]
     _emit(args, payload, lines)
     return 0

@@ -29,14 +29,21 @@ v_imag != 0 gives:
   e = a - r*b = s*d with d = x - r*y a nonzero rational integer, and h = t,
   c = m: the test ends each root line at the first t where even |d| = 1
   fails, and pairs (r*t, t) only with real pairs in the window
-  0 < |a - r*b| <= s*d_max(t);
+  0 < |a - r*b| <= s*d_max(t).  The branch reads only the scanned rows of
+  the enumeration, none of its span (see :mod:`~relthue.abssolver`): a real
+  pair (r'*b, b) on the line of another root r' != r has, at r', the
+  factor's imaginary term alone, e^2 = m*t^2*(r - r')^2 >= 1, with h = b and
+  c = 1, so the test needs f'(r')^2 * b^(2(n-1)) <= part_cap, that is
+  b^(n-1) <= s^n K / |f'(r')| <= s^n K / B, B = min |f'(r)| the gap product,
+  exact for integer roots; that gives b <= b_w, the last scanned row;
 * nonzero branch: for each realized v_imag != 0 within the part bound, the
   joint bound confines (a, b) to the real pairs of value 0 and a prefix of
   those of nonzero value sorted by |v_real|.  Value 0 is (0, 0) and the
   root-line pairs (r*b, b); (x2, y2) lies on no root line, so
   e = sqrt(m)*(x2 - r*y2) with x2 - r*y2 a nonzero integer, and h = b, c = 1:
   the test keeps only b <= b_max, where b_max^(2(n-1)) <= part_cap //
-  (m*(x2 - r*y2)^2*f'(r)^2).
+  (m*(x2 - r*y2)^2*f'(r)^2).  Those pairs are built from b_max, so this
+  branch reads no span row either.
 
 Candidates are reconstructed via x1 = (a - (s-1)*x2)/s, y1 = (b - (s-1)*y2)/s,
 which is integral exactly when a = (s-1)*x2 and b = (s-1)*y2 mod s: for s = 2
@@ -54,7 +61,11 @@ solves, each other distinct member of its orbit (up to four in all) is
 verified by the same kernel, once, so every solution is still checked one by
 one.  A solution is kept as plain integers: its quadruple, the value F(x, y)
 and its norm, and its report, which :func:`~relthue.theorem.full_report`
-decides from the quadruple.  One absolute enumeration at bound s^n K serves
+decides once per orbit.  Every predicate reads only |F(a, b)|, |F(x2, y2)|,
+norm(y), whether x2*y1 - x1*y2, b and y2 vanish, and whether a and x2 do;
+both maps keep each of these, so every member of an orbit has the report of
+its representative, by an argument of the kind that exempts
+:class:`ZeroFamily` members.  One absolute enumeration at bound s^n K serves
 both branches.
 """
 
@@ -225,12 +236,12 @@ def _class(field: QuadraticField, imag_pair: IntegerPair) -> IntegerPair:
 
 
 def _real_representatives(abs_solutions: AbsSolutionSet) -> tuple[tuple[int, int, int], ...]:
-    """The rows (a, b, F(a, b)) with b > 0, or b = 0 <= a: one real pair of each orbit {(a, b), (-a, -b)}.
+    """The scanned rows (a, b, F(a, b)) with b > 0, or b = 0 <= a: one real pair of each orbit {(a, b), (-a, -b)}.
 
-    The listing is closed under negation, which reverses its order by (b, a), so these are its second half,
-    from its middle row (0, 0, 0) on.
+    The scanned rows are closed under negation, which reverses their order by (b, a), so these are their second
+    half, from the middle row (0, 0, 0) on.  The span is not read (see the module docstring).
     """
-    rows = abs_solutions.solutions
+    rows = abs_solutions.rows
     return rows[len(rows) // 2 :]
 
 
@@ -263,6 +274,18 @@ def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerP
                     found[member] = verified
 
 
+def _representative(t: int, quad: Quad) -> Quad:
+    """The member of the orbit of ``quad`` that :func:`_orbits` pairs: imaginary pair (0, 0) or y2 > 0, or y2 = 0 < x2,
+    and real pair (a, b) = (s*x1 + t*x2, s*y1 + t*y2), s = t + 1, (0, 0) or b > 0, or b = 0 < a."""
+    x1, x2, y1, y2 = quad
+    if (y2, x2) < (0, 0):  # conjugate: negate the imaginary pair, keep the real pair
+        x1, x2, y1, y2 = x1 + t * x2, -x2, y1 + t * y2, -y2
+    s = t + 1
+    if (s * y1 + t * y2, s * x1 + t * x2) < (0, 0):  # negate the real pair, keep the imaginary pair
+        x1, y1 = -x1 - t * x2, -y1 - t * y2
+    return x1, x2, y1, y2
+
+
 def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
     """(r, f'(r)^2) for each integer root r of f, as the derivative test of the module docstring reads it."""
     f_prime = _poly.derivative(problem.form.coeffs)
@@ -273,11 +296,12 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """Solutions with F(x2, y2) = 0 that are not zero-family members, verified exactly.
 
     ``abs_solutions`` is the enumeration of |F(a, b)| <= s^n K; its height
-    bounds y2 too.  For y2 = t != 0 on the line of root r, only real pairs with
-    0 < |a - r*b| <= s*d_max(t) are tried, where d_max(t) is the largest d
-    with d^2 * f'(r)^2 * (m*t^2)^(n-1) <= K^2 * s^(2(n-1)) (see the module
-    docstring); the line ends where d_max(t) = 0.  d_max only falls as t
-    grows, so each window is taken from the one before.
+    bounds y2 too.  For y2 = t != 0 on the line of root r, only scanned real
+    pairs with 0 < |a - r*b| <= s*d_max(t) are tried, where d_max(t) is the
+    largest d with d^2 * f'(r)^2 * (m*t^2)^(n-1) <= K^2 * s^(2(n-1)) (see the
+    module docstring, which also shows that no span row can solve); the line
+    ends where d_max(t) = 0.  d_max only falls as t grows, so each window is
+    taken from the one before.
     """
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
@@ -368,18 +392,23 @@ def solve_relative(
     every solution satisfying both is either a member of one of the returned
     zero families or appears in ``solutions``.  Each entry of ``solutions``
     is verified exactly and carries a structure-predicate report (a failed
-    applicable predicate would indicate a bug and flips ``cross_check_ok``);
-    family members satisfy every predicate by the argument on
-    :class:`ZeroFamily`.
+    applicable predicate would indicate a bug and flips ``cross_check_ok``),
+    decided once per orbit of conjugation and negation and shared by its
+    members (see the module docstring); family members satisfy every
+    predicate by the argument on :class:`ZeroFamily`.
     """
     problem = Problem(field, form, K, epsilon)
     abs_solutions = solve_abs(form, problem.abs_bound, height, roots=problem.roots)
     candidates = zero_value_branch(problem, abs_solutions)
     candidates.update(nonzero_value_branch(problem, abs_solutions))
-    solutions = [
-        RelativeSolution(quad, (v1, v2), value_norm, full_report(problem, quad))
-        for quad, (v1, v2, value_norm) in candidates.items()
-    ]
+    t, reports = field.t, {}
+    solutions = []
+    for quad, (v1, v2, value_norm) in candidates.items():
+        representative = _representative(t, quad)
+        report = reports.get(representative)
+        if report is None:
+            report = reports[representative] = full_report(problem, representative)
+        solutions.append(RelativeSolution(quad, (v1, v2), value_norm, report))
     solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:

@@ -181,25 +181,37 @@ MUTANTS = [
            ("tests/test_forms.py::test_admissible_pass",)),
     Mutant("cli.py", "if norm >= _TOO_LONG:", "if norm < 0:",
            ("tests/test_cli.py::test_values_too_long_to_print_name_their_input",)),
-    # the root-line rows past b_w listed without a scan when every root is an integer
+    # the root-line rows past b_w held as a span when every root is an integer, expanded on read
     Mutant("abssolver.py", "min(height, _poly.iroot(spread[0] // spread[1], n - 1))",
            "min(height, _poly.iroot(spread[0] // spread[1], n - 1) - 1)",
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
     Mutant("abssolver.py",
-           "    positive += [(r * b, b, 0) for b in range(scanned + 1, height + 1) for r in roots.integer_roots]\n",
-           "    positive += []\n",
+           "span = [(r * b, b, 0) for b in range(self.span_start, self.height + 1) for r in self.span_roots]",
+           "span = []",
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
-    Mutant("abssolver.py", "for r in roots.integer_roots]", "for r in reversed(roots.integer_roots)]",
+    Mutant("abssolver.py", "for r in self.span_roots]", "for r in reversed(self.span_roots)]",
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
-    Mutant("abssolver.py", "on_lines = len(roots.integer_roots) == n and", "on_lines = bool(roots.integer_roots) and",
+    Mutant("abssolver.py", "span_start=scanned + 1)", "span_start=scanned)",
+           ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
+    Mutant("abssolver.py", "for a, b, _ in reversed(span)]", "for a, b, _ in span]",
+           ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
+    Mutant("abssolver.py", "span_roots = roots.integer_roots if len(roots.integer_roots) == n else ()",
+           "span_roots = roots.integer_roots if roots.integer_roots else ()",
            ("tests/test_abssolver.py::test_a_form_with_integer_and_irrational_roots_scans_every_row",)),
-    Mutant("abssolver.py", "and not any(form.evaluate(r, 1) for r in roots.integer_roots)", "and True",
-           ("tests/test_abssolver.py::test_roots_of_another_form_put_no_wrong_value_in_the_listing",)),
-    # expected survivors
+    # the factor 2 of the spread is slack for the listing (over the solutions of 3,000 random forms where the
+    # shrinking bound is the smaller one, |a - rho_j*b| reaches at most 0.48 of it), but it moves b_w, where the span
+    # starts
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
-           ("tests/test_abssolver.py", "tests/test_reducer.py"),
-           survives="the factor 2 is slack: over the solutions of 3,000 random forms where the shrinking bound is "
-           "the smaller one, |a - rho_j*b| reaches at most 0.48 of it"),
+           ("tests/test_abssolver.py::test_the_span_holds_the_root_lines_past_the_last_window",)),
+    # a caller's isolation checked once against the form
+    Mutant("abssolver.py", "elif lo % unit or _poly.evaluate(f, lo // unit):", "elif False:",
+           ("tests/test_abssolver.py::test_roots_of_another_form_put_no_wrong_value_in_the_listing",)),
+    Mutant("abssolver.py", 'raise ValueError(f"roots: an interval without a sign change of {form}")', "pass",
+           ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
+    # one predicate report per orbit, shared by its members
+    Mutant("reducer.py", "report = reports.get(representative)", "report = next(iter(reports.values()), None)",
+           ("tests/test_reducer.py::test_each_orbit_is_reported_once_and_every_member_has_its_own_report",)),
+    # expected survivors
     Mutant("oracle.py", "min(isqrt(bound // m), bias - 1)", "min(isqrt(bound), bias - 1)", ("tests/test_oracle.py",),
            survives="a looser filter only costs time: every cell that passes it is decided by the exact norm test"),
     Mutant("rootbounds.py", "signs == (-sign_hi, sign_hi)", "signs[0] != sign_hi and signs[1] == sign_hi",

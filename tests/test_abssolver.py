@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
-from math import floor, prod
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, solve_abs
-from relthue._poly import iroot
-from relthue.rootbounds import ISOLATION_BITS, isolate_roots
-from util import admissible_forms, form_from_roots, profiled_calls, rectangle_solutions, window_scan
+from relthue.rootbounds import ISOLATION_BITS, RootData, isolate_roots
+from util import (
+    admissible_forms,
+    form_from_roots,
+    last_window_row,
+    profiled_calls,
+    rectangle_solutions,
+    window_scan,
+)
 
 F1 = BinaryForm((0, -4, 0, 1))
 
@@ -199,13 +204,6 @@ def test_solutions_come_sorted_by_b_then_a(form, bound, height):
     assert list(solutions) == sorted(solutions, key=lambda t: (t[1], t[0]))
 
 
-def last_window_row(roots, bound) -> int:
-    """b_w: the last b whose half-width 2^(n-1) K' / (b^(n-1) B) reaches one cell, B the exact gap product."""
-    n = len(roots)
-    gap_product = min(prod(abs(r - q) for q in roots if q != r) for r in roots)
-    return iroot(floor(2 ** (n - 1) * Fraction(bound) / gap_product), n - 1)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(st.integers(-6, 6), min_size=3, max_size=5, unique=True),
@@ -244,6 +242,47 @@ def test_rows_past_the_last_window_make_no_evaluation():
 
 
 def test_roots_of_another_form_put_no_wrong_value_in_the_listing():
-    # the integer roots -1, 0, 1 of x^3 - xy^2 are not all roots of x^3 - 4xy^2: no row may be listed unevaluated
-    rows = solve_abs(F1, 1, 6, roots=isolate_roots(form_from_roots([-1, 0, 1]))).solutions
-    assert rows and all(value == F1.evaluate(a, b) for a, b, value in rows)
+    # the integer roots -1, 0, 1 of x^3 - xy^2 are not all roots of x^3 - 4xy^2: the isolation is refused, so no
+    # row is listed unevaluated
+    with pytest.raises(ValueError, match="not an integer root"):
+        solve_abs(F1, 1, 6, roots=isolate_roots(form_from_roots([-1, 0, 1])))
+
+
+def test_an_isolation_of_another_form_is_refused():
+    # the isolation of x^3 - 7xy^2 + y^3 would scan x^3 - 3xy^2 - y^3 at K' = 10, H = 30 in the wrong windows and
+    # list 21 of its 31 rows; f changes sign across none of its intervals
+    form = BinaryForm((-1, -3, 0, 1))
+    assert len(solve_abs(form, 10, 30).solutions) == 31
+    with pytest.raises(ValueError, match="sign change"):
+        solve_abs(form, 10, 30, roots=isolate_roots(BinaryForm((1, -7, 0, 1))))
+
+
+def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused():
+    roots = isolate_roots(F1)  # the points -2, 0, 2
+    for level, ends, integer_roots in (
+        (0, ((-2, -2), (0, 0)), (-2, 0)),  # two intervals for three roots
+        (0, ((0, 0), (-2, -2), (2, 2)), (0, -2, 2)),  # not sorted
+        (1, ((-4, -4), (1, 3), (4, 4)), (-2, 2)),  # [1/2, 3/2] holds no root
+        (0, ((-2, -2), (0, 0), (2, 2)), (-2, 2)),  # a point left out of the integer roots
+        (1, ((-4, -4), (1, 1), (4, 4)), (-2, 0, 2)),  # a point at 1/2
+    ):
+        with pytest.raises(ValueError, match="roots"):
+            solve_abs(F1, 10, 5, roots=RootData(level, ends, integer_roots))
+    # an interval in place of the point 0 is an isolation too, and so is the problem's own
+    coarse = RootData(1, ((-4, -4), (-1, 1), (4, 4)), (-2, 2))
+    assert solve_abs(F1, 10, 5, roots=coarse).solutions == solve_abs(F1, 10, 5, roots=roots).solutions
+    assert solve_abs(F1, 10, 5, roots=roots) == solve_abs(F1, 10, 5)
+    with pytest.raises(ValueError, match="monic"):
+        solve_abs(BinaryForm((0, -4, 0, 2)), 10, 5, roots=roots)
+
+
+def test_the_span_holds_the_root_lines_past_the_last_window():
+    # x^3 - 4xy^2 at K' = 10: b_w = 3, so the rows |b| <= 3 are scanned and the rest are the span from b = 4
+    result = solve_abs(F1, 10, 100)
+    assert (result.span_roots, result.span_start) == ((-2, 0, 2), 4)
+    assert max(abs(b) for _, b, _ in result.rows) == 3
+    assert len(result.solutions) == len(result.rows) + 2 * 3 * 97
+    # a form with an irrational root, or a height within b_w, leaves no span
+    assert solve_abs(F1, 10, 3).solutions == solve_abs(F1, 10, 3).rows
+    mixed = solve_abs(BinaryForm((2, -2, -1, 1)), 5, 60)
+    assert (mixed.span_roots, mixed.span_start, mixed.solutions) == ((), 61, mixed.rows)

@@ -1,4 +1,5 @@
 import logging
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -27,6 +28,7 @@ from util import (
     admissible_forms,
     form_from_roots,
     imag_value_range,
+    last_window_row,
     profiled_calls,
     range_walk_nonzero_branch,
     root_test_zero_branch,
@@ -42,6 +44,13 @@ def branch_input(m, form, K, height):
     """The problem and the absolute enumeration both branches read, as solve_relative builds them."""
     problem = Problem(QuadraticField(m), form, K)
     return problem, solve_abs(form, problem.abs_bound, height, roots=problem.roots)
+
+
+def orbit(field, quad):
+    """The orbit of ``quad`` under conjugation and (x, y) -> (-x, -y), as a frozenset of quadruples."""
+    (x1, x2, y1, y2), t = quad, field.t
+    conjugate = (x1 + t * x2, -x2, y1 + t * y2, -y2)
+    return frozenset({quad, conjugate, tuple(-c for c in quad), tuple(-c for c in conjugate)})
 
 
 def test_imag_value_range_examples():
@@ -313,7 +322,9 @@ def test_family_members_are_neither_verified_nor_reported():
     result, calls = profiled_calls(solve_relative, QuadraticField(3), F1, 1, Fraction(1, 2), 20)
     assert len(result.quadruples()) > 1000
     assert calls["reducer", "_verify"] < 100
-    assert calls["theorem", "full_report"] == len(result.solutions)
+    # one report per orbit of the solutions off the families
+    quads = [sol.quadruple for sol in result.solutions]
+    assert calls["theorem", "full_report"] == len({orbit(result.field, quad) for quad in quads}) < len(quads)
     # the verification kernel takes norm(F(x, y)) and each report norm(y) on plain integers: no ring norm at all
     assert calls["quadfield", "norm"] == 0
 
@@ -440,6 +451,20 @@ def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypa
     assert sum(accepted for _, accepted in calls) == len(result.solutions) == 2_212
 
 
+def test_each_orbit_is_reported_once_and_every_member_has_its_own_report(monkeypatch):
+    # x^3 - 4xy^2, m = 1, K = 100, H = 100: 2,212 solutions off the families, in orbits of up to four
+    reported = []
+    report = reducer.full_report
+    monkeypatch.setattr(reducer, "full_report", lambda problem, quad: reported.append(quad) or report(problem, quad))
+    result = solve_relative(QuadraticField(1), F1, 100, height=100)
+    problem = Problem(QuadraticField(1), F1, 100)
+    orbits = {orbit(result.field, sol.quadruple) for sol in result.solutions}
+    assert len(result.solutions) == 2_212
+    assert len(reported) == len(orbits) < len(result.solutions)
+    assert {orbit(result.field, quad) for quad in reported} == orbits
+    assert all(sol.report == full_report(problem, sol.quadruple) for sol in result.solutions)
+
+
 @settings(deadline=None)
 @given(
     admissible_forms(),
@@ -454,22 +479,27 @@ def test_solutions_come_in_orbits_of_conjugation_and_negation(form, K, height, d
     field = QuadraticField(m)
     t, sign = field.t, (-1) ** n
     result = solve_relative(field, form, K, Fraction(1, 2), height)
+    problem = Problem(field, form, K)
     quads = result.quadruples()
     for x1, x2, y1, y2 in quads:
         assert (x1 + t * x2, -x2, y1 + t * y2, -y2) in quads  # conjugate
         assert (-x1, -x2, -y1, -y2) in quads
     by_quad = {sol.quadruple: sol for sol in result.solutions}
-    for (x1, x2, y1, y2), sol in by_quad.items():
-        v1, v2 = sol.value_pair
+    for quad, sol in by_quad.items():
+        (x1, x2, y1, y2), (v1, v2) = quad, sol.value_pair
         # F(conj x, conj y) = conj F(x, y) and F(-x, -y) = (-1)^n F(x, y); conj(v1 + v2*w) = (v1 + t*v2) - v2*w
         members = {
             (x1 + t * x2, -x2, y1 + t * y2, -y2): (v1 + t * v2, -v2),
             (-x1, -x2, -y1, -y2): (sign * v1, sign * v2),
             (-x1 - t * x2, x2, -y1 - t * y2, y2): (sign * (v1 + t * v2), -sign * v2),
         }
+        # the solver shares one report per orbit, so each member's report is decided here on its own
+        report = full_report(problem, quad)
+        assert sol.report == report
         for member, value in members.items():
             other = by_quad[member]
-            assert (other.value_pair, other.value_norm, other.report) == (value, sol.value_norm, sol.report)
+            assert (other.value_pair, other.value_norm) == (value, sol.value_norm)
+            assert full_report(problem, member) == report
 
 
 # degree 5 with s = 2 and degree 4 with m = 1, where solutions of the nonzero branch lie in the oracle box
@@ -517,3 +547,34 @@ def test_oracle_equivalence_where_root_line_real_pairs_solve_with_s_2():
     }
     assert {1, 2} <= heights
     assert result.cross_check_ok
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.integers(-6, 6), min_size=3, max_size=5, unique=True),
+    st.sampled_from([1, 2, 3, 7]),
+    st.fractions(min_value=1, max_value=1000, max_denominator=3),
+    st.integers(1, 12),
+)
+# b_w = 10: the window of the root 0 at t = 1, |a| <= 25, reaches the span rows (+-2b, b) at b = 11 and 12
+@example([-2, 0, 2], 1, Fraction(100), 90)
+def test_the_zero_branch_reads_no_span_row(roots, m, K, offset):
+    # the reference pairs every row of the expanded listing, span rows included; the branch reads the scanned rows
+    form = form_from_roots(roots)
+    problem = Problem(QuadraticField(m), form, K)
+    b_w = last_window_row(roots, problem.abs_bound)
+    abs_solutions = solve_abs(form, problem.abs_bound, b_w + offset, roots=problem.roots)
+    assert abs_solutions.span_start == b_w + 1
+    assert zero_value_branch(problem, abs_solutions) == root_test_zero_branch(problem, abs_solutions)
+
+
+def test_an_integer_root_form_solves_at_any_height_in_the_same_time():
+    # x^3 - 4xy^2, m = 1, K = 10: every row past b_w = 3 is a span row, so H = 10^6 costs what H = 100 costs
+    field = QuadraticField(1)
+    expected = solve_relative(field, F1, 10, height=100).solutions
+    start = time.perf_counter()
+    result = solve_relative(field, F1, 10, height=10**6)
+    seconds = time.perf_counter() - start
+    assert len(result.solutions) == 84
+    assert result.solutions == expected
+    assert seconds < 0.1

@@ -42,7 +42,7 @@ import pstats
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, floor, gcd, isqrt, lcm
+from math import ceil, floor, gcd, isqrt, lcm, prod
 from operator import add
 from pathlib import Path
 
@@ -127,6 +127,13 @@ def _merge_ranges(ranges: list[tuple[int, int]]) -> list[tuple[int, int]]:
         else:
             merged.append((lo, hi))
     return merged
+
+
+def last_window_row(roots, bound) -> int:
+    """b_w: the last b whose half-width 2^(n-1) K' / (b^(n-1) B) reaches one cell, B the exact gap product."""
+    n = len(roots)
+    gap_product = min(prod(abs(r - q) for q in roots if q != r) for r in roots)
+    return iroot(floor(2 ** (n - 1) * Fraction(bound) / gap_product), n - 1)
 
 
 def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, int], ...]:
