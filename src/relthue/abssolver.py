@@ -1,8 +1,10 @@
 """Height-bounded enumeration of absolute Thue inequalities |F(a, b)| <= K'.
 
-F(-a, -b) = (-1)^n F(a, b), so only b >= 0 is searched and each pair with
-b < 0 is a negated one.  For b = 0, f is monic, so F(a, 0) = a^n and
-|a| <= K'^(1/n).
+F(-a, -b) = (-1)^n F(a, b), so the solutions are closed under negation, and
+the listing holds one pair of each {(a, b), (-a, -b)}, its representative:
+b > 0, or b = 0 <= a.  The reducer pairs exactly these rows, so the
+convention is decided here once.  For b = 0, f is monic, so F(a, 0) = a^n and
+0 <= a <= K'^(1/n).
 
 For b > 0 and |F(a, b)| <= K', let rho_j be the root nearest a/b.  Every
 other factor has |a - rho_i*b| >= |rho_i - rho_j|*b/2, so the product of the
@@ -18,9 +20,8 @@ of some root interval times b is evaluated: the windows shrink like
 b^-(n-1), and once they are narrower than one cell each root holds at most
 one candidate per b, and most b hold none.  The window ends are floors and
 ceilings of integer numerators over one common denominator, from the ends of
-the root intervals over 2^level as ``RootData`` holds them.  The listing
-comes out sorted by (b, a) as it is built: the rows b < 0 are the rows
-b > 0 negated in reverse, then the row b = 0, then the rows b > 0.
+the root intervals over 2^level as ``RootData`` holds them.  The rows come
+out sorted by (b, a) as they are built, from (0, 0, 0) on.
 
 When every root is an integer the rows past
 
@@ -30,9 +31,11 @@ the last row whose half-width can reach one cell, need no scan: there the
 half-width is below 1, so each root's window is the one cell a = r*b, where
 F(r*b, b) = b^n f(r) = 0.  Those rows are not listed but held as a span: the
 roots and the first row past b_w, b_w + 1.  :attr:`AbsSolutionSet.solutions`
-expands the span into the rows (r*b, b, 0), for the roots in ascending order,
-which is the order the scan gives them; the reducer reads only the scanned
-rows.  A form with an irrational root scans every row.
+is the one expansion of the listing: it expands the span into the rows
+(r*b, b, 0), for the roots in ascending order, which is the order the scan
+gives them, and prepends every row but (0, 0, 0), span included, negated in
+reverse, which are the rows b < 0 and b = 0 > a in (b, a) order.  The reducer
+reads only the scanned rows.  A form with an irrational root scans every row.
 
 An isolation the caller hands in is checked once, against the form: n sorted,
 disjoint intervals, each point an integer root and each other interval with a
@@ -53,6 +56,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import floor
+from operator import index
 from typing import NamedTuple
 
 from . import _poly
@@ -61,23 +65,27 @@ from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
 class AbsSolutionSet(NamedTuple):
-    """All (a, b) with |b| <= height and |F(a, b)| <= bound: the scanned rows and the root-line span.
+    """All (a, b) with |b| <= height and |F(a, b)| <= bound, held as representatives: scanned rows and a span.
 
-    ``rows`` holds the rows with |b| < ``span_start``, sorted by (b, a).  The span is (r*b, b, 0) for each r in
-    ``span_roots`` and ``span_start`` <= |b| <= ``height``; it is empty when no row was left unscanned.
+    A representative has b > 0, or b = 0 <= a; F of degree ``degree`` gives each other row as one negated.
+    ``rows`` holds the scanned representatives, b < ``span_start``, sorted by (b, a) from (0, 0, 0) on.  The
+    span is (r*b, b, 0) for each r in ``span_roots`` and ``span_start`` <= b <= ``height``; it is empty when no
+    row was left unscanned.
     """
 
     bound: Fraction
     height: int
+    degree: int
     rows: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
     span_roots: tuple[int, ...]
     span_start: int
 
     @property
     def solutions(self) -> tuple[tuple[int, int, int], ...]:
-        """Every row, the span expanded, sorted by (b, a)."""
+        """Every row, the negated rows and the span expanded, sorted by (b, a)."""
         span = [(r * b, b, 0) for b in range(self.span_start, self.height + 1) for r in self.span_roots]
-        return (*[(-a, -b, 0) for a, b, _ in reversed(span)], *self.rows, *span)
+        positive, sign = (*self.rows[1:], *span), (-1) ** self.degree
+        return (*[(-a, -b, sign * value) for a, b, value in reversed(positive)], *self.rows, *span)
 
 
 def _check_isolation(form: BinaryForm, roots: RootData) -> None:
@@ -87,7 +95,7 @@ def _check_isolation(form: BinaryForm, roots: RootData) -> None:
         raise InadmissibleFormError(f"{form}: f is not monic")
     if len(roots.ends) != form.degree:
         raise ValueError(f"roots: not {form.degree} intervals")
-    points, last = [], None
+    last = None
     for lo, hi in roots.ends:
         if lo > hi or (last is not None and lo <= last):
             raise ValueError("roots: the intervals are not sorted and disjoint")
@@ -96,11 +104,7 @@ def _check_isolation(form: BinaryForm, roots: RootData) -> None:
                 raise ValueError(f"roots: an interval without a sign change of {form}")
         elif lo % unit or _poly.evaluate(f, lo // unit):
             raise ValueError(f"roots: a point that is not an integer root of {form}")
-        else:
-            points.append(lo // unit)
         last = hi
-    if roots.integer_roots != tuple(points):
-        raise ValueError("roots: the integer roots are not the points of the isolation")
 
 
 def solve_abs(
@@ -110,7 +114,7 @@ def solve_abs(
     roots: RootData | None = None,
 ) -> AbsSolutionSet:
     """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively, with the isolation ``roots`` if given."""
-    bound = Fraction(bound)
+    bound, height = Fraction(bound), index(height)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if height < 0:
@@ -122,9 +126,8 @@ def solve_abs(
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
 
-    # b = 0: monic f gives F(a, 0) = a^n, and |a^n| <= cap exactly when |a| <= floor(cap^(1/n))
-    a_cap = _poly.iroot(cap, n)
-    zero_row = [(a, 0, a**n) for a in range(-a_cap, a_cap + 1)]
+    # b = 0 <= a: monic f gives F(a, 0) = a^n, and a^n <= cap exactly when a <= floor(cap^(1/n))
+    rows = [(a, 0, a**n) for a in range(_poly.iroot(cap, n) + 1)]
 
     # b > 0: half-width min(window, spread / b^(n-1)) around each root interval times b, with
     # window = max(1, K'^(1/n)) from its dyadic upper bound d/2^ROOT_PREC_BITS and spread = 2^(n-1) K' / B,
@@ -138,7 +141,6 @@ def solve_abs(
     # integer r, each window there is the one cell a = r*b, where F = b^n f(r) = 0, so those rows are a span.
     span_roots = roots.integer_roots if len(roots.integer_roots) == n else ()
     scanned = min(height, _poly.iroot(spread[0] // spread[1], n - 1)) if span_roots else height
-    positive = []
     for b in range(1, scanned + 1):
         w_num, w_den = window
         if spread[0] * w_den < w_num * spread[1] * b ** (n - 1):
@@ -150,11 +152,6 @@ def solve_abs(
             for a in range(max(a_lo, start), a_hi + 1):
                 value = form.evaluate(a, b)
                 if abs(value) <= cap:
-                    positive.append((a, b, value))
+                    rows.append((a, b, value))
             start = max(start, a_hi + 1)
-
-    # positive is sorted by (b, a), so negating it in reverse gives the rows b < 0 in that order
-    sign = (-1) ** n
-    negative = [(-a, -b, sign * value) for a, b, value in reversed(positive)]
-    rows = (*negative, *zero_row, *positive)
-    return AbsSolutionSet(bound=bound, height=height, rows=rows, span_roots=span_roots, span_start=scanned + 1)
+    return AbsSolutionSet(bound, height, n, tuple(rows), span_roots=span_roots, span_start=scanned + 1)

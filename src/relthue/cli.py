@@ -245,7 +245,7 @@ def cmd_abs(args) -> int:
         raise CliError("--kprime: must be nonnegative")
     height = _optional("ymax", args.ymax, "--ymax")
     result = solve_abs(form, bound, height)  # an inadmissible form raises InadmissibleFormError
-    rows = result.solutions  # the span expanded once
+    rows = result.solutions  # the negated rows and the span expanded once
     payload = {
         "command": "abs",
         "coeffs": list(form.coeffs),

@@ -54,14 +54,17 @@ F has rational integer coefficients, so conjugation, which negates the
 imaginary pair and keeps the real pair, and (x, y) -> (-x, -y), which negates
 both, keep |F(x, y)|.  Both branches' candidate sets, the classes, the caps
 and the reach are closed under these maps, so each branch pairs only orbit
-representatives: imaginary pairs with y2 > 0, or y2 = 0 < x2, or (0, 0), with
-real pairs with b > 0, or b = 0 < a, or (0, 0).  A representative is verified
-exactly against the original inequality by one plain-integer kernel; when it
-solves, each other distinct member of its orbit (up to four in all) is
-verified by the same kernel, once, so every solution is still checked one by
-one.  A solution is kept as plain integers: its quadruple, the value F(x, y)
-and its norm, and its report, which :func:`~relthue.theorem.full_report`
-decides once per orbit.  Every predicate reads only |F(a, b)|, |F(x2, y2)|,
+representatives: both pairs are rows of the absolute listing, which holds one
+pair of each {(a, b), (-a, -b)} (see :mod:`~relthue.abssolver`), and the
+imaginary pair (0, 0) or a root-line pair (r*t, t) with t > 0.  A branch
+verifies each representative exactly against the original inequality by one
+plain-integer kernel and returns those that solve.  :func:`solve_relative`
+expands each of them into its orbit: each other distinct member (up to four
+in all) is verified by the same kernel, once, so every solution is still
+checked one by one.  A solution is kept as plain integers: its quadruple, the
+value F(x, y) and its norm, and its report, which
+:func:`~relthue.theorem.full_report` decides once per orbit, for the
+representative.  Every predicate reads only |F(a, b)|, |F(x2, y2)|,
 norm(y), whether x2*y1 - x1*y2, b and y2 vanish, and whether a and x2 do;
 both maps keep each of these, so every member of an orbit has the report of
 its representative, by an argument of the kind that exempts
@@ -85,7 +88,7 @@ from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
 
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
-Found = dict[Quad, tuple[int, int, int]]  # quad -> (v1, v2, norm) for F(x, y) = v1 + v2*w
+Found = dict[Quad, tuple[int, int, int]]  # representative quad -> (v1, v2, norm) for F(x, y) = v1 + v2*w
 
 
 class ZeroFamily(NamedTuple):
@@ -235,55 +238,20 @@ def _class(field: QuadraticField, imag_pair: IntegerPair) -> IntegerPair:
     return (t * x2 % s, t * y2 % s)
 
 
-def _real_representatives(abs_solutions: AbsSolutionSet) -> tuple[tuple[int, int, int], ...]:
-    """The scanned rows (a, b, F(a, b)) with b > 0, or b = 0 <= a: one real pair of each orbit {(a, b), (-a, -b)}.
-
-    The scanned rows are closed under negation, which reverses their order by (b, a), so these are their second
-    half, from the middle row (0, 0, 0) on.  The span is not read (see the module docstring).
-    """
-    rows = abs_solutions.rows
-    return rows[len(rows) // 2 :]
-
-
 def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
-    """Verify each representative candidate (imag_pair, real pair) and, when it solves, every member of its orbit.
+    """Verify each candidate (imag_pair, real pair), the representative of its orbit, and keep those that solve.
 
-    Conjugation negates the imaginary pair and keeps the real pair, and (x, y) -> (-x, -y) negates both;
-    each keeps |F(x, y)|.  ``imag_pair`` must be (0, 0) or have y2 > 0, or y2 = 0 < x2, and each real pair
-    must be (0, 0) or have b > 0, or b = 0 < a, so each orbit is reached once.  Every real pair must lie in
-    the class of ``imag_pair`` (:func:`_classes`), so each division is exact; the class of a negated pair is
-    its own.  A rejected representative costs one verification for its whole orbit; an accepted one's
-    result is kept, and each other distinct member is verified once, so every solution recorded in
-    ``found`` is checked by the kernel.
+    ``imag_pair`` and each real pair must be representatives as the module docstring states, so each orbit is
+    reached once, and every real pair must lie in the class of ``imag_pair`` (:func:`_classes`), so each
+    division is exact.  A rejected representative costs one verification for its whole orbit.
     """
     t = kernel[2]
     s, (x2, y2) = t + 1, imag_pair
     for a, b in real_pairs:
-        x1, y1 = (a - t * x2) // s, (b - t * y2) // s
-        quad = (x1, x2, y1, y2)
+        quad = ((a - t * x2) // s, x2, (b - t * y2) // s, y2)
         verified = _verify(kernel, quad)
-        if verified is None:
-            continue
-        found[quad] = verified
-        conjugate = (x1 + t * x2, -x2, y1 + t * y2, -y2)  # (-imag_pair, real pair)
-        negated_real = (-x1 - t * x2, x2, -y1 - t * y2, y2)  # (imag_pair, -real pair)
-        for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:
-            if member != quad:
-                verified = _verify(kernel, member)
-                if verified is not None:
-                    found[member] = verified
-
-
-def _representative(t: int, quad: Quad) -> Quad:
-    """The member of the orbit of ``quad`` that :func:`_orbits` pairs: imaginary pair (0, 0) or y2 > 0, or y2 = 0 < x2,
-    and real pair (a, b) = (s*x1 + t*x2, s*y1 + t*y2), s = t + 1, (0, 0) or b > 0, or b = 0 < a."""
-    x1, x2, y1, y2 = quad
-    if (y2, x2) < (0, 0):  # conjugate: negate the imaginary pair, keep the real pair
-        x1, x2, y1, y2 = x1 + t * x2, -x2, y1 + t * y2, -y2
-    s = t + 1
-    if (s * y1 + t * y2, s * x1 + t * x2) < (0, 0):  # negate the real pair, keep the imaginary pair
-        x1, y1 = -x1 - t * x2, -y1 - t * y2
-    return x1, x2, y1, y2
+        if verified is not None:
+            found[quad] = verified
 
 
 def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
@@ -293,7 +261,7 @@ def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
 
 
 def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
-    """Solutions with F(x2, y2) = 0 that are not zero-family members, verified exactly.
+    """The representatives of the solutions with F(x2, y2) = 0 that are not zero-family members, verified exactly.
 
     ``abs_solutions`` is the enumeration of |F(a, b)| <= s^n K; its height
     bounds y2 too.  For y2 = t != 0 on the line of root r, only scanned real
@@ -306,7 +274,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
     roots = problem.integer_roots
     kernel = _kernel(problem)
-    classes = _classes(s, _real_representatives(abs_solutions))
+    classes = _classes(s, abs_solutions.rows)
     found: Found = {}
     # y2 = x2 = 0: x and y are rational integers, members when F(a, b) = 0 puts (a, b) on a root line
     aligned = classes.get((0, 0), ())  # the real pairs with s | a and s | b
@@ -325,22 +293,22 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     return found
 
 
-def _imag_values(representatives, imag_cap: int) -> dict[int, list[IntegerPair]]:
-    """The imaginary pairs (x2, y2) among ``representatives`` with 0 < |F(x2, y2)| <= ``imag_cap``, by value.
+def _imag_values(rows, imag_cap: int) -> dict[int, list[IntegerPair]]:
+    """The imaginary pairs (x2, y2) among ``rows`` with 0 < |F(x2, y2)| <= ``imag_cap``, by value.
 
-    ``representatives`` are :func:`_real_representatives`; without (0, 0), whose value is 0, they are the
-    pairs with y2 > 0, or y2 = 0 < x2: one imaginary pair of each {(x2, y2), (-x2, -y2)}, as :func:`_orbits`
-    takes them.
+    ``rows`` are :attr:`AbsSolutionSet.rows`; without (0, 0), whose value is 0, they are the pairs with y2 > 0,
+    or y2 = 0 < x2: one imaginary pair of each {(x2, y2), (-x2, -y2)}, as :func:`_orbits` takes them.
     """
     index: dict[int, list[IntegerPair]] = {}
-    for x2, y2, v_imag in representatives:
+    for x2, y2, v_imag in rows:
         if 0 < abs(v_imag) <= imag_cap:
             index.setdefault(v_imag, []).append((x2, y2))
     return index
 
 
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
-    """Candidates with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as for the zero branch.
+    """The representatives of the solutions with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as
+    for the zero branch.
 
     Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs of its
     class whose |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
@@ -353,9 +321,8 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     imag_cap = isqrt(problem.part_cap // m**n)
     if imag_cap == 0:
         return {}
-    kernel = _kernel(problem)
-    representatives = _real_representatives(abs_solutions)
-    by_size = sorted((row for row in representatives if row[2]), key=lambda row: abs(row[2]))
+    kernel, rows = _kernel(problem), abs_solutions.rows
+    by_size = sorted((row for row in rows if row[2]), key=lambda row: abs(row[2]))
     classes = {
         key: ([abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows])
         for key, rows in _classes(s, by_size).items()
@@ -363,7 +330,7 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     slopes = _root_slopes(problem)
     height, exponent = abs_solutions.height, 2 * (n - 1)
     found: Found = {}
-    for v_imag, imag_pairs in _imag_values(representatives, imag_cap).items():
+    for v_imag, imag_pairs in _imag_values(rows, imag_cap).items():
         real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
         for x2, y2 in imag_pairs:
             key = _class(problem.field, (x2, y2))
@@ -393,22 +360,28 @@ def solve_relative(
     zero families or appears in ``solutions``.  Each entry of ``solutions``
     is verified exactly and carries a structure-predicate report (a failed
     applicable predicate would indicate a bug and flips ``cross_check_ok``),
-    decided once per orbit of conjugation and negation and shared by its
-    members (see the module docstring); family members satisfy every
-    predicate by the argument on :class:`ZeroFamily`.
+    decided once per orbit of conjugation and negation, for the
+    representative a branch returns, and shared by the members it expands
+    to (see the module docstring); family members satisfy every predicate
+    by the argument on :class:`ZeroFamily`.
     """
     problem = Problem(field, form, K, epsilon)
     abs_solutions = solve_abs(form, problem.abs_bound, height, roots=problem.roots)
-    candidates = zero_value_branch(problem, abs_solutions)
-    candidates.update(nonzero_value_branch(problem, abs_solutions))
-    t, reports = field.t, {}
+    representatives = zero_value_branch(problem, abs_solutions)
+    representatives.update(nonzero_value_branch(problem, abs_solutions))
+    kernel, t = _kernel(problem), field.t
     solutions = []
-    for quad, (v1, v2, value_norm) in candidates.items():
-        representative = _representative(t, quad)
-        report = reports.get(representative)
-        if report is None:
-            report = reports[representative] = full_report(problem, representative)
+    for quad, (v1, v2, value_norm) in representatives.items():
+        report = full_report(problem, quad)
         solutions.append(RelativeSolution(quad, (v1, v2), value_norm, report))
+        x1, x2, y1, y2 = quad
+        conjugate = (x1 + t * x2, -x2, y1 + t * y2, -y2)  # (-imaginary pair, real pair)
+        negated_real = (-x1 - t * x2, x2, -y1 - t * y2, y2)  # (imaginary pair, -real pair)
+        for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:
+            if member != quad:
+                verified = _verify(kernel, member)
+                if verified is not None:
+                    solutions.append(RelativeSolution(member, verified[:2], verified[2], report))
     solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:

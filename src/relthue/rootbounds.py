@@ -75,15 +75,15 @@ class RootData(Validated, namedtuple("RootData", "level ends integer_roots gap_n
     Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
-    ``gap_numerators`` holds the gap enclosures on integers: (min gap lower, upper) as numerators over
-    2^level, (min gap product lower, upper) over 2^(level (n-1)).  The constructor builds them from the
-    ends, once per isolation; they follow from the ends, so ``repr`` shows the isolation alone.
+    ``integer_roots`` holds those r, ascending, and ``gap_numerators`` the gap enclosures on integers:
+    (min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
+    The constructor derives both from the ends, once per isolation, so ``repr`` shows the isolation alone.
     """
 
     __slots__ = ()
-    _given = 3
+    _given = 2
 
-    def __new__(cls, level: int, ends: tuple[tuple[int, int], ...], integer_roots: tuple[int, ...]):
+    def __new__(cls, level: int, ends: tuple[tuple[int, int], ...]):
         # The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
         # once and multiplies into the products at both roots.  The intervals are sorted, so the smallest gap
         # is between neighbours.
@@ -97,10 +97,11 @@ class RootData(Validated, namedtuple("RootData", "level ends integer_roots gap_n
             highs[j] *= high
         pairs = list(zip(ends, ends[1:]))
         gaps = min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
+        integer_roots = tuple(lo >> level for lo, hi in ends if lo == hi)
         return tuple.__new__(cls, (level, ends, integer_roots, gaps))
 
     def __repr__(self) -> str:
-        return f"RootData(level={self.level!r}, ends={self.ends!r}, integer_roots={self.integer_roots!r})"
+        return f"RootData(level={self.level!r}, ends={self.ends!r})"
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -211,7 +212,7 @@ def _refined(form: BinaryForm, items: list[tuple[int, int, int]], bits: int) -> 
         items[i], items[i + 1] = left, right
     level = max(item[2] for item in items)
     ends = tuple((lo << (level - node), hi << (level - node)) for lo, hi, node in items)
-    return RootData(level, ends, tuple(lo for lo, hi, _ in items if lo == hi))
+    return RootData(level, ends)
 
 
 def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:

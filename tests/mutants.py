@@ -53,13 +53,13 @@ MUTANTS = [
            ("tests/test_reducer.py",)),
     Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
            ("tests/test_reducer.py",)),
-    # one verified candidate per orbit of conjugation and negation, each member verified once
+    # the branches verify one representative per orbit of conjugation and negation; solve_relative expands each
+    # solved one and verifies each other member once
     Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) <= imag_cap and y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "if member != quad:", "if y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
-    Mutant("reducer.py", "return rows[len(rows) // 2 :]",
-           "return [row for row in rows[len(rows) // 2 :] if row[1] or not row[0]]",
+    Mutant("reducer.py", "for row in rows if row[2])", "for row in rows if row[2] and row[1])",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
            "for member in {negated_real, (-x1, -x2, -y1, -y2)}:",
@@ -141,11 +141,15 @@ MUTANTS = [
            ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
     Mutant("abssolver.py", "for a, b, value in reversed(positive)]", "for a, b, value in positive]",
            ("tests/test_abssolver.py::test_solutions_come_sorted_by_b_then_a",)),
+    Mutant("abssolver.py", "(*[(-a, -b, sign * value) for a, b, value in reversed(positive)], *self.rows",
+           "(*self.rows", ("tests/test_abssolver.py::test_small_inequality_frozen_set",)),
     # the basis decided once, and no arithmetic that no input reaches
     Mutant("_poly.py", "x = 1 << ((k.bit_length() + r - 1) // r)", "x = 1 << ((k.bit_length() - 1) // r)",
            ("tests/test_rootbounds.py::test_iroot_is_the_floor_of_the_real_root",)),
-    Mutant("abssolver.py", "for a in range(-a_cap, a_cap + 1)]", "for a in range(-a_cap + 1, a_cap + 1)]",
+    Mutant("abssolver.py", "for a in range(_poly.iroot(cap, n) + 1)]", "for a in range(_poly.iroot(cap, n))]",
            ("tests/test_abssolver.py",)),
+    Mutant("abssolver.py", "for a in range(_poly.iroot(cap, n) + 1)]", "for a in range(1, _poly.iroot(cap, n) + 1)]",
+           ("tests/test_abssolver.py::test_the_rows_are_one_pair_of_each_negated_pair_from_the_origin",)),
     # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
     Mutant("rootbounds.py", "_gate_squares(quotients[side], quotients[2 + side], n, field, side)",
            "_gate_squares(quotients[side], quotients[2], n, field, side)",
@@ -193,7 +197,7 @@ MUTANTS = [
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
     Mutant("abssolver.py", "span_start=scanned + 1)", "span_start=scanned)",
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
-    Mutant("abssolver.py", "for a, b, _ in reversed(span)]", "for a, b, _ in span]",
+    Mutant("abssolver.py", "(*self.rows[1:], *span)", "(*self.rows[1:], *span[::-1])",
            ("tests/test_abssolver.py::test_forms_with_only_integer_roots_equal_the_window_scan",)),
     Mutant("abssolver.py", "span_roots = roots.integer_roots if len(roots.integer_roots) == n else ()",
            "span_roots = roots.integer_roots if roots.integer_roots else ()",
@@ -208,8 +212,9 @@ MUTANTS = [
            ("tests/test_abssolver.py::test_roots_of_another_form_put_no_wrong_value_in_the_listing",)),
     Mutant("abssolver.py", 'raise ValueError(f"roots: an interval without a sign change of {form}")', "pass",
            ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
-    # one predicate report per orbit, shared by its members
-    Mutant("reducer.py", "report = reports.get(representative)", "report = next(iter(reports.values()), None)",
+    # one predicate report per orbit, decided for its representative and shared by its members
+    Mutant("reducer.py", "report = full_report(problem, quad)",
+           "report = next(iter(sol.report for sol in solutions), None) or full_report(problem, quad)",
            ("tests/test_reducer.py::test_each_orbit_is_reported_once_and_every_member_has_its_own_report",)),
     # expected survivors
     Mutant("oracle.py", "min(isqrt(bound // m), bias - 1)", "min(isqrt(bound), bias - 1)", ("tests/test_oracle.py",),

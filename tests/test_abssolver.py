@@ -259,17 +259,18 @@ def test_an_isolation_of_another_form_is_refused():
 
 def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused():
     roots = isolate_roots(F1)  # the points -2, 0, 2
-    for level, ends, integer_roots in (
-        (0, ((-2, -2), (0, 0)), (-2, 0)),  # two intervals for three roots
-        (0, ((0, 0), (-2, -2), (2, 2)), (0, -2, 2)),  # not sorted
-        (1, ((-4, -4), (1, 3), (4, 4)), (-2, 2)),  # [1/2, 3/2] holds no root
-        (0, ((-2, -2), (0, 0), (2, 2)), (-2, 2)),  # a point left out of the integer roots
-        (1, ((-4, -4), (1, 1), (4, 4)), (-2, 0, 2)),  # a point at 1/2
+    for level, ends in (
+        (0, ((-2, -2), (0, 0))),  # two intervals for three roots
+        (0, ((0, 0), (-2, -2), (2, 2))),  # not sorted
+        (1, ((-4, -4), (1, 3), (4, 4))),  # [1/2, 3/2] holds no root
+        (1, ((-4, -4), (1, 1), (4, 4))),  # a point at 1/2
     ):
         with pytest.raises(ValueError, match="roots"):
-            solve_abs(F1, 10, 5, roots=RootData(level, ends, integer_roots))
-    # an interval in place of the point 0 is an isolation too, and so is the problem's own
-    coarse = RootData(1, ((-4, -4), (-1, 1), (4, 4)), (-2, 2))
+            solve_abs(F1, 10, 5, roots=RootData(level, ends))
+    # an interval in place of the point 0 is an isolation too, and so is the problem's own; the integer roots
+    # are the points
+    coarse = RootData(1, ((-4, -4), (-1, 1), (4, 4)))
+    assert (coarse.integer_roots, roots.integer_roots) == ((-2, 2), (-2, 0, 2))
     assert solve_abs(F1, 10, 5, roots=coarse).solutions == solve_abs(F1, 10, 5, roots=roots).solutions
     assert solve_abs(F1, 10, 5, roots=roots) == solve_abs(F1, 10, 5)
     with pytest.raises(ValueError, match="monic"):
@@ -280,9 +281,36 @@ def test_the_span_holds_the_root_lines_past_the_last_window():
     # x^3 - 4xy^2 at K' = 10: b_w = 3, so the rows |b| <= 3 are scanned and the rest are the span from b = 4
     result = solve_abs(F1, 10, 100)
     assert (result.span_roots, result.span_start) == ((-2, 0, 2), 4)
-    assert max(abs(b) for _, b, _ in result.rows) == 3
-    assert len(result.solutions) == len(result.rows) + 2 * 3 * 97
-    # a form with an irrational root, or a height within b_w, leaves no span
-    assert solve_abs(F1, 10, 3).solutions == solve_abs(F1, 10, 3).rows
+    assert max(b for _, b, _ in result.rows) == 3
+    assert len(result.solutions) == 2 * len(result.rows) - 1 + 2 * 3 * 97
+    # a form with an irrational root, or a height within b_w, leaves no span: the rows and their negations
+    within = solve_abs(F1, 10, 3)
+    assert len(within.solutions) == 2 * len(within.rows) - 1 and within.span_start == 4
     mixed = solve_abs(BinaryForm((2, -2, -1, 1)), 5, 60)
-    assert (mixed.span_roots, mixed.span_start, mixed.solutions) == ((), 61, mixed.rows)
+    assert (mixed.span_roots, mixed.span_start, len(mixed.solutions)) == ((), 61, 2 * len(mixed.rows) - 1)
+
+
+def test_the_rows_are_one_pair_of_each_negated_pair_from_the_origin():
+    # |x^3 - 4xy^2| <= 1 at b_w = 1: the representatives b > 0, or b = 0 <= a, from (0, 0, 0) on, and the span
+    result = solve_abs(F1, 1, 2)
+    assert result.rows == ((0, 0, 0), (1, 0, 1), (-2, 1, 0), (0, 1, 0), (2, 1, 0))
+    assert (result.span_roots, result.span_start, result.degree) == ((-2, 0, 2), 2, 3)
+    negated = ((-4, -2, 0), (0, -2, 0), (4, -2, 0), (-2, -1, 0), (0, -1, 0), (2, -1, 0), (-1, 0, -1))
+    assert result.solutions == (*negated, *result.rows, (-4, 2, 0), (0, 2, 0), (4, 2, 0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(admissible_forms(), st.fractions(min_value=0, max_value=300, max_denominator=3), st.integers(0, 40))
+def test_the_rows_hold_one_pair_of_each_negated_pair_of_the_window_scan(form, bound, height):
+    result = solve_abs(form, bound, height)
+    rows, pairs = result.rows, [(a, b) for a, b, _ in result.rows]
+    assert rows[0] == (0, 0, 0)
+    assert not {(-a, -b) for a, b in pairs[1:]} & set(pairs)
+    scanned = [row for row in window_scan(form, bound, height) if abs(row[1]) < result.span_start]
+    assert sorted(rows + tuple((-a, -b, (-1) ** form.degree * v) for a, b, v in rows[1:])) == sorted(scanned)
+
+
+def test_a_height_that_is_not_an_integer_is_refused_at_once():
+    for height in (10.0, 2.5, Fraction(10)):
+        with pytest.raises(TypeError):
+            solve_abs(BinaryForm((0, -4, 0, 1)), 10, height)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relthue import brute_force, cli, solve_relative
+from relthue import brute_force, cli, full_report, solve_relative
 from relthue.cli import CliError, ProblemSpec, decimal_str, main, parse_problem_text
 from relthue.reducer import RelativeSolutionSet
 from util import form_from_roots, profiled_calls
@@ -175,6 +175,27 @@ def test_verify_bad_candidate(capsys, problem_file):
     status, _, err = run(capsys, "verify", problem_file, "1,2,3")
     assert status == 1
     assert "four comma-separated integers" in err
+
+
+def test_verify_exits_2_when_a_solution_fails_an_applicable_predicate(capsys, problem_file, monkeypatch):
+    def failing(problem, quad):
+        return full_report(problem, quad)._replace(joint_bound_ok=False)
+
+    monkeypatch.setattr(cli, "full_report", failing)
+    status, out, err = run(capsys, "verify", problem_file, "0,1,0,0")
+    assert (status, err) == (2, "")
+    assert out.startswith("candidate 0,1,0,0 solution") and "joint=FAIL" in out
+
+
+def test_a_duplicate_field_is_status_1(capsys, tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("coeffs = 0 -4 0 1\nm = 3\nm = 7\nK = 1\n", encoding="utf-8")
+    assert run(capsys, "solve", str(path)) == (1, "", "error: line 3: duplicate field 'm'\n")
+
+
+def test_abs_rejects_a_negative_kprime(capsys):
+    argv = ("abs", "--coeffs", "0 -4 0 1", "--kprime", "-1", "--ymax", "2")
+    assert run(capsys, *argv) == (1, "", "error: --kprime: must be nonnegative\n")
 
 
 def test_missing_field_is_status_1(capsys, tmp_path):

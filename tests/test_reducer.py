@@ -31,6 +31,7 @@ from util import (
     last_window_row,
     profiled_calls,
     range_walk_nonzero_branch,
+    representatives,
     root_test_zero_branch,
     values_index,
 )
@@ -83,11 +84,14 @@ def test_zero_branch_parity_reconstruction():
 
 def test_orbits_with_a_representative_on_an_axis_are_found():
     # x = w, y = 0 has the imaginary pair (1, 0), y2 = 0 < x2, and the real pair (1, 0), b = 0 < a: its orbit under
-    # conjugation and negation is x in {w, 1 - w, -w, w - 1}, y = 0, one candidate verified for all four
+    # conjugation and negation is x in {w, 1 - w, -w, w - 1}, y = 0; the branch returns the one candidate it
+    # verified for all four, and solve_relative expands it into the other three
     problem, abs_solutions = branch_input(3, F1, 1, 6)
     found = nonzero_value_branch(problem, abs_solutions)
-    assert {(0, 1, 0, 0), (1, -1, 0, 0), (0, -1, 0, 0), (-1, 1, 0, 0)} <= set(found)
-    assert found == range_walk_nonzero_branch(problem, abs_solutions)
+    assert (0, 1, 0, 0) in found
+    assert found == representatives(problem.field, range_walk_nonzero_branch(problem, abs_solutions))
+    quads = solve_relative(problem.field, F1, 1, height=6).quadruples()
+    assert {(0, 1, 0, 0), (1, -1, 0, 0), (0, -1, 0, 0), (-1, 1, 0, 0)} <= quads
 
 
 def test_nonzero_branch_worked_example():
@@ -154,9 +158,13 @@ ROOT_FREE = [BinaryForm(c) for c in ((-1, -3, 0, 1), (1, -4, 0, 1), (-3, -7, 2, 
     st.integers(0, 25),
 )
 def test_branches_equal_the_range_walk_references(form, m, K, height):
+    # the references find every member of each orbit; the branches return its representative
     problem, abs_solutions = branch_input(m, form, K, height)
-    assert zero_value_branch(problem, abs_solutions) == root_test_zero_branch(problem, abs_solutions)
-    assert nonzero_value_branch(problem, abs_solutions) == range_walk_nonzero_branch(problem, abs_solutions)
+    field = problem.field
+    zero_reference = representatives(field, root_test_zero_branch(problem, abs_solutions))
+    assert zero_value_branch(problem, abs_solutions) == zero_reference
+    nonzero_reference = representatives(field, range_walk_nonzero_branch(problem, abs_solutions))
+    assert nonzero_value_branch(problem, abs_solutions) == nonzero_reference
 
 
 class CountingIndex(dict):
@@ -204,8 +212,9 @@ def test_nonzero_branch_reads_only_realized_values(monkeypatch):
     problem, abs_solutions = branch_input(1, F3, 10**6, 0)
     realized = len(values_index(abs_solutions))
     assert realized == 201
-    # y = 0 here, so the branch finds every x = x1 + x2*i with x2 != 0 and (x1^2 + x2^2)^3 <= K^2
-    assert len(nonzero_value_branch(problem, abs_solutions)) == 31_216
+    # y = 0 here, so the branch finds every x = x1 + x2*i with x2 != 0 and (x1^2 + x2^2)^3 <= K^2, one of each
+    # orbit: x2 > 0 and x1 >= 0
+    assert len(nonzero_value_branch(problem, abs_solutions)) == 7_854
     assert CountingIndex.reads == 100
 
 
@@ -400,17 +409,22 @@ def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
     assert _evaluate(form.coeffs, field.q, field.t, *quad) == (value.u1, value.u2, field.norm(value))
 
 
+class Unreadable(tuple):
+    """Rows that refuse every read."""
+
+    def refuse(self, *args):
+        raise AssertionError("the nonzero branch read the listing")
+
+    __iter__ = __len__ = __getitem__ = refuse
+
+
 def test_nonzero_branch_builds_no_index_when_the_part_bound_admits_no_value(monkeypatch):
     # m^n = 163^3 > (s^n K)^2 = 64: no v_imag != 0 meets the part bound, so the listing is not even read,
     # and nothing is sorted or indexed
-    def refuse(*args):
-        raise AssertionError("the nonzero branch read the listing")
-
     problem, abs_solutions = branch_input(163, F1, 1, 20)
     with monkeypatch.context() as patch:
-        patch.setattr(reducer, "_real_representatives", refuse)
-        patch.setattr(reducer, "_imag_values", refuse)
-        assert nonzero_value_branch(problem, abs_solutions) == {}
+        patch.setattr(reducer, "_imag_values", Unreadable.refuse)
+        assert nonzero_value_branch(problem, abs_solutions._replace(rows=Unreadable())) == {}
     result = solve_relative(problem.field, F1, 1, Fraction(1, 2), 20)
     assert all(sol.quadruple[1] == sol.quadruple[3] == 0 for sol in result.solutions)
 
@@ -423,10 +437,11 @@ def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
     verified = []
     verify = reducer._verify
     monkeypatch.setattr(reducer, "_verify", lambda kernel, quad: verified.append(quad) or verify(kernel, quad))
+    field = problem.field
     zero_found = zero_value_branch(problem, abs_solutions)
-    assert zero_found == root_test_zero_branch(problem, abs_solutions)
+    assert zero_found == representatives(field, root_test_zero_branch(problem, abs_solutions))
     nonzero_found = nonzero_value_branch(problem, abs_solutions)
-    assert nonzero_found == range_walk_nonzero_branch(problem, abs_solutions)
+    assert nonzero_found == representatives(field, range_walk_nonzero_branch(problem, abs_solutions))
     assert zero_found and nonzero_found
     assert len(verified) == len(set(verified))
     realized = {(a, b) for a, b, _ in abs_solutions.solutions}
@@ -530,7 +545,7 @@ def test_real_pairs_of_value_zero_are_paired_up_to_b_max(K, quad):
     problem, abs_solutions = branch_input(1, F1, K, 4)
     found = nonzero_value_branch(problem, abs_solutions)
     assert quad in found
-    assert found == range_walk_nonzero_branch(problem, abs_solutions)
+    assert found == representatives(problem.field, range_walk_nonzero_branch(problem, abs_solutions))
 
 
 def test_oracle_equivalence_where_root_line_real_pairs_solve_with_s_2():
@@ -565,7 +580,8 @@ def test_the_zero_branch_reads_no_span_row(roots, m, K, offset):
     b_w = last_window_row(roots, problem.abs_bound)
     abs_solutions = solve_abs(form, problem.abs_bound, b_w + offset, roots=problem.roots)
     assert abs_solutions.span_start == b_w + 1
-    assert zero_value_branch(problem, abs_solutions) == root_test_zero_branch(problem, abs_solutions)
+    reference = representatives(problem.field, root_test_zero_branch(problem, abs_solutions))
+    assert zero_value_branch(problem, abs_solutions) == reference
 
 
 def test_an_integer_root_form_solves_at_any_height_in_the_same_time():

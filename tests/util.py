@@ -27,7 +27,9 @@ root-line real pair, as it did before the derivative test bounded them, and
 reads the listing through ``values_index``, every row by its value.  Both
 pair candidates as the reducer did before its parity classes and integer
 kernel: every real pair is tried, kept when the divisions by s are exact,
-and verified with ``evaluate_form``.  The constants and
+and verified with ``evaluate_form``.  Both find every member of each orbit
+of conjugation and negation, so ``representatives`` states on its own which
+member the branches return.  The constants and
 squared gates as they were before they were taken on integer numerators are
 the references for the package's integer quotients and squared gates: every
 quotient a Fraction, and the n-th root bounds derived from a Fraction power;
@@ -398,10 +400,9 @@ def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = No
             elif count:
                 mid = (lo + hi) / 2
                 work += [(lo, mid), (mid, hi)]
-        exact.sort()
         items += [[Fraction(r), Fraction(r)] for r in exact]
     else:
-        exact, items = start.integer_roots, [list(iv) for iv in intervals(start)]
+        items = [list(iv) for iv in intervals(start)]
     items = sorted(iv if iv[0] == iv[1] else bisect(*iv, width) for iv in items)
     for left, right in zip(items, items[1:]):
         while left[1] >= right[0]:
@@ -411,7 +412,7 @@ def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = No
     found = tuple((lo, hi) for lo, hi in items)
     unit = max(end.denominator for iv in found for end in iv)
     ends = tuple((int(lo * unit), int(hi * unit)) for lo, hi in found)
-    return RootData(unit.bit_length() - 1, ends, tuple(exact))
+    return RootData(unit.bit_length() - 1, ends)
 
 
 def imag_value_range(problem: Problem) -> list[int]:
@@ -490,6 +491,25 @@ def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fo
             pair_by_division(problem, (r * t, t), window, found)
             pair_by_division(problem, (-r * t, -t), window, found)
     return found
+
+
+def representatives(field: QuadraticField, found: Found) -> Found:
+    """The entries of ``found`` that the reduction branches return: the representative of each orbit.
+
+    A quadruple is one when its imaginary pair (x2, y2) and its real pair (a, b) = (s*x1 + t*x2, s*y1 + t*y2)
+    each lie in the upper half plane or on the nonnegative half of its axis: y2 > 0, or y2 = 0 and x2 >= 0, and
+    b > 0, or b = 0 and a >= 0.
+    """
+    s, t = field.s, field.t
+
+    def upper(u: int, v: int) -> bool:
+        return v > 0 or (v == 0 and u >= 0)
+
+    return {
+        quad: value
+        for quad, value in found.items()
+        if upper(quad[1], quad[3]) and upper(s * quad[0] + t * quad[1], s * quad[2] + t * quad[3])
+    }
 
 
 def fraction_nth_root_lower(x, r: int, bits: int = 48) -> Fraction:
