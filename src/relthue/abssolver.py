@@ -37,19 +37,19 @@ gives them, and prepends every row but (0, 0, 0), span included, negated in
 reverse, which are the rows b < 0 and b = 0 > a in (b, a) order.  The reducer
 reads only the scanned rows.  A form with an irrational root scans every row.
 
-An isolation the caller hands in is checked once, against the form: n sorted,
-disjoint intervals, each point an integer root and each other interval with a
-strict sign change of f at its ends.  f has n roots and each interval holds
-an odd number of them, so each holds exactly one, and no isolation of
-another form is scanned.  Every candidate with b != 0 is kept only after
-exact evaluation of F, and each root of a span is a point where the
-isolation or the check evaluated f(r) = 0 exactly; the row b = 0 holds a^n
-exactly, so no step rounds and the listing is exhaustive for |b| <= height.
-Completeness is claimed only within the height bound, which the result
-carries.  The cost is O(n*height) window ends plus the cells inside them, in
-place of O(n*height*K'^(1/n)) cells for fixed windows of half-width W; when
-every root is an integer it is O(n*min(height, b_w)) window ends and their
-cells, whatever the height.
+The isolation is a :class:`~relthue.rootbounds.RootData`, checked against
+its form once, where it is built: n sorted, disjoint intervals, each point
+an integer root and each other interval with a strict sign change of f at
+its ends, so each holds exactly one root.  An isolation the caller hands in
+is refused unless it is one of this form, so no isolation of another form is
+scanned.  Every candidate with b != 0 is kept only after exact evaluation of
+F, and each root of a span is a point where the isolation's check evaluated
+f(r) = 0 exactly; the row b = 0 holds a^n exactly, so no step rounds and the
+listing is exhaustive for |b| <= height.  Completeness is claimed only
+within the height bound, which the result carries.  The cost is O(n*height)
+window ends plus the cells inside them, in place of O(n*height*K'^(1/n))
+cells for fixed windows of half-width W; when every root is an integer it is
+O(n*min(height, b_w)) window ends and their cells, whatever the height.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from operator import index
 from typing import NamedTuple
 
 from . import _poly
-from .forms import BinaryForm, InadmissibleFormError
+from .forms import BinaryForm
 from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
 
 
@@ -88,25 +88,6 @@ class AbsSolutionSet(NamedTuple):
         return (*[(-a, -b, sign * value) for a, b, value in reversed(positive)], *self.rows, *span)
 
 
-def _check_isolation(form: BinaryForm, roots: RootData) -> None:
-    """Raise ValueError unless ``roots`` isolates the n roots of the monic f, as the module docstring states."""
-    f, unit = form.coeffs, 1 << roots.level
-    if f[-1] != 1:
-        raise InadmissibleFormError(f"{form}: f is not monic")
-    if len(roots.ends) != form.degree:
-        raise ValueError(f"roots: not {form.degree} intervals")
-    last = None
-    for lo, hi in roots.ends:
-        if lo > hi or (last is not None and lo <= last):
-            raise ValueError("roots: the intervals are not sorted and disjoint")
-        if lo < hi:
-            if _poly.evaluate(f, lo, unit) * _poly.evaluate(f, hi, unit) >= 0:
-                raise ValueError(f"roots: an interval without a sign change of {form}")
-        elif lo % unit or _poly.evaluate(f, lo // unit):
-            raise ValueError(f"roots: a point that is not an integer root of {form}")
-        last = hi
-
-
 def solve_abs(
     form: BinaryForm,
     bound,
@@ -121,8 +102,8 @@ def solve_abs(
         raise ValueError("height must be nonnegative")
     if roots is None:
         roots = isolate_roots(form)
-    else:
-        _check_isolation(form, roots)
+    elif roots.form != form:
+        raise ValueError(f"roots: an isolation of {roots.form}, not of {form}")
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
 

@@ -135,11 +135,3 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     if ends[0] - ends[1] < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")
     return AdmissibilityReport(True, None, chain, _poly.root_radius(f), ends)
-
-
-def require_admissible(form: BinaryForm) -> AdmissibilityReport:
-    """The report of an admissible form; raises :class:`InadmissibleFormError` otherwise."""
-    report = check_admissible(form)
-    if not report.ok:
-        raise InadmissibleFormError(f"form {form.coeffs} inadmissible: {report.reason}")
-    return report

@@ -10,8 +10,9 @@ irrational, and each is held as a node (c, level) of the dyadic bisection
 tree, the interval [c, c + 1]/2^level, from the first stage on; a Newton
 jump certified by two signs of f, or bisection by the sign of f, refines it
 on integers.  Every interval is so a pair of integer numerators over one
-power of two (:class:`RootData`).  From the intervals the module derives
-one-sided rational bounds, always rounded in the safe direction, for
+power of two (:class:`RootData`, whose constructor checks the intervals
+against the form once).  From the intervals the module derives one-sided
+rational bounds, always rounded in the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -46,7 +47,7 @@ from itertools import combinations
 from math import floor
 
 from . import _poly
-from .forms import BinaryForm, Validated, require_admissible
+from .forms import BinaryForm, InadmissibleFormError, Validated, check_admissible
 from .quadfield import QuadraticField
 
 ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of width 2^-ISOLATION_BITS
@@ -69,21 +70,41 @@ def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tupl
     return c, c if c**r * den == target else c + 1
 
 
-class RootData(Validated, namedtuple("RootData", "level ends integer_roots gap_numerators")):
-    """Isolating intervals of the n real roots, sorted and pairwise disjoint, and the gap enclosures they give.
+class RootData(Validated, namedtuple("RootData", "form level ends integer_roots gap_numerators")):
+    """The checked isolation of the n real roots of one form: sorted, pairwise disjoint intervals, and their gaps.
 
-    Root i lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
+    Root i of f lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
-    [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).
-    ``integer_roots`` holds those r, ascending, and ``gap_numerators`` the gap enclosures on integers:
+    [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).  The constructor is
+    the one place an isolation is checked against its form, so no reader checks one again: f must be monic
+    (else :class:`~relthue.forms.InadmissibleFormError`), and ``ends`` must hold n intervals, sorted and
+    disjoint, each point an integer root and each other interval with a strict sign change of f at its ends
+    (else ValueError).  f has n roots and each interval holds an odd number of them, so each holds exactly one.
+    ``integer_roots`` holds the points' r, ascending, and ``gap_numerators`` the gap enclosures on integers:
     (min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
-    The constructor derives both from the ends, once per isolation, so ``repr`` shows the isolation alone.
+    The constructor derives both from the ends, once per isolation, so ``repr`` shows the form and its
+    isolation alone.
     """
 
     __slots__ = ()
-    _given = 2
+    _given = 3
 
-    def __new__(cls, level: int, ends: tuple[tuple[int, int], ...]):
+    def __new__(cls, form: BinaryForm, level: int, ends: tuple[tuple[int, int], ...]):
+        f, unit = form.coeffs, 1 << level
+        if f[-1] != 1:
+            raise InadmissibleFormError(f"{form}: f is not monic")
+        if len(ends) != form.degree:
+            raise ValueError(f"roots: not {form.degree} intervals")
+        last = None
+        for lo, hi in ends:
+            if lo > hi or (last is not None and lo <= last):
+                raise ValueError("roots: the intervals are not sorted and disjoint")
+            if lo < hi:
+                if _poly.evaluate(f, lo, unit) * _poly.evaluate(f, hi, unit) >= 0:
+                    raise ValueError(f"roots: an interval without a sign change of {form}")
+            elif lo % unit or _poly.evaluate(f, lo // unit):
+                raise ValueError(f"roots: a point that is not an integer root of {form}")
+            last = hi
         # The distance between roots i < j lies in [lo_j - hi_i, hi_j - lo_i]; each pair's enclosure is built
         # once and multiplies into the products at both roots.  The intervals are sorted, so the smallest gap
         # is between neighbours.
@@ -98,10 +119,10 @@ class RootData(Validated, namedtuple("RootData", "level ends integer_roots gap_n
         pairs = list(zip(ends, ends[1:]))
         gaps = min(b[0] - a[1] for a, b in pairs), min(b[1] - a[0] for a, b in pairs), min(lows), min(highs)
         integer_roots = tuple(lo >> level for lo, hi in ends if lo == hi)
-        return tuple.__new__(cls, (level, ends, integer_roots, gaps))
+        return tuple.__new__(cls, (form, level, ends, integer_roots, gaps))
 
     def __repr__(self) -> str:
-        return f"RootData(level={self.level!r}, ends={self.ends!r})"
+        return f"RootData(form={self.form!r}, level={self.level!r}, ends={self.ends!r})"
 
 
 def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
@@ -159,7 +180,9 @@ def _initial_isolation(form: BinaryForm) -> list[tuple[int, int, int]]:
     exactly when f vanishes there, and becomes the point (r, r, 0); every other root is irrational, and its
     node is kept.  This costs O(n log R) exact evaluations, the chain's only where roots share a node.
     """
-    report = require_admissible(form)
+    report = check_admissible(form)
+    if not report.ok:
+        raise InadmissibleFormError(f"form {form.coeffs} inadmissible: {report.reason}")
     chain, radius, f = report.chain, report.radius, form.coeffs
     items = []
     work = [(-radius, radius, 0, *report.end_variations)]
@@ -212,7 +235,7 @@ def _refined(form: BinaryForm, items: list[tuple[int, int, int]], bits: int) -> 
         items[i], items[i + 1] = left, right
     level = max(item[2] for item in items)
     ends = tuple((lo << (level - node), hi << (level - node)) for lo, hi, node in items)
-    return RootData(level, ends)
+    return RootData(form, level, ends)
 
 
 def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:
@@ -226,25 +249,24 @@ def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:
     return _refined(form, _initial_isolation(form), bits)
 
 
-def refine(form: BinaryForm, data: RootData, bits: int) -> RootData:
-    """Continue the bisection of an existing isolation of ``form`` down to level ``bits``."""
+def refine(data: RootData, bits: int) -> RootData:
+    """Continue the bisection of the isolation ``data`` of ``data.form`` down to level ``bits``."""
     items = []
     for lo, hi in data.ends:
         up = (hi - lo).bit_length() - 1 if hi > lo else data.level  # the levels from the node's own to data.level
         items.append((lo >> up, hi >> up, data.level - up))
-    return _refined(form, items, bits)
+    return _refined(data.form, items, bits)
 
 
 def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """(numerator, denominator) of approx_coeff lower, upper and gate lower, upper, from checked K and epsilon.
 
-    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The pairs are not reduced: each reader takes
-    a floor, a dyadic root or a cross-multiplied comparison of them, and each of those depends on the value
-    alone.  Both upper bounds shrink monotonically as the intervals shrink.
+    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The intervals of ``roots`` are sorted and
+    disjoint, as its constructor checked, so the lower gap bounds are positive.  The pairs are not reduced: each
+    reader takes a floor, a dyadic root or a cross-multiplied comparison of them, and each of those depends on
+    the value alone.  Both upper bounds shrink monotonically as the intervals shrink.
     """
     gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
-    if gap_lower <= 0 or product_lower <= 0:
-        raise ValueError("root intervals are not strictly separated")
     n, level = len(roots.ends), roots.level
     e_num, e_den = epsilon.numerator, epsilon.denominator
     # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap), the gaps over 2^(level (n-1)) and 2^level
@@ -326,7 +348,7 @@ def stable_constants(
     k_root = _dyadic_root(K.numerator, K.denominator, n)
     bits = ISOLATION_BITS
     data = isolate_roots(form, bits)
-    if all(lo == hi for lo, hi in data.ends):  # every root an integer: the enclosures are exact already
+    if len(data.integer_roots) == n:  # every root an integer: the enclosures are exact already
         (caps,) = _gate_floors(data, K, epsilon, k_root, n, field, (1,))
         return data, caps, True
     lower, caps = _gate_floors(data, K, epsilon, k_root, n, field)
@@ -334,7 +356,7 @@ def stable_constants(
         if lower == caps:  # the certificate
             return data, caps, True
         bits += 1
-        finer = refine(form, data, bits)
+        finer = refine(data, bits)
         lower, finer_caps = _gate_floors(finer, K, epsilon, k_root, n, field)
         if finer_caps == caps:
             return finer, finer_caps, True

@@ -135,7 +135,7 @@ MUTANTS = [
            ("tests/test_reducer.py::test_verification_kernel_equals_the_ring_evaluation",)),
     Mutant("reducer.py", "if imag_cap == 0:", "if imag_cap <= 1:",
            ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
-    Mutant("rootbounds.py", "if all(lo == hi for lo, hi in data.ends):", "if any(lo == hi for lo, hi in data.ends):",
+    Mutant("rootbounds.py", "if len(data.integer_roots) == n:", "if any(lo == hi for lo, hi in data.ends):",
            ("tests/test_rootbounds.py::test_stable_constants_refines_only_when_a_root_is_irrational",)),
     Mutant("reducer.py", "classes.setdefault((row[0] % s, row[1] % s), [])", "classes.setdefault((row[0] % s, 0), [])",
            ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
@@ -207,10 +207,12 @@ MUTANTS = [
     # starts
     Mutant("abssolver.py", "spread = 2 ** (n - 1) * bound.numerator", "spread = 2 ** (n - 2) * bound.numerator",
            ("tests/test_abssolver.py::test_the_span_holds_the_root_lines_past_the_last_window",)),
-    # a caller's isolation checked once against the form
-    Mutant("abssolver.py", "elif lo % unit or _poly.evaluate(f, lo // unit):", "elif False:",
+    # an isolation checked once against its form, where it is built, and a caller's refused unless it is the form's
+    Mutant("rootbounds.py", "elif lo % unit or _poly.evaluate(f, lo // unit):", "elif False:",
            ("tests/test_abssolver.py::test_roots_of_another_form_put_no_wrong_value_in_the_listing",)),
-    Mutant("abssolver.py", 'raise ValueError(f"roots: an interval without a sign change of {form}")', "pass",
+    Mutant("rootbounds.py", 'raise ValueError(f"roots: an interval without a sign change of {form}")', "pass",
+           ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
+    Mutant("abssolver.py", "elif roots.form != form:", "elif False:",
            ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
     # one predicate report per orbit, decided for its representative and shared by its members
     Mutant("reducer.py", "report = full_report(problem, quad)",

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relthue import BinaryForm, solve_abs
+from relthue import BinaryForm, InadmissibleFormError, solve_abs
 from relthue.rootbounds import ISOLATION_BITS, RootData, isolate_roots
 from util import (
     admissible_forms,
@@ -242,39 +243,55 @@ def test_rows_past_the_last_window_make_no_evaluation():
 
 
 def test_roots_of_another_form_put_no_wrong_value_in_the_listing():
-    # the integer roots -1, 0, 1 of x^3 - xy^2 are not all roots of x^3 - 4xy^2: the isolation is refused, so no
-    # row is listed unevaluated
+    # the integer roots -1, 0, 1 of x^3 - xy^2 are not all roots of x^3 - 4xy^2: as its isolation they are refused
+    # where they are built, and as the isolation of x^3 - xy^2 by solve_abs, so no row is listed unevaluated
     with pytest.raises(ValueError, match="not an integer root"):
+        RootData(F1, 0, ((-1, -1), (0, 0), (1, 1)))
+    with pytest.raises(ValueError, match="not of"):
         solve_abs(F1, 1, 6, roots=isolate_roots(form_from_roots([-1, 0, 1])))
 
 
 def test_an_isolation_of_another_form_is_refused():
     # the isolation of x^3 - 7xy^2 + y^3 would scan x^3 - 3xy^2 - y^3 at K' = 10, H = 30 in the wrong windows and
-    # list 21 of its 31 rows; f changes sign across none of its intervals
-    form = BinaryForm((-1, -3, 0, 1))
+    # list 21 of its 31 rows: solve_abs refuses it by its form, and its ends are no isolation of x^3 - 3xy^2 - y^3,
+    # which changes sign across none of them
+    form, other = BinaryForm((-1, -3, 0, 1)), isolate_roots(BinaryForm((1, -7, 0, 1)))
     assert len(solve_abs(form, 10, 30).solutions) == 31
+    with pytest.raises(ValueError, match="not of"):
+        solve_abs(form, 10, 30, roots=other)
     with pytest.raises(ValueError, match="sign change"):
-        solve_abs(form, 10, 30, roots=isolate_roots(BinaryForm((1, -7, 0, 1))))
+        other._replace(form=form)
 
 
-def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused():
+def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused(monkeypatch):
+    # the constructor refuses each, and _replace, _make and unpickling go through it
     roots = isolate_roots(F1)  # the points -2, 0, 2
     for level, ends in (
         (0, ((-2, -2), (0, 0))),  # two intervals for three roots
         (0, ((0, 0), (-2, -2), (2, 2))),  # not sorted
+        (1, ((1, 1), (0, 0), (6, 6))),  # not sorted, and 1/2 is no root: built, it had the integer roots (0, 0, 3)
         (1, ((-4, -4), (1, 3), (4, 4))),  # [1/2, 3/2] holds no root
         (1, ((-4, -4), (1, 1), (4, 4))),  # a point at 1/2
     ):
-        with pytest.raises(ValueError, match="roots"):
-            solve_abs(F1, 10, 5, roots=RootData(level, ends))
+        with monkeypatch.context() as patch:
+            patch.setattr(RootData, "__getnewargs__", lambda self: (F1, level, ends))
+            forged = pickle.dumps(roots)
+        for build in (
+            lambda: RootData(F1, level, ends),
+            lambda: roots._replace(level=level, ends=ends),
+            lambda: RootData._make((F1, level, ends, (), (1, 1, 1, 1))),
+            lambda: pickle.loads(forged),
+        ):
+            with pytest.raises(ValueError, match="roots"):
+                build()
+    with pytest.raises(InadmissibleFormError, match="monic"):
+        roots._replace(form=BinaryForm((0, -4, 0, 2)))
     # an interval in place of the point 0 is an isolation too, and so is the problem's own; the integer roots
     # are the points
-    coarse = RootData(1, ((-4, -4), (-1, 1), (4, 4)))
+    coarse = RootData(F1, 1, ((-4, -4), (-1, 1), (4, 4)))
     assert (coarse.integer_roots, roots.integer_roots) == ((-2, 2), (-2, 0, 2))
     assert solve_abs(F1, 10, 5, roots=coarse).solutions == solve_abs(F1, 10, 5, roots=roots).solutions
     assert solve_abs(F1, 10, 5, roots=roots) == solve_abs(F1, 10, 5)
-    with pytest.raises(ValueError, match="monic"):
-        solve_abs(BinaryForm((0, -4, 0, 2)), 10, 5, roots=roots)
 
 
 def test_the_span_holds_the_root_lines_past_the_last_window():

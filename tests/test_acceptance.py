@@ -197,7 +197,7 @@ def test_criterion_8_precision_monotonicity():
         consts = constants(data, 1, EPS)
         for _ in range(8):
             bits += 1
-            finer = refine(form, data, bits)
+            finer = refine(data, bits)
             finer_consts = constants(finer, 1, EPS)
             assert gaps(finer)[0] >= gaps(data)[0], name
             assert gaps(finer)[2] >= gaps(data)[2], name

@@ -146,7 +146,7 @@ def test_solve_relative_builds_no_enclosure_constant_or_gate_fraction(monkeypatc
     monkeypatch.setattr(rootbounds, "Fraction", counted)
     quartic = BinaryForm((6, 0, -5, 0, 1))  # (x^2-2)(x^2-3): close roots, separated after the refinement
     for form in (F1, F3, quartic):
-        refine(form, isolate_roots(form), 70)
+        refine(isolate_roots(form), 70)
         assert built == []
         result = solve_relative(QuadraticField(7), form, Fraction(3, 2), height=5)
         assert result.cross_check_ok
@@ -161,7 +161,7 @@ def test_refinement_monotone():
     consts = constants(data, 10, Fraction(1, 3))
     for _ in range(8):
         bits += 1
-        finer = refine(F3, data, bits)
+        finer = refine(data, bits)
         finer_consts = constants(finer, 10, Fraction(1, 3))
         assert gaps(finer)[0] >= gaps(data)[0]
         assert gaps(finer)[2] >= gaps(data)[2]
@@ -207,7 +207,7 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     assert stable and bool(calls) == refined
     assert 0 in sides if refined else sides == [1]  # no lower floors where the enclosures are exact
     if not refined:
-        assert data == isolate_roots(form) == refine(form, data, 65)
+        assert data == isolate_roots(form) == refine(data, 65)
         assert caps == gate_floors(fraction_thresholds(fraction_constants(data, 1, Fraction(1, 2)), 3, field))
 
 
@@ -220,7 +220,7 @@ def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     monkeypatch.setattr(rootbounds, "_gate_floors", lambda *args: next(moved, None) or (None, floors(*args)[1]))
     data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
-    assert data == refine(F3, isolate_roots(F3), ISOLATION_BITS + 2)
+    assert data == refine(isolate_roots(F3), ISOLATION_BITS + 2)
     consts = fraction_constants(data, Fraction(3, 2), Fraction(1, 2))
     assert caps == gate_floors(fraction_thresholds(consts, 3, field))
 
@@ -267,16 +267,18 @@ def test_validated_records_are_immutable_values_with_the_dataclass_repr():
     problem = Problem(field, F3, Fraction(3, 2))
     roots = problem.roots
     assert repr(field) == "QuadraticField(m=7)" and field == (7, 2, 2, 1)
-    assert repr(roots) == f"RootData(level={roots.level}, ends={roots.ends})" and roots.integer_roots == ()
+    assert repr(roots) == f"RootData(form={F3!r}, level={roots.level}, ends={roots.ends})"
+    assert roots.integer_roots == ()
     points = isolate_roots(F1)
-    assert repr(points) == "RootData(level=0, ends=((-2, -2), (0, 0), (2, 2)))" and points.integer_roots == (-2, 0, 2)
+    assert repr(points) == "RootData(form=BinaryForm(coeffs=(0, -4, 0, 1)), level=0, ends=((-2, -2), (0, 0), (2, 2)))"
+    assert points.integer_roots == (-2, 0, 2)
     assert roots.gap_numerators == isolate_roots(F3).gap_numerators
     assert repr(problem) == (
         f"Problem(field=QuadraticField(m=7), form=BinaryForm(coeffs=(-1, -3, 0, 1)), K=Fraction(3, 2), "
         f"epsilon=Fraction(1, 2), roots={roots!r}, gates_stable=True, abs_bound=Fraction(12, 1), norm_cap=2, "
         f"part_cap=144, joint_cap=20736, gate_caps={problem.gate_caps!r})"
     )
-    for record, args in ((F3, F3), (field, (7,)), (roots, roots[:2]), (problem, problem[:4])):
+    for record, args in ((F3, F3), (field, (7,)), (roots, roots[:3]), (problem, problem[:4])):
         twin = type(record)(*args)
         assert twin == record and hash(twin) == hash(record) and twin is not record
         assert pickle.loads(pickle.dumps(record)) == record
@@ -346,6 +348,14 @@ def test_iroot_is_the_floor_of_the_real_root(k, r, base, step):
         assert root**r <= value < (root + 1) ** r
 
 
+def test_roots_of_a_negative_radicand_or_of_an_order_below_one_are_refused():
+    for k, r in ((-1, 2), (-(2**70), 3), (8, 0), (8, -3)):
+        with pytest.raises(ValueError, match="iroot needs k >= 0, r >= 1"):
+            _poly.iroot(k, r)
+    with pytest.raises(ValueError, match="negative radicand"):
+        _dyadic_root(-1, 2, 3)
+
+
 def test_nth_root_exact_powers():
     assert _dyadic_root(1, 1, 3) == (1 << 48, 1 << 48)
     assert _dyadic_root(8, 1, 3) == (2 << 48, 2 << 48)
@@ -370,26 +380,29 @@ def test_integer_sturm_chain_equals_the_rational_one(poly):
     assert _poly.sturm_chain(poly) == fraction_sturm_chain(poly)
 
 
-@given(
-    st.integers(0, 6),
-    st.lists(st.tuples(st.one_of(st.just(0), st.integers(1, 40)), st.integers(1, 40)), min_size=2, max_size=6),
-    st.integers(-100, 100),
-)
-def test_gap_enclosures_equal_the_nested_loop(k, shape, start):
-    # sorted, disjoint dyadic intervals: (width, gap to the next) in units of 2^-k; width 0 is a point
-    ends, lo = [], start
-    for width, gap in shape:
-        ends.append((lo, lo + width))
-        lo = ends[-1][1] + gap
+@given(st.integers(0, 6), st.lists(st.integers(-50, 50), min_size=2, max_size=6, unique=True), st.data())
+def test_gap_enclosures_equal_the_nested_loop(k, roots, data):
+    # an isolation of the product of (x - r) over the integer roots r: each root the point r, or an interval over
+    # 2^k around it, above the previous interval and below the next root
+    roots, ends = sorted(roots), []
+    for i, r in enumerate(roots):
+        centre = r << k
+        lowest = ends[-1][1] + 1 if ends else centre - (1 << k)
+        highest = (roots[i + 1] << k) - 1 if i + 1 < len(roots) else centre + (1 << k)
+        if lowest < centre < highest and data.draw(st.booleans()):
+            ends.append((data.draw(st.integers(lowest, centre - 1)), data.draw(st.integers(centre + 1, highest))))
+        else:
+            ends.append((centre, centre))
     as_fractions = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi in ends]
-    assert gaps(rootbounds.RootData(k, tuple(ends))) == nested_gap_enclosures(as_fractions)
+    assert gaps(RootData(form_from_roots(roots), k, tuple(ends))) == nested_gap_enclosures(as_fractions)
 
 
 def test_separate_bisects_neighbours_until_strictly_apart():
-    # (x^2 - 2)(x^2 - 3): sqrt 2 in [1, 3/2] and sqrt 3 in [3/2, 2] touch, and still do after one halving each
-    data = rootbounds._refined(BinaryForm((6, 0, -5, 0, 1)), [(2, 3, 1), (3, 4, 1)], 1)
-    assert intervals(data) == ((Fraction(11, 8), Fraction(3, 2)), (Fraction(13, 8), Fraction(7, 4)))
-    assert (data.level, data.ends) == (3, ((11, 12), (13, 14)))
+    # (x^2 - 2)(x^2 - 3): sqrt 2 in [1, 3/2] and sqrt 3 in [3/2, 2] touch, and still do after one halving each;
+    # so do -sqrt 3 and -sqrt 2
+    data = rootbounds._refined(BinaryForm((6, 0, -5, 0, 1)), [(-4, -3, 1), (-3, -2, 1), (2, 3, 1), (3, 4, 1)], 1)
+    assert intervals(data)[2:] == ((Fraction(11, 8), Fraction(3, 2)), (Fraction(13, 8), Fraction(7, 4)))
+    assert (data.level, data.ends) == (3, ((-14, -13), (-12, -11), (11, 12), (13, 14)))
 
 
 def gate_floors(squared_gates) -> tuple[int, ...]:
@@ -510,12 +523,12 @@ def test_isolation_and_problem_facts_equal_the_bisection_reference(form):
     for bits in (1, 10, 64):
         data, reference = isolate_roots(form, bits), bisection_isolation(form, bits)
         assert data == reference
-        assert refine(form, data, bits + 1) == bisection_isolation(form, bits + 1, reference)
+        assert refine(data, bits + 1) == bisection_isolation(form, bits + 1, reference)
     field = QuadraticField(7)
     problem = Problem(field, form, 10)
     with (
         mock.patch.object(rootbounds, "isolate_roots", bisection_isolation),
-        mock.patch.object(rootbounds, "refine", lambda form, data, bits: bisection_isolation(form, bits, data)),
+        mock.patch.object(rootbounds, "refine", lambda data, bits: bisection_isolation(data.form, bits, data)),
     ):
         assert problem == Problem(field, form, 10)
 
@@ -529,12 +542,13 @@ def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
 
 
 def test_solve_abs_evaluation_count():
-    # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, windows and candidates
+    # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, its check, windows and candidates
     # one call per evaluation of f, and one per Newton step, which evaluates f and f' together; the Sturm chain
-    # is evaluated only where nodes hold two or more roots, not at -R and R
+    # is evaluated only where nodes hold two or more roots, not at -R and R; the check evaluates f at both ends of
+    # each of the three irrational intervals
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.solutions) == 157
-    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (245, 18)
+    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (251, 18)
 
 
 @given(

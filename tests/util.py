@@ -369,7 +369,7 @@ def power_table_evaluate(field: QuadraticField, form: BinaryForm, x: RingElement
 
 
 def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = None) -> RootData:
-    """``isolate_roots(form, bits)``, or ``refine(form, start, bits)``, by bisection alone.
+    """``isolate_roots(form, bits)``, or ``refine(start, bits)`` for ``start`` of ``form``, by bisection alone.
 
     The Sturm chain bisects (-R, R] with R the Cauchy radius 2^bitlen(1 + max|c_k|), counting the roots of
     every node afresh; each irrational root's interval is then halved one level at a time by the sign of f
@@ -412,7 +412,7 @@ def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = No
     found = tuple((lo, hi) for lo, hi in items)
     unit = max(end.denominator for iv in found for end in iv)
     ends = tuple((int(lo * unit), int(hi * unit)) for lo, hi in found)
-    return RootData(unit.bit_length() - 1, ends)
+    return RootData(form, unit.bit_length() - 1, ends)
 
 
 def imag_value_range(problem: Problem) -> list[int]:
