@@ -2,6 +2,7 @@ import logging
 import time
 from fractions import Fraction
 from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from relthue import (
     QuadraticField,
     RingElement,
     brute_force,
+    check_admissible,
     solve_abs,
     solve_relative,
 )
@@ -126,6 +128,26 @@ def test_oracle_equivalence_small(m, K, form):
 
 
 SQUAREFREE_M = [m for m in range(1, 51) if all(m % (d * d) for d in range(2, 8))]  # both classes mod 4
+SMALL_CUBICS = [
+    BinaryForm((*coeffs, 1))
+    for coeffs in product(range(-2, 3), repeat=3)
+    if check_admissible(BinaryForm((*coeffs, 1))).ok
+]
+
+
+@pytest.mark.parametrize("m", [m for m in SQUAREFREE_M if m <= 31])
+def test_oracle_sweep_of_the_small_monic_cubics(m):
+    # every admissible monic cubic with coefficients in [-2, 2], every K in {1, 7/2, 10}: the solver at
+    # H = (2s-1)*2, restricted to the box 2, equals brute_force on it, for 20 m of both ring shapes
+    field = QuadraticField(m)
+    assert len(SMALL_CUBICS) == 26
+    mismatches = []
+    for form, K in product(SMALL_CUBICS, (1, Fraction(7, 2), 10)):
+        result = solve_relative(field, form, K, Fraction(1, 2), (2 * field.s - 1) * 2)
+        box = {q for q in result.quadruples() if max(map(abs, q)) <= 2}
+        if box != brute_force(field, form, K, 2).quadruples():
+            mismatches.append((form, K))
+    assert not mismatches
 
 
 @settings(deadline=None)
@@ -449,8 +471,9 @@ def test_parity_classes_equal_the_division_references(monkeypatch, form, m, K):
 
 
 def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypatch):
-    # x^3 - 4xy^2, m = 1, K = 100, H = 100: verifying every candidate, not one per orbit, takes 44,164 calls, and
-    # one per orbit with every root-line real pair, not only those the derivative test admits, 12,700
+    # x^3 - 4xy^2, m = 1, K = 100, H = 100: 2,710 calls, the README's figure; verifying every candidate, not one
+    # per orbit, takes 44,164 calls, and one per orbit with every root-line real pair, not only those the
+    # derivative test admits, 12,700
     calls = []
     verify = reducer._verify
 
@@ -461,7 +484,7 @@ def test_each_orbit_is_verified_by_one_candidate_and_each_solution_once(monkeypa
 
     monkeypatch.setattr(reducer, "_verify", counting)
     result = solve_relative(QuadraticField(1), F1, 100, height=100)
-    assert len(calls) <= 3_000
+    assert len(calls) == 2_710
     assert len({quad for quad, _ in calls}) == len(calls)
     assert sum(accepted for _, accepted in calls) == len(result.solutions) == 2_212
 
@@ -475,7 +498,7 @@ def test_each_orbit_is_reported_once_and_every_member_has_its_own_report(monkeyp
     problem = Problem(QuadraticField(1), F1, 100)
     orbits = {orbit(result.field, sol.quadruple) for sol in result.solutions}
     assert len(result.solutions) == 2_212
-    assert len(reported) == len(orbits) < len(result.solutions)
+    assert len(reported) == len(orbits) == 587
     assert {orbit(result.field, quad) for quad in reported} == orbits
     assert all(sol.report == full_report(problem, sol.quadruple) for sol in result.solutions)
 
