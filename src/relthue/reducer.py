@@ -221,9 +221,9 @@ def _kernel(problem: Problem) -> tuple:
 def _classes(s: int, rows) -> dict[IntegerPair, list]:
     """The rows (a, b, ...) by their class (a mod s, b mod s), each class in the order of ``rows``.
 
-    x1 = (a - t*x2)/s and y1 = (b - t*y2)/s, t = s - 1, are integers exactly when (a, b) lies in the class of
-    the imaginary pair, (t*x2 mod s, t*y2 mod s) (:func:`_class`), so for s = 2 each imaginary pair is
-    paired with one class of four; for s = 1 there is one class.
+    x1 = (a - t*x2)/s and y1 = (b - t*y2)/s, t = s - 1, are integers exactly when a = t*x2 and b = t*y2
+    mod s.  For s = 2, t = 1, that is (a, b) = (x2, y2) mod 2, so each imaginary pair is paired with its own
+    class, one of four; for s = 1 there is one class.
     """
     if s == 1:
         return {(0, 0): rows}
@@ -231,11 +231,6 @@ def _classes(s: int, rows) -> dict[IntegerPair, list]:
     for row in rows:
         classes.setdefault((row[0] % s, row[1] % s), []).append(row)
     return classes
-
-
-def _class(field: QuadraticField, imag_pair: IntegerPair) -> IntegerPair:
-    (x2, y2), s, t = imag_pair, field.s, field.t
-    return (t * x2 % s, t * y2 % s)
 
 
 def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerPair], found: Found) -> None:
@@ -286,63 +281,45 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
             d_max = isqrt(problem.part_cap // (s * s * slope_sq * (m * t * t) ** (n - 1)))
             if d_max == 0:
                 break
-            key = _class(problem.field, (r * t, t))
+            key = (r * t % s, t % s)  # the class of (r*t, t)
             wider = windows[key] if key in windows else [(a, b) for a, b, _ in classes.get(key, ())]
             window = windows[key] = [(a, b) for a, b in wider if 0 < abs(a - r * b) <= s * d_max]
             _orbits(kernel, (r * t, t), window, found)  # and (-r*t, -t), in the same orbits
     return found
 
 
-def _imag_values(rows, imag_cap: int) -> dict[int, list[IntegerPair]]:
-    """The imaginary pairs (x2, y2) among ``rows`` with 0 < |F(x2, y2)| <= ``imag_cap``, by value.
-
-    ``rows`` are :attr:`AbsSolutionSet.rows`; without (0, 0), whose value is 0, they are the pairs with y2 > 0,
-    or y2 = 0 < x2: one imaginary pair of each {(x2, y2), (-x2, -y2)}, as :func:`_orbits` takes them.
-    """
-    index: dict[int, list[IntegerPair]] = {}
-    for x2, y2, v_imag in rows:
-        if 0 < abs(v_imag) <= imag_cap:
-            index.setdefault(v_imag, []).append((x2, y2))
-    return index
-
-
 def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """The representatives of the solutions with F(x2, y2) = v_imag != 0, verified exactly; ``abs_solutions`` as
     for the zero branch.
 
-    Each realized v_imag with v_imag^2 * m^n <= (s^n K)^2 (the part bound) pairs with the real pairs of its
-    class whose |v_real| meets the joint bound; every realized |v_real| already meets its part bound s^n K.
-    Of value 0 these are (0, 0) and, on the line of each integer root r, the pairs (r*b, b) with
-    1 <= b <= min(height, b_max), where b_max is the largest b with
+    The rows of nonzero value are split into their classes, each sorted by |F|.  In each class, the imaginary
+    pairs are the prefix with v_imag^2 * m^n <= (s^n K)^2 (the part bound), and each of them pairs with the
+    prefix of the same class whose |v_real| meets the joint bound; every realized |v_real| already meets its
+    part bound s^n K.  Of value 0 these are (0, 0) and, on the line of each integer root r, the pairs (r*b, b)
+    with 1 <= b <= min(height, b_max), where b_max is the largest b with
     m * (x2 - r*y2)^2 * f'(r)^2 * b^(2(n-1)) <= part_cap (see the module docstring).  When the part bound
-    admits no v_imag != 0, nothing is sorted or indexed.
+    admits no v_imag != 0, nothing is sorted or split.
     """
     n, m, s = problem.form.degree, problem.field.m, problem.field.s
     imag_cap = isqrt(problem.part_cap // m**n)
     if imag_cap == 0:
         return {}
-    kernel, rows = _kernel(problem), abs_solutions.rows
-    by_size = sorted((row for row in rows if row[2]), key=lambda row: abs(row[2]))
-    classes = {
-        key: ([abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows])
-        for key, rows in _classes(s, by_size).items()
-    }
+    kernel = _kernel(problem)
+    by_size = sorted((row for row in abs_solutions.rows if row[2]), key=lambda row: abs(row[2]))
     slopes = _root_slopes(problem)
     height, exponent = abs_solutions.height, 2 * (n - 1)
     found: Found = {}
-    for v_imag, imag_pairs in _imag_values(rows, imag_cap).items():
-        real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
-        for x2, y2 in imag_pairs:
-            key = _class(problem.field, (x2, y2))
-            sizes, real_pairs = classes.get(key, ((), ()))
-            allowed = real_pairs[: bisect_right(sizes, real_cap)]
+    for key, rows in _classes(s, by_size).items():
+        sizes, pairs = [abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows]
+        first = key[1] or s  # the least b >= 1 in the class, b = key[1] mod s
+        lines = [(r, slope_sq) for r, slope_sq in slopes if r * first % s == key[0]]  # r*b mod s is fixed on the class
+        for (x2, y2), v_imag in zip(pairs, sizes[: bisect_right(sizes, imag_cap)]):
+            real_cap = isqrt(problem.joint_cap // (v_imag * v_imag * 2 ** (2 * n) * m**n))
             zeros = [(0, 0)] if key == (0, 0) else []
-            first = key[1] or s  # the least b >= 1 in the class, b = key[1] mod s
-            for r, slope_sq in slopes:
-                if r * first % s == key[0]:  # r*b mod s is the same for every b of the class
-                    b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent)
-                    zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]
-            _orbits(kernel, (x2, y2), zeros + allowed, found)
+            for r, slope_sq in lines:
+                b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent)
+                zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]
+            _orbits(kernel, (x2, y2), zeros + pairs[: bisect_right(sizes, real_cap)], found)
     return found
 
 

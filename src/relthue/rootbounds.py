@@ -76,10 +76,11 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
     Root i of f lies in [lo, hi]/2^level for (lo, hi) = ``ends[i]``.  ``level`` is the finest level any node of
     the isolation reached, 0 when every root is an integer.  An irrational root's interval is its node
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).  The constructor is
-    the one place an isolation is checked against its form, so no reader checks one again: f must be monic
-    (else :class:`~relthue.forms.InadmissibleFormError`), and ``ends`` must hold n intervals, sorted and
-    disjoint, each point an integer root and each other interval with a strict sign change of f at its ends
-    (else ValueError).  f has n roots and each interval holds an odd number of them, so each holds exactly one.
+    the one place an isolation is checked against its form, so no reader checks one again: f must be of degree
+    n >= 3 and monic (else :class:`~relthue.forms.InadmissibleFormError`), and ``ends`` must hold n intervals,
+    sorted and disjoint, each point an integer root and each other interval with a strict sign change of f at its
+    ends (else ValueError).  f has n roots and each interval holds an odd number of them, so each holds exactly
+    one.
     ``integer_roots`` holds the points' r, ascending, and ``gap_numerators`` the gap enclosures on integers:
     (min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
     The constructor derives both from the ends, once per isolation, so ``repr`` shows the form and its
@@ -91,6 +92,8 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
 
     def __new__(cls, form: BinaryForm, level: int, ends: tuple[tuple[int, int], ...]):
         f, unit = form.coeffs, 1 << level
+        if form.degree < 3:  # the gaps need at least two roots, and every solver reads a cubic or higher
+            raise InadmissibleFormError(f"{form}: {check_admissible(form).reason}")
         if f[-1] != 1:
             raise InadmissibleFormError(f"{form}: f is not monic")
         if len(ends) != form.degree:

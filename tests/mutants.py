@@ -45,21 +45,26 @@ class Mutant:
 
 MUTANTS = [
     # reduction branches read only realized values
-    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) < imag_cap:",
-           ("tests/test_reducer.py",)),
-    Mutant("reducer.py", "allowed = real_pairs[: bisect_right(sizes, real_cap)]",
-           "allowed = real_pairs[: bisect_right(sizes, real_cap) - 1]", ("tests/test_reducer.py",)),
-    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 <= abs(v_imag) <= imag_cap:",
-           ("tests/test_reducer.py",)),
+    # (the imaginary pairs and the real pairs of each are prefixes of one |F|-ordered list per class)
+    Mutant("reducer.py", "sizes[: bisect_right(sizes, imag_cap)]", "sizes[: bisect_right(sizes, imag_cap) - 1]",
+           ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
+    Mutant("reducer.py", "sizes[: bisect_right(sizes, imag_cap)]",
+           "sizes[: __import__('bisect').bisect_left(sizes, imag_cap)]",
+           ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
+    Mutant("reducer.py", "pairs[: bisect_right(sizes, real_cap)]", "pairs[: bisect_right(sizes, real_cap) - 1]",
+           ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
+    Mutant("reducer.py", "for row in abs_solutions.rows if row[2])", "for row in abs_solutions.rows)",
+           ("tests/test_reducer.py::test_branches_disjoint_by_imag_value",)),
     Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
            ("tests/test_reducer.py",)),
     # the branches verify one representative per orbit of conjugation and negation; solve_relative expands each
     # solved one and verifies each other member once
-    Mutant("reducer.py", "if 0 < abs(v_imag) <= imag_cap:", "if 0 < abs(v_imag) <= imag_cap and y2 > 0:",
+    Mutant("reducer.py", "zeros + pairs[: bisect_right(sizes, real_cap)], found)",
+           "(zeros + pairs[: bisect_right(sizes, real_cap)]) * (y2 > 0), found)",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "if member != quad:", "if y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
-    Mutant("reducer.py", "for row in rows if row[2])", "for row in rows if row[2] and row[1])",
+    Mutant("reducer.py", "for row in abs_solutions.rows if row[2])", "for row in abs_solutions.rows if row[2] and row[1])",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
            "for member in {negated_real, (-x1, -x2, -y1, -y2)}:",
@@ -71,8 +76,8 @@ MUTANTS = [
     Mutant("reducer.py", "b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent)",
            "b_max = _poly.iroot(problem.part_cap // (m * slope_sq * (x2 - r * y2) ** 2), exponent) - 1",
            ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
-    Mutant("reducer.py", "                    zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]\n",
-           "                    zeros += []\n",
+    Mutant("reducer.py", "                zeros += [(r * b, b) for b in range(first, min(height, b_max) + 1, s)]\n",
+           "                zeros += []\n",
            ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
     Mutant("reducer.py", "zeros = [(0, 0)] if key == (0, 0) else []", "zeros = []",
            ("tests/test_reducer.py::test_real_pairs_of_value_zero_are_paired_up_to_b_max",)),
@@ -138,6 +143,8 @@ MUTANTS = [
     Mutant("rootbounds.py", "if len(data.integer_roots) == n:", "if any(lo == hi for lo, hi in data.ends):",
            ("tests/test_rootbounds.py::test_stable_constants_refines_only_when_a_root_is_irrational",)),
     Mutant("reducer.py", "classes.setdefault((row[0] % s, row[1] % s), [])", "classes.setdefault((row[0] % s, 0), [])",
+           ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
+    Mutant("reducer.py", "key = (r * t % s, t % s)", "key = (r * t % s, 0)",
            ("tests/test_reducer.py::test_parity_classes_equal_the_division_references",)),
     Mutant("abssolver.py", "for a, b, value in reversed(positive)]", "for a, b, value in positive]",
            ("tests/test_abssolver.py::test_solutions_come_sorted_by_b_then_a",)),
@@ -214,6 +221,8 @@ MUTANTS = [
            ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
     Mutant("abssolver.py", "elif roots.form != form:", "elif False:",
            ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
+    Mutant("rootbounds.py", "if form.degree < 3:", "if False:",
+           ("tests/test_rootbounds.py::test_an_isolation_of_a_form_of_degree_below_three_is_refused",)),
     # one predicate report per orbit, decided for its representative and shared by its members
     Mutant("reducer.py", "report = full_report(problem, quad)",
            "report = next(iter(sol.report for sol in solutions), None) or full_report(problem, quad)",

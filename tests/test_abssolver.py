@@ -232,22 +232,16 @@ def test_a_form_with_integer_and_irrational_roots_scans_every_row():
 
 def test_rows_past_the_last_window_make_no_evaluation():
     # relthue abs --coeffs "0 -4 0 1" --kprime 10: b_w = 3, so only the rows b <= 3 evaluate F, whatever the height:
-    # 31 cells, and 52 exact polynomial evaluations in all with the root isolation and its check, the README's figures
+    # 31 cells, and 52 exact polynomial evaluations in all with the root isolation and its check (no Newton step:
+    # every root is an integer), the README's figures
     assert (last_window_row([-2, 0, 2], 10), last_window_row([-2, 0, 2], 3)) == (3, 1)
     assert solve_abs(F1, 10, 10).solutions == window_scan(F1, 10, 10)
     for height in (10, 10**5):
         result, calls = profiled_calls(solve_abs, F1, 10, height)
-        assert (calls["forms", "evaluate"], calls["_poly", "evaluate"]) == (31, 52)
+        assert (calls["forms", "evaluate"], calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (31, 52, 0)
         assert [row for row in result.solutions if row[1] > 3] == [
             (r * b, b, 0) for b in range(4, height + 1) for r in (-2, 0, 2)
         ]
-
-
-def test_windows_below_one_cell_make_no_evaluation():
-    # relthue abs --coeffs "-1 -3 0 1" --kprime 80 --ymax 2000: F is evaluated at 219 cells, 251 exact polynomial
-    # evaluations in all with the root isolation and its check, the README's figures
-    _, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
-    assert (calls["forms", "evaluate"], calls["_poly", "evaluate"]) == (219, 251)
 
 
 def test_roots_of_another_form_put_no_wrong_value_in_the_listing():

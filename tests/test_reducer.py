@@ -189,55 +189,22 @@ def test_branches_equal_the_range_walk_references(form, m, K, height):
     assert nonzero_value_branch(problem, abs_solutions) == nonzero_reference
 
 
-class CountingIndex(dict):
-    """A value index that counts every key it is asked for and every entry it hands out."""
-
-    reads = 0
-
-    def _count(self, items):
-        for item in items:
-            CountingIndex.reads += 1
-            yield item
-
-    def get(self, key, default=None):
-        CountingIndex.reads += 1
-        return super().get(key, default)
-
-    def __getitem__(self, key):
-        CountingIndex.reads += 1
-        return super().__getitem__(key)
-
-    def __contains__(self, key):
-        CountingIndex.reads += 1
-        return super().__contains__(key)
-
-    def __iter__(self):
-        return self._count(super().__iter__())
-
-    def keys(self):
-        return self._count(super().keys())
-
-    def values(self):
-        return self._count(super().values())
-
-    def items(self):
-        return self._count(super().items())
-
-
 def test_nonzero_branch_reads_only_realized_values(monkeypatch):
     # at height 0 the realized values are the cubes a^3, |a| <= 100, while the part bound admits every
-    # integer |v| <= 10^6: a walk over that range reads the index about 2*10^6 times; the branch's index
-    # holds only the imaginary representatives, (a, 0) with 0 < a <= 100, and is read once per value
-    index = reducer._imag_values
-    monkeypatch.setattr(reducer, "_imag_values", lambda *args: CountingIndex(index(*args)))
-    monkeypatch.setattr(CountingIndex, "reads", 0)
+    # integer |v| <= 10^6: a walk over that range tries about 2*10^6 values; the branch pairs only the
+    # imaginary representatives, (a, 0) with 0 < a <= 100, each once
+    paired = []
+    orbits = reducer._orbits
+    monkeypatch.setattr(
+        reducer, "_orbits", lambda kernel, pair, *rest: paired.append(pair) or orbits(kernel, pair, *rest)
+    )
     problem, abs_solutions = branch_input(1, F3, 10**6, 0)
     realized = len(values_index(abs_solutions))
     assert realized == 201
     # y = 0 here, so the branch finds every x = x1 + x2*i with x2 != 0 and (x1^2 + x2^2)^3 <= K^2, one of each
     # orbit: x2 > 0 and x1 >= 0
     assert len(nonzero_value_branch(problem, abs_solutions)) == 7_854
-    assert CountingIndex.reads == 100
+    assert sorted(paired) == [(a, 0) for a in range(1, 101)]
 
 
 def test_all_emitted_solutions_verified():
@@ -442,10 +409,10 @@ class Unreadable(tuple):
 
 def test_nonzero_branch_builds_no_index_when_the_part_bound_admits_no_value(monkeypatch):
     # m^n = 163^3 > (s^n K)^2 = 64: no v_imag != 0 meets the part bound, so the listing is not even read,
-    # and nothing is sorted or indexed
+    # and nothing is sorted or split into classes
     problem, abs_solutions = branch_input(163, F1, 1, 20)
     with monkeypatch.context() as patch:
-        patch.setattr(reducer, "_imag_values", Unreadable.refuse)
+        patch.setattr(reducer, "_classes", Unreadable.refuse)
         assert nonzero_value_branch(problem, abs_solutions._replace(rows=Unreadable())) == {}
     result = solve_relative(problem.field, F1, 1, Fraction(1, 2), 20)
     assert all(sol.quadruple[1] == sol.quadruple[3] == 0 for sol in result.solutions)

@@ -1,5 +1,6 @@
 import logging
 import pickle
+import re
 from fractions import Fraction
 from math import floor
 from unittest import mock
@@ -288,6 +289,26 @@ def test_validated_records_are_immutable_values_with_the_dataclass_repr():
             record.extra = None
 
 
+def test_an_isolation_of_a_form_of_degree_below_three_is_refused(monkeypatch):
+    # x - 3 has no gap to take, and the gaps of x^2 - 2 came out as (4, 6, 4, 6) though isolate_roots refuses it:
+    # each is refused first, for its degree, however it is built
+    roots = isolate_roots(F1)
+    reason = check_admissible(BinaryForm((-2, 0, 1))).reason
+    assert reason == "degree too small (need n >= 3)"
+    for form, level, ends in ((BinaryForm((-3, 1)), 0, ((3, 3),)), (BinaryForm((-2, 0, 1)), 1, ((-3, -2), (2, 3)))):
+        with monkeypatch.context() as patch:
+            patch.setattr(RootData, "__getnewargs__", lambda self: (form, level, ends))
+            forged = pickle.dumps(roots)
+        for build in (
+            lambda: RootData(form, level, ends),
+            lambda: roots._replace(form=form, level=level, ends=ends),
+            lambda: RootData._make((form, level, ends, (), (1, 1, 1, 1))),
+            lambda: pickle.loads(forged),
+        ):
+            with pytest.raises(InadmissibleFormError, match=re.escape(reason)):
+                build()
+
+
 def test_replace_and_make_go_through_the_constructor():
     field = QuadraticField(7)
     problem = Problem(field, F3, Fraction(3, 2))
@@ -380,7 +401,7 @@ def test_integer_sturm_chain_equals_the_rational_one(poly):
     assert _poly.sturm_chain(poly) == fraction_sturm_chain(poly)
 
 
-@given(st.integers(0, 6), st.lists(st.integers(-50, 50), min_size=2, max_size=6, unique=True), st.data())
+@given(st.integers(0, 6), st.lists(st.integers(-50, 50), min_size=3, max_size=6, unique=True), st.data())
 def test_gap_enclosures_equal_the_nested_loop(k, roots, data):
     # an isolation of the product of (x - r) over the integer roots r: each root the point r, or an interval over
     # 2^k around it, above the previous interval and below the next root
