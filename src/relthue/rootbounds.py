@@ -79,8 +79,7 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
     the one place an isolation is checked against its form, so no reader checks one again: f must be of degree
     n >= 3 and monic (else :class:`~relthue.forms.InadmissibleFormError`), and ``ends`` must hold n intervals,
     sorted and disjoint, each point an integer root and each other interval with a strict sign change of f at its
-    ends (else ValueError).  f has n roots and each interval holds an odd number of them, so each holds exactly
-    one.
+    ends (else ValueError).  f has n roots and each interval holds an odd number of them, so exactly one.
     ``integer_roots`` holds the points' r, ascending, and ``gap_numerators`` the gap enclosures on integers:
     (min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
     The constructor derives both from the ends, once per isolation, so ``repr`` shows the form and its
