@@ -304,13 +304,13 @@ def nonzero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Fou
     imag_cap = isqrt(problem.part_cap // m**n)
     if imag_cap == 0:
         return {}
-    kernel = _kernel(problem)
-    by_size = sorted((row for row in abs_solutions.rows if row[2]), key=lambda row: abs(row[2]))
+    kernel, rows = _kernel(problem), abs_solutions.rows
+    by_size = sorted((row for row in rows if row[2]), key=lambda row: abs(row[2]))
     slopes = _root_slopes(problem)
     height, exponent = abs_solutions.height, 2 * (n - 1)
     found: Found = {}
-    for key, rows in _classes(s, by_size).items():
-        sizes, pairs = [abs(v) for _, _, v in rows], [(a, b) for a, b, _ in rows]
+    for key, members in _classes(s, by_size).items():
+        sizes, pairs = [abs(v) for _, _, v in members], [(a, b) for a, b, _ in members]
         first = key[1] or s  # the least b >= 1 in the class, b = key[1] mod s
         lines = [(r, slope_sq) for r, slope_sq in slopes if r * first % s == key[0]]  # r*b mod s is fixed on the class
         for (x2, y2), v_imag in zip(pairs, sizes[: bisect_right(sizes, imag_cap)]):

@@ -53,7 +53,7 @@ MUTANTS = [
            ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
     Mutant("reducer.py", "pairs[: bisect_right(sizes, real_cap)]", "pairs[: bisect_right(sizes, real_cap) - 1]",
            ("tests/test_reducer.py::test_nonzero_branch_worked_example",)),
-    Mutant("reducer.py", "for row in abs_solutions.rows if row[2])", "for row in abs_solutions.rows)",
+    Mutant("reducer.py", "for row in rows if row[2])", "for row in rows)",
            ("tests/test_reducer.py::test_branches_disjoint_by_imag_value",)),
     Mutant("reducer.py", "for a, b, v in aligned if v or not roots]", "for a, b, v in aligned if v]",
            ("tests/test_reducer.py",)),
@@ -64,7 +64,7 @@ MUTANTS = [
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "if member != quad:", "if y2 > 0:",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
-    Mutant("reducer.py", "for row in abs_solutions.rows if row[2])", "for row in abs_solutions.rows if row[2] and row[1])",
+    Mutant("reducer.py", "for row in rows if row[2])", "for row in rows if row[2] and row[1])",
            ("tests/test_reducer.py::test_orbits_with_a_representative_on_an_axis_are_found",)),
     Mutant("reducer.py", "for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:",
            "for member in {negated_real, (-x1, -x2, -y1, -y2)}:",
