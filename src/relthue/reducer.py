@@ -108,20 +108,12 @@ class ZeroFamily(NamedTuple):
 
 class RelativeSolution(NamedTuple):
     """One verified solution as plain integers: (x1, x2, y1, y2), F(x, y) = v1 + v2*w as (v1, v2), its norm,
-    and its predicate report.  ``x``, ``y`` and ``value`` build the ring elements on read."""
+    and its predicate report.  ``value`` builds the ring element F(x, y) on read."""
 
     quadruple: Quad
     value_pair: tuple[int, int]
     value_norm: int
     report: TheoremReport
-
-    @property
-    def x(self) -> RingElement:
-        return RingElement(*self.quadruple[:2])
-
-    @property
-    def y(self) -> RingElement:
-        return RingElement(*self.quadruple[2:])
 
     @property
     def value(self) -> RingElement:

@@ -28,15 +28,18 @@ pipeline stays exact-directional: tightening the intervals can only raise
 lower bounds and lower upper bounds.
 
 The whole pipeline runs on integers: each bound is a pair of integer
-numerator and denominator, not reduced, and :func:`stable_constants` keeps
-the first level where the integer floors of the lower and upper squared-gate
-bounds agree, or else where one halving leaves the upper floors as they were,
-without building a Fraction.  :class:`Problem` validates one relative
-inequality and holds the kept isolation, the floors of its bounds and squared
-gates that the predicates and the reducer compare with, and the flag that
-says whether the gates settled.  The integer pairs are the one definition
-of each bound; :func:`enclosures` turns them into Fractions for the
-``constants`` command, the only reader that prints them.
+numerator and denominator, not reduced, and one function (:func:`_bounds`)
+gives every bound of one side, lower or upper, of an isolation.
+:func:`stable_constants` halves the isolation it holds, one level past its
+own, and keeps the first level where the integer floors of the lower and
+upper squared-gate bounds agree, or else the level after a halving that
+leaves the upper floors as they were while each is at most one above its
+lower floor, without building a Fraction.  :class:`Problem` validates one
+relative inequality and holds the kept isolation, the floors of its bounds
+and squared gates that the predicates and the reducer compare with, and the
+flag that says whether the gates settled.  The integer pairs are the one
+definition of each bound; :func:`enclosures` turns them into Fractions for
+the ``constants`` command, the only reader that prints them.
 """
 
 from __future__ import annotations
@@ -57,14 +60,14 @@ JUMP_LEVELS = 8  # refinements by fewer levels only bisect: a jump and its certi
 NEWTON_STEPS, NEWTON_GUARD = 12, 8  # Newton steps tried before bisecting; bits kept below the target level
 
 
-def _dyadic_root(num: int, den: int, r: int, bits: int = ROOT_PREC_BITS) -> tuple[int, int]:
-    """(c, d): c/2^bits is the largest and d/2^bits the smallest dyadic whose r-th power is <= and >= num/den.
+def _dyadic_root(num: int, den: int, r: int) -> tuple[int, int]:
+    """(c, d): c/2^p is the largest and d/2^p the smallest dyadic whose r-th power is <= and >= num/den.
 
-    d is c when c/2^bits is exact and c + 1 otherwise.  Every n-th root bound of the package comes from here.
+    p is ``ROOT_PREC_BITS``; d is c when c/2^p is exact and c + 1 otherwise.  Every n-th root bound comes from here.
     """
     if num < 0:
         raise ValueError("negative radicand")
-    target = num << (bits * r)
+    target = num << (ROOT_PREC_BITS * r)
     # c^r <= floor(target / den) exactly when c^r * den <= target, as c^r is an integer
     c = _poly.iroot(target // den, r)
     return c, c if c**r * den == target else c + 1
@@ -260,40 +263,27 @@ def refine(data: RootData, bits: int) -> RootData:
     return _refined(data.form, items, bits)
 
 
-def _quotients(roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of approx_coeff lower, upper and gate lower, upper, from checked K and epsilon.
+def _bounds(
+    roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], field: QuadraticField, side: int
+) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of approx_coeff, gate and the three squared gates at ``roots``, from checked K
+    and epsilon: their lower bounds for ``side`` 0, their upper bounds for ``side`` 1.
 
     ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The intervals of ``roots`` are sorted and
-    disjoint, as its constructor checked, so the lower gap bounds are positive.  The pairs are not reduced: each
-    reader takes a floor, a dyadic root or a cross-multiplied comparison of them, and each of those depends on
-    the value alone.  Both upper bounds shrink monotonically as the intervals shrink.
+    disjoint, as its constructor checked, so the lower gap bounds are positive; a lower bound divides by an upper
+    gap bound and an upper one by a lower.  The three conclusions require |y| > max(gate, X^(1/e)) with
+    X = s*approx_coeff (real vanishing) or s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or
+    n-1.  Squaring removes the square roots, so each squared gate is max(gate^2, X^(2/e)), an n-th root of a
+    rational bounded dyadically on ``side``; a conclusion is asserted only when norm(y) strictly exceeds its
+    upper bound.  The pairs are not reduced: each reader takes a floor, a dyadic root or a cross-multiplied
+    comparison of them, which depend on the value alone.  The upper bounds shrink as the intervals shrink.
     """
-    gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
     n, level = len(roots.ends), roots.level
+    gap, product = roots.gap_numerators[1 - side], roots.gap_numerators[3 - side]
     e_num, e_den = epsilon.numerator, epsilon.denominator
     # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap), the gaps over 2^(level (n-1)) and 2^level
-    c_num, c_den = K.numerator * e_den ** (n - 1) << (level * (n - 1)), K.denominator * (e_den - e_num) ** (n - 1)
-    root_den = e_num << ROOT_PREC_BITS
-    return (
-        (c_num, c_den * product_upper),
-        (c_num, c_den * product_lower),
-        (k_root[0] * e_den << level, root_den * gap_upper),
-        (k_root[1] * e_den << level, root_den * gap_lower),
-    )
-
-
-def _gate_squares(
-    coeff: tuple[int, int], gate: tuple[int, int], n: int, field: QuadraticField, side: int = 1
-) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of the three squared gates, upper bounds from the upper bounds of approx_coeff
-    and gate (``side`` 1), or lower bounds from their lower bounds (``side`` 0).
-
-    The three conclusions require |y| > max(gate, X^(1/e)) with X = s*approx_coeff (real vanishing) or
-    s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or n-1.  Squaring removes the square
-    roots, so each squared gate is max(gate^2, X^(2/e)), an n-th root of a rational bounded dyadically on
-    ``side``.  A conclusion is asserted only when norm(y) strictly exceeds its upper bound.  The roots and the
-    comparisons with gate^2 are taken on integer numerators and denominators.
-    """
+    coeff = K.numerator * e_den ** (n - 1) << (level * (n - 1)), K.denominator * (e_den - e_num) ** (n - 1) * product
+    gate = k_root[side] * e_den << level, (e_num << ROOT_PREC_BITS) * gap
     gate_num, gate_den = gate[0] ** 2, gate[1] ** 2
     scaled_num, scaled_den = (field.s * coeff[0]) ** 2, coeff[1] ** 2  # (s * approx_coeff)^2
 
@@ -304,63 +294,51 @@ def _gate_squares(
         return (num, den) if num * gate_den > gate_num * den else (gate_num, gate_den)
 
     return (
+        coeff,
+        gate,
         at_least_gate(scaled_num, scaled_den * field.m, n - 2),
         at_least_gate(scaled_num, scaled_den, n - 1),
         at_least_gate(scaled_num, scaled_den * field.m, n - 1),
     )
 
 
-def _gate_floors(
-    roots: RootData,
-    K: Fraction,
-    epsilon: Fraction,
-    k_root: tuple[int, int],
-    n: int,
-    field: QuadraticField,
-    sides: tuple[int, ...] = (0, 1),
-) -> tuple[tuple[int, ...], ...]:
-    """floor() of the lower (side 0) and of the upper (side 1) bounds of the three squared gates at ``roots``,
-    as integer quotients, one tuple for each of ``sides``."""
-    quotients = _quotients(roots, K, epsilon, k_root)  # approx_coeff lower, upper, gate lower, upper
-    return tuple(
-        tuple(num // den for num, den in _gate_squares(quotients[side], quotients[2 + side], n, field, side))
-        for side in sides
-    )
-
-
 def stable_constants(
     form: BinaryForm, K: Fraction, epsilon: Fraction, field: QuadraticField
 ) -> tuple[RootData, tuple[int, int, int], bool]:
-    """Isolate the roots and refine them a level at a time until the integer gates are settled.
+    """Isolate the roots and halve the isolation until the integer gates are settled.
 
     K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of the
     upper bounds of its three squared gates and whether they settled.  The gates are compared against integer
-    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  Two
-    rules stop the refinement.  The certificate: at a level where the floors of the lower bounds equal those
-    of the upper bounds, no finer isolation can move a floor, since a finer upper bound lies between the two
-    (the upper bounds shrink with the intervals and never fall below the true gate), so the level is kept at
-    once.  Otherwise the floors settle when one halving leaves them as they were, and the finer level is
-    kept.  When every root is an integer, the intervals are points and the enclosures exact, so no
-    refinement can move a gate and none is tried, and only the upper floors are taken.  The flag is False
-    when neither rule held after ``MAX_HALVINGS`` halvings; the returned floors are then those of the finest
-    isolation, still sound.  The bounds of K^(1/n) are taken once, not once per halving, and no halving
-    builds a Fraction.
+    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  Each
+    halving refines the isolation one level past its own ``level``, and two rules stop them.  The certificate:
+    at a level where the floors of the lower bounds equal those of the upper bounds, no finer isolation can
+    move a floor, since a finer upper bound lies between the two (the upper bounds shrink with the intervals
+    and never fall below the true gate), so the level is kept at once.  Otherwise the floors settle when one
+    halving leaves the upper floors as they were and each is at most one above its lower floor; the finer
+    level is kept.  The second rule is for a squared gate that is exactly an integer, whose lower floor can
+    stay one below its upper floor at every level.  When every root is an integer, the intervals are points
+    and the enclosures exact, so no refinement can move a gate and none is tried, and only the upper floors
+    are taken.  The flag is False when neither rule held after ``MAX_HALVINGS`` halvings; the returned floors
+    are then those of the finest isolation, still sound.  The bounds of K^(1/n) are taken once, not once per
+    halving, and no halving builds a Fraction.
     """
     n = form.degree
     k_root = _dyadic_root(K.numerator, K.denominator, n)
-    bits = ISOLATION_BITS
-    data = isolate_roots(form, bits)
+
+    def floors(data: RootData, side: int) -> tuple[int, int, int]:
+        return tuple(num // den for num, den in _bounds(data, K, epsilon, k_root, field, side)[2:])
+
+    data = isolate_roots(form)
+    caps = floors(data, 1)
     if len(data.integer_roots) == n:  # every root an integer: the enclosures are exact already
-        (caps,) = _gate_floors(data, K, epsilon, k_root, n, field, (1,))
         return data, caps, True
-    lower, caps = _gate_floors(data, K, epsilon, k_root, n, field)
+    lower = floors(data, 0)
     for _ in range(MAX_HALVINGS):
         if lower == caps:  # the certificate
             return data, caps, True
-        bits += 1
-        finer = refine(data, bits)
-        lower, finer_caps = _gate_floors(finer, K, epsilon, k_root, n, field)
-        if finer_caps == caps:
+        finer = refine(data, data.level + 1)
+        lower, finer_caps = floors(finer, 0), floors(finer, 1)
+        if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):
             return finer, finer_caps, True
         data, caps = finer, finer_caps
     return data, caps, lower == caps
@@ -383,8 +361,11 @@ class Problem(
     ``part_cap`` = floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for
     the squared part and joint bounds, and ``gate_caps``, the floors of the
     three squared gates (proportionality, real vanishing, imaginary
-    vanishing).  ``gates_stable`` is False when the gates had not settled
-    after ``MAX_HALVINGS`` refinements; a warning is logged then.  The
+    vanishing).  ``gates_stable`` is False when neither stopping rule of
+    :func:`stable_constants` (lower floors equal to the upper ones, or a
+    halving that leaves the upper floors as they were, each at most one
+    above its lower floor) held after ``MAX_HALVINGS`` halvings; a warning
+    is logged then.  The
     constants and the squared gates themselves are held nowhere as
     Fractions: :func:`enclosures` builds them from the kept isolation for
     the ``constants`` command.
@@ -427,20 +408,18 @@ def enclosures(problem: Problem) -> tuple[tuple[Fraction, Fraction], ...]:
 
     (lower, upper) of A, B, C and G, then, for each squared gate (proportionality, real vanishing, imaginary
     vanishing), the upper bound of its square root and the squared gate itself.  Each is built from the
-    pairs of ``RootData.gap_numerators``, :func:`_quotients` and :func:`_gate_squares`, the one definition
-    of each bound; a Fraction shows only the value, so it does not matter that the pairs are not reduced.
+    pairs of ``RootData.gap_numerators`` and :func:`_bounds`, the one definition of each bound; a Fraction
+    shows only the value, so it does not matter that the pairs are not reduced.
     """
     roots, K, n = problem.roots, problem.K, problem.form.degree
     gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
     gap_den, product_den = 1 << roots.level, 1 << (roots.level * (n - 1))
-    coeff_lower, coeff_upper, gate_lower, gate_upper = _quotients(
-        roots, K, problem.epsilon, _dyadic_root(K.numerator, K.denominator, n)
-    )
-    squares = _gate_squares(coeff_upper, gate_upper, n, problem.field)
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+    lower, upper = (_bounds(roots, K, problem.epsilon, k_root, problem.field, side) for side in (0, 1))
     return (
         (Fraction(gap_lower, gap_den), Fraction(gap_upper, gap_den)),
         (Fraction(product_lower, product_den), Fraction(product_upper, product_den)),
-        (Fraction(*coeff_lower), Fraction(*coeff_upper)),
-        (Fraction(*gate_lower), Fraction(*gate_upper)),
-        *((Fraction(_dyadic_root(num, den, 2)[1], 1 << ROOT_PREC_BITS), Fraction(num, den)) for num, den in squares),
+        (Fraction(*lower[0]), Fraction(*upper[0])),
+        (Fraction(*lower[1]), Fraction(*upper[1])),
+        *((Fraction(_dyadic_root(num, den, 2)[1], 1 << ROOT_PREC_BITS), Fraction(num, den)) for num, den in upper[2:]),
     )

@@ -118,7 +118,7 @@ MUTANTS = [
            "                if side == 0:\n                    items.append((mid, mid, 0))\n                    break\n", "",
            ("tests/test_rootbounds.py::test_integer_roots_at_the_midpoint_of_a_single_root_node",)),
     Mutant("rootbounds.py", "return c, c if c**r * den == target else c + 1", "return c, c",
-           ("tests/test_rootbounds.py::test_quotients_and_gate_squares_equal_the_fraction_references",)),
+           ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
     Mutant("rootbounds.py", '"part_cap": bound_num**2 // K.denominator**2,', '"part_cap": -(-(bound_num**2) // K.denominator**2),',
            ("tests/test_theorem.py::test_bounds_that_are_not_integers_are_decided_by_their_floors",)),
     # one dyadic interval format from the isolation to the window scan
@@ -158,9 +158,10 @@ MUTANTS = [
     Mutant("abssolver.py", "for a in range(_poly.iroot(cap, n) + 1)]", "for a in range(1, _poly.iroot(cap, n) + 1)]",
            ("tests/test_abssolver.py::test_the_rows_are_one_pair_of_each_negated_pair_from_the_origin",)),
     # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
-    Mutant("rootbounds.py", "_gate_squares(quotients[side], quotients[2 + side], n, field, side)",
-           "_gate_squares(quotients[side], quotients[2], n, field, side)",
+    Mutant("rootbounds.py", "k_root[side] * e_den << level", "k_root[0] * e_den << level",
            ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_references",)),
+    Mutant("rootbounds.py", "gap_numerators[1 - side]", "gap_numerators[side]",
+           ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
     Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
            ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
     Mutant("quadfield.py", "chain((2,), range(3, ", "chain((2,), range(5, ",
@@ -172,9 +173,16 @@ MUTANTS = [
     # the gate certificate: lower floors equal to the upper ones end the refinement at once
     Mutant("rootbounds.py", "num, den = _dyadic_root(num, den, r)[side], 1 << ROOT_PREC_BITS",
            "num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS",
-           ("tests/test_rootbounds.py::test_quotients_and_gate_squares_equal_the_fraction_references",)),
-    Mutant("rootbounds.py", "if finer_caps == caps:", "if lower == finer_caps:",
+           ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
+    Mutant("rootbounds.py", "if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):",
+           "if lower == finer_caps:",
            ("tests/test_rootbounds.py::test_without_a_certificate_the_floors_settle_after_one_halving",)),
+    # each halving refines the isolation it holds, and settles only floors already close to their lower ones
+    Mutant("rootbounds.py", "refine(data, data.level + 1)", "refine(data, ISOLATION_BITS + 1)",
+           ("tests/test_rootbounds.py::test_gates_that_still_fall_are_not_reported_settled",)),
+    Mutant("rootbounds.py", "if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):",
+           "if finer_caps == caps:",
+           ("tests/test_rootbounds.py::test_gates_that_still_fall_are_not_reported_settled",)),
     # the validated types check their input in __new__; the chain's end variations come from its leading
     # coefficients; text listings are built without JSON rows
     Mutant("forms.py", "if len(coeffs) < 2:", "if len(coeffs) < 1:",

@@ -211,7 +211,8 @@ def test_all_emitted_solutions_verified():
     field = QuadraticField(3)
     result = solve_relative(field, F1, Fraction(3, 2), Fraction(1, 2), 8)
     for sol in result.solutions:
-        assert sol.value == field.evaluate_form(F1, sol.x, sol.y)
+        x1, x2, y1, y2 = sol.quadruple
+        assert sol.value == field.evaluate_form(F1, RingElement(x1, x2), RingElement(y1, y2))
         assert sol.value_norm <= Fraction(3, 2) ** 2
         assert sol.report.ok
 
@@ -234,12 +235,9 @@ def test_reducible_reports_families():
 def test_sort_order_and_uniqueness():
     field = QuadraticField(3)
     result = solve_relative(field, F1, 1, Fraction(1, 2), 6)
-    keys = [
-        (field.norm(sol.y), sol.y.u1, sol.y.u2, sol.x.u1, sol.x.u2)
-        for sol in result.solutions
-    ]
-    assert keys == sorted(keys)
     quads = [s.quadruple for s in result.solutions]
+    keys = [(field.norm(RingElement(y1, y2)), y1, y2, x1, x2) for x1, x2, y1, y2 in quads]
+    assert keys == sorted(keys)
     assert len(quads) == len(set(quads))
 
 

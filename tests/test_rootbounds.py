@@ -21,7 +21,15 @@ from relthue import (
     solve_relative,
 )
 from relthue.abssolver import solve_abs
-from relthue.rootbounds import ISOLATION_BITS, RootData, _dyadic_root, enclosures, isolate_roots, refine
+from relthue.rootbounds import (
+    ISOLATION_BITS,
+    ROOT_PREC_BITS,
+    RootData,
+    _dyadic_root,
+    enclosures,
+    isolate_roots,
+    refine,
+)
 from util import (
     bisection_isolation,
     constants,
@@ -201,9 +209,9 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
     # x^3 - 4xy^2 has the integer roots -2, 0, 2: its enclosures are exact, so no refinement can move a gate;
     # x^3 - 2xy^2 has the irrational roots +-sqrt(2) beside 0
     form, field = BinaryForm(coeffs), QuadraticField(7)
-    calls, sides, squares = [], [], rootbounds._gate_squares
+    calls, sides, bounds = [], [], rootbounds._bounds
     monkeypatch.setattr(rootbounds, "refine", lambda *args: calls.append(args) or refine(*args))
-    monkeypatch.setattr(rootbounds, "_gate_squares", lambda *args: sides.append(args[4]) or squares(*args))
+    monkeypatch.setattr(rootbounds, "_bounds", lambda *args: sides.append(args[5]) or bounds(*args))
     data, caps, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
     assert stable and bool(calls) == refined
     assert 0 in sides if refined else sides == [1]  # no lower floors where the enclosures are exact
@@ -213,12 +221,19 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
 
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
-    # no workload problem moves a floor at the first halving, so one moved floor is forced: the first
-    # comparison sees a floor no gate has, and with the certificate withheld (no lower floors) the isolation
-    # must come back two levels finer, and stable
-    field, floors = QuadraticField(7), rootbounds._gate_floors
-    moved = iter([(None, (-1, -1, -1))])
-    monkeypatch.setattr(rootbounds, "_gate_floors", lambda *args: next(moved, None) or (None, floors(*args)[1]))
+    # no workload problem moves a floor at the first halving, so one moved floor is forced: the first upper
+    # floors read -1, a floor no gate has, and with the certificate withheld (every lower floor one below its
+    # upper floor) the isolation must come back two levels finer, and stable
+    field, bounds = QuadraticField(7), rootbounds._bounds
+    moved = iter([(None, None, *[(-1, 1)] * 3)])
+
+    def withheld(*args):
+        coeff, gate, *squares = bounds(*args)
+        if args[5]:
+            return next(moved, None) or (coeff, gate, *squares)
+        return (coeff, gate, *((num - den, den) for num, den in bounds(*args[:5], 1)[2:]))
+
+    monkeypatch.setattr(rootbounds, "_bounds", withheld)
     data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
     assert data == refine(isolate_roots(F3), ISOLATION_BITS + 2)
@@ -236,13 +251,29 @@ NO_CERTIFICATE = (BinaryForm((0, 50, -50, -1, 1)), Fraction(4), Fraction(1, 2))
 def test_without_a_certificate_the_floors_settle_after_one_halving():
     form, K, epsilon = NO_CERTIFICATE
     field = QuadraticField(7)
-    lower, upper = rootbounds._gate_floors(
-        isolate_roots(form), K, epsilon, _dyadic_root(K.numerator, K.denominator, 4), 4, field
-    )
+    consts = fraction_constants(isolate_roots(form), K, epsilon)
+    lower, upper = (gate_floors(fraction_thresholds(consts, 4, field, lower=side)) for side in (True, False))
     assert (lower, upper) == ((7, 7, 7), (8, 8, 8))
     data, caps, stable = rootbounds.stable_constants(form, K, epsilon, field)
     assert (data.level, caps, stable) == (ISOLATION_BITS + 1, (8, 8, 8), True)
     assert data.integer_roots == (0, 1)
+
+
+# x^3 - 2(10^k x - 1)^2 over m = 7 at K = 10: two roots ~10^(-3k/2) apart, and the floors of the squared gates
+# still fall after twelve halvings.  At k = 6 the first halving, from level 64, leaves the upper floors as they
+# were, as each close root lies in the half of its node nearer the other, but they are far above the lower floors;
+# at k = 24 the isolation starts at level 200, where a halving to level 65 would leave it as it is
+@pytest.mark.parametrize("k,start", [(6, ISOLATION_BITS), (24, 200)])
+def test_gates_that_still_fall_are_not_reported_settled(caplog, k, start):
+    form, field, K, epsilon = BinaryForm((-2, 4 * 10**k, -2 * 10 ** (2 * k), 1)), QuadraticField(7), 10, Fraction(1, 2)
+    with caplog.at_level(logging.WARNING, logger="relthue.rootbounds"):
+        problem = Problem(field, form, K, epsilon)
+    assert (problem.roots.level, problem.gates_stable) == (start + rootbounds.MAX_HALVINGS, False)
+    assert caplog.text.count("did not stabilize") == 1
+    for level in (start, start + 1):  # the kept floors lie below those of the first level and its halving
+        consts = fraction_constants(refine(isolate_roots(form), level), K, epsilon)
+        floors = gate_floors(fraction_thresholds(consts, 3, field))
+        assert all(cap < floor for cap, floor in zip(problem.gate_caps, floors))
 
 
 def test_the_certificate_keeps_the_first_level():
@@ -350,15 +381,15 @@ def test_problem_validates_once_at_construction():
     st.integers(1, 5),
 )
 def test_nth_root_bounds_bracket(x, r):
-    lo, hi = (Fraction(end, 2**32) for end in _dyadic_root(x.numerator, x.denominator, r, 32))
+    lo, hi = (Fraction(end, 2**ROOT_PREC_BITS) for end in _dyadic_root(x.numerator, x.denominator, r))
     assert lo**r <= x <= hi**r
-    assert hi - lo <= Fraction(1, 2**32)
+    assert hi - lo <= Fraction(1, 2**ROOT_PREC_BITS)
     # tight: one dyadic step past either bound crosses x
-    step = Fraction(1, 2**32)
+    step = Fraction(1, 2**ROOT_PREC_BITS)
     assert (lo + step) ** r > x
     assert x == 0 or (hi - step) ** r < x
     # the Fraction-power references agree wherever they are dyadic (for r = 1 they return x itself)
-    assert r == 1 or (lo, hi) == (fraction_nth_root_lower(x, r, 32), fraction_nth_root_upper(x, r, 32))
+    assert r == 1 or (lo, hi) == (fraction_nth_root_lower(x, r), fraction_nth_root_upper(x, r))
 
 
 @given(st.integers(0, 2**600), st.integers(1, 7), st.integers(0, 2**85), st.integers(-1, 1))
@@ -548,7 +579,7 @@ def test_isolation_and_problem_facts_equal_the_bisection_reference(form):
     field = QuadraticField(7)
     problem = Problem(field, form, 10)
     with (
-        mock.patch.object(rootbounds, "isolate_roots", bisection_isolation),
+        mock.patch.object(rootbounds, "isolate_roots", lambda form: bisection_isolation(form, ISOLATION_BITS)),
         mock.patch.object(rootbounds, "refine", lambda data, bits: bisection_isolation(data.form, bits, data)),
     ):
         assert problem == Problem(field, form, 10)
@@ -654,17 +685,16 @@ def constant_cases(draw):
 @given(constant_cases(), st.sampled_from((1, 10, 64)))
 # x^3 - 3xy^2 - y^3 over m = 1 at K = 50: the real-vanishing gate is a square root of s*approx_coeff, above gate^2
 @example((F3, 1, Fraction(50), Fraction(1, 2)), 64)
-def test_quotients_and_gate_squares_equal_the_fraction_references(case, bits):
+def test_bounds_equal_the_fraction_references(case, bits):
     form, m, K, epsilon = case
     data, field, n = isolate_roots(form, bits), QuadraticField(m), form.degree
-    consts = constants(data, K, epsilon)
-    assert consts == fraction_constants(data, K, epsilon)
+    consts = fraction_constants(data, K, epsilon)
     K, epsilon = Fraction(K), Fraction(epsilon)
-    pairs = rootbounds._quotients(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n))
-    squares = rootbounds._gate_squares(pairs[1], pairs[3], n, field)
-    assert tuple(Fraction(num, den) for num, den in squares) == fraction_thresholds(consts, n, field)
-    lower = rootbounds._gate_squares(pairs[0], pairs[2], n, field, 0)
-    assert tuple(Fraction(num, den) for num, den in lower) == fraction_thresholds(consts, n, field, lower=True)
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+    for side in (0, 1):
+        bounds = tuple(Fraction(num, den) for num, den in rootbounds._bounds(data, K, epsilon, k_root, field, side))
+        assert bounds[:2] == (consts[side], consts[2 + side])
+        assert bounds[2:] == fraction_thresholds(consts, n, field, lower=not side)
 
 
 @settings(deadline=None, max_examples=40)
@@ -697,7 +727,11 @@ def test_integer_gate_floors_equal_the_floors_of_the_fraction_references(case, b
     field, n = QuadraticField(m), form.degree
     data = isolate_roots(form, bits)
     K, epsilon = Fraction(K), Fraction(epsilon)
-    lower, upper = rootbounds._gate_floors(data, K, epsilon, _dyadic_root(K.numerator, K.denominator, n), n, field)
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+    lower, upper = (
+        tuple(num // den for num, den in rootbounds._bounds(data, K, epsilon, k_root, field, side)[2:])
+        for side in (0, 1)
+    )
     consts = fraction_constants(data, K, epsilon)
     assert upper == gate_floors(fraction_thresholds(consts, n, field))
     assert lower == gate_floors(fraction_thresholds(consts, n, field, lower=True))

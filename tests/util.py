@@ -57,7 +57,7 @@ from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variat
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult, _tableaux
 from relthue.reducer import Found
-from relthue.rootbounds import RootData, _dyadic_root, _quotients, isolate_roots
+from relthue.rootbounds import RootData, _bounds, _dyadic_root, isolate_roots
 
 
 def sign_at(coeffs, x) -> int:
@@ -83,10 +83,13 @@ def gaps(data: RootData) -> tuple[Fraction, Fraction, Fraction, Fraction]:
 
 
 def constants(roots: RootData, K, epsilon) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(approx_coeff lower, upper, gate lower, upper) as Fractions of the package's integer quotients."""
+    """(approx_coeff lower, upper, gate lower, upper) as Fractions of the package's integer pairs (``_bounds``).
+
+    Those two bounds do not depend on the field, so any field serves."""
     K, epsilon = Fraction(K), Fraction(epsilon)
     k_root = _dyadic_root(K.numerator, K.denominator, len(roots.ends))
-    return tuple(Fraction(num, den) for num, den in _quotients(roots, K, epsilon, k_root))
+    lower, upper = (_bounds(roots, K, epsilon, k_root, QuadraticField(1), side) for side in (0, 1))
+    return tuple(Fraction(num, den) for num, den in (lower[0], upper[0], lower[1], upper[1]))
 
 
 def form_from_roots(roots) -> BinaryForm:
@@ -554,7 +557,7 @@ def fraction_thresholds(consts, n: int, field: QuadraticField, lower: bool = Fal
     """The squared gates (proportionality, real vanishing, imaginary vanishing) in Fraction arithmetic.
 
     ``consts`` is (approx_coeff lower, upper, gate lower, upper); each squared gate is max(gate^2, the upper
-    bound of X^(2/e)), as ``rootbounds._gate_squares`` takes it on integers.  With ``lower``, the lower bounds:
+    bound of X^(2/e)), as ``rootbounds._bounds`` takes it on integers.  With ``lower``, the lower bounds:
     max(gate lower^2, the lower bound of X^(2/e) from the lower bound of approx_coeff).
     """
     s = field.s
