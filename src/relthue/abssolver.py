@@ -39,13 +39,14 @@ reads only the scanned rows.  A form with an irrational root scans every row.
 
 The isolation is a :class:`~relthue.rootbounds.RootData`, checked against
 its form once, where it is built: n sorted, disjoint intervals, each point
-an integer root and each other interval with a strict sign change of f at
-its ends, so each holds exactly one root.  An isolation the caller hands in
-is refused unless it is one of this form, so no isolation of another form is
-scanned.  Every candidate with b != 0 is kept only after exact evaluation of
-F, and each root of a span is a point where the isolation's check evaluated
-f(r) = 0 exactly; the row b = 0 holds a^n exactly, so no step rounds and the
-listing is exhaustive for |b| <= height.  Completeness is claimed only
+an integer root and each other interval a dyadic node with a strict sign
+change of f at its ends, so each holds exactly one root.  An isolation the
+caller hands in is refused unless it is one of this form, so no isolation of
+another form is scanned, and one coarser than the height needs is refined
+first (:func:`solve_abs`).  Every candidate with b != 0 is kept only after
+exact evaluation of F, and each root of a span is a point where the
+isolation's check evaluated f(r) = 0 exactly; the row b = 0 holds a^n
+exactly, so no step rounds and the listing is exhaustive for |b| <= height.  Completeness is claimed only
 within the height bound, which the result carries.  The cost is O(n*height)
 window ends plus the cells inside them, in place of O(n*height*K'^(1/n))
 cells for fixed windows of half-width W; when every root is an integer it is
@@ -61,7 +62,7 @@ from typing import NamedTuple
 
 from . import _poly
 from .forms import BinaryForm
-from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots
+from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots, refine
 
 
 class AbsSolutionSet(NamedTuple):
@@ -94,7 +95,14 @@ def solve_abs(
     height: int,
     roots: RootData | None = None,
 ) -> AbsSolutionSet:
-    """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively, with the isolation ``roots`` if given."""
+    """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively, with the isolation ``roots`` if given.
+
+    Without ``roots`` the roots are isolated at ``ISOLATION_BITS``.  An isolation with a node coarser than the
+    level ``bits``, the bit length of ``height`` plus 4, is refined to that level first: a node of width w widens
+    each window of row b by w*b cells, and w*b <= 2^-bits * height < 1/16, so each root's window spans less than
+    1/16 of a cell more than the root itself needs, in every row.  Any coarser isolation would list the same rows, only scanning more
+    cells; a finer one costs more to refine than the cells it saves.
+    """
     bound, height = Fraction(bound), index(height)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -104,6 +112,9 @@ def solve_abs(
         roots = isolate_roots(form)
     elif roots.form != form:
         raise ValueError(f"roots: an isolation of {roots.form}, not of {form}")
+    bits = height.bit_length() + 4
+    if max(hi - lo for lo, hi in roots.ends) << bits > 1 << roots.level:
+        roots = refine(roots, bits)
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
 

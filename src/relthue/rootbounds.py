@@ -30,16 +30,21 @@ lower bounds and lower upper bounds.
 The whole pipeline runs on integers: each bound is a pair of integer
 numerator and denominator, not reduced, and one function (:func:`_bounds`)
 gives every bound of one side, lower or upper, of an isolation.
-:func:`stable_constants` halves the isolation it holds, one level past its
-own, and keeps the first level where the integer floors of the lower and
-upper squared-gate bounds agree, or else the level after a halving that
-leaves the upper floors as they were while each is at most one above its
-lower floor, without building a Fraction.  :class:`Problem` validates one
-relative inequality and holds the kept isolation, the floors of its bounds
-and squared gates that the predicates and the reducer compare with, and the
-flag that says whether the gates settled.  The integer pairs are the one
-definition of each bound; :func:`enclosures` turns them into Fractions for
-the ``constants`` command, the only reader that prints them.
+:func:`stable_constants` isolates at level ``FIRST_BITS`` = 8 and keeps
+the first of the levels 8, 16, 32 and 64 where the integer floors of the
+lower and upper squared-gate bounds agree.  From level 64 on it halves the
+isolation it holds, one level past its own, and keeps the first level where
+the floors agree, or else the level after a halving that leaves the upper
+floors as they were while each is at most one above its lower floor, without
+building a Fraction.  The floors are all any decision reads, so the kept
+isolation is only as fine as they need; a reader that needs finer intervals
+refines it (``solve_abs`` for its height, :func:`enclosures` to level 64).
+:class:`Problem` validates one relative inequality and holds the kept
+isolation, the floors of its bounds and squared gates that the predicates
+and the reducer compare with, and the flag that says whether the gates
+settled.  The integer pairs are the one definition of each bound;
+:func:`enclosures` turns them into Fractions for the ``constants`` command,
+the only reader that prints them.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from .forms import BinaryForm, InadmissibleFormError, Validated, check_admissibl
 from .quadfield import QuadraticField
 
 ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of width 2^-ISOLATION_BITS
+FIRST_BITS = 8  # stable_constants tries the gate certificate at this level first, then at twice it, up to 64
 MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
 ROOT_PREC_BITS = 48
 JUMP_LEVELS = 8  # refinements by fewer levels only bisect: a jump and its certificate cost more
@@ -81,8 +87,10 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
     [c, c + 1]/2^l, l <= level, and an integer root r is the point (r << level, r << level).  The constructor is
     the one place an isolation is checked against its form, so no reader checks one again: f must be of degree
     n >= 3 and monic (else :class:`~relthue.forms.InadmissibleFormError`), and ``ends`` must hold n intervals,
-    sorted and disjoint, each point an integer root and each other interval with a strict sign change of f at its
-    ends (else ValueError).  f has n roots and each interval holds an odd number of them, so exactly one.
+    sorted and disjoint, each point an integer root and each other interval a node, hi - lo = 2^u with 2^u
+    dividing lo and 2^u <= 2^level, with a strict sign change of f at its ends (else ValueError).  f has n roots
+    and each interval holds an odd number of them, so exactly one, and it is irrational: a node at a level >= 0
+    holds no integer inside, and f is monic.  So :func:`refine` can continue the bisection of every isolation.
     ``integer_roots`` holds the points' r, ascending, and ``gap_numerators`` the gap enclosures on integers:
     (min gap lower, upper) as numerators over 2^level, (min gap product lower, upper) over 2^(level (n-1)).
     The constructor derives both from the ends, once per isolation, so ``repr`` shows the form and its
@@ -105,6 +113,9 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
             if lo > hi or (last is not None and lo <= last):
                 raise ValueError("roots: the intervals are not sorted and disjoint")
             if lo < hi:
+                width = hi - lo
+                if width & (width - 1) or lo % width or width > unit:
+                    raise ValueError(f"roots: an interval that is not a node [c, c + 1]/2^l, 0 <= l <= {level}")
                 if _poly.evaluate(f, lo, unit) * _poly.evaluate(f, hi, unit) >= 0:
                     raise ValueError(f"roots: an interval without a sign change of {form}")
             elif lo % unit or _poly.evaluate(f, lo // unit):
@@ -305,15 +316,19 @@ def _bounds(
 def stable_constants(
     form: BinaryForm, K: Fraction, epsilon: Fraction, field: QuadraticField
 ) -> tuple[RootData, tuple[int, int, int], bool]:
-    """Isolate the roots and halve the isolation until the integer gates are settled.
+    """Isolate the roots only as finely as the integer gates need, and refine the isolation until they settle.
 
     K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of the
     upper bounds of its three squared gates and whether they settled.  The gates are compared against integer
-    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  Each
-    halving refines the isolation one level past its own ``level``, and two rules stop them.  The certificate:
-    at a level where the floors of the lower bounds equal those of the upper bounds, no finer isolation can
-    move a floor, since a finer upper bound lies between the two (the upper bounds shrink with the intervals
-    and never fall below the true gate), so the level is kept at once.  Otherwise the floors settle when one
+    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  The
+    certificate: at a level where the floors of the lower bounds equal those of the upper bounds, no finer
+    isolation can move a floor, since a finer upper bound lies between the two (the upper bounds shrink with the
+    intervals and never fall below the true gate), so the level is kept at once.  The isolation starts at
+    ``FIRST_BITS``, and while the certificate fails below ``ISOLATION_BITS`` it is refined to twice that level,
+    at most ``ISOLATION_BITS``: 8, 16, 32, 64.  Refined to ``ISOLATION_BITS``, every isolation is the one
+    ``isolate_roots`` gives there, and a certificate at a coarser level holds there too, so the floors and the
+    flag are those of an isolation started at ``ISOLATION_BITS``.  From there each halving refines the isolation
+    one level past its own ``level``, and two rules stop them: the certificate, or the floors settle when one
     halving leaves the upper floors as they were and each is at most one above its lower floor; the finer
     level is kept.  The second rule is for a squared gate that is exactly an integer, whose lower floor can
     stay one below its upper floor at every level.  When every root is an integer, the intervals are points
@@ -328,11 +343,15 @@ def stable_constants(
     def floors(data: RootData, side: int) -> tuple[int, int, int]:
         return tuple(num // den for num, den in _bounds(data, K, epsilon, k_root, field, side)[2:])
 
-    data = isolate_roots(form)
+    data, bits = isolate_roots(form, FIRST_BITS), FIRST_BITS
     caps = floors(data, 1)
     if len(data.integer_roots) == n:  # every root an integer: the enclosures are exact already
         return data, caps, True
     lower = floors(data, 0)
+    while lower != caps and bits < ISOLATION_BITS:  # the certificate alone, at 8, 16, 32 and 64 bits
+        bits = min(2 * bits, ISOLATION_BITS)
+        data = refine(data, bits)
+        lower, caps = floors(data, 0), floors(data, 1)
     for _ in range(MAX_HALVINGS):
         if lower == caps:  # the certificate
             return data, caps, True
@@ -354,8 +373,10 @@ class Problem(
     K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
     and the predicates use, on integers: the root isolation (integer roots
     included), the floors of the gates and ``abs_bound`` = s^n K, the bound
-    of the absolute inequality behind both part bounds.  Norms and form
-    values are integers, and an integer v has v <= B exactly when
+    of the absolute inequality behind both part bounds.  The isolation is
+    the one :func:`stable_constants` keeps, at the first level where the
+    gates are certain, which may be as coarse as ``FIRST_BITS``.  Norms and
+    form values are integers, and an integer v has v <= B exactly when
     v <= floor(B) and v > B exactly when v > floor(B), so the bounds are
     held as integer floors: ``norm_cap`` = floor(K^2) for norm(F(x, y)),
     ``part_cap`` = floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for
@@ -365,10 +386,9 @@ class Problem(
     :func:`stable_constants` (lower floors equal to the upper ones, or a
     halving that leaves the upper floors as they were, each at most one
     above its lower floor) held after ``MAX_HALVINGS`` halvings; a warning
-    is logged then.  The
-    constants and the squared gates themselves are held nowhere as
-    Fractions: :func:`enclosures` builds them from the kept isolation for
-    the ``constants`` command.
+    is logged then.  The constants and the squared gates themselves are
+    held nowhere as Fractions: :func:`enclosures` builds them from the kept
+    isolation, refined to ``ISOLATION_BITS``, for the ``constants`` command.
     """
 
     __slots__ = ()
@@ -407,11 +427,12 @@ def enclosures(problem: Problem) -> tuple[tuple[Fraction, Fraction], ...]:
     """The certified bounds the ``constants`` command prints, as Fractions of the problem's integer pairs.
 
     (lower, upper) of A, B, C and G, then, for each squared gate (proportionality, real vanishing, imaginary
-    vanishing), the upper bound of its square root and the squared gate itself.  Each is built from the
+    vanishing), the upper bound of its square root and the squared gate itself, at the problem's isolation
+    refined to ``ISOLATION_BITS`` (a kept isolation finer than that is left as it is).  Each is built from the
     pairs of ``RootData.gap_numerators`` and :func:`_bounds`, the one definition of each bound; a Fraction
     shows only the value, so it does not matter that the pairs are not reduced.
     """
-    roots, K, n = problem.roots, problem.K, problem.form.degree
+    roots, K, n = refine(problem.roots, ISOLATION_BITS), problem.K, problem.form.degree
     gap_lower, gap_upper, product_lower, product_upper = roots.gap_numerators
     gap_den, product_den = 1 << roots.level, 1 << (roots.level * (n - 1))
     k_root = _dyadic_root(K.numerator, K.denominator, n)

@@ -231,6 +231,19 @@ MUTANTS = [
            ("tests/test_abssolver.py::test_an_isolation_of_another_form_is_refused",)),
     Mutant("rootbounds.py", "if form.degree < 3:", "if False:",
            ("tests/test_rootbounds.py::test_an_isolation_of_a_form_of_degree_below_three_is_refused",)),
+    # an isolation only as fine as each decision needs: the gate certificate from level 8 on, solve_abs refined for
+    # its height, the printed enclosures at ISOLATION_BITS, and every interval a node that refine can continue
+    Mutant("rootbounds.py", "if width & (width - 1) or lo % width or width > unit:", "if width < 0:",
+           ("tests/test_abssolver.py::test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused",)),
+    Mutant("rootbounds.py", "roots, K, n = refine(problem.roots, ISOLATION_BITS), problem.K, problem.form.degree",
+           "roots, K, n = problem.roots, problem.K, problem.form.degree",
+           ("tests/test_cli.py::test_irrational_constants_match_golden[constants_irrational-extra0]",)),
+    Mutant("rootbounds.py", "bits = min(2 * bits, ISOLATION_BITS)", "bits = ISOLATION_BITS",
+           ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
+    Mutant("abssolver.py", "roots = refine(roots, bits)", "pass",
+           ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
+    Mutant("abssolver.py", "bits = height.bit_length() + 4", "bits = height.bit_length() + 3",
+           ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
     # one predicate report per orbit, decided for its representative and shared by its members
     Mutant("reducer.py", "report = full_report(problem, quad)",
            "report = next(iter(sol.report for sol in solutions), None) or full_report(problem, quad)",

@@ -3,17 +3,22 @@
     PYTHONPATH=src python tests/sweep.py          # degrees 3, 4 and 5
     PYTHONPATH=src python tests/sweep.py 3        # the cubics alone
 
-The table holds every admissible monic form of degree 3, 4 or 5 whose other coefficients lie in
-[-3, 3] (87 cubics, 114 quartics and 58 quintics), each with every squarefree m <= 31 (both ring
-shapes) and every K in {1, 7/2, 10}, at epsilon 1/2.  A case runs ``solve_relative`` at height
+The first table holds every admissible monic form of degree 3, 4 or 5 whose other coefficients lie
+in [-3, 3] (87 cubics, 114 quartics and 58 quintics), each with every squarefree m <= 31 (both ring
+shapes) and every K in {1, 7/2, 10}, at epsilon 1/2.  The second holds forms prod(x - r_i) + delta
+with the r_i integers at least 3 apart, |prod r_i| near 10^12 and delta in {-7, -1, 1, 7} (16
+cubics, 12 quartics and 8 quintics): no integer root, and each root about |delta / f'(r_i)| from an
+integer, the shape where an isolation's nodes end next to a root.  Each runs with the same m, four
+squarefree m near 10^9 and 10^10 besides, and the same K.  A case runs ``solve_relative`` at height
 H = (2s-1)*box, which reaches every solution with all four coordinates in [-box, box], and compares
 its solutions in that box with ``brute_force`` on it; it also requires ``cross_check_ok``, which holds
 only when each solution's predicate report agrees with its verified value.  The box is 3 for the
 cubics and 2 otherwise.  Each mismatch is printed as it is found, and the last line counts the
 cases and the mismatches and gives the wall time; the runner exits 1 when any case mismatches.
 A mismatch is a defect of the solver or of the oracle: no case is dropped or re-picked to hide one.
-Tier-1 runs a slice of this table (``test_oracle_sweep_of_the_small_monic_cubics``); the whole of
-it takes about a minute.
+Tier-1 runs a slice of each table (``test_oracle_sweep_of_the_small_monic_cubics`` and
+``test_oracle_sweep_of_the_cubics_with_roots_next_to_integers``); the whole of both takes a
+minute or two.
 """
 
 from __future__ import annotations
@@ -30,12 +35,45 @@ BOXES = {3: 3, 4: 2, 5: 2}
 SQUAREFREE_M = [m for m in range(1, 32) if all(m % (d * d) for d in range(2, 6))]
 KS = (Fraction(1), Fraction(7, 2), Fraction(10))
 EPSILON = Fraction(1, 2)
+# integer roots at least 3 apart with |prod r_i| near 10^12: balanced, one root far out, or two far apart
+NEAR_INTEGER_ROOTS = {
+    3: ((-10007, 9973, 10009), (-1000003, -997, 1009), (-5, 7, 28571428571), (1, 4, 250000000000)),
+    4: ((-1009, -997, 991, 1013), (-31, 29, 1000, 1111111), (-3, 3, 9, 12345679012)),
+    5: ((-257, -101, 97, 251, 1601), (-7, -3, 2, 11, 2164502164)),
+}
+DELTAS = (-7, -1, 1, 7)
+LARGE_M = [999_999_929, 999_999_937, 9_999_999_943, 9_999_999_967]  # two of each ring shape
 
 
 def forms(degree: int) -> list[BinaryForm]:
     """Every admissible monic form of ``degree`` with its other coefficients in ``COEFFS``."""
     candidates = (BinaryForm((*coeffs, 1)) for coeffs in product(COEFFS, repeat=degree))
     return [form for form in candidates if check_admissible(form).ok]
+
+
+def near_integer_forms(degree: int) -> list[BinaryForm]:
+    """prod(x - r_i) + delta for each root set of ``degree`` and each delta: every one admissible, none split.
+
+    Between neighbouring r_i the product reaches at least 1.5 * 1.5 * 4.5 > 7 in absolute value with
+    alternating signs, so adding delta keeps n real roots; f(r_i) = delta, and at any other integer the
+    distances to the r_i are at least 1, 2 and 4, so no integer is a root.
+    """
+    table = []
+    for roots, delta in product(NEAR_INTEGER_ROOTS[degree], DELTAS):
+        coeffs = [1]
+        for r in roots:
+            coeffs = [0, *coeffs]
+            for k in range(len(coeffs) - 1):
+                coeffs[k] -= r * coeffs[k + 1]
+        coeffs[0] += delta
+        table.append(BinaryForm(tuple(coeffs)))
+    return table
+
+
+TABLES = {
+    "small coefficients": (forms, SQUAREFREE_M),
+    "roots next to integers": (near_integer_forms, SQUAREFREE_M + LARGE_M),
+}
 
 
 def mismatch(form: BinaryForm, m: int, K: Fraction, box: int) -> str | None:
@@ -52,16 +90,16 @@ def mismatch(form: BinaryForm, m: int, K: Fraction, box: int) -> str | None:
 def main(argv: list[str]) -> int:
     degrees = [int(arg) for arg in argv] or sorted(BOXES)
     start, cases, mismatches = time.perf_counter(), 0, 0
-    for degree in degrees:
-        box, table = BOXES[degree], forms(degree)
+    for (name, (build, ms)), degree in product(TABLES.items(), degrees):
+        box, table = BOXES[degree], build(degree)
         began, before = time.perf_counter(), mismatches
-        for form, m, K in product(table, SQUAREFREE_M, KS):
+        for form, m, K in product(table, ms, KS):
             if (why := mismatch(form, m, K, box)) is not None:
                 mismatches += 1
                 print(f"MISMATCH coeffs={form.coeffs} m={m} K={K} box={box}: {why}", flush=True)
-        count = len(table) * len(SQUAREFREE_M) * len(KS)
+        count = len(table) * len(ms) * len(KS)
         cases += count
-        print(f"degree {degree}: {len(table)} forms x {len(SQUAREFREE_M)} m x {len(KS)} K = {count} cases "
+        print(f"{name}, degree {degree}: {len(table)} forms x {len(ms)} m x {len(KS)} K = {count} cases "
               f"at box {box}, {mismatches - before} mismatches, in {time.perf_counter() - began:.0f} s", flush=True)
     print(f"{cases} cases: {mismatches} mismatches, in {time.perf_counter() - start:.0f} s")
     return 1 if mismatches else 0

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from relthue import BinaryForm, InadmissibleFormError, solve_abs
 from relthue.rootbounds import ISOLATION_BITS, RootData, isolate_roots
 from util import (
+    NEAR_RATIONAL_ROOTS,
     admissible_forms,
     form_from_roots,
     last_window_row,
@@ -172,24 +173,6 @@ def test_equals_the_window_scan(form, bound, height, bits):
     assert got.solutions == window_scan(form, bound, height)
 
 
-def _near_integer_roots(d):
-    # x(x - 1)(x - c) + d with c = 2^70 + 3: two roots within ~2^-70 of 0 and 1, so an isolation at
-    # width 2^-64 has an endpoint at 0 or 1, and the gap product is near 2^70
-    coeffs = list(form_from_roots([0, 1, 2**70 + 3]).coeffs)
-    coeffs[0] += d
-    return tuple(coeffs)
-
-
-NEAR_RATIONAL_ROOTS = (
-    *(_near_integer_roots(d) for d in (1, -1, 2)),
-    # x^3 - 2N x + N: a root within 1/(16N) above 1/2
-    (2**70, -(2**71), 0, 1),
-    (-(2**40), -(2**41), 0, 1),
-    # x^3 - 100x + 1: (0, 2) solves at bound 8 next to the root near 0.01
-    (1, -100, 0, 1),
-)
-
-
 @pytest.mark.parametrize("coeffs", NEAR_RATIONAL_ROOTS)
 def test_roots_near_rationals_equal_the_window_scan(coeffs):
     form = BinaryForm(coeffs)
@@ -274,6 +257,8 @@ def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused(monkeyp
         (1, ((1, 1), (0, 0), (6, 6))),  # not sorted, and 1/2 is no root: built, it had the integer roots (0, 0, 3)
         (1, ((-4, -4), (1, 3), (4, 4))),  # [1/2, 3/2] holds no root
         (1, ((-4, -4), (1, 1), (4, 4))),  # a point at 1/2
+        (1, ((-4, -4), (-1, 1), (4, 4))),  # [-1/2, 1/2] changes sign around the root 0, but is no node
+        (0, ((-4, -4), (-2, 2), (4, 4))),  # [-2, 2] is no node either, and holds the root 0 inside
     ):
         with monkeypatch.context() as patch:
             patch.setattr(RootData, "__getnewargs__", lambda self: (F1, level, ends))
@@ -288,11 +273,14 @@ def test_isolations_that_are_not_n_sorted_disjoint_intervals_are_refused(monkeyp
                 build()
     with pytest.raises(InadmissibleFormError, match="monic"):
         roots._replace(form=BinaryForm((0, -4, 0, 2)))
-    # an interval in place of the point 0 is an isolation too, and so is the problem's own; the integer roots
-    # are the points
-    coarse = RootData(F1, 1, ((-4, -4), (-1, 1), (4, 4)))
-    assert (coarse.integer_roots, roots.integer_roots) == ((-2, 2), (-2, 0, 2))
-    assert solve_abs(F1, 10, 5, roots=coarse).solutions == solve_abs(F1, 10, 5, roots=roots).solutions
+    # an integer root is always a point, as no node at a level >= 0 holds an integer inside; a node coarser than
+    # the height needs is an isolation too, and solve_abs refines it; the integer roots are the points
+    mixed = BinaryForm((2, -2, -1, 1))  # (x - 1)(x^2 - 2): the points -1.5 < -sqrt(2) < -1.25, 1 and 1.25 < sqrt(2)
+    coarse = RootData(mixed, 2, ((-6, -5), (4, 4), (5, 6)))
+    assert (coarse.integer_roots, roots.integer_roots) == ((1,), (-2, 0, 2))
+    assert solve_abs(mixed, 10, 5, roots=coarse) == solve_abs(mixed, 10, 5)
+    with pytest.raises(ValueError, match="roots: an interval that is not a node"):
+        RootData(mixed, 2, ((-16, 0), (4, 4), (5, 6)))  # [-4, 0] changes sign, but is a node above level 0
     assert solve_abs(F1, 10, 5, roots=roots) == solve_abs(F1, 10, 5)
 
 

@@ -26,6 +26,7 @@ from relthue.cli import main
 from relthue.quadfield import MAX_M
 from relthue.reducer import _evaluate, nonzero_value_branch, zero_value_branch
 from relthue.theorem import full_report
+import sweep
 from util import (
     admissible_forms,
     form_from_roots,
@@ -148,6 +149,15 @@ def test_oracle_sweep_of_the_small_monic_cubics(m):
         if box != brute_force(field, form, K, 2).quadruples():
             mismatches.append((form, K))
     assert not mismatches
+
+
+@pytest.mark.parametrize("m", sweep.SQUAREFREE_M + sweep.LARGE_M)
+def test_oracle_sweep_of_the_cubics_with_roots_next_to_integers(m):
+    # the 16 cubics prod(x - r_i) + delta of the sweep, |f(0)| near 10^12 and each root next to an integer, every
+    # K in {1, 7/2, 10}: the solver at H = (2s-1)*3, restricted to the box 3, equals brute_force on it
+    table = sweep.near_integer_forms(3)
+    assert len(table) == 16 and sweep.BOXES[3] == 3
+    assert not [(form, K) for form, K in product(table, sweep.KS) if sweep.mismatch(form, m, K, 3) is not None]
 
 
 @settings(deadline=None)

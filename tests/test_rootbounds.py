@@ -20,6 +20,7 @@ from relthue import (
     rootbounds,
     solve_relative,
 )
+from relthue import abssolver
 from relthue.abssolver import solve_abs
 from relthue.rootbounds import (
     ISOLATION_BITS,
@@ -31,6 +32,8 @@ from relthue.rootbounds import (
     refine,
 )
 from util import (
+    NEAR_RATIONAL_ROOTS,
+    admissible_forms,
     bisection_isolation,
     constants,
     count_roots,
@@ -42,6 +45,7 @@ from util import (
     fraction_thresholds,
     gaps,
     intervals,
+    level64_stable_constants,
     nested_gap_enclosures,
     profiled_calls,
     root_free_forms,
@@ -200,7 +204,11 @@ def test_stable_constants_runs():
     squared_gates = [square for _, square in enclosures(problem)[4:]]
     assert problem.gate_caps == tuple(floor(square) for square in squared_gates)
     assert squared_gates[0] > 0
-    assert max(hi - lo for lo, hi in intervals(problem.roots)) <= Fraction(1, 2**64)
+    # the certificate holds at the first level, and the constants command prints the enclosures at ISOLATION_BITS
+    assert problem.roots == isolate_roots(F3, rootbounds.FIRST_BITS)
+    assert max(hi - lo for lo, hi in intervals(problem.roots)) <= Fraction(1, 2**rootbounds.FIRST_BITS)
+    gap_lower, gap_upper = gaps(isolate_roots(F3))[:2]
+    assert enclosures(problem)[0] == (gap_lower, gap_upper) and gap_upper - gap_lower <= Fraction(2, 2**64)
     assert problem.gates_stable
 
 
@@ -221,16 +229,16 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
 
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
-    # no workload problem moves a floor at the first halving, so one moved floor is forced: the first upper
-    # floors read -1, a floor no gate has, and with the certificate withheld (every lower floor one below its
-    # upper floor) the isolation must come back two levels finer, and stable
+    # no workload problem moves a floor at the first halving, so one moved floor is forced: the upper floors at
+    # ISOLATION_BITS, the first the halvings compare with, read -1, a floor no gate has, and with the certificate
+    # withheld (every lower floor one below its upper floor) the isolation must come back two levels finer, and
+    # stable
     field, bounds = QuadraticField(7), rootbounds._bounds
-    moved = iter([(None, None, *[(-1, 1)] * 3)])
 
     def withheld(*args):
         coeff, gate, *squares = bounds(*args)
         if args[5]:
-            return next(moved, None) or (coeff, gate, *squares)
+            return (None, None, *[(-1, 1)] * 3) if args[0].level == ISOLATION_BITS else (coeff, gate, *squares)
         return (coeff, gate, *((num - den, den) for num, den in bounds(*args[:5], 1)[2:]))
 
     monkeypatch.setattr(rootbounds, "_bounds", withheld)
@@ -277,11 +285,15 @@ def test_gates_that_still_fall_are_not_reported_settled(caplog, k, start):
 
 
 def test_the_certificate_keeps_the_first_level():
-    # x^3 - 3xy^2 - y^3: the lower and upper floors agree at level 64, so no halving is taken
-    field = QuadraticField(7)
-    problem = Problem(field, F3, 10)
-    assert (problem.roots.level, problem.gate_caps, problem.gates_stable) == (ISOLATION_BITS, (131, 30, 13), True)
-    assert problem.roots == isolate_roots(F3)
+    # x^3 - 3xy^2 - y^3: the lower and upper floors first agree at level 16, so that level is kept and no halving
+    # is taken; at level 8 they do not agree yet
+    field, K, epsilon = QuadraticField(7), Fraction(10), Fraction(1, 2)
+    problem = Problem(field, F3, K, epsilon)
+    assert (problem.roots.level, problem.gate_caps, problem.gates_stable) == (16, (131, 30, 13), True)
+    assert problem.roots == isolate_roots(F3, 16)
+    coarse = fraction_constants(isolate_roots(F3, rootbounds.FIRST_BITS), K, epsilon)
+    lower, upper = (gate_floors(fraction_thresholds(coarse, 3, field, lower=side)) for side in (True, False))
+    assert lower != upper
 
 
 def test_unstable_gates_are_flagged_and_logged(monkeypatch, caplog):
@@ -304,7 +316,7 @@ def test_validated_records_are_immutable_values_with_the_dataclass_repr():
     points = isolate_roots(F1)
     assert repr(points) == "RootData(form=BinaryForm(coeffs=(0, -4, 0, 1)), level=0, ends=((-2, -2), (0, 0), (2, 2)))"
     assert points.integer_roots == (-2, 0, 2)
-    assert roots.gap_numerators == isolate_roots(F3).gap_numerators
+    assert roots.gap_numerators == isolate_roots(F3, roots.level).gap_numerators
     assert repr(problem) == (
         f"Problem(field=QuadraticField(m=7), form=BinaryForm(coeffs=(-1, -3, 0, 1)), K=Fraction(3, 2), "
         f"epsilon=Fraction(1, 2), roots={roots!r}, gates_stable=True, abs_bound=Fraction(12, 1), norm_cap=2, "
@@ -432,21 +444,12 @@ def test_integer_sturm_chain_equals_the_rational_one(poly):
     assert _poly.sturm_chain(poly) == fraction_sturm_chain(poly)
 
 
-@given(st.integers(0, 6), st.lists(st.integers(-50, 50), min_size=3, max_size=6, unique=True), st.data())
-def test_gap_enclosures_equal_the_nested_loop(k, roots, data):
-    # an isolation of the product of (x - r) over the integer roots r: each root the point r, or an interval over
-    # 2^k around it, above the previous interval and below the next root
-    roots, ends = sorted(roots), []
-    for i, r in enumerate(roots):
-        centre = r << k
-        lowest = ends[-1][1] + 1 if ends else centre - (1 << k)
-        highest = (roots[i + 1] << k) - 1 if i + 1 < len(roots) else centre + (1 << k)
-        if lowest < centre < highest and data.draw(st.booleans()):
-            ends.append((data.draw(st.integers(lowest, centre - 1)), data.draw(st.integers(centre + 1, highest))))
-        else:
-            ends.append((centre, centre))
-    as_fractions = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi in ends]
-    assert gaps(RootData(form_from_roots(roots), k, tuple(ends))) == nested_gap_enclosures(as_fractions)
+@given(admissible_forms(), st.integers(0, 6))
+def test_gap_enclosures_equal_the_nested_loop(form, k):
+    # an isolation of a split, partly split or root-free form at level k: points and nodes, some of them split
+    # past level k to part their roots, so the ends are over 2^level with nodes of several widths
+    data = isolate_roots(form, k)
+    assert gaps(data) == nested_gap_enclosures(intervals(data))
 
 
 def test_separate_bisects_neighbours_until_strictly_apart():
@@ -579,10 +582,51 @@ def test_isolation_and_problem_facts_equal_the_bisection_reference(form):
     field = QuadraticField(7)
     problem = Problem(field, form, 10)
     with (
-        mock.patch.object(rootbounds, "isolate_roots", lambda form: bisection_isolation(form, ISOLATION_BITS)),
+        mock.patch.object(rootbounds, "isolate_roots", lambda form, bits: bisection_isolation(form, bits)),
         mock.patch.object(rootbounds, "refine", lambda data, bits: bisection_isolation(data.form, bits, data)),
     ):
         assert problem == Problem(field, form, 10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.one_of(isolation_forms(), admissible_forms()))
+def test_a_coarse_isolation_refined_to_isolation_bits_is_the_isolation_there(form):
+    # the enclosures are monotone: a certificate at a coarse level holds at ISOLATION_BITS, where the refined
+    # isolation is the one isolate_roots gives, so stable_constants may try the certificate coarse first
+    fine = isolate_roots(form)
+    for bits in (0, 1, rootbounds.FIRST_BITS, 16):
+        assert refine(isolate_roots(form, bits), ISOLATION_BITS) == fine
+
+
+@pytest.mark.parametrize("coeffs", NEAR_RATIONAL_ROOTS)
+def test_a_coarse_isolation_of_roots_near_rationals_refined_to_isolation_bits_is_the_isolation_there(coeffs):
+    test_a_coarse_isolation_refined_to_isolation_bits_is_the_isolation_there.hypothesis.inner_test(BinaryForm(coeffs))
+
+
+def test_the_kept_level_and_the_refinements_a_solve_takes(monkeypatch):
+    # the first seed-0 grid problem: the certificate holds at FIRST_BITS, and H = 10 needs level
+    # 10.bit_length() + 4 = 8, so neither stable_constants nor solve_abs refines the isolation
+    field, form = QuadraticField(337558), BinaryForm((5825522, -99628, -72, 1))
+    _, calls = profiled_calls(solve_relative, field, form, Fraction(29, 4), Fraction(1, 2), 10)
+    assert calls["rootbounds", "refine"] == 0 and calls["rootbounds", "isolate_roots"] == 1
+    problem = Problem(field, form, Fraction(29, 4))
+    assert problem.roots == isolate_roots(form, 8) and problem.roots.level == rootbounds.FIRST_BITS == 8
+    # at H = 2000 solve_abs refines it once, to level 2000.bit_length() + 4 = 15, and lists what the isolation
+    # at ISOLATION_BITS lists
+    refined = []
+
+    def recorded(data, bits):
+        refined.append((data.level, bits))
+        return refine(data, bits)
+
+    monkeypatch.setattr(abssolver, "refine", recorded)
+    assert solve_abs(form, problem.abs_bound, 2000, roots=problem.roots) == solve_abs(form, problem.abs_bound, 2000)
+    assert refined == [(8, 15)]
+    # x^3 - 3xy^2 - y^3 at K = 10 takes one refinement, to 16, where the certificate holds (the levels double)
+    monkeypatch.setattr(rootbounds, "refine", recorded)
+    refined.clear()
+    assert Problem(QuadraticField(7), F3, 10).roots.level == 16
+    assert refined == [(8, 16)]
 
 
 def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
@@ -700,14 +744,18 @@ def test_bounds_equal_the_fraction_references(case, bits):
 @settings(deadline=None, max_examples=40)
 @given(constant_cases())
 def test_problem_equals_the_one_built_on_the_fraction_references(case):
-    # enclosures() of a Problem, and its integer gate floors, equal the references at its isolation
+    # the integer gate floors of a Problem equal the references at its isolation, and its enclosures() equal them
+    # at that isolation refined to ISOLATION_BITS, as the constants command prints them
     form, m, K, epsilon = case
     field = QuadraticField(m)
     problem = Problem(field, form, K, epsilon)
-    consts = fraction_constants(problem.roots, K, epsilon)
+    kept = fraction_constants(problem.roots, K, epsilon)
+    assert problem.gate_caps == gate_floors(fraction_thresholds(kept, form.degree, field))
+    printed = refine(problem.roots, ISOLATION_BITS)
+    consts = fraction_constants(printed, K, epsilon)
     squared_gates = fraction_thresholds(consts, form.degree, field)
     assert problem.gate_caps == gate_floors(squared_gates)
-    gap_lower, gap_upper, product_lower, product_upper = nested_gap_enclosures(intervals(problem.roots))
+    gap_lower, gap_upper, product_lower, product_upper = nested_gap_enclosures(intervals(printed))
     assert enclosures(problem) == (
         (gap_lower, gap_upper),
         (product_lower, product_upper),
@@ -745,3 +793,25 @@ def test_near_double_roots_isolate_at_the_level_their_gap_needs(k, level):
     assert all(left[1] < right[0] for left, right in zip(roots.ends, roots.ends[1:]))
     for lo, hi in roots.ends:  # f changes sign across each interval, so a root lies in each
         assert _poly.sign(form.evaluate(lo, 1 << level)) == -_poly.sign(form.evaluate(hi, 1 << level)) != 0
+
+
+# x^3 - 2(10^k x - 1)^2 over m = 7 at K = 10, whose gates still fall after twelve halvings
+CLOSE_ROOT_CUBICS = [
+    (BinaryForm((-2, 4 * 10**k, -2 * 10 ** (2 * k), 1)), 7, Fraction(10), Fraction(1, 2)) for k in (6, 24)
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(constant_cases())
+@example(CLOSE_ROOT_CUBICS[0])
+@example(CLOSE_ROOT_CUBICS[1])
+@example((NO_CERTIFICATE[0], 7, *NO_CERTIFICATE[1:]))
+def test_the_gates_equal_those_of_the_certificate_tried_first_at_isolation_bits(case):
+    # gate_caps and gates_stable as they were when every Problem isolated at ISOLATION_BITS first; the kept
+    # isolation may be coarser, and refined to ISOLATION_BITS it is the one kept then, or both are finer still
+    form, m, K, epsilon = case
+    field = QuadraticField(m)
+    problem = Problem(field, form, K, epsilon)
+    roots, caps, stable = level64_stable_constants(form, K, epsilon, field)
+    assert (problem.gate_caps, problem.gates_stable) == (caps, stable)
+    assert refine(problem.roots, ISOLATION_BITS) == refine(roots, ISOLATION_BITS)

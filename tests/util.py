@@ -34,7 +34,11 @@ squared gates as they were before they were taken on integer numerators are
 the references for the package's integer quotients and squared gates: every
 quotient a Fraction, and the n-th root bounds derived from a Fraction power;
 ``constants`` and ``gaps`` are the package's own quotients and gap
-enclosures, read as Fractions.
+enclosures, read as Fractions.  ``level64_stable_constants`` is the gate
+stabilization as it was before it tried the certificate below level 64, the
+reference for the gate floors and flag of every ``Problem``.
+``NEAR_RATIONAL_ROOTS`` lists forms with roots next to rationals, where an
+isolation's node ends close to a root.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variat
 from relthue.abssolver import AbsSolutionSet
 from relthue.oracle import OracleResult, _tableaux
 from relthue.reducer import Found
-from relthue.rootbounds import RootData, _bounds, _dyadic_root, isolate_roots
+from relthue.rootbounds import ISOLATION_BITS, MAX_HALVINGS, RootData, _bounds, _dyadic_root, isolate_roots, refine
 
 
 def sign_at(coeffs, x) -> int:
@@ -172,6 +176,24 @@ def window_scan(form: BinaryForm, bound, height: int) -> tuple[tuple[int, int, i
                     found.append((a, b, value))
     found.sort(key=lambda t: (t[1], t[0]))
     return tuple(found)
+
+
+def _near_integer_roots(d):
+    # x(x - 1)(x - c) + d with c = 2^70 + 3: two roots within ~2^-70 of 0 and 1, so an isolation at
+    # width 2^-64 has an endpoint at 0 or 1, and the gap product is near 2^70
+    coeffs = list(form_from_roots([0, 1, 2**70 + 3]).coeffs)
+    coeffs[0] += d
+    return tuple(coeffs)
+
+
+NEAR_RATIONAL_ROOTS = (
+    *(_near_integer_roots(d) for d in (1, -1, 2)),
+    # x^3 - 2N x + N: a root within 1/(16N) above 1/2
+    (2**70, -(2**71), 0, 1),
+    (-(2**40), -(2**41), 0, 1),
+    # x^3 - 100x + 1: (0, 2) solves at bound 8 next to the root near 0.01
+    (1, -100, 0, 1),
+)
 
 
 @st.composite
@@ -551,6 +573,35 @@ def fraction_constants(roots: RootData, K, epsilon) -> tuple[Fraction, Fraction,
     g_upper = fraction_nth_root_upper(K, n) / (epsilon * gap_lower)
     g_lower = fraction_nth_root_lower(K, n) / (epsilon * gap_upper)
     return c_lower, c_upper, g_lower, g_upper
+
+
+def level64_stable_constants(form: BinaryForm, K, epsilon, field: QuadraticField) -> tuple[RootData, tuple, bool]:
+    """``stable_constants`` as it was before it started below ``ISOLATION_BITS``: the certificate first tried at 64.
+
+    The isolation starts at ``ISOLATION_BITS``; the certificate (lower floors equal to the upper ones) keeps the
+    level at once, and otherwise each halving refines one level past the isolation's own until it leaves the
+    upper floors as they were, each at most one above its lower floor, or ``MAX_HALVINGS`` halvings are spent.
+    """
+    K, epsilon, n = Fraction(K), Fraction(epsilon), form.degree
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+
+    def floors(data: RootData, side: int) -> tuple[int, int, int]:
+        return tuple(num // den for num, den in _bounds(data, K, epsilon, k_root, field, side)[2:])
+
+    data = isolate_roots(form, ISOLATION_BITS)
+    caps = floors(data, 1)
+    if len(data.integer_roots) == n:
+        return data, caps, True
+    lower = floors(data, 0)
+    for _ in range(MAX_HALVINGS):
+        if lower == caps:
+            return data, caps, True
+        finer = refine(data, data.level + 1)
+        lower, finer_caps = floors(finer, 0), floors(finer, 1)
+        if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):
+            return finer, finer_caps, True
+        data, caps = finer, finer_caps
+    return data, caps, lower == caps
 
 
 def fraction_thresholds(consts, n: int, field: QuadraticField, lower: bool = False) -> tuple[Fraction, ...]:
