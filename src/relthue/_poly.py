@@ -29,20 +29,6 @@ def evaluate(coeffs: Coeffs, a: int, b: int = 1) -> int:
     return acc
 
 
-def value_and_slope(coeffs: Coeffs, a: int, b: int = 1) -> tuple[int, int]:
-    """(evaluate(coeffs, a, b), evaluate(derivative(coeffs), a, b)) in one homogeneous Horner pass.
-
-    The second is the partial derivative in a of the first, so its accumulator takes the derivative of
-    each Horner step: acc' <- acc' * a + acc, before acc moves on.
-    """
-    acc, slope, bpow = 0, 0, 1
-    for c in reversed(coeffs):
-        slope = slope * a + acc
-        acc = acc * a + c * bpow
-        bpow *= b
-    return acc, slope
-
-
 def derivative(coeffs: Coeffs) -> tuple:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
 

@@ -97,11 +97,11 @@ def solve_abs(
 ) -> AbsSolutionSet:
     """Enumerate |F(a, b)| <= bound for |b| <= height, exhaustively, with the isolation ``roots`` if given.
 
-    Without ``roots`` the roots are isolated at ``ISOLATION_BITS``.  An isolation with a node coarser than the
-    level ``bits``, the bit length of ``height`` plus 4, is refined to that level first: a node of width w widens
-    each window of row b by w*b cells, and w*b <= 2^-bits * height < 1/16, so each root's window spans less than
-    1/16 of a cell more than the root itself needs, in every row.  Any coarser isolation would list the same rows, only scanning more
-    cells; a finer one costs more to refine than the cells it saves.
+    Without ``roots`` the roots are isolated at ``ISOLATION_BITS``.  The isolation is refined to level L, the bit
+    length of ``height`` plus 4, where a node is coarser than that (:func:`~relthue.rootbounds.refine`): a node of
+    width w widens each window of row b by w*b cells, and w*b <= 2^-L * height < 1/16, so each root's window spans
+    less than 1/16 of a cell more than the root itself needs, in every row.  Any coarser isolation would list the
+    same rows, only scanning more cells; a finer one costs more to refine than the cells it saves.
     """
     bound, height = Fraction(bound), index(height)
     if bound < 0:
@@ -112,9 +112,7 @@ def solve_abs(
         roots = isolate_roots(form)
     elif roots.form != form:
         raise ValueError(f"roots: an isolation of {roots.form}, not of {form}")
-    bits = height.bit_length() + 4
-    if max(hi - lo for lo, hi in roots.ends) << bits > 1 << roots.level:
-        roots = refine(roots, bits)
+    roots = refine(roots, height.bit_length() + 4)
     n = form.degree
     cap = floor(bound)  # values are integers, so |F(a, b)| <= bound exactly when |F(a, b)| <= floor(bound)
 

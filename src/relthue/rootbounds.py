@@ -7,12 +7,12 @@ or more roots; a node holding one is split by the sign of f at its midpoint,
 and a zero there is an integer root.  The integer roots fall out as points
 (:func:`integer_roots` is that first stage).  The other roots are
 irrational, and each is held as a node (c, level) of the dyadic bisection
-tree, the interval [c, c + 1]/2^level, from the first stage on; a Newton
-jump certified by two signs of f, or bisection by the sign of f, refines it
-on integers.  Every interval is so a pair of integer numerators over one
-power of two (:class:`RootData`, whose constructor checks the intervals
-against the form once).  From the intervals the module derives one-sided
-rational bounds, always rounded in the safe direction, for
+tree, the interval [c, c + 1]/2^level, from the first stage on, and
+bisection by the sign of f refines it on integers.  Every interval is so a
+pair of integer numerators over one power of two (:class:`RootData`, whose
+constructor checks the intervals against the form once).  From the
+intervals the module derives one-sided rational bounds, always rounded in
+the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -62,8 +62,6 @@ ISOLATION_BITS = 64  # isolate_roots refines each irrational root to a node of w
 FIRST_BITS = 8  # stable_constants tries the gate certificate at this level first, then at twice it, up to 64
 MAX_HALVINGS = 12  # refinement steps stable_constants tries before giving up
 ROOT_PREC_BITS = 48
-JUMP_LEVELS = 8  # refinements by fewer levels only bisect: a jump and its certificate cost more
-NEWTON_STEPS, NEWTON_GUARD = 12, 8  # Newton steps tried before bisecting; bits kept below the target level
 
 
 def _dyadic_root(num: int, den: int, r: int) -> tuple[int, int]:
@@ -141,42 +139,17 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
         return f"RootData(form={self.form!r}, level={self.level!r}, ends={self.ends!r})"
 
 
-def _newton_node(f, lo: int, hi: int, level: int, sign_hi: int):
-    """The k in [lo, hi) with the one root of (lo, hi)/2^level in (k, k + 1)/2^level, certified, or None.
-
-    Newton's method runs on x/2^bits, bits = level + ``NEWTON_GUARD``: a step is x -= 2^bits f/f', the integer
-    quotient of the homogenized values.  Each iterate's sign shrinks a bracket (a, b) of the root, and a step
-    that would leave it stops just inside, so a root next to a dyadic end takes a step or two.  The
-    certificate: f is nonzero with strictly opposite signs at the node's ends, hi's sign at k + 1.
-    """
-    one = 1 << (level + NEWTON_GUARD)
-    a, b, x = lo << NEWTON_GUARD, hi << NEWTON_GUARD, (lo + hi) << (NEWTON_GUARD - 1)
-    for _ in range(NEWTON_STEPS):
-        value, slope = _poly.value_and_slope(f, x, one)
-        a, b = (a, x) if _poly.sign(value) == sign_hi else (x, b)
-        step = value // slope if slope else x - (a + b) // 2  # a zero slope bisects the bracket
-        if abs(step) < 1 << NEWTON_GUARD:
-            k, unit = (x - step) >> NEWTON_GUARD, 1 << level
-            signs = (_poly.sign(_poly.evaluate(f, k, unit)), _poly.sign(_poly.evaluate(f, k + 1, unit)))
-            return k if lo <= k < hi and signs == (-sign_hi, sign_hi) else None
-        x = min(max(x - step, a + 1), b - 1)
-    return None
-
-
 def _refine_node(f, lo: int, hi: int, level: int, bits: int) -> tuple[int, int, int]:
     """The interval [lo, hi]/2^level refined to level ``bits``, as (lo, hi, level).
 
     A point lo = hi is an integer root and stays as it is.  Any other interval is a node, hi = lo + 1, with
-    one irrational root of f inside.  Its node at level ``bits`` needs no evaluation to name, and a certified
-    Newton jump goes there at once.  Bisection, for a few levels or when the jump fails, reaches the same
-    node: the child is the lower one when f has hi's sign at the midpoint.  f is monic, so it vanishes at no
-    dyadic non-integer and not at hi; lo may be an integer root, so signs are anchored at hi.
+    one irrational root of f inside, and bisection reaches its node at level ``bits``: the child is the lower
+    one when f has hi's sign at the midpoint.  f is monic, so it vanishes at no dyadic non-integer and not at
+    hi; lo may be an integer root, so signs are anchored at hi.
     """
     if lo == hi or level >= bits:
         return lo, hi, level
     sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << level))
-    if (up := bits - level) > JUMP_LEVELS and (k := _newton_node(f, lo << up, hi << up, bits, sign_hi)) is not None:
-        return k, k + 1, bits
     for level in range(level + 1, bits + 1):
         lo = 2 * lo + (_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) != sign_hi)
     return lo, lo + 1, bits
@@ -266,7 +239,13 @@ def isolate_roots(form: BinaryForm, bits: int = ISOLATION_BITS) -> RootData:
 
 
 def refine(data: RootData, bits: int) -> RootData:
-    """Continue the bisection of the isolation ``data`` of ``data.form`` down to level ``bits``."""
+    """Continue the bisection of the isolation ``data`` of ``data.form`` down to level ``bits``.
+
+    ``data`` itself comes back when no node is coarser than ``bits``: a node's width over 2^level is at most
+    2^-bits then.
+    """
+    if max(hi - lo for lo, hi in data.ends) << bits <= 1 << data.level:
+        return data
     items = []
     for lo, hi in data.ends:
         up = (hi - lo).bit_length() - 1 if hi > lo else data.level  # the levels from the node's own to data.level

@@ -132,6 +132,8 @@ MUTANTS = [
            ("tests/test_rootbounds.py::test_separate_bisects_neighbours_until_strictly_apart",)),
     Mutant("rootbounds.py", "level = max(item[2] for item in items)", "level = bits",
            ("tests/test_rootbounds.py::test_isolate_exact_integer_roots",)),
+    Mutant("rootbounds.py", "range(level + 1, bits + 1)", "range(level + 1, bits)",
+           ("tests/test_rootbounds.py::test_bisection_passes_the_integer_root_at_lo_for_the_root_inside",)),
     Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
            "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
     # verification on plain integers, bound-first exits, no final sort
@@ -157,13 +159,11 @@ MUTANTS = [
            ("tests/test_abssolver.py",)),
     Mutant("abssolver.py", "for a in range(_poly.iroot(cap, n) + 1)]", "for a in range(1, _poly.iroot(cap, n) + 1)]",
            ("tests/test_abssolver.py::test_the_rows_are_one_pair_of_each_negated_pair_from_the_origin",)),
-    # per-problem setup on integers: gate floors without Fractions, one Horner pass for f and f'
+    # per-problem setup on integers: gate floors without Fractions
     Mutant("rootbounds.py", "k_root[side] * e_den << level", "k_root[0] * e_den << level",
            ("tests/test_rootbounds.py::test_integer_gate_floors_equal_the_floors_of_the_fraction_references",)),
     Mutant("rootbounds.py", "gap_numerators[1 - side]", "gap_numerators[side]",
            ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
-    Mutant("_poly.py", "slope = slope * a + acc\n", "slope = slope * a + acc * bpow\n",
-           ("tests/test_rootbounds.py::test_value_and_slope_equal_evaluate_and_derivative",)),
     Mutant("quadfield.py", "chain((2,), range(3, ", "chain((2,), range(5, ",
            ("tests/test_quadfield.py::test_trial_division_by_two_and_odd_d_finds_odd_squares",)),
     # the constants held only as integer pairs, turned into Fractions once for printing
@@ -240,9 +240,9 @@ MUTANTS = [
            ("tests/test_cli.py::test_irrational_constants_match_golden[constants_irrational-extra0]",)),
     Mutant("rootbounds.py", "bits = min(2 * bits, ISOLATION_BITS)", "bits = ISOLATION_BITS",
            ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
-    Mutant("abssolver.py", "roots = refine(roots, bits)", "pass",
+    Mutant("abssolver.py", "roots = refine(roots, height.bit_length() + 4)", "pass",
            ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
-    Mutant("abssolver.py", "bits = height.bit_length() + 4", "bits = height.bit_length() + 3",
+    Mutant("abssolver.py", "height.bit_length() + 4)", "height.bit_length() + 3)",
            ("tests/test_rootbounds.py::test_the_kept_level_and_the_refinements_a_solve_takes",)),
     # one predicate report per orbit, decided for its representative and shared by its members
     Mutant("reducer.py", "report = full_report(problem, quad)",
@@ -251,10 +251,6 @@ MUTANTS = [
     # expected survivors
     Mutant("oracle.py", "min(isqrt(bound // m), bias - 1)", "min(isqrt(bound), bias - 1)", ("tests/test_oracle.py",),
            survives="a looser filter only costs time: every cell that passes it is decided by the exact norm test"),
-    Mutant("rootbounds.py", "signs == (-sign_hi, sign_hi)", "signs[0] != sign_hi and signs[1] == sign_hi",
-           ("tests/test_rootbounds.py",),
-           survives="equivalent: a zero of f at the node's left end inside [lo, hi] can only be the integer root lo, "
-           "and hi's sign at the right end then puts the one root of (lo, hi) in that node"),
     Mutant("rootbounds.py", "if num * gate_den > gate_num * den else", "if num * gate_den >= gate_num * den else",
            ("tests/test_rootbounds.py",),
            survives="equivalent: on equality both sides of the comparison are the same value, so every floor and "

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relthue import BinaryForm, InadmissibleFormError, solve_abs
-from relthue.rootbounds import ISOLATION_BITS, RootData, isolate_roots
+from relthue.rootbounds import FIRST_BITS, ISOLATION_BITS, RootData, isolate_roots
 from util import (
     NEAR_RATIONAL_ROOTS,
     admissible_forms,
@@ -162,11 +162,12 @@ def test_sporadic_forms_equal_the_window_scan(coeffs, s):
     admissible_forms(),
     st.fractions(min_value=0, max_value=500, max_denominator=3),
     st.integers(0, 400),
-    st.sampled_from((ISOLATION_BITS, 3, 1)),
+    st.sampled_from((ISOLATION_BITS, 16, FIRST_BITS, 3, 1)),
 )
 @example(BinaryForm((0, -2, -1, 1)), Fraction(500), 60, ISOLATION_BITS)  # split: windows stay wide
 @example(BinaryForm((-1, -3, 0, 1)), Fraction(80), 400, ISOLATION_BITS)  # windows below one cell
 @example(BinaryForm((1, -7, 0, 1)), Fraction(23), 300, 1)  # windows around coarse intervals
+@example(BinaryForm((-1, -3, 0, 1)), Fraction(80), 400, FIRST_BITS)  # refined from level 8 to 400.bit_length() + 4 = 13
 def test_equals_the_window_scan(form, bound, height, bits):
     # the roots handed in may be coarse: the windows must then cover each whole interval times b
     got = solve_abs(form, bound, height, roots=isolate_roots(form, bits))
@@ -215,13 +216,13 @@ def test_a_form_with_integer_and_irrational_roots_scans_every_row():
 
 def test_rows_past_the_last_window_make_no_evaluation():
     # relthue abs --coeffs "0 -4 0 1" --kprime 10: b_w = 3, so only the rows b <= 3 evaluate F, whatever the height:
-    # 31 cells, and 52 exact polynomial evaluations in all with the root isolation and its check (no Newton step:
-    # every root is an integer), the README's figures
+    # 31 cells, and 52 exact polynomial evaluations in all with the root isolation and its check, the README's
+    # figures
     assert (last_window_row([-2, 0, 2], 10), last_window_row([-2, 0, 2], 3)) == (3, 1)
     assert solve_abs(F1, 10, 10).solutions == window_scan(F1, 10, 10)
     for height in (10, 10**5):
         result, calls = profiled_calls(solve_abs, F1, 10, height)
-        assert (calls["forms", "evaluate"], calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (31, 52, 0)
+        assert (calls["forms", "evaluate"], calls["_poly", "evaluate"]) == (31, 52)
         assert [row for row in result.solutions if row[1] > 3] == [
             (r * b, b, 0) for b in range(4, height + 1) for r in (-2, 0, 2)
         ]

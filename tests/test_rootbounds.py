@@ -605,58 +605,47 @@ def test_a_coarse_isolation_of_roots_near_rationals_refined_to_isolation_bits_is
 
 def test_the_kept_level_and_the_refinements_a_solve_takes(monkeypatch):
     # the first seed-0 grid problem: the certificate holds at FIRST_BITS, and H = 10 needs level
-    # 10.bit_length() + 4 = 8, so neither stable_constants nor solve_abs refines the isolation
+    # 10.bit_length() + 4 = 8, so refine hands solve_abs the kept isolation itself: the only isolation built
+    # is the one isolate_roots gives
     field, form = QuadraticField(337558), BinaryForm((5825522, -99628, -72, 1))
     _, calls = profiled_calls(solve_relative, field, form, Fraction(29, 4), Fraction(1, 2), 10)
-    assert calls["rootbounds", "refine"] == 0 and calls["rootbounds", "isolate_roots"] == 1
+    assert calls["rootbounds", "isolate_roots"] == calls["rootbounds", "_refined"] == 1
     problem = Problem(field, form, Fraction(29, 4))
     assert problem.roots == isolate_roots(form, 8) and problem.roots.level == rootbounds.FIRST_BITS == 8
-    # at H = 2000 solve_abs refines it once, to level 2000.bit_length() + 4 = 15, and lists what the isolation
-    # at ISOLATION_BITS lists
+    # at H = 2000 solve_abs refines it to level 2000.bit_length() + 4 = 15, and lists what the isolation at
+    # ISOLATION_BITS lists, which it takes as it is
     refined = []
 
     def recorded(data, bits):
-        refined.append((data.level, bits))
-        return refine(data, bits)
+        finer = refine(data, bits)
+        refined.append((data.level, bits, finer is data))
+        return finer
 
     monkeypatch.setattr(abssolver, "refine", recorded)
     assert solve_abs(form, problem.abs_bound, 2000, roots=problem.roots) == solve_abs(form, problem.abs_bound, 2000)
-    assert refined == [(8, 15)]
+    assert refined == [(8, 15, False), (ISOLATION_BITS, 15, True)]
     # x^3 - 3xy^2 - y^3 at K = 10 takes one refinement, to 16, where the certificate holds (the levels double)
     monkeypatch.setattr(rootbounds, "refine", recorded)
     refined.clear()
     assert Problem(QuadraticField(7), F3, 10).roots.level == 16
-    assert refined == [(8, 16)]
+    assert refined == [(8, 16, False)]
 
 
-def test_newton_node_refuses_a_jump_to_the_integer_root_at_lo():
-    # roots 0, 1/5, 21/20, 11/10, 6/5: clustered as no monic integer form's roots can be, so Newton from 1/2
-    # overshoots past 0, is stopped just inside the bracket and converges to the root at lo, not to 1/5
+def test_bisection_passes_the_integer_root_at_lo_for_the_root_inside():
+    # roots 0, 1/5, 21/20, 11/10, 6/5: clustered as no monic integer form's roots can be; the node (0, 1) holds
+    # the integer root 0 at lo and the one root 1/5 inside, and its refinement must hold 1/5
     f = (0, 1386, -10665, 22025, -17750, 5000)  # x(5x - 1)(20x - 21)(10x - 11)(5x - 6)
-    k = rootbounds._newton_node(f, 0, 1 << 64, 64, _poly.sign(_poly.evaluate(f, 1)))
-    assert k is None or Fraction(k, 1 << 64) < Fraction(1, 5) < Fraction(k + 1, 1 << 64)
+    lo, hi, level = rootbounds._refine_node(f, 0, 1, 0, 64)
+    assert level == 64 and hi == lo + 1 and Fraction(lo, 1 << 64) < Fraction(1, 5) < Fraction(hi, 1 << 64)
 
 
 def test_solve_abs_evaluation_count():
-    # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, its check, windows and candidates
-    # one call per evaluation of f, and one per Newton step, which evaluates f and f' together; the Sturm chain
-    # is evaluated only where nodes hold two or more roots, not at -R and R; the check evaluates f at both ends of
-    # each of the three irrational intervals
+    # x^3 - 3xy^2 - y^3 at K' = 80, H = 2000, the README's example: isolation, its check, windows and candidates,
+    # one call per evaluation of f; the Sturm chain is evaluated only where nodes hold two or more roots, not at
+    # -R and R; the check evaluates f at both ends of each of the three irrational intervals
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.solutions) == 157
-    assert (calls["_poly", "evaluate"], calls["_poly", "value_and_slope"]) == (251, 18)
-
-
-@given(
-    st.lists(st.integers(-50, 50), min_size=1, max_size=7),
-    st.integers(-(10**30), 10**30),
-    st.one_of(st.integers(1, 10**6), st.integers(0, 80).map(lambda k: 1 << k)),
-)
-def test_value_and_slope_equal_evaluate_and_derivative(coeffs, a, b):
-    assert _poly.value_and_slope(coeffs, a, b) == (
-        _poly.evaluate(coeffs, a, b),
-        _poly.evaluate(_poly.derivative(coeffs), a, b),
-    )
+    assert calls["_poly", "evaluate"] == 437
 
 
 @given(

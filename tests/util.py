@@ -14,10 +14,10 @@ helpers give the tests products, conjugates and part squares to check
 ``QuadraticField.norm`` against.  The exact kernels as they were before each job had one helper are
 kept as references too: the Sturm chain with remainders divided over the
 rationals, the gap enclosures from a nested loop over ordered root pairs, and
-F evaluated in the ring from power tables of x and y.  The root isolation as
-it was before the certified Newton jump is kept as well: Sturm bisection of
-the Cauchy radius with both ends counted at every node, then bisection one
-level at a time, all on Fraction intervals.  ``intervals`` is the Fraction
+F evaluated in the ring from power tables of x and y.  A root isolation on
+Fraction intervals is kept as well, the reference for ``isolate_roots`` and
+``refine``: Sturm bisection of the Cauchy radius with both ends counted at
+every node, then bisection one level at a time.  ``intervals`` is the Fraction
 view of a ``RootData``'s integer ends, which only the tests read.  So are
 the two reduction branches as they were before they read only the values the
 absolute enumeration realized: the nonzero branch walked every integer |v|
