@@ -11,7 +11,7 @@ two reduction branches) are imported from their modules."""
 from .abssolver import solve_abs
 from .forms import BinaryForm, InadmissibleFormError, check_admissible
 from .oracle import brute_force
-from .quadfield import QuadraticField, RingElement
+from .quadfield import QuadraticField
 from .reducer import solve_relative
 from .rootbounds import Problem, integer_roots
 from .theorem import full_report
@@ -23,7 +23,6 @@ __all__ = [
     "InadmissibleFormError",
     "Problem",
     "QuadraticField",
-    "RingElement",
     "brute_force",
     "check_admissible",
     "full_report",

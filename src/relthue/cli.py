@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .abssolver import solve_abs
 from .forms import BinaryForm
 from .oracle import brute_force
-from .quadfield import QuadraticField, RingElement
+from .quadfield import QuadraticField
 from .reducer import solve_relative
 from .rootbounds import Problem, enclosures
 from .theorem import full_report
@@ -319,8 +319,7 @@ def cmd_verify(args) -> int:
     lines = []
     status = 0
     for quad in quads:
-        x, y = RingElement(*quad[:2]), RingElement(*quad[2:])
-        value_norm = spec.field.norm(spec.field.evaluate_form(spec.form, x, y))
+        value_norm = spec.field.norm(*spec.field.evaluate_form(spec.form, quad))
         is_solution = value_norm <= problem.norm_cap
         report = full_report(problem, quad)
         if is_solution and not report.ok:

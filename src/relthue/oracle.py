@@ -57,7 +57,7 @@ from math import comb, floor, isqrt
 from typing import NamedTuple
 
 from .forms import BinaryForm
-from .quadfield import QuadraticField, RingElement
+from .quadfield import QuadraticField
 
 Quad = tuple[int, int, int, int]
 Table = dict[tuple[int, ...], int]  # forward differences at the corner, by order (i, j, k, l)
@@ -103,13 +103,10 @@ def _tableaux(field: QuadraticField, form: BinaryForm, height: int) -> tuple[Tab
     """The corner tableaux of v and u2, from F at the C(n+4, 4) seeds."""
     s, n = field.s, form.degree
     orders = [order for order in product(range(n + 1), repeat=4) if sum(order) <= n]
-    seeds = [
-        field.evaluate_form(form, RingElement(i - height, j - height), RingElement(k - height, l - height))
-        for i, j, k, l in orders
-    ]
+    seeds = [field.evaluate_form(form, (i - height, j - height, k - height, l - height)) for i, j, k, l in orders]
     return (
-        _tableau({o: s * g.u1 + (s - 1) * g.u2 for o, g in zip(orders, seeds)}, n),
-        _tableau({o: g.u2 for o, g in zip(orders, seeds)}, n),
+        _tableau({o: s * g1 + (s - 1) * g2 for o, (g1, g2) in zip(orders, seeds)}, n),
+        _tableau({o: g2 for o, (_, g2) in zip(orders, seeds)}, n),
     )
 
 
@@ -181,6 +178,6 @@ def brute_force(field: QuadraticField, form: BinaryForm, K, height: int) -> Orac
                 if (scaled_norm := v * v + m * u * u) <= bound:
                     y2, x2 = divmod(t, side)
                     y2, x2 = y2 - height, x2 - height
-                    found.append((field.norm(RingElement(y1, y2)), (x1, x2, y1, y2), scaled_norm // (s * s)))
+                    found.append((field.norm(y1, y2), (x1, x2, y1, y2), scaled_norm // (s * s)))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
     return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))

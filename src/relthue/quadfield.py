@@ -2,10 +2,13 @@
 
 For square-free m >= 1 the ring of integers has Z-basis {1, w} with
 w = (1 + i*sqrt(m))/2 when m = 3 (mod 4), and {1, i*sqrt(m)} otherwise.
-Elements are coordinate pairs (u1, u2) in that basis; s = 2 in the first
-case and s = 1 in the second.  Every modulus comparison in the solver goes
-through :meth:`QuadraticField.norm`, which is an exact rational integer, so
-no floating-point threshold ever decides an accept/reject.  m is limited to
+Elements are integer coordinate pairs (u1, u2) in that basis; s = 2 in the
+first case and s = 1 in the second.  Every modulus comparison is between
+exact integers, so no floating-point threshold ever decides an
+accept/reject.  The norm u1^2 + t*u1*u2 + q*u2^2 on basis coordinates is
+written twice: :meth:`QuadraticField.norm`, and the solver's verification
+kernel :func:`relthue.reducer._evaluate`, kept apart so that the solver
+shares no evaluation code with the oracle's seeds.  m is limited to
 ``MAX_M`` = 2^63, so the square-free check (trial division to m^(1/3)) ends
 in bounded time.
 """
@@ -16,23 +19,11 @@ from collections import namedtuple
 from itertools import chain
 from math import isqrt
 from operator import index
-from typing import NamedTuple
 
 from . import _poly
 from .forms import BinaryForm, IntegerPair, Validated
 
 MAX_M = 2**63
-
-
-class RingElement(NamedTuple):
-    """Element u1 + u2*w (s=2) or u1 + u2*i*sqrt(m) (s=1), coordinates exact."""
-
-    u1: int
-    u2: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.u1 == 0 and self.u2 == 0
 
 
 class QuadraticField(Validated, namedtuple("QuadraticField", "m s q t")):
@@ -85,25 +76,27 @@ class QuadraticField(Validated, namedtuple("QuadraticField", "m s q t")):
         cross = a2 * b2
         return (a1 * b1 - self.q * cross, a1 * b2 + a2 * b1 + self.t * cross)
 
-    def norm(self, z: RingElement) -> int:
-        """|z|^2 = z * conj(z) = u1^2 + t*u1*u2 + q*u2^2, a nonnegative rational integer."""
-        return z.u1 * z.u1 + self.t * z.u1 * z.u2 + self.q * z.u2 * z.u2
+    def norm(self, u1: int, u2: int) -> int:
+        """|z|^2 = z * conj(z) = u1^2 + t*u1*u2 + q*u2^2 for z = u1 + u2*w, a nonnegative rational integer."""
+        return u1 * u1 + self.t * u1 * u2 + self.q * u2 * u2
 
-    def evaluate_form(self, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
-        """F(x, y) in the ring, by the homogeneous Horner scheme of :func:`relthue._poly.evaluate`.
+    def evaluate_form(self, form: BinaryForm, quad: tuple[int, int, int, int]) -> IntegerPair:
+        """(v1, v2) for F(x, y) = v1 + v2*w, with ``quad`` = (x1, x2, y1, y2), x = x1 + x2*w and y = y1 + y2*w.
 
+        The homogeneous Horner scheme of :func:`relthue._poly.evaluate`,
         acc <- acc*x + c_k*y^(n-k) for k = n-1, ..., 0, starting from c_n,
         with the power of y carried along: 2n exact ring products.  The
         relative inequality |F(x, y)| <= K is then the exact comparison
-        norm(F(x, y)) <= K^2.
+        norm(v1, v2) <= K^2.
         """
+        x1, x2, y1, y2 = quad
         coeffs = form.coeffs
         acc, ypow = (coeffs[-1], 0), (1, 0)
         for c in reversed(coeffs[:-1]):
-            ypow = self._mul_raw(*ypow, y.u1, y.u2)
-            acc1, acc2 = self._mul_raw(*acc, x.u1, x.u2)
+            ypow = self._mul_raw(*ypow, y1, y2)
+            acc1, acc2 = self._mul_raw(*acc, x1, x2)
             acc = (acc1 + c * ypow[0], acc2 + c * ypow[1])
-        return RingElement(*acc)
+        return acc
 
     def split_coordinates(self, quad: tuple[int, int, int, int]) -> tuple[IntegerPair, IntegerPair]:
         """Coordinate pairs feeding the real and imaginary part products, for x = x1 + x2*w, y = y1 + y2*w.

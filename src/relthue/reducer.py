@@ -83,7 +83,7 @@ from typing import NamedTuple
 from . import _poly
 from .abssolver import AbsSolutionSet, solve_abs
 from .forms import BinaryForm, IntegerPair
-from .quadfield import QuadraticField, RingElement
+from .quadfield import QuadraticField
 from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
 
@@ -108,16 +108,12 @@ class ZeroFamily(NamedTuple):
 
 class RelativeSolution(NamedTuple):
     """One verified solution as plain integers: (x1, x2, y1, y2), F(x, y) = v1 + v2*w as (v1, v2), its norm,
-    and its predicate report.  ``value`` builds the ring element F(x, y) on read."""
+    and its predicate report."""
 
     quadruple: Quad
-    value_pair: tuple[int, int]
+    value_pair: IntegerPair
     value_norm: int
     report: TheoremReport
-
-    @property
-    def value(self) -> RingElement:
-        return RingElement(*self.value_pair)
 
 
 class RelativeSolutionSet(NamedTuple):
@@ -164,11 +160,8 @@ class RelativeSolutionSet(NamedTuple):
     def listing(self) -> list[tuple[Quad, int]]:
         """(quadruple, norm of F) of every solution within reach, members (norm 0) included, in solver order."""
         rows = [(_solver_order(sol.report.norm_y, sol.quadruple), sol.value_norm) for sol in self.solutions]
-        q, t = self.field.q, self.field.t  # norm(y) = y1^2 + t*y1*y2 + q*y2^2, as QuadraticField.norm takes it
-        rows += [
-            (_solver_order(y1 * y1 + t * y1 * y2 + q * y2 * y2, (x1, x2, y1, y2)), 0)
-            for x1, x2, y1, y2 in self.family_members()
-        ]
+        norm = self.field.norm
+        rows += [(_solver_order(norm(quad[2], quad[3]), quad), 0) for quad in self.family_members()]
         return [((x1, x2, y1, y2), value_norm) for (_, y1, y2, x1, x2), value_norm in sorted(rows)]
 
 
@@ -244,7 +237,7 @@ def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerP
 def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
     """(r, f'(r)^2) for each integer root r of f, as the derivative test of the module docstring reads it."""
     f_prime = _poly.derivative(problem.form.coeffs)
-    return [(r, _poly.evaluate(f_prime, r) ** 2) for r in problem.integer_roots]
+    return [(r, _poly.evaluate(f_prime, r) ** 2) for r in problem.roots.integer_roots]
 
 
 def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
@@ -259,7 +252,7 @@ def zero_value_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     taken from the one before.
     """
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
-    roots = problem.integer_roots
+    roots = problem.roots.integer_roots
     kernel = _kernel(problem)
     classes = _classes(s, abs_solutions.rows)
     found: Found = {}
@@ -359,7 +352,7 @@ def solve_relative(
     return RelativeSolutionSet(
         solutions=tuple(solutions),
         search_height=height,
-        families=tuple(ZeroFamily(r) for r in problem.integer_roots),
+        families=tuple(ZeroFamily(r) for r in problem.roots.integer_roots),
         cross_check_ok=cross_check_ok,
         field=field,
     )

@@ -397,10 +397,6 @@ class Problem(
         }
         return super().__new__(cls, field, form, K, epsilon, **derived)
 
-    @property
-    def integer_roots(self) -> tuple[int, ...]:
-        return self.roots.integer_roots
-
 
 def enclosures(problem: Problem) -> tuple[tuple[Fraction, Fraction], ...]:
     """The certified bounds the ``constants`` command prints, as Fractions of the problem's integer pairs.

@@ -64,7 +64,7 @@ def full_report(problem: Problem, quad: tuple[int, int, int, int]) -> TheoremRep
     x1, y1 = quad[0], quad[2]
     v_real, v_imag = form.evaluate(a, b), form.evaluate(x2, y2)
     n, m = form.degree, field.m
-    norm_y = y1 * y1 + field.t * y1 * y2 + field.q * y2 * y2  # QuadraticField.norm of y, on its coordinates
+    norm_y = field.norm(y1, y2)
     proportionality_cap, real_vanish_cap, imag_vanish_cap = problem.gate_caps
     return TheoremReport(
         norm_y=norm_y,

@@ -17,7 +17,6 @@ from relthue import (
     BinaryForm,
     Problem,
     QuadraticField,
-    RingElement,
     brute_force,
     check_admissible,
     full_report,
@@ -97,13 +96,12 @@ def test_criterion_2_predicate_soundness(instances):
             K_sq = Fraction(inst.K) ** 2
             while hits < 12 and tries < 3000 and sampled < 1000:
                 tries += 1
-                x = RingElement(rng.randint(-height, height), rng.randint(-height, height))
-                y = RingElement(rng.randint(-height, height), rng.randint(-height, height))
-                if inst.field.norm(inst.field.evaluate_form(inst.form, x, y)) > K_sq:
+                quad = tuple(rng.randint(-height, height) for _ in range(4))
+                if inst.field.norm(*inst.field.evaluate_form(inst.form, quad)) > K_sq:
                     continue
                 hits += 1
                 sampled += 1
-                report = full_report(inst.problem, (x.u1, x.u2, y.u1, y.u2))
+                report = full_report(inst.problem, quad)
                 assert report.ok, (inst.name, inst.field.m, inst.K, (x, y))
     assert sampled >= 1000, f"rejection sampling found only {sampled} solutions"
     _report(2, True, f"predicates pass on {oracle_count} oracle solutions + {sampled} sampled solutions, zero violations")
@@ -148,11 +146,11 @@ def test_criterion_6_norm_and_am_gm():
     for m in (1, 2, 3, 7, 11):
         field = QuadraticField(m)
         for _ in range(pairs_per_field):
-            z = RingElement(rng.randint(-200, 200), rng.randint(-200, 200))
-            w = RingElement(rng.randint(-200, 200), rng.randint(-200, 200))
-            assert field.norm(mul(field, z, w)) == field.norm(z) * field.norm(w)
+            z = (rng.randint(-200, 200), rng.randint(-200, 200))
+            w = (rng.randint(-200, 200), rng.randint(-200, 200))
+            assert field.norm(*mul(field, z, w)) == field.norm(*z) * field.norm(*w)
             re_sq, im_sq = real_part_sq(field, z), imag_part_sq(field, z)
-            assert re_sq * im_sq <= Fraction(field.norm(z), 2) ** 2
+            assert re_sq * im_sq <= Fraction(field.norm(*z), 2) ** 2
     _report(6, True, "norm multiplicativity and AM-GM: 10^4 random pairs per m in {1,2,3,7,11}, zero failures")
 
 

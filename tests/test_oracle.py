@@ -26,24 +26,16 @@ def test_known_members_height_one():
     assert {(1, 0, 0, 0), (0, 1, 0, 0), (-1, 0, 0, 0)} <= quads
     # everything in the box satisfies the inequality exactly
     field = QuadraticField(3)
-    from relthue import RingElement
-
-    for (x1, x2, y1, y2), norm_value in result.solutions:
-        value = field.evaluate_form(F1, RingElement(x1, x2), RingElement(y1, y2))
-        assert field.norm(value) == norm_value <= 1
+    for quad, norm_value in result.solutions:
+        assert field.norm(*field.evaluate_form(F1, quad)) == norm_value <= 1
 
 
 def test_sorted_deterministic():
-    from relthue import RingElement
-
     field = QuadraticField(7)
     first = brute_force(field, F1, 1, 2)
     second = brute_force(field, F1, 1, 2)
     assert first == second
-    order = [
-        (field.norm(RingElement(q[2], q[3])), q[2], q[3], q[0], q[1])
-        for q, _ in first.solutions
-    ]
+    order = [(field.norm(q[2], q[3]), q[2], q[3], q[0], q[1]) for q, _ in first.solutions]
     assert order == sorted(order)
 
 

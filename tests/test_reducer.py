@@ -15,7 +15,6 @@ from relthue import (
     BinaryForm,
     Problem,
     QuadraticField,
-    RingElement,
     brute_force,
     check_admissible,
     solve_abs,
@@ -75,11 +74,10 @@ def test_zero_branch_parity_reconstruction():
     problem, abs_solutions = branch_input(3, F1, 1, 6)
     field = problem.field
     found = zero_value_branch(problem, abs_solutions)
-    assert problem.integer_roots == (-2, 0, 2)
+    assert problem.roots.integer_roots == (-2, 0, 2)
     for quad in found:
-        x1, x2, y1, y2 = quad
         # reconstruction parity: a = 2*x1 + x2 and b = 2*y1 + y2 are integers by construction
-        assert field.norm(field.evaluate_form(F1, RingElement(x1, x2), RingElement(y1, y2))) <= 1
+        assert field.norm(*field.evaluate_form(F1, quad)) <= 1
     # the (a,b)=(8,4) member over (x2,y2)=(0,0) is in the family of root 2, not in the branch output
     assert (4, 0, 2, 0) not in found
     assert (4, 0, 2, 0) in solve_relative(field, F1, 1, Fraction(1, 2), 6).quadruples()
@@ -104,10 +102,8 @@ def test_nonzero_branch_worked_example():
     found = nonzero_value_branch(problem, abs_solutions)
     assert (0, 1, 0, 0) in found
     for quad in found:
-        x = RingElement(quad[0], quad[1])
-        y = RingElement(quad[2], quad[3])
-        assert F1.evaluate(x.u2, y.u2) != 0
-        assert field.norm(field.evaluate_form(F1, x, y)) <= 1
+        assert F1.evaluate(quad[1], quad[3]) != 0
+        assert field.norm(*field.evaluate_form(F1, quad)) <= 1
 
 
 def test_branches_disjoint_by_imag_value():
@@ -221,9 +217,8 @@ def test_all_emitted_solutions_verified():
     field = QuadraticField(3)
     result = solve_relative(field, F1, Fraction(3, 2), Fraction(1, 2), 8)
     for sol in result.solutions:
-        x1, x2, y1, y2 = sol.quadruple
-        assert sol.value == field.evaluate_form(F1, RingElement(x1, x2), RingElement(y1, y2))
-        assert sol.value_norm <= Fraction(3, 2) ** 2
+        assert sol.value_pair == field.evaluate_form(F1, sol.quadruple)
+        assert sol.value_norm == field.norm(*sol.value_pair) <= Fraction(3, 2) ** 2
         assert sol.report.ok
 
 
@@ -246,7 +241,7 @@ def test_sort_order_and_uniqueness():
     field = QuadraticField(3)
     result = solve_relative(field, F1, 1, Fraction(1, 2), 6)
     quads = [s.quadruple for s in result.solutions]
-    keys = [(field.norm(RingElement(y1, y2)), y1, y2, x1, x2) for x1, x2, y1, y2 in quads]
+    keys = [(field.norm(y1, y2), y1, y2, x1, x2) for x1, x2, y1, y2 in quads]
     assert keys == sorted(keys)
     assert len(quads) == len(set(quads))
 
@@ -331,8 +326,8 @@ def test_family_members_are_neither_verified_nor_reported():
     # one report per orbit of the solutions off the families
     quads = [sol.quadruple for sol in result.solutions]
     assert calls["theorem", "full_report"] == len({orbit(result.field, quad) for quad in quads}) < len(quads)
-    # the verification kernel takes norm(F(x, y)) and each report norm(y) on plain integers: no ring norm at all
-    assert calls["quadfield", "norm"] == 0
+    # the verification kernel takes norm(F(x, y)) on plain integers, and each report takes the ring norm of y once
+    assert calls["quadfield", "norm"] == calls["theorem", "full_report"]
 
 
 def test_no_process_global_cache():
@@ -377,10 +372,9 @@ def test_family_members_solve_and_pass_every_predicate(m, K, form):
     roots = [f.root for f in result.families]
     s = field.s
     for x1, x2, y1, y2 in members:
-        x, y = RingElement(x1, x2), RingElement(y1, y2)
         assert any(x1 == r * y1 and x2 == r * y2 for r in roots)
         assert abs(y2) <= height and abs(s * y1 + (s - 1) * y2) <= height
-        assert field.evaluate_form(form, x, y).is_zero
+        assert field.evaluate_form(form, (x1, x2, y1, y2)) == (0, 0)
         assert full_report(problem, (x1, x2, y1, y2)).ok
 
 
@@ -402,8 +396,8 @@ SMALL_M = st.integers(1, 10**4).filter(lambda m: all(m % (d * d) for d in range(
 )
 def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
     field, form = field_of(m), BinaryForm(coeffs)
-    value = field.evaluate_form(form, RingElement(*quad[:2]), RingElement(*quad[2:]))
-    assert _evaluate(form.coeffs, field.q, field.t, *quad) == (value.u1, value.u2, field.norm(value))
+    value = field.evaluate_form(form, quad)
+    assert _evaluate(form.coeffs, field.q, field.t, *quad) == (*value, field.norm(*value))
 
 
 class Unreadable(tuple):

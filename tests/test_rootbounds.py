@@ -385,7 +385,7 @@ def test_problem_validates_once_at_construction():
         Problem(QuadraticField(3), F1, Fraction(1, 2))
     with pytest.raises(ValueError, match="epsilon"):
         Problem(QuadraticField(3), F1, 1, Fraction(1))
-    assert Problem(QuadraticField(3), F1, 1).integer_roots == (-2, 0, 2)
+    assert Problem(QuadraticField(3), F1, 1).roots.integer_roots == (-2, 0, 2)
 
 
 @given(
@@ -483,7 +483,7 @@ def test_gate_floors_of_irrational_root_forms(coeffs, m, K, floors):
     problem = Problem(QuadraticField(m), BinaryForm(coeffs), K)
     assert problem.gate_caps == gate_floors(square for _, square in enclosures(problem)[4:]) == floors
     assert problem.gates_stable
-    assert problem.integer_roots == ()
+    assert problem.roots.integer_roots == ()
 
 
 @given(st.lists(st.integers(-(10**12), 10**12), min_size=3, max_size=5, unique=True))

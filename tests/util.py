@@ -56,9 +56,10 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 import relthue
-from relthue import BinaryForm, Problem, QuadraticField, RingElement, check_admissible
+from relthue import BinaryForm, Problem, QuadraticField, check_admissible
 from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variations
 from relthue.abssolver import AbsSolutionSet
+from relthue.forms import IntegerPair
 from relthue.oracle import OracleResult, _tableaux
 from relthue.reducer import Found
 from relthue.rootbounds import ISOLATION_BITS, MAX_HALVINGS, RootData, _bounds, _dyadic_root, isolate_roots, refine
@@ -258,14 +259,12 @@ def cell_scan(field: QuadraticField, form: BinaryForm, K, height: int) -> Oracle
     found = []
     for y1 in span:
         for y2 in span:
-            y = RingElement(y1, y2)
-            norm_y = field.norm(y)
+            norm_y = field.norm(y1, y2)
             for x1 in span:
                 for x2 in span:
-                    x = RingElement(x1, x2)
-                    value = field.evaluate_form(form, x, y)
-                    if field.norm(value) <= K_sq:
-                        found.append((norm_y, (x1, x2, y1, y2), field.norm(value)))
+                    value_norm = field.norm(*field.evaluate_form(form, (x1, x2, y1, y2)))
+                    if value_norm <= K_sq:
+                        found.append((norm_y, (x1, x2, y1, y2), value_norm))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
     return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))
 
@@ -305,33 +304,37 @@ def list_sweep_peak(field: QuadraticField, form: BinaryForm, height: int) -> int
     return peak
 
 
-def mul(field: QuadraticField, z: RingElement, v: RingElement) -> RingElement:
-    """z*v, with w^2 = w - (1+m)/4 (s = 2) or (i*sqrt(m))^2 = -m (s = 1)."""
+def mul(field: QuadraticField, z: IntegerPair, v: IntegerPair) -> IntegerPair:
+    """z*v on coordinate pairs (u1, u2), with w^2 = w - (1+m)/4 (s = 2) or (i*sqrt(m))^2 = -m (s = 1)."""
+    (z1, z2), (v1, v2) = z, v
     if field.s == 2:
-        cross = z.u2 * v.u2
-        return RingElement(z.u1 * v.u1 - (1 + field.m) // 4 * cross, z.u1 * v.u2 + z.u2 * v.u1 + cross)
-    return RingElement(z.u1 * v.u1 - field.m * z.u2 * v.u2, z.u1 * v.u2 + z.u2 * v.u1)
+        cross = z2 * v2
+        return (z1 * v1 - (1 + field.m) // 4 * cross, z1 * v2 + z2 * v1 + cross)
+    return (z1 * v1 - field.m * z2 * v2, z1 * v2 + z2 * v1)
 
 
-def conj(field: QuadraticField, z: RingElement) -> RingElement:
+def conj(field: QuadraticField, z: IntegerPair) -> IntegerPair:
     """Complex conjugate, in the same basis: conj(w) = 1 - w (s = 2)."""
+    u1, u2 = z
     if field.s == 2:
-        return RingElement(z.u1 + z.u2, -z.u2)
-    return RingElement(z.u1, -z.u2)
+        return (u1 + u2, -u2)
+    return (u1, -u2)
 
 
-def real_part_sq(field: QuadraticField, z: RingElement) -> Fraction:
+def real_part_sq(field: QuadraticField, z: IntegerPair) -> Fraction:
     """Exact square of Re(z)."""
+    u1, u2 = z
     if field.s == 2:
-        return Fraction((2 * z.u1 + z.u2) ** 2, 4)
-    return Fraction(z.u1 * z.u1)
+        return Fraction((2 * u1 + u2) ** 2, 4)
+    return Fraction(u1 * u1)
 
 
-def imag_part_sq(field: QuadraticField, z: RingElement) -> Fraction:
+def imag_part_sq(field: QuadraticField, z: IntegerPair) -> Fraction:
     """Exact square of Im(z)."""
+    u2 = z[1]
     if field.s == 2:
-        return Fraction(field.m * z.u2 * z.u2, 4)
-    return Fraction(field.m * z.u2 * z.u2)
+        return Fraction(field.m * u2 * u2, 4)
+    return Fraction(field.m * u2 * u2)
 
 
 def fraction_sturm_chain(coeffs) -> tuple[tuple[int, ...], ...]:
@@ -380,17 +383,15 @@ def nested_gap_enclosures(intervals):
     return a_lo, a_hi, b_lo, b_hi
 
 
-def power_table_evaluate(field: QuadraticField, form: BinaryForm, x: RingElement, y: RingElement) -> RingElement:
-    """F(x, y) in the ring as sum c_k x^k y^(n-k), from tables of the powers of x and of y."""
-    n = form.degree
-    xp, yp = [RingElement(1, 0)], [RingElement(1, 0)]
+def power_table_evaluate(field: QuadraticField, form: BinaryForm, quad) -> IntegerPair:
+    """F(x, y) = v1 + v2*w as (v1, v2), quad = (x1, x2, y1, y2), as sum c_k x^k y^(n-k) from power tables."""
+    n, x, y = form.degree, quad[:2], quad[2:]
+    xp, yp = [(1, 0)], [(1, 0)]
     for _ in range(n):
         xp.append(mul(field, xp[-1], x))
         yp.append(mul(field, yp[-1], y))
     terms = [mul(field, xp[k], yp[n - k]) for k in range(n + 1)]
-    return RingElement(
-        sum(c * t.u1 for c, t in zip(form.coeffs, terms)), sum(c * t.u2 for c, t in zip(form.coeffs, terms))
-    )
+    return tuple(sum(c * term[i] for c, term in zip(form.coeffs, terms)) for i in (0, 1))
 
 
 def bisection_isolation(form: BinaryForm, bits: int, start: RootData | None = None) -> RootData:
@@ -457,11 +458,11 @@ def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> N
     for a, b in real_pairs:
         if (a - (s - 1) * x2) % s or (b - (s - 1) * y2) % s:
             continue
-        x, y = RingElement((a - (s - 1) * x2) // s, x2), RingElement((b - (s - 1) * y2) // s, y2)
-        value = field.evaluate_form(form, x, y)
-        value_norm = field.norm(value)
+        quad = ((a - (s - 1) * x2) // s, x2, (b - (s - 1) * y2) // s, y2)
+        value = field.evaluate_form(form, quad)
+        value_norm = field.norm(*value)
         if value_norm <= problem.norm_cap:
-            found[x.u1, x.u2, y.u1, y.u2] = (value.u1, value.u2, value_norm)
+            found[quad] = (*value, value_norm)
 
 
 def values_index(abs_solutions: AbsSolutionSet) -> dict[int, list[tuple[int, int]]]:
@@ -500,7 +501,7 @@ def range_walk_nonzero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -
 def root_test_zero_branch(problem: Problem, abs_solutions: AbsSolutionSet) -> Found:
     """``reducer.zero_value_branch`` with the real pairs at (x2, y2) = (0, 0) kept by testing a != r*b per root."""
     s, m, n = problem.field.s, problem.field.m, problem.form.degree
-    roots = problem.integer_roots
+    roots = problem.roots.integer_roots
     real_pairs = [(a, b) for a, b, _ in abs_solutions.solutions]
     found: Found = {}
     pair_by_division(problem, (0, 0), [(a, b) for a, b in real_pairs if all(a != r * b for r in roots)], found)
