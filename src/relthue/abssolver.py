@@ -66,7 +66,7 @@ from .rootbounds import ROOT_PREC_BITS, RootData, _dyadic_root, isolate_roots, r
 
 
 class AbsSolutionSet(NamedTuple):
-    """All (a, b) with |b| <= height and |F(a, b)| <= bound, held as representatives: scanned rows and a span.
+    """All (a, b) with |b| <= height and |F(a, b)| <= the bound solved for, as representatives: rows and a span.
 
     A representative has b > 0, or b = 0 <= a; F of degree ``degree`` gives each other row as one negated.
     ``rows`` holds the scanned representatives, b < ``span_start``, sorted by (b, a) from (0, 0, 0) on.  The
@@ -74,7 +74,6 @@ class AbsSolutionSet(NamedTuple):
     row was left unscanned.
     """
 
-    bound: Fraction
     height: int
     degree: int
     rows: tuple[tuple[int, int, int], ...]  # (a, b, F(a, b))
@@ -144,4 +143,4 @@ def solve_abs(
                 if abs(value) <= cap:
                     rows.append((a, b, value))
             start = max(start, a_hi + 1)
-    return AbsSolutionSet(bound, height, n, tuple(rows), span_roots=span_roots, span_start=scanned + 1)
+    return AbsSolutionSet(height, n, tuple(rows), span_roots=span_roots, span_start=scanned + 1)

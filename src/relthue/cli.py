@@ -216,13 +216,13 @@ def cmd_solve(args) -> int:
         "epsilon": str(spec.epsilon),
         "ymax": result.search_height,
         "solutions": rows,
-        "families": [{"root": f.root, "x_step": [f.root, 0], "y_step": [1, 0]} for f in result.families],
+        "families": [{"root": r, "x_step": [r, 0], "y_step": [1, 0]} for r in result.families],
         "cross_check_ok": result.cross_check_ok,
     }
     lines = [*_text_head(spec), f"ymax {spec.ymax}", f"solutions {len(rows)}", *rows]
     if args.families:
         lines.append(f"families {len(result.families)}")
-        lines += [f"family root={f.root} x_step=({f.root},0) y_step=(1,0)" for f in result.families]
+        lines += [f"family root={r} x_step=({r},0) y_step=(1,0)" for r in result.families]
     lines.append("cross-check ok" if result.cross_check_ok else "cross-check FAILED")
     _emit(args, payload, lines)
     return 0 if result.cross_check_ok else 2
@@ -249,14 +249,14 @@ def cmd_abs(args) -> int:
     payload = {
         "command": "abs",
         "coeffs": list(form.coeffs),
-        "bound": str(result.bound),
+        "bound": str(bound),
         "ymax": result.height,
         "complete_within_height": True,
         "solutions": [[a, b, v] for a, b, v in rows],
     }
     lines = [
         f"form {form}",
-        f"bound {result.bound}",
+        f"bound {bound}",
         f"ymax {result.height}",
         f"solutions {len(rows)}",
         *[f"{a} {b} {v}" for a, b, v in rows],

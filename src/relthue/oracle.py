@@ -64,7 +64,6 @@ Table = dict[tuple[int, ...], int]  # forward differences at the corner, by orde
 
 
 class OracleResult(NamedTuple):
-    height: int
     solutions: tuple[tuple[Quad, int], ...]  # (quadruple, norm of F), solver sort order
 
     def quadruples(self) -> set[Quad]:
@@ -180,4 +179,4 @@ def brute_force(field: QuadraticField, form: BinaryForm, K, height: int) -> Orac
                     y2, x2 = y2 - height, x2 - height
                     found.append((field.norm(y1, y2), (x1, x2, y1, y2), scaled_norm // (s * s)))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
-    return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))
+    return OracleResult(tuple((quad, nv) for _, quad, nv in found))

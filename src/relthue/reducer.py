@@ -22,8 +22,9 @@ v_imag != 0 gives:
 * zero branch: (x2, y2) runs over the zero set of F on Z^2, that is (0, 0)
   and the integer-root lines (r*t, t), and (a, b) over |F(a, b)| <= s^n K.
   A pair with x2 = r*y2 and a = r*b is a member x = r*y of the zero family
-  of r; members are not enumerated but kept as :class:`ZeroFamily` and
-  expanded by :meth:`RelativeSolutionSet.quadruples`.  f is monic, so
+  of r; members are not enumerated but kept as the root r in
+  :attr:`RelativeSolutionSet.families` and expanded by
+  :meth:`RelativeSolutionSet.quadruples`.  f is monic, so
   F(a, b) = 0 only on the root lines: (x2, y2) = (0, 0) takes the real pairs
   of nonzero value, and (0, 0) when f has no integer root.  Off the families,
   e = a - r*b = s*d with d = x - r*y a nonzero rational integer, and h = t,
@@ -62,14 +63,14 @@ plain-integer kernel and returns those that solve.  :func:`solve_relative`
 expands each of them into its orbit: each other distinct member (up to four
 in all) is verified by the same kernel, once, so every solution is still
 checked one by one.  A solution is kept as plain integers: its quadruple, the
-value F(x, y) and its norm, and its report, which
+norm of F(x, y), and its report, which
 :func:`~relthue.theorem.full_report` decides once per orbit, for the
 representative.  Every predicate reads only |F(a, b)|, |F(x2, y2)|,
 norm(y), whether x2*y1 - x1*y2, b and y2 vanish, and whether a and x2 do;
 both maps keep each of these, so every member of an orbit has the report of
-its representative, by an argument of the kind that exempts
-:class:`ZeroFamily` members.  One absolute enumeration at bound s^n K serves
-both branches.
+its representative, by an argument of the kind that exempts zero-family
+members (see :class:`RelativeSolutionSet`).  One absolute enumeration at
+bound s^n K serves both branches.
 """
 
 from __future__ import annotations
@@ -88,30 +89,13 @@ from .rootbounds import Problem
 from .theorem import TheoremReport, full_report
 
 Quad = tuple[int, int, int, int]  # (x1, x2, y1, y2)
-Found = dict[Quad, tuple[int, int, int]]  # representative quad -> (v1, v2, norm) for F(x, y) = v1 + v2*w
-
-
-class ZeroFamily(NamedTuple):
-    """One integer-root line of F: every (w*root, w) with w in the ring solves exactly.
-
-    A member x = r*y has F(x, y) = 0, and every predicate of
-    :func:`~relthue.theorem.full_report` holds for it: its real pair is
-    (r*b, b) and its imaginary pair (r*y2, y2), so both part values and the
-    joint product are 0; x2*y1 = r*y2*y1 = x1*y2 (proportionality); b = 0
-    forces a = r*b = 0 (real-pair vanishing); y2 = 0 forces x2 = r*y2 = 0
-    (imaginary vanishing).  Members are therefore checked once per family,
-    by this argument, and not one by one.
-    """
-
-    root: int
+Found = dict[Quad, int]  # representative quad -> norm(F(x, y))
 
 
 class RelativeSolution(NamedTuple):
-    """One verified solution as plain integers: (x1, x2, y1, y2), F(x, y) = v1 + v2*w as (v1, v2), its norm,
-    and its predicate report."""
+    """One verified solution as plain integers: (x1, x2, y1, y2), the norm of F(x, y), and its predicate report."""
 
     quadruple: Quad
-    value_pair: IntegerPair
     value_norm: int
     report: TheoremReport
 
@@ -122,15 +106,24 @@ class RelativeSolutionSet(NamedTuple):
     ``solutions`` holds only the solutions that are not family members, each
     verified exactly and with its predicate report; when F has no integer
     root, (0, 0) is one of them, otherwise it is a member of every family.
-    ``families`` holds one :class:`ZeroFamily` per integer root.  The reach is
-    |y2| <= ``search_height`` and |s*y1 + (s-1)*y2| <= ``search_height``;
-    :meth:`family_members` lists the members within it and
-    :meth:`quadruples` the whole solution set within it.
+    ``families`` holds the integer roots of f in ascending order, one zero
+    family each: the family of r is every (w*r, w) with w in the ring, and
+    each member solves exactly.  The reach is |y2| <= ``search_height`` and
+    |s*y1 + (s-1)*y2| <= ``search_height``; :meth:`family_members` lists the
+    members within it and :meth:`quadruples` the whole solution set within it.
+
+    A member x = r*y has F(x, y) = 0, and every predicate of
+    :func:`~relthue.theorem.full_report` holds for it: its real pair is
+    (r*b, b) and its imaginary pair (r*y2, y2), so both part values and the
+    joint product are 0; x2*y1 = r*y2*y1 = x1*y2 (proportionality); b = 0
+    forces a = r*b = 0 (real-pair vanishing); y2 = 0 forces x2 = r*y2 = 0
+    (imaginary vanishing).  Members are therefore checked once per family,
+    by this argument, and not one by one.
     """
 
     solutions: tuple[RelativeSolution, ...]
     search_height: int
-    families: tuple[ZeroFamily, ...]
+    families: tuple[int, ...]
     cross_check_ok: bool
     field: QuadraticField
 
@@ -142,8 +135,7 @@ class RelativeSolutionSet(NamedTuple):
         and not with the reach.
         """
         s, t, height = self.field.s, self.field.t, self.search_height
-        for i, family in enumerate(self.families):
-            r = family.root
+        for i, r in enumerate(self.families):
             # |y1|, |y2| <= cap keeps r*y1 and r*y2 in the box; reach alone implies |y1| <= height
             cap = height if box is None else min(height, box // max(abs(r), 1))
             for y2 in range(-cap, cap + 1):
@@ -169,8 +161,8 @@ def _solver_order(norm_y: int, quad: Quad) -> tuple[int, int, int, int, int]:
     return (norm_y, quad[2], quad[3], quad[0], quad[1])  # norm(y), then y1, y2, x1, x2
 
 
-def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int, y2: int) -> tuple[int, int, int]:
-    """(v1, v2, norm) for F(x, y) = v1 + v2*w, x = x1 + x2*w and y = y1 + y2*w, on plain integers.
+def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int, y2: int) -> int:
+    """norm(F(x, y)) for x = x1 + x2*w and y = y1 + y2*w, on plain integers, through F(x, y) = v1 + v2*w.
 
     The homogeneous Horner scheme of :meth:`QuadraticField.evaluate_form`, acc <- acc*x + c_k*y^(n-k), with the
     ring's constants :attr:`QuadraticField.q` and :attr:`QuadraticField.t` (w^2 = t*w - q) passed in:
@@ -184,18 +176,18 @@ def _evaluate(coeffs: tuple[int, ...], q: int, t: int, x1: int, x2: int, y1: int
         p1, p2 = p1 * y1 - q * cross, p1 * y2 + p2 * y1 + t * cross
         cross = v2 * x2
         v1, v2 = v1 * x1 - q * cross + c * p1, v1 * x2 + v2 * x1 + t * cross + c * p2
-    return v1, v2, v1 * v1 + t * v1 * v2 + q * v2 * v2
+    return v1 * v1 + t * v1 * v2 + q * v2 * v2
 
 
-def _verify(kernel: tuple, quad: Quad):
-    """(v1, v2, norm) of F(x, y) = v1 + v2*w when the quadruple solves the inequality, else None.
+def _verify(kernel: tuple, quad: Quad) -> int | None:
+    """norm(F(x, y)) when the quadruple solves the inequality, else None.
 
     ``kernel`` is (coeffs, q, t, norm_cap) as :func:`_kernel` hoists it.  Norms are integers, so
     norm(F(x, y)) <= K^2 exactly when it is at most ``norm_cap`` = floor(K^2).
     """
     coeffs, q, t, norm_cap = kernel
-    verified = _evaluate(coeffs, q, t, *quad)
-    return verified if verified[2] <= norm_cap else None
+    norm = _evaluate(coeffs, q, t, *quad)
+    return norm if norm <= norm_cap else None
 
 
 def _kernel(problem: Problem) -> tuple:
@@ -229,9 +221,9 @@ def _orbits(kernel: tuple, imag_pair: IntegerPair, real_pairs: Iterable[IntegerP
     s, (x2, y2) = t + 1, imag_pair
     for a, b in real_pairs:
         quad = ((a - t * x2) // s, x2, (b - t * y2) // s, y2)
-        verified = _verify(kernel, quad)
-        if verified is not None:
-            found[quad] = verified
+        norm = _verify(kernel, quad)
+        if norm is not None:
+            found[quad] = norm
 
 
 def _root_slopes(problem: Problem) -> list[tuple[int, int]]:
@@ -325,7 +317,7 @@ def solve_relative(
     decided once per orbit of conjugation and negation, for the
     representative a branch returns, and shared by the members it expands
     to (see the module docstring); family members satisfy every predicate
-    by the argument on :class:`ZeroFamily`.
+    by the argument on :class:`RelativeSolutionSet`.
     """
     problem = Problem(field, form, K, epsilon)
     abs_solutions = solve_abs(form, problem.abs_bound, height, roots=problem.roots)
@@ -333,17 +325,17 @@ def solve_relative(
     representatives.update(nonzero_value_branch(problem, abs_solutions))
     kernel, t = _kernel(problem), field.t
     solutions = []
-    for quad, (v1, v2, value_norm) in representatives.items():
+    for quad, value_norm in representatives.items():
         report = full_report(problem, quad)
-        solutions.append(RelativeSolution(quad, (v1, v2), value_norm, report))
+        solutions.append(RelativeSolution(quad, value_norm, report))
         x1, x2, y1, y2 = quad
         conjugate = (x1 + t * x2, -x2, y1 + t * y2, -y2)  # (-imaginary pair, real pair)
         negated_real = (-x1 - t * x2, x2, -y1 - t * y2, y2)  # (imaginary pair, -real pair)
         for member in {conjugate, negated_real, (-x1, -x2, -y1, -y2)}:
             if member != quad:
-                verified = _verify(kernel, member)
-                if verified is not None:
-                    solutions.append(RelativeSolution(member, verified[:2], verified[2], report))
+                norm = _verify(kernel, member)
+                if norm is not None:
+                    solutions.append(RelativeSolution(member, norm, report))
     solutions.sort(key=lambda sol: _solver_order(sol.report.norm_y, sol.quadruple))
     cross_check_ok = all(sol.report.ok for sol in solutions)
     if not cross_check_ok:
@@ -352,7 +344,7 @@ def solve_relative(
     return RelativeSolutionSet(
         solutions=tuple(solutions),
         search_height=height,
-        families=tuple(ZeroFamily(r) for r in problem.roots.integer_roots),
+        families=problem.roots.integer_roots,
         cross_check_ok=cross_check_ok,
         field=field,
     )

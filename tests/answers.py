@@ -10,7 +10,9 @@ benchmark's workload streams, and the test never does.
 
 A hash covers every solution that is not a family member, in solver order, with its quadruple,
 value pair, norm and report flags; the family roots (members are never expanded); the search
-height; and ``cross_check_ok``.
+height; and ``cross_check_ok``.  A solution holds only the norm of its value, so the value pair
+F(x, y) = v1 + v2*w is taken from ``QuadraticField.evaluate_form``; the hash keeps the pair, so the
+hashes in ``answers.json`` stay valid.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ X3_3XY2_Y3 = (-1, -3, 0, 1)
 
 
 def answer_hash(problem: dict) -> str:
-    result = solve_relative(
-        QuadraticField(problem["m"]),
-        BinaryForm(tuple(problem["coeffs"])),
-        Fraction(problem["K"]),
-        Fraction(problem["epsilon"]),
-        problem["H"],
-    )
+    field, form = QuadraticField(problem["m"]), BinaryForm(tuple(problem["coeffs"]))
+    result = solve_relative(field, form, Fraction(problem["K"]), Fraction(problem["epsilon"]), problem["H"])
     answer = (
-        tuple((sol.quadruple, sol.value_pair, sol.value_norm, tuple(sol.report)) for sol in result.solutions),
-        tuple(family.root for family in result.families),
+        tuple(
+            (sol.quadruple, field.evaluate_form(form, sol.quadruple), sol.value_norm, tuple(sol.report))
+            for sol in result.solutions
+        ),
+        result.families,
         result.search_height,
         result.cross_check_ok,
     )

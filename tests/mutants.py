@@ -110,6 +110,8 @@ MUTANTS = [
     Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)",
            ("tests/test_abssolver.py::test_a_bound_below_one_keeps_only_the_zeros",)),
     Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
+    Mutant("reducer.py", "return norm if norm <= norm_cap else None", "return norm if norm < norm_cap else None",
+           ("tests/test_reducer.py::test_oracle_equivalence_small",)),
     # problem setup and predicate reports on integers
     Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == above else (mid, hi)",
            "lo, hi = (mid, hi) if side == above else (lo, mid)",
@@ -250,6 +252,9 @@ MUTANTS = [
     Mutant("reducer.py", "report = full_report(problem, quad)",
            "report = next(iter(sol.report for sol in solutions), None) or full_report(problem, quad)",
            ("tests/test_reducer.py::test_each_orbit_is_reported_once_and_every_member_has_its_own_report",)),
+    # the zero families held as their roots
+    Mutant("reducer.py", "families=problem.roots.integer_roots,", "families=(),",
+           ("tests/test_reducer.py::test_reducible_reports_families",)),
     # expected survivors
     Mutant("oracle.py", "min(isqrt(bound // m), bias - 1)", "min(isqrt(bound), bias - 1)", ("tests/test_oracle.py",),
            survives="a looser filter only costs time: every cell that passes it is decided by the exact norm test"),

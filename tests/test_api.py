@@ -1,4 +1,8 @@
 import relthue
+from relthue.abssolver import AbsSolutionSet
+from relthue.oracle import OracleResult
+from relthue.reducer import RelativeSolution, RelativeSolutionSet
+from relthue.theorem import TheoremReport
 
 # The documented entry points, as the README lists them; building blocks are imported from their modules.
 ENTRY_POINTS = [
@@ -22,3 +26,23 @@ def test_the_package_exports_the_ten_documented_entry_points():
     del namespace["__builtins__"]
     assert sorted(namespace) == ENTRY_POINTS
     assert all(callable(value) for value in namespace.values())
+
+
+def test_the_result_records_hold_these_fields():
+    # the records of the library contract, as the README lists them: a field added or removed changes the contract
+    assert RelativeSolution._fields == ("quadruple", "value_norm", "report")
+    assert RelativeSolutionSet._fields == ("solutions", "search_height", "families", "cross_check_ok", "field")
+    assert AbsSolutionSet._fields == ("height", "degree", "rows", "span_roots", "span_start")
+    assert OracleResult._fields == ("solutions",)
+    assert TheoremReport._fields == (
+        "norm_y",
+        "real_bound_ok",
+        "imag_bound_ok",
+        "joint_bound_ok",
+        "proportional_applicable",
+        "proportional_holds",
+        "real_vanish_applicable",
+        "real_vanish_holds",
+        "imag_vanish_applicable",
+        "imag_vanish_holds",
+    )

@@ -95,7 +95,7 @@ def test_solve_json_round_trip(capsys, problem_file):
     listed = {(r["x1"], r["x2"], r["y1"], r["y2"]): r["norm"] for r in parsed.pop("solutions")}
     assert len(listed) == len(fresh.solutions) + len(list(fresh.family_members()))
     assert listed == {s.quadruple: s.value_norm for s in fresh.solutions} | dict.fromkeys(fresh.family_members(), 0)
-    families = [{"root": f.root, "x_step": [f.root, 0], "y_step": [1, 0]} for f in fresh.families]
+    families = [{"root": r, "x_step": [r, 0], "y_step": [1, 0]} for r in fresh.families]
     assert parsed == {
         "command": "solve",
         "coeffs": [0, -4, 0, 1],

@@ -156,6 +156,20 @@ def test_oracle_sweep_of_the_cubics_with_roots_next_to_integers(m):
     assert not [(form, K) for form, K in product(table, sweep.KS) if sweep.mismatch(form, m, K, 3) is not None]
 
 
+SMALL_FORMS = {3: SMALL_CUBICS, 4: [form for form in sweep.forms(4) if max(map(abs, form.coeffs)) <= 2]}
+
+
+@pytest.mark.parametrize("degree,K", product(SMALL_FORMS, sweep.FLOOR_KS))
+def test_oracle_sweep_where_the_integer_floors_of_K_decide(degree, K):
+    # K a billionth off an integer, and for each ring shape the m on both sides of m^n = (s^n K)^2: the largest
+    # whose part bound admits F(x2, y2) != 0 and the least that admits none (m = 2 for quartics at K = 4 + 10^-9,
+    # but not at 4 - 10^-9); the 26 cubics and 20 quartics with coefficients in [-2, 2], at the sweep's boxes
+    ms, table = sweep.part_bound_ms(degree, K), SMALL_FORMS[degree]
+    assert [Problem(QuadraticField(m), table[0], K).part_cap >= m**degree for m in ms] == [True, False, True, False]
+    box = sweep.BOXES[degree]
+    assert not [(form, m) for form, m in product(table, ms) if sweep.mismatch(form, m, K, box) is not None]
+
+
 @settings(deadline=None)
 @given(
     admissible_forms(),
@@ -217,8 +231,7 @@ def test_all_emitted_solutions_verified():
     field = QuadraticField(3)
     result = solve_relative(field, F1, Fraction(3, 2), Fraction(1, 2), 8)
     for sol in result.solutions:
-        assert sol.value_pair == field.evaluate_form(F1, sol.quadruple)
-        assert sol.value_norm == field.norm(*sol.value_pair) <= Fraction(3, 2) ** 2
+        assert sol.value_norm == field.norm(*field.evaluate_form(F1, sol.quadruple)) <= Fraction(3, 2) ** 2
         assert sol.report.ok
 
 
@@ -233,7 +246,7 @@ def test_large_m_forces_zero_imag_coords():
 
 def test_reducible_reports_families():
     result = solve_relative(QuadraticField(7), F1, 1, Fraction(1, 2), 5)
-    assert [f.root for f in result.families] == [-2, 0, 2]
+    assert result.families == (-2, 0, 2)
     assert result.search_height == 5
 
 
@@ -254,7 +267,7 @@ def test_oracle_equivalence_quartic_with_integer_roots(m):
     oracle = brute_force(field, form, 1, 2)
     box = {q for q in result.quadruples() if max(abs(c) for c in q) <= 2}
     assert box == oracle.quadruples()
-    assert [f.root for f in result.families] == [-2, 0, 1, 3]
+    assert result.families == (-2, 0, 1, 3)
 
 
 def test_oracle_equivalence_quartic_biquadratic():
@@ -369,10 +382,9 @@ def test_family_members_solve_and_pass_every_predicate(m, K, form):
     problem = Problem(field, form, K)
     members = list(result.family_members())
     assert len(members) == len(set(members))
-    roots = [f.root for f in result.families]
     s = field.s
     for x1, x2, y1, y2 in members:
-        assert any(x1 == r * y1 and x2 == r * y2 for r in roots)
+        assert any(x1 == r * y1 and x2 == r * y2 for r in result.families)
         assert abs(y2) <= height and abs(s * y1 + (s - 1) * y2) <= height
         assert field.evaluate_form(form, (x1, x2, y1, y2)) == (0, 0)
         assert full_report(problem, (x1, x2, y1, y2)).ok
@@ -396,8 +408,7 @@ SMALL_M = st.integers(1, 10**4).filter(lambda m: all(m % (d * d) for d in range(
 )
 def test_verification_kernel_equals_the_ring_evaluation(coeffs, m, quad):
     field, form = field_of(m), BinaryForm(coeffs)
-    value = field.evaluate_form(form, quad)
-    assert _evaluate(form.coeffs, field.q, field.t, *quad) == (*value, field.norm(*value))
+    assert _evaluate(form.coeffs, field.q, field.t, *quad) == field.norm(*field.evaluate_form(form, quad))
 
 
 class Unreadable(tuple):
@@ -493,7 +504,8 @@ def test_solutions_come_in_orbits_of_conjugation_and_negation(form, K, height, d
         assert (-x1, -x2, -y1, -y2) in quads
     by_quad = {sol.quadruple: sol for sol in result.solutions}
     for quad, sol in by_quad.items():
-        (x1, x2, y1, y2), (v1, v2) = quad, sol.value_pair
+        (x1, x2, y1, y2), (v1, v2) = quad, field.evaluate_form(form, quad)
+        assert sol.value_norm == field.norm(v1, v2)
         # F(conj x, conj y) = conj F(x, y) and F(-x, -y) = (-1)^n F(x, y); conj(v1 + v2*w) = (v1 + t*v2) - v2*w
         members = {
             (x1 + t * x2, -x2, y1 + t * y2, -y2): (v1 + t * v2, -v2),
@@ -504,8 +516,8 @@ def test_solutions_come_in_orbits_of_conjugation_and_negation(form, K, height, d
         report = full_report(problem, quad)
         assert sol.report == report
         for member, value in members.items():
-            other = by_quad[member]
-            assert (other.value_pair, other.value_norm) == (value, sol.value_norm)
+            assert field.evaluate_form(form, member) == value
+            assert by_quad[member].value_norm == sol.value_norm
             assert full_report(problem, member) == report
 
 

@@ -216,11 +216,11 @@ def root_free_forms(draw, n: int):
 
 @st.composite
 def admissible_forms(draw):
-    """Admissible forms of degree 3-5: split, partly split or root-free (:func:`root_free_forms`).
+    """Admissible forms of degree 3-7: split, partly split or root-free (:func:`root_free_forms`).
 
     A partly split form is a product of distinct linear factors and an irreducible real quadratic.
     """
-    n = draw(st.integers(3, 5))
+    n = draw(st.integers(3, 7))
     kind = draw(st.sampled_from(("split", "partly split", "root-free")))
     if kind == "root-free":
         return draw(root_free_forms(n))
@@ -266,7 +266,7 @@ def cell_scan(field: QuadraticField, form: BinaryForm, K, height: int) -> Oracle
                     if value_norm <= K_sq:
                         found.append((norm_y, (x1, x2, y1, y2), value_norm))
     found.sort(key=lambda t: (t[0], t[1][2], t[1][3], t[1][0], t[1][1]))
-    return OracleResult(height=height, solutions=tuple((quad, nv) for _, quad, nv in found))
+    return OracleResult(tuple((quad, nv) for _, quad, nv in found))
 
 
 def _run(diffs: list[int], length: int) -> list[int]:
@@ -459,10 +459,9 @@ def pair_by_division(problem: Problem, imag_pair, real_pairs, found: Found) -> N
         if (a - (s - 1) * x2) % s or (b - (s - 1) * y2) % s:
             continue
         quad = ((a - (s - 1) * x2) // s, x2, (b - (s - 1) * y2) // s, y2)
-        value = field.evaluate_form(form, quad)
-        value_norm = field.norm(*value)
+        value_norm = field.norm(*field.evaluate_form(form, quad))
         if value_norm <= problem.norm_cap:
-            found[quad] = (*value, value_norm)
+            found[quad] = value_norm
 
 
 def values_index(abs_solutions: AbsSolutionSet) -> dict[int, list[tuple[int, int]]]:
@@ -532,8 +531,8 @@ def representatives(field: QuadraticField, found: Found) -> Found:
         return v > 0 or (v == 0 and u >= 0)
 
     return {
-        quad: value
-        for quad, value in found.items()
+        quad: value_norm
+        for quad, value_norm in found.items()
         if upper(quad[1], quad[3]) and upper(s * quad[0] + t * quad[1], s * quad[2] + t * quad[3])
     }
 
