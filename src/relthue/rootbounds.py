@@ -1,16 +1,15 @@
 """Rigorous real-root isolation and directed-rounded constant enclosures.
 
-Roots of f(x) = F(x, 1) are found in one place: the isolation bisects
-(-2^e, 2^e] until each root is alone.  The Sturm chain that
-:func:`~relthue.forms.check_admissible` builds splits the nodes that hold two
-or more roots; a node holding one is split by the sign of f at its midpoint,
-and a zero there is an integer root.  The integer roots fall out as points
-(:func:`integer_roots` is that first stage).  The other roots are
-irrational, and each is held as a node (c, level) of the dyadic bisection
-tree, the interval [c, c + 1]/2^level, from the first stage on, and
-bisection by the sign of f refines it on integers.  Every interval is so a
-pair of integer numerators over one power of two (:class:`RootData`, whose
-constructor checks the intervals against the form once).  From the
+Roots of f(x) = F(x, 1) are found in one place, in two steps.  The Sturm
+chain that :func:`~relthue.forms.check_admissible` builds bisects
+(-2^e, 2^e] until each root is alone in a node, and one loop, bisection by
+the sign of f on integers, refines each node.  A zero of f that it meets is
+an integer root and becomes a point (:func:`integer_roots` reads them off the
+isolation at level 0); every other root is irrational and is held as a node
+(c, level) of the dyadic bisection tree, the interval [c, c + 1]/2^level.
+Every interval is so a pair of integer numerators over one power of two
+(:class:`RootData`, whose constructor checks the intervals against the form
+once).  From the
 intervals the module derives one-sided rational bounds, always rounded in
 the safe direction, for
 
@@ -139,40 +138,19 @@ class RootData(Validated, namedtuple("RootData", "form level ends integer_roots 
         return f"RootData(form={self.form!r}, level={self.level!r}, ends={self.ends!r})"
 
 
-def _refine_node(f, lo: int, hi: int, level: int, bits: int) -> tuple[int, int, int]:
-    """The interval [lo, hi]/2^level refined to level ``bits``, as (lo, hi, level).
-
-    A point lo = hi is an integer root and stays as it is.  Any other interval is a node, hi = lo + 1, with
-    one irrational root of f inside, and bisection reaches its node at level ``bits``: the child is the lower
-    one when f has hi's sign at the midpoint.  f is monic, so it vanishes at no dyadic non-integer and not at
-    hi; lo may be an integer root, so signs are anchored at hi.
-    """
-    if lo == hi or level >= bits:
-        return lo, hi, level
-    sign_hi = _poly.sign(_poly.evaluate(f, hi, 1 << level))
-    for level in range(level + 1, bits + 1):
-        lo = 2 * lo + (_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) != sign_hi)
-    return lo, lo + 1, bits
-
-
 def _initial_isolation(form: BinaryForm) -> list[tuple[int, int, int]]:
-    """One interval (lo, hi, level) per root, in root order, from the Sturm chain of f, then the sign of f.
+    """One node (lo, hi, level) per root, in root order: the first node of the Sturm bisection holding it alone.
 
-    The isolation bisects (-R, R] with R = 2^e above every root, so every midpoint is an integer until each
-    root is alone in a unit interval (k-1, k]; only roots sharing a unit interval need nodes at levels >= 1,
-    whose ends are numerators over 2^level.  A node carries the chain's sign variations V at its ends.  While
-    it holds two or more roots, a split evaluates the chain once, at the midpoint.  Once it holds one root,
-    the sign of f at the midpoint picks the child: f is monic with V(hi) - V(R) roots above hi, so its sign
-    just above hi is (-1)^(V(hi) - V(R)), the root lies in (lo, mid) when f(mid) has that sign and in
-    (mid, hi] when f(mid) has the other, and f(mid) = 0 makes mid an integer root.  f is monic, so its
-    rational roots are integers: the root alone in a unit node (lo, hi]/2^level is the integer hi/2^level
-    exactly when f vanishes there, and becomes the point (r, r, 0); every other root is irrational, and its
-    node is kept.  This costs O(n log R) exact evaluations, the chain's only where roots share a node.
+    The bisection of (-R, R], R = 2^e above every root, has integer midpoints until each root is alone in a
+    node; only roots sharing a unit interval need nodes at levels >= 1, whose ends are numerators over
+    2^level.  A node carries the chain's sign variations V at its ends, and one holding two or more roots is
+    split at its midpoint, where the chain is evaluated once.  A node holding one root is returned as it is,
+    wide at level 0 or a unit node.  This costs O(n log R) evaluations of the chain, and none of f.
     """
     report = check_admissible(form)
     if not report.ok:
         raise InadmissibleFormError(f"form {form.coeffs} inadmissible: {report.reason}")
-    chain, radius, f = report.chain, report.radius, form.coeffs
+    chain, radius = report.chain, report.radius
     items = []
     work = [(-radius, radius, 0, *report.end_variations)]
     while work:
@@ -184,43 +162,61 @@ def _initial_isolation(form: BinaryForm) -> list[tuple[int, int, int]]:
             v_mid = _poly.variations(chain, mid, 1 << level)
             work += [(mid, hi, level, v_mid, v_hi), (lo, mid, level, v_lo, v_mid)]  # the lower node pops first
         elif v_lo - v_hi == 1:
-            above = 1 if (v_hi - report.end_variations[1]) % 2 == 0 else -1  # the sign of f just above hi
-            while hi - lo > 1:  # only at level 0: nodes at finer levels are unit nodes
-                mid = (lo + hi) // 2
-                side = _poly.sign(_poly.evaluate(f, mid))
-                if side == 0:
-                    items.append((mid, mid, 0))
-                    break
-                lo, hi = (lo, mid) if side == above else (mid, hi)
-            else:
-                r = hi >> level
-                items.append((r, r, 0) if _poly.sign(_poly.evaluate(f, hi, 1 << level)) == 0 else (lo, hi, level))
+            items.append((lo, hi, level))
     return items
 
 
+def _bisect(f, lo: int, hi: int, level: int, bits: int) -> tuple[int, int, int]:
+    """The interval [lo, hi]/2^level holding one root of f, bisected to that root's point or to its node at a
+    level >= ``bits``, as (lo, hi, level).
+
+    A point lo = hi is an integer root and comes back with no evaluation.  Any other interval is a node, wide
+    at level 0 or a unit, whose root lies in (lo, hi]; lo may be another root, so signs are anchored at hi.
+    f is monic, so a zero at hi or at a midpoint is an integer root, the point (r, r, 0).  Otherwise each step
+    keeps the half where f changes sign, and a unit node goes on into the next level.  An irrational root lies
+    in one node of each level, so the node reached does not depend on the node the bisection starts from.
+    """
+    if lo == hi:
+        return lo, hi, level
+    anchor = _poly.sign(_poly.evaluate(f, hi, 1 << level))
+    if anchor == 0:
+        r = hi >> level
+        return r, r, 0
+    while hi - lo > 1 or level < bits:
+        if hi - lo == 1:
+            lo, hi, level = 2 * lo, 2 * hi, level + 1
+        mid = (lo + hi) // 2
+        side = _poly.sign(_poly.evaluate(f, mid, 1 << level))
+        if side == 0:
+            r = mid >> level
+            return r, r, 0
+        lo, hi = (lo, mid) if side == anchor else (mid, hi)
+    return lo, hi, level
+
+
 def integer_roots(form: BinaryForm) -> tuple[int, ...]:
-    """All integers r with f(r) = 0, sorted ascending; the first stage of the isolation.
+    """All integers r with f(r) = 0, sorted ascending: the points of the isolation at level 0.
 
     Because f is monic, every rational root is an integer, so the zero set of
     F over Z^2 is exactly {(r*t, t)} for the returned r, together with (0, 0).
     Raises :class:`~relthue.forms.InadmissibleFormError` for inadmissible forms.
     """
-    return tuple(lo for lo, hi, _ in _initial_isolation(form) if lo == hi)
+    return isolate_roots(form, 0).integer_roots
 
 
 def _refined(form: BinaryForm, items: list[tuple[int, int, int]], bits: int) -> RootData:
-    """RootData from one interval (lo, hi, level) per root, in root order, each node refined to level ``bits``.
+    """RootData from one interval (lo, hi, level) per root, in root order, each bisected to level ``bits``.
 
     Neighbours that still touch are then refined one level at a time, together, until they are strictly
     apart; refining only shrinks an interval, so a pair already apart never clashes again.  The ends are
     put over 2^level for the finest level any node reached.
     """
     f = form.coeffs
-    items = [_refine_node(f, *item, bits) for item in items]
+    items = [_bisect(f, *item, bits) for item in items]
     for i in range(len(items) - 1):
         left, right = items[i], items[i + 1]
         while not left[1] << right[2] < right[0] << left[2]:  # hi/2^level of left < lo/2^level of right
-            left, right = (_refine_node(f, *item, item[2] + 1) for item in (left, right))
+            left, right = (_bisect(f, *item, item[2] + 1) for item in (left, right))
         items[i], items[i + 1] = left, right
     level = max(item[2] for item in items)
     ends = tuple((lo << (level - node), hi << (level - node)) for lo, hi, node in items)

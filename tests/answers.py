@@ -25,6 +25,8 @@ from itertools import islice
 from pathlib import Path
 
 from relthue import BinaryForm, QuadraticField, solve_relative
+from sweep import CHEBYSHEV, SPLIT_ROOTS, near_integer_forms
+from util import form_from_roots
 
 PATH = Path(__file__).with_name("answers.json")
 X3_4XY2 = (0, -4, 0, 1)
@@ -64,6 +66,25 @@ def listed_problems() -> list[dict]:
         entry(X3_4XY2, 1, 100, 100),
         entry(X3_4XY2, 1, 10, 10**5),
         *(entry(coeffs, m, Fraction(7, 2), 30) for coeffs in (X3_4XY2, X3_3XY2_Y3) for m in (5, 7)),
+    ]
+    # degrees 6 and 7 at the stream heights 10, 20 and 2000 and the check shape (2s-1)*7, both ring shapes, integer
+    # and rational K: the sextic (x^2 - 1)(x^4 - 3x^2 + 1) of the sweep's first table, 2T_6(x/2), 2T_7(x/2), the
+    # split septic with the roots -3, ..., 3 and two forms prod(x - r_i) + delta of each degree
+    sextic, septic = (-1, 0, 4, 0, -4, 0, 1), form_from_roots(SPLIT_ROOTS[7][0]).coeffs
+    near6, near7 = near_integer_forms(6), near_integer_forms(7)  # [1]: balanced roots, delta -1; [6]: one far, delta 1
+    problems += [
+        entry(sextic, 1, 10, 20),
+        entry(sextic, 3, Fraction(7, 2), 21),
+        entry(CHEBYSHEV[6], 7, 10, 2000),
+        entry(CHEBYSHEV[6], 2, Fraction(29, 4), 2000),
+        entry(near6[1].coeffs, 5, Fraction(7, 2), 10),
+        entry(near6[6].coeffs, 3, 10, 10),
+        entry(CHEBYSHEV[7], 7, 10, 2000),
+        entry(CHEBYSHEV[7], 1, Fraction(7, 2), 20),
+        entry(septic, 2, 100, 20),
+        entry(septic, 7, Fraction(7, 2), 21),
+        entry(near7[1].coeffs, 15, Fraction(29, 4), 10),
+        entry(near7[6].coeffs, 1, 10, 10),
     ]
     return problems
 

@@ -32,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 HYPOTHESIS_SEED = 0
+BISECT = "tests/test_rootbounds.py::test_bisect_ends_at_the_point_of_an_integer_root_or_at_a_unit_node_at_bits"
 
 
 @dataclass(frozen=True)
@@ -113,29 +114,24 @@ MUTANTS = [
     Mutant("reducer.py", "return norm if norm <= norm_cap else None", "return norm if norm < norm_cap else None",
            ("tests/test_reducer.py::test_oracle_equivalence_small",)),
     # problem setup and predicate reports on integers
-    Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == above else (mid, hi)",
-           "lo, hi = (mid, hi) if side == above else (lo, mid)",
-           ("tests/test_rootbounds.py::test_intervals_certified_by_sign_change_or_exact_root",)),
-    Mutant("rootbounds.py",
-           "                if side == 0:\n                    items.append((mid, mid, 0))\n                    break\n", "",
-           ("tests/test_rootbounds.py::test_integer_roots_at_the_midpoint_of_a_single_root_node",)),
     Mutant("rootbounds.py", "return c, c if c**r * den == target else c + 1", "return c, c",
            ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
     Mutant("rootbounds.py", '"part_cap": bound_num**2 // K.denominator**2,', '"part_cap": -(-(bound_num**2) // K.denominator**2),',
            ("tests/test_theorem.py::test_bounds_that_are_not_integers_are_decided_by_their_floors",)),
     # one dyadic interval format from the isolation to the window scan
-    Mutant("rootbounds.py", "r = hi >> level", "r = hi",
-           ("tests/test_rootbounds.py::test_integer_root_at_the_upper_end_of_a_finer_node",)),
-    Mutant("rootbounds.py", "(_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) != sign_hi)",
-           "(_poly.sign(_poly.evaluate(f, 2 * lo + 1, 1 << level)) == sign_hi)",
-           ("tests/test_rootbounds.py::test_separate_bisects_neighbours_until_strictly_apart",)),
     Mutant("rootbounds.py", "while not left[1] << right[2] < right[0] << left[2]:",
            "while not left[1] << right[2] <= right[0] << left[2]:",
            ("tests/test_rootbounds.py::test_separate_bisects_neighbours_until_strictly_apart",)),
     Mutant("rootbounds.py", "level = max(item[2] for item in items)", "level = bits",
            ("tests/test_rootbounds.py::test_isolate_exact_integer_roots",)),
-    Mutant("rootbounds.py", "range(level + 1, bits + 1)", "range(level + 1, bits)",
-           ("tests/test_rootbounds.py::test_bisection_passes_the_integer_root_at_lo_for_the_root_inside",)),
+    # one sign-bisection loop per root: a point comes back unevaluated, a zero of f at hi or at a midpoint is the
+    # integer root there, and the loop ends at a unit node at level bits
+    Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == anchor else (mid, hi)",
+           "lo, hi = (mid, hi) if side == anchor else (lo, mid)", (BISECT,)),
+    Mutant("rootbounds.py", "        if side == 0:\n            r = mid >> level\n            return r, r, 0\n", "", (BISECT,)),
+    Mutant("rootbounds.py", "if anchor == 0:", "if anchor == 0 and False:", (BISECT,)),
+    Mutant("rootbounds.py", "r = hi >> level", "r = hi", (BISECT,)),
+    Mutant("rootbounds.py", "while hi - lo > 1 or level < bits:", "while hi - lo > 1 or level < bits - 1:", (BISECT,)),
     Mutant("theorem.py", "proportional_applicable=norm_y > proportionality_cap,",
            "proportional_applicable=norm_y >= proportionality_cap,", ("tests/test_theorem.py::test_proportionality_example",)),
     # verification on plain integers, bound-first exits, no final sort

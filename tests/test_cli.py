@@ -283,6 +283,15 @@ def test_irrational_constants_match_golden(capsys, tmp_path, name, extra):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+def test_check_of_a_sextic_matches_golden(capsys, tmp_path):
+    # x^6 - 6x^4y^2 + 9x^2y^4 - 2y^6 = 2T_6(x/2) at y = 1, whose six roots 2cos((2k - 1)pi/12) are irrational
+    path = tmp_path / "sextic.txt"
+    path.write_text("coeffs = -2 0 9 0 -6 0 1\nm = 7\nK = 10\nymax = 9\noracle_height = 3\n", encoding="utf-8")
+    status, out, _ = run(capsys, "check", str(path))
+    assert status == 0
+    assert out == (GOLDEN / "check_sextic.out").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -170,6 +170,15 @@ def test_oracle_sweep_where_the_integer_floors_of_K_decide(degree, K):
     assert not [(form, m) for form, m in product(table, ms) if sweep.mismatch(form, m, K, box) is not None]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+def test_oracle_sweep_of_the_sextics_and_septics(m):
+    # the sweep's sextics and septics prod(x - r_i) + delta, each root next to an integer, and its fixed forms
+    # 2T_6(x/2), 2T_7(x/2) and two split septics, every K in {1, 7/2, 10}, at box 2 for both ring shapes
+    table = [form for degree in (6, 7) for form in (*sweep.near_integer_forms(degree), *sweep.fixed_forms(degree))]
+    assert len(table) == 20 and sweep.BOXES[6] == sweep.BOXES[7] == 2
+    assert not [(form, K) for form, K in product(table, sweep.KS) if sweep.mismatch(form, m, K, 2) is not None]
+
+
 @settings(deadline=None)
 @given(
     admissible_forms(),

@@ -506,7 +506,8 @@ def test_integer_roots_cost_is_logarithmic_in_the_coefficients():
         multi = _multi_root_nodes((-(10**10) + 3, 10**10 - 11, 10**10 + 7), -radius, radius)
         assert calls["_poly", "variations"] == multi
         assert multi <= n // 2 * (e + 2)
-        # a node with one root costs one evaluation of f per level, and one more at its unit interval's end
+        # a node with one root costs one evaluation of f at its upper end and one per halving, and the isolation's
+        # check one per point and two per node
         chain_length = len(_poly.sturm_chain(f))
         assert calls["_poly", "evaluate"] <= chain_length * calls["_poly", "variations"] + n * (e + 3)
         assert calls["_poly", "sturm_chain"] == 1
@@ -635,8 +636,20 @@ def test_bisection_passes_the_integer_root_at_lo_for_the_root_inside():
     # roots 0, 1/5, 21/20, 11/10, 6/5: clustered as no monic integer form's roots can be; the node (0, 1) holds
     # the integer root 0 at lo and the one root 1/5 inside, and its refinement must hold 1/5
     f = (0, 1386, -10665, 22025, -17750, 5000)  # x(5x - 1)(20x - 21)(10x - 11)(5x - 6)
-    lo, hi, level = rootbounds._refine_node(f, 0, 1, 0, 64)
+    lo, hi, level = rootbounds._bisect(f, 0, 1, 0, 64)
     assert level == 64 and hi == lo + 1 and Fraction(lo, 1 << 64) < Fraction(1, 5) < Fraction(hi, 1 << 64)
+
+
+def test_bisect_ends_at_the_point_of_an_integer_root_or_at_a_unit_node_at_bits(monkeypatch):
+    # (x - 1)((x - 1)^2 - 10(x - 1) - 1): the unit node (15, 16]/2^4 ends at the root 1, which the anchor finds
+    assert rootbounds._bisect((-10, 22, -13, 1), 15, 16, 4, 64) == (1, 1, 0)
+    # x^3 - 4x on the wide node (0, 4]: its first midpoint is the root 2
+    assert rootbounds._bisect(F1.coeffs, 0, 4, 0, 8) == (2, 2, 0)
+    # x^3 - 3x - 1 on the wide node (0, 4]: its root 1.8794 lies in [481, 482]/2^8
+    assert rootbounds._bisect(F3.coeffs, 0, 4, 0, 8) == (481, 482, 8)
+    # a point comes back with no evaluation, even where f does not vanish
+    monkeypatch.setattr(_poly, "evaluate", lambda *args: pytest.fail("a point was evaluated"))
+    assert rootbounds._bisect(F3.coeffs, 3, 3, 0, 8) == (3, 3, 0)
 
 
 def test_solve_abs_evaluation_count():
@@ -645,7 +658,7 @@ def test_solve_abs_evaluation_count():
     # -R and R; the check evaluates f at both ends of each of the three irrational intervals
     result, calls = profiled_calls(solve_abs, BinaryForm((-1, -3, 0, 1)), 80, 2000)
     assert len(result.solutions) == 157
-    assert calls["_poly", "evaluate"] == 437
+    assert calls["_poly", "evaluate"] == 434
 
 
 @given(
