@@ -12,7 +12,7 @@ keeps its primitive part.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Coeffs = Sequence
 
@@ -20,9 +20,13 @@ Coeffs = Sequence
 def evaluate(coeffs: Coeffs, a: int, b: int = 1) -> int:
     """sum c_k a^k b^(d-k) with d = len(coeffs) - 1, by homogeneous Horner in integers.
 
-    b = 1 gives f(a); for b > 0 the sign is the sign of f(a/b).
+    b = 1 gives f(a), by plain Horner with no power of b; for b > 0 the sign is the sign of f(a/b).
     """
     acc, bpow = 0, 1
+    if b == 1:
+        for c in reversed(coeffs):
+            acc = acc * a + c
+        return acc
     for c in reversed(coeffs):
         acc = acc * a + c * bpow
         bpow *= b
@@ -31,14 +35,6 @@ def evaluate(coeffs: Coeffs, a: int, b: int = 1) -> int:
 
 def derivative(coeffs: Coeffs) -> tuple:
     return tuple(k * coeffs[k] for k in range(1, len(coeffs)))
-
-
-def sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
 
 
 def _primitive(coeffs: Coeffs) -> tuple[int, ...]:
@@ -61,7 +57,7 @@ def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
     chain = [_primitive(coeffs), _primitive(derivative(coeffs))]
     while True:
         rem, den = list(chain[-2]), chain[-1]
-        scale, lead_sign = abs(den[-1]), sign(den[-1])
+        scale, lead_sign = abs(den[-1]), 1 if den[-1] > 0 else -1  # a member's lead is never 0
         while len(rem) >= len(den):
             # rem <- |lead| * rem - sign(lead) * top * x^shift * den cancels the top coefficient
             top = rem.pop() * lead_sign
@@ -78,13 +74,16 @@ def sturm_chain(coeffs: Coeffs) -> tuple[tuple[int, ...], ...]:
 
 def variations(chain: Sequence[Coeffs], a: int, b: int = 1) -> int:
     """Sign changes of the chain at a/b, b > 0, zeros dropped."""
-    return sign_changes([sign(evaluate(p, a, b)) for p in chain])
+    return sign_changes(evaluate(p, a, b) for p in chain)
 
 
-def sign_changes(signs: Sequence[int]) -> int:
-    """Sign changes along a sequence of signs, zeros dropped."""
-    signs = [s for s in signs if s]
-    return sum(u != v for u, v in zip(signs, signs[1:]))
+def sign_changes(values: Iterable[int]) -> int:
+    """Sign changes along a sequence of integers, zeros dropped, counted in one pass and with no list."""
+    changes, negative = 0, None
+    for v in values:
+        if v and (v < 0) is not negative:
+            changes, negative = changes + 1, v < 0
+    return max(changes - 1, 0)  # the first nonzero value was counted, and it changes nothing
 
 
 def root_radius(coeffs: Coeffs) -> int:
@@ -97,11 +96,12 @@ def root_radius(coeffs: Coeffs) -> int:
 
 
 def iroot(k: int, r: int) -> int:
-    """floor(k ** (1/r)) for k >= 0, r >= 1, by Newton iteration on integers.
+    """floor(k ** (1/r)) for k >= 0, r >= 1: an even order through ``isqrt``, an odd one by Newton iteration.
 
-    The start 2^ceil(bitlen(k)/r) is at least the floor.  Each integer Newton step from an x above the floor
-    lands strictly below x and, by the AM-GM inequality, not below the floor; at the floor the step does not
-    fall.  So the iteration stops exactly at the floor, and no correction is needed.
+    For even r it is floor(isqrt(k)^(2/r)), as floor(y^(1/j)) = floor(floor(y)^(1/j)) for y >= 0.  For odd r the
+    start 2^ceil(bitlen(k)/r) is at least the floor; each integer Newton step from an x above the floor lands
+    strictly below x and, by the AM-GM inequality, not below the floor; at the floor the step does not fall.  So
+    the iteration stops exactly at the floor, and no correction is needed.
     """
     if k < 0 or r < 1:
         raise ValueError("iroot needs k >= 0, r >= 1")
@@ -109,8 +109,8 @@ def iroot(k: int, r: int) -> int:
         return 0
     if r == 1:
         return k
-    if r == 2:
-        return math.isqrt(k)
+    if r % 2 == 0:
+        return iroot(math.isqrt(k), r // 2)
     x = 1 << ((k.bit_length() + r - 1) // r)
     while True:
         y = ((r - 1) * x + k // x ** (r - 1)) // r

@@ -130,7 +130,7 @@ def check_admissible(form: BinaryForm) -> AdmissibilityReport:
     chain = _poly.sturm_chain(f)
     if len(chain[-1]) > 1:
         return AdmissibilityReport(False, "repeated root (gcd(f, f') is non-constant)")
-    tops = [_poly.sign(p[-1]) for p in chain]  # each member's sign at +infinity, times (-1)^degree at -infinity
+    tops = [p[-1] for p in chain]  # leading coefficients: the sign at +infinity, times (-1)^degree at -infinity
     ends = (_poly.sign_changes([s if len(p) % 2 else -s for s, p in zip(tops, chain)]), _poly.sign_changes(tops))
     if ends[0] - ends[1] < n:
         return AdmissibilityReport(False, "complex root (fewer than n distinct real roots)")

@@ -9,9 +9,8 @@ isolation at level 0); every other root is irrational and is held as a node
 (c, level) of the dyadic bisection tree, the interval [c, c + 1]/2^level.
 Every interval is so a pair of integer numerators over one power of two
 (:class:`RootData`, whose constructor checks the intervals against the form
-once).  From the
-intervals the module derives one-sided rational bounds, always rounded in
-the safe direction, for
+once).  From the intervals the module derives one-sided rational bounds,
+always rounded in the safe direction, for
 
 * ``min_gap``      -- the smallest distance between two roots,
 * ``gap_product``  -- the smallest over i of the product of |root_j - root_i|,
@@ -34,10 +33,13 @@ the first of the levels 8, 16, 32 and 64 where the integer floors of the
 lower and upper squared-gate bounds agree.  From level 64 on it halves the
 isolation it holds, one level past its own, and keeps the first level where
 the floors agree, or else the level after a halving that leaves the upper
-floors as they were while each is at most one above its lower floor, without
-building a Fraction.  The floors are all any decision reads, so the kept
-isolation is only as fine as they need; a reader that needs finer intervals
-refines it (``solve_abs`` for its height, :func:`enclosures` to level 64).
+floors as they were while each is at most one above its lower floor.  It
+builds no Fraction, and it takes dyadic roots for the upper floors alone:
+whether a lower floor reaches an integer is decided by integer powers
+(:func:`_lower_reaches`).  The floors are all any decision reads, so the
+kept isolation is only as fine as they need; a reader that needs finer
+intervals refines it (``solve_abs`` for its height, :func:`enclosures` to
+level 64).
 :class:`Problem` validates one relative inequality and holds the kept
 isolation, the floors of its bounds and squared gates that the predicates
 and the reducer compare with, and the flag that says whether the gates
@@ -51,7 +53,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
-from math import floor
 
 from . import _poly
 from .forms import BinaryForm, InadmissibleFormError, Validated, check_admissible
@@ -178,19 +179,20 @@ def _bisect(f, lo: int, hi: int, level: int, bits: int) -> tuple[int, int, int]:
     """
     if lo == hi:
         return lo, hi, level
-    anchor = _poly.sign(_poly.evaluate(f, hi, 1 << level))
+    anchor = _poly.evaluate(f, hi, 1 << level)
     if anchor == 0:
         r = hi >> level
         return r, r, 0
+    positive = anchor > 0  # the sign of f at hi, as a bool each step compares with
     while hi - lo > 1 or level < bits:
         if hi - lo == 1:
             lo, hi, level = 2 * lo, 2 * hi, level + 1
         mid = (lo + hi) // 2
-        side = _poly.sign(_poly.evaluate(f, mid, 1 << level))
+        side = _poly.evaluate(f, mid, 1 << level)
         if side == 0:
             r = mid >> level
             return r, r, 0
-        lo, hi = (lo, mid) if side == anchor else (mid, hi)
+        lo, hi = (lo, mid) if (side > 0) == positive else (mid, hi)
     return lo, hi, level
 
 
@@ -249,20 +251,18 @@ def refine(data: RootData, bits: int) -> RootData:
     return _refined(data.form, items, bits)
 
 
-def _bounds(
+def _radicands(
     roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], field: QuadraticField, side: int
-) -> tuple[tuple[int, int], ...]:
-    """(numerator, denominator) of approx_coeff, gate and the three squared gates at ``roots``, from checked K
-    and epsilon: their lower bounds for ``side`` 0, their upper bounds for ``side`` 1.
+) -> tuple:
+    """(numerator, denominator) of approx_coeff, gate and gate^2 at ``roots``, from checked K and epsilon, their
+    lower bounds for ``side`` 0 and their upper bounds for ``side`` 1, and the three squared gates' radicands.
 
-    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The intervals of ``roots`` are sorted and
-    disjoint, as its constructor checked, so the lower gap bounds are positive; a lower bound divides by an upper
-    gap bound and an upper one by a lower.  The three conclusions require |y| > max(gate, X^(1/e)) with
-    X = s*approx_coeff (real vanishing) or s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or
-    n-1.  Squaring removes the square roots, so each squared gate is max(gate^2, X^(2/e)), an n-th root of a
-    rational bounded dyadically on ``side``; a conclusion is asserted only when norm(y) strictly exceeds its
-    upper bound.  The pairs are not reduced: each reader takes a floor, a dyadic root or a cross-multiplied
-    comparison of them, which depend on the value alone.  The upper bounds shrink as the intervals shrink.
+    ``k_root`` holds the numerators of K^(1/n)'s dyadic bounds.  The intervals of ``roots`` are sorted and disjoint,
+    as its constructor checked, so the lower gap bounds are positive; a lower bound divides by an upper gap bound
+    and an upper one by a lower.  The three conclusions require |y| > max(gate, X^(1/e)) with X = s*approx_coeff
+    (real vanishing) or s*approx_coeff/sqrt(m) (the others) and e = n-2 (proportionality) or n-1.  Squaring removes
+    the square roots, so each squared gate is max(gate^2, (num/den)^(1/r)) for its radicand (num, den, r), with
+    num/den = X^2 and r = e.
     """
     n, level = len(roots.ends), roots.level
     gap, product = roots.gap_numerators[1 - side], roots.gap_numerators[3 - side]
@@ -270,8 +270,23 @@ def _bounds(
     # K / ((1 - eps)^(n-1) * gap_product) and K^(1/n) / (eps * min_gap), the gaps over 2^(level (n-1)) and 2^level
     coeff = K.numerator * e_den ** (n - 1) << (level * (n - 1)), K.denominator * (e_den - e_num) ** (n - 1) * product
     gate = k_root[side] * e_den << level, (e_num << ROOT_PREC_BITS) * gap
-    gate_num, gate_den = gate[0] ** 2, gate[1] ** 2
     scaled_num, scaled_den = (field.s * coeff[0]) ** 2, coeff[1] ** 2  # (s * approx_coeff)^2
+    m_den = scaled_den * field.m
+    radicands = (scaled_num, m_den, n - 2), (scaled_num, scaled_den, n - 1), (scaled_num, m_den, n - 1)
+    return coeff, gate, (gate[0] ** 2, gate[1] ** 2), radicands
+
+
+def _bounds(
+    roots: RootData, K: Fraction, epsilon: Fraction, k_root: tuple[int, int], field: QuadraticField, side: int
+) -> tuple[tuple[int, int], ...]:
+    """(numerator, denominator) of approx_coeff, gate and the three squared gates at ``roots`` (:func:`_radicands`):
+    their lower bounds for ``side`` 0, their upper bounds for ``side`` 1.
+
+    The r-th root of each radicand is bounded dyadically on ``side``; a conclusion is asserted only when norm(y)
+    strictly exceeds its upper bound.  The pairs are not reduced: each reader takes a floor, a dyadic root or a
+    cross-multiplied comparison of them, which depend on the value alone.  Upper bounds shrink with the intervals.
+    """
+    coeff, gate, (gate_num, gate_den), radicands = _radicands(roots, K, epsilon, k_root, field, side)
 
     def at_least_gate(num: int, den: int, r: int) -> tuple[int, int]:
         """max(gate^2, the bound of (num/den)^(1/r) on ``side``)."""
@@ -279,13 +294,17 @@ def _bounds(
             num, den = _dyadic_root(num, den, r)[side], 1 << ROOT_PREC_BITS
         return (num, den) if num * gate_den > gate_num * den else (gate_num, gate_den)
 
-    return (
-        coeff,
-        gate,
-        at_least_gate(scaled_num, scaled_den * field.m, n - 2),
-        at_least_gate(scaled_num, scaled_den, n - 1),
-        at_least_gate(scaled_num, scaled_den * field.m, n - 1),
-    )
+    return (coeff, gate, *(at_least_gate(*radicand) for radicand in radicands))
+
+
+def _lower_reaches(roots: RootData, K: Fraction, epsilon: Fraction, k_root, field: QuadraticField, targets) -> bool:
+    """Whether the floor of each lower squared gate of :func:`_bounds` at ``roots`` reaches its integer F in
+    ``targets``, with no root taken: that bound is max(gate^2, c/2^p), for c the largest integer with
+    c^r den <= num 2^(pr), or max(gate^2, num/den) for r = 1, so its floor reaches F when gate^2 >= F or
+    F^r den <= num, and only then.
+    """
+    _, _, (gate_num, gate_den), radicands = _radicands(roots, K, epsilon, k_root, field, 0)
+    return all(gate_num >= F * gate_den or F**r * den <= num for F, (num, den, r) in zip(targets, radicands))
 
 
 def stable_constants(
@@ -293,49 +312,51 @@ def stable_constants(
 ) -> tuple[RootData, tuple[int, int, int], bool]:
     """Isolate the roots only as finely as the integer gates need, and refine the isolation until they settle.
 
-    K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of the
-    upper bounds of its three squared gates and whether they settled.  The gates are compared against integer
-    norms, so refinement beyond the point where their floors stop moving cannot change any decision.  The
-    certificate: at a level where the floors of the lower bounds equal those of the upper bounds, no finer
-    isolation can move a floor, since a finer upper bound lies between the two (the upper bounds shrink with the
-    intervals and never fall below the true gate), so the level is kept at once.  The isolation starts at
-    ``FIRST_BITS``, and while the certificate fails below ``ISOLATION_BITS`` it is refined to twice that level,
-    at most ``ISOLATION_BITS``: 8, 16, 32, 64.  Refined to ``ISOLATION_BITS``, every isolation is the one
-    ``isolate_roots`` gives there, and a certificate at a coarser level holds there too, so the floors and the
-    flag are those of an isolation started at ``ISOLATION_BITS``.  From there each halving refines the isolation
-    one level past its own ``level``, and two rules stop them: the certificate, or the floors settle when one
-    halving leaves the upper floors as they were and each is at most one above its lower floor; the finer
-    level is kept.  The second rule is for a squared gate that is exactly an integer, whose lower floor can
-    stay one below its upper floor at every level.  When every root is an integer, the intervals are points
-    and the enclosures exact, so no refinement can move a gate and none is tried, and only the upper floors
-    are taken.  The flag is False when neither rule held after ``MAX_HALVINGS`` halvings; the returned floors
-    are then those of the finest isolation, still sound.  The bounds of K^(1/n) are taken once, not once per
-    halving, and no halving builds a Fraction.
+    K and epsilon come as :class:`Problem` has checked them.  Returns the kept isolation, the floors of the upper
+    bounds of its three squared gates and whether they settled.  The gates are compared against integer norms, so
+    refinement beyond the point where their floors stop moving cannot change any decision.  The certificate: at a
+    level where the floors of the lower bounds equal those of the upper bounds, no finer isolation can move a floor,
+    since a finer upper bound lies between the two (the upper bounds shrink with the intervals and never fall below
+    the true gate), so the level is kept at once.  The isolation starts at ``FIRST_BITS``, and while the certificate
+    fails below ``ISOLATION_BITS`` it is refined to twice that level, at most ``ISOLATION_BITS``: 8, 16, 32, 64.
+    Refined to ``ISOLATION_BITS``, every isolation is the one ``isolate_roots`` gives there, and a certificate at a
+    coarser level holds there too, so the floors and the flag are those of an isolation started at
+    ``ISOLATION_BITS``.  From there each halving refines the isolation one level past its own ``level``, and two
+    rules stop them: the certificate, or the floors settle when one halving leaves the upper floors as they were and
+    each is at most one above its lower floor; the finer level is kept.  The second rule is for a squared gate that
+    is exactly an integer, whose lower floor can stay one below its upper floor at every level.  A lower floor is
+    never above its upper one, so both rules only ask whether each lower floor reaches an integer, its cap or its
+    cap - 1, which :func:`_lower_reaches` decides with integer powers: only the caps take dyadic roots.  When every
+    root is an integer, the intervals are points and the enclosures exact, so no refinement can move a gate, none is
+    tried and no lower bound is taken.  The flag is False when neither rule held after ``MAX_HALVINGS`` halvings;
+    the returned floors are then those of the finest isolation, still sound.  The bounds of K^(1/n) are taken once,
+    not once per halving, and no halving builds a Fraction.
     """
     n = form.degree
     k_root = _dyadic_root(K.numerator, K.denominator, n)
 
-    def floors(data: RootData, side: int) -> tuple[int, int, int]:
-        return tuple(num // den for num, den in _bounds(data, K, epsilon, k_root, field, side)[2:])
+    def floors(data: RootData) -> tuple[int, int, int]:
+        return tuple(num // den for num, den in _bounds(data, K, epsilon, k_root, field, 1)[2:])
 
-    data, bits = isolate_roots(form, FIRST_BITS), FIRST_BITS
-    caps = floors(data, 1)
+    data, bits, halvings = isolate_roots(form, FIRST_BITS), FIRST_BITS, 0
+    caps = floors(data)
     if len(data.integer_roots) == n:  # every root an integer: the enclosures are exact already
         return data, caps, True
-    lower = floors(data, 0)
-    while lower != caps and bits < ISOLATION_BITS:  # the certificate alone, at 8, 16, 32 and 64 bits
-        bits = min(2 * bits, ISOLATION_BITS)
-        data = refine(data, bits)
-        lower, caps = floors(data, 0), floors(data, 1)
-    for _ in range(MAX_HALVINGS):
-        if lower == caps:  # the certificate
-            return data, caps, True
+    while not _lower_reaches(data, K, epsilon, k_root, field, caps):  # the certificate
+        if bits < ISOLATION_BITS:  # the certificate alone, at 8, 16, 32 and 64 bits
+            bits = min(2 * bits, ISOLATION_BITS)
+            data = refine(data, bits)
+            caps = floors(data)
+            continue
+        if halvings == MAX_HALVINGS:
+            return data, caps, False
+        halvings += 1
         finer = refine(data, data.level + 1)
-        lower, finer_caps = floors(finer, 0), floors(finer, 1)
-        if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):
+        finer_caps = floors(finer)
+        if finer_caps == caps and _lower_reaches(finer, K, epsilon, k_root, field, [cap - 1 for cap in caps]):
             return finer, finer_caps, True
         data, caps = finer, finer_caps
-    return data, caps, lower == caps
+    return data, caps, True
 
 
 class Problem(
@@ -344,25 +365,19 @@ class Problem(
 ):
     """One relative inequality |F(x, y)| <= K over the integers of ``field``, validated.
 
-    The constructor is the one place a problem is checked (admissible form,
-    K >= 1, 0 < epsilon < 1) and computes every per-problem fact the solver
-    and the predicates use, on integers: the root isolation (integer roots
-    included), the floors of the gates and ``abs_bound`` = s^n K, the bound
-    of the absolute inequality behind both part bounds.  The isolation is
-    the one :func:`stable_constants` keeps, at the first level where the
-    gates are certain, which may be as coarse as ``FIRST_BITS``.  Norms and
-    form values are integers, and an integer v has v <= B exactly when
-    v <= floor(B) and v > B exactly when v > floor(B), so the bounds are
-    held as integer floors: ``norm_cap`` = floor(K^2) for norm(F(x, y)),
-    ``part_cap`` = floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for
-    the squared part and joint bounds, and ``gate_caps``, the floors of the
-    three squared gates (proportionality, real vanishing, imaginary
-    vanishing).  ``gates_stable`` is False when neither stopping rule of
-    :func:`stable_constants` (lower floors equal to the upper ones, or a
-    halving that leaves the upper floors as they were, each at most one
-    above its lower floor) held after ``MAX_HALVINGS`` halvings; a warning
-    is logged then.  The constants and the squared gates themselves are
-    held nowhere as Fractions: :func:`enclosures` builds them from the kept
+    The constructor is the one place a problem is checked (admissible form, K >= 1 and 0 < epsilon < 1, both read
+    off numerators and denominators) and computes every per-problem fact the solver and the predicates use, on
+    integers: the root isolation (integer roots included), the floors of the gates and ``abs_bound`` = s^n K, the
+    bound of the absolute inequality behind both part bounds.  The isolation is the one :func:`stable_constants`
+    keeps, at the first level where the gates are certain, which may be as coarse as ``FIRST_BITS``.  Norms and
+    form values are integers, and an integer v has v <= B exactly when v <= floor(B) and v > B exactly when
+    v > floor(B), so the bounds are held as integer floors, each an integer quotient: ``norm_cap`` = floor(K^2)
+    for norm(F(x, y)), ``part_cap`` = floor((s^n K)^2) and ``joint_cap`` = floor((s^n K)^4) for the squared part
+    and joint bounds, and ``gate_caps``, the floors of the three squared gates (proportionality, real vanishing,
+    imaginary vanishing).  ``gates_stable`` is False when neither stopping rule of :func:`stable_constants` (lower
+    floors equal to the upper ones, or a halving that leaves the upper floors as they were, each at most one above
+    its lower floor) held after ``MAX_HALVINGS`` halvings; a warning is logged then.  The constants and the
+    squared gates themselves are held nowhere as Fractions: :func:`enclosures` builds them from the kept
     isolation, refined to ``ISOLATION_BITS``, for the ``constants`` command.
     """
 
@@ -371,9 +386,9 @@ class Problem(
 
     def __new__(cls, field: QuadraticField, form: BinaryForm, K, epsilon=Fraction(1, 2)):
         K, epsilon = Fraction(K), Fraction(epsilon)
-        if K < 1:
+        if K.numerator < K.denominator:
             raise ValueError("K must be >= 1")
-        if not (0 < epsilon < 1):
+        if not 0 < epsilon.numerator < epsilon.denominator:
             raise ValueError("epsilon must lie strictly between 0 and 1")
         roots, gate_caps, stable = stable_constants(form, K, epsilon, field)
         if not stable:
@@ -386,7 +401,7 @@ class Problem(
             "roots": roots,
             "gates_stable": stable,
             "abs_bound": Fraction(bound_num, K.denominator),
-            "norm_cap": floor(K * K),
+            "norm_cap": K.numerator**2 // K.denominator**2,
             "part_cap": bound_num**2 // K.denominator**2,
             "joint_cap": bound_num**4 // K.denominator**4,
             "gate_caps": gate_caps,

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from relthue import BinaryForm, QuadraticField, solve_relative
+from relthue import BinaryForm, Problem, QuadraticField, solve_relative
 from sweep import CHEBYSHEV, SPLIT_ROOTS, near_integer_forms
 from util import form_from_roots
 
@@ -46,6 +46,22 @@ def answer_hash(problem: dict) -> str:
         result.cross_check_ok,
     )
     return hashlib.sha256(repr(answer).encode()).hexdigest()[:16]
+
+
+def problem_digest(problems: list[dict]) -> str:
+    """A hash of the fields ``Problem`` derives for each listed problem, besides ``abs_bound``, which K gives.
+
+    It covers the kept isolation (``roots``, whose repr is its form, level and ends), ``gates_stable``, the three
+    caps and ``gate_caps``, so a change that moves any of them on any problem of the corpus moves the hash.
+    """
+    derived = tuple(
+        (problem.roots, problem.gates_stable, problem.norm_cap, problem.part_cap, problem.joint_cap, problem.gate_caps)
+        for problem in (
+            Problem(QuadraticField(p["m"]), BinaryForm(tuple(p["coeffs"])), Fraction(p["K"]), Fraction(p["epsilon"]))
+            for p in problems
+        )
+    )
+    return hashlib.sha256(repr(derived).encode()).hexdigest()[:16]
 
 
 def listed_problems() -> list[dict]:

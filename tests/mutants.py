@@ -33,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
 HYPOTHESIS_SEED = 0
 BISECT = "tests/test_rootbounds.py::test_bisect_ends_at_the_point_of_an_integer_root_or_at_a_unit_node_at_bits"
+LOWER_REACHES = "tests/test_rootbounds.py::test_the_lower_floors_reach_a_floor_exactly_when_an_integer_power_does"
+EVALUATE = "tests/test_rootbounds.py::test_evaluate_is_the_homogenized_value"
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,8 @@ MUTANTS = [
            ("tests/test_oracle.py::test_equals_the_cell_scan_on_workload_forms",)),
     Mutant("abssolver.py", "cap = floor(bound)", "cap = -(-bound // 1)",
            ("tests/test_abssolver.py::test_a_bound_below_one_keeps_only_the_zeros",)),
-    Mutant("rootbounds.py", '"norm_cap": floor(K * K),', '"norm_cap": -(-K * K // 1),', ("tests/test_reducer.py",)),
+    Mutant("rootbounds.py", '"norm_cap": K.numerator**2 // K.denominator**2,', '"norm_cap": -(-K * K // 1),',
+           ("tests/test_reducer.py",)),
     Mutant("reducer.py", "return norm if norm <= norm_cap else None", "return norm if norm < norm_cap else None",
            ("tests/test_reducer.py::test_oracle_equivalence_small",)),
     # problem setup and predicate reports on integers
@@ -126,8 +129,8 @@ MUTANTS = [
            ("tests/test_rootbounds.py::test_isolate_exact_integer_roots",)),
     # one sign-bisection loop per root: a point comes back unevaluated, a zero of f at hi or at a midpoint is the
     # integer root there, and the loop ends at a unit node at level bits
-    Mutant("rootbounds.py", "lo, hi = (lo, mid) if side == anchor else (mid, hi)",
-           "lo, hi = (mid, hi) if side == anchor else (lo, mid)", (BISECT,)),
+    Mutant("rootbounds.py", "lo, hi = (lo, mid) if (side > 0) == positive else (mid, hi)",
+           "lo, hi = (mid, hi) if (side > 0) == positive else (lo, mid)", (BISECT,)),
     Mutant("rootbounds.py", "        if side == 0:\n            r = mid >> level\n            return r, r, 0\n", "", (BISECT,)),
     Mutant("rootbounds.py", "if anchor == 0:", "if anchor == 0 and False:", (BISECT,)),
     Mutant("rootbounds.py", "r = hi >> level", "r = hi", (BISECT,)),
@@ -152,6 +155,11 @@ MUTANTS = [
            ("tests/test_abssolver.py::test_solutions_come_sorted_by_b_then_a",)),
     Mutant("abssolver.py", "(*[(-a, -b, sign * value) for a, b, value in reversed(positive)], *self.rows",
            "(*self.rows", ("tests/test_abssolver.py::test_small_inequality_frozen_set",)),
+    # plain Horner at integer points (b = 1), and the even orders of iroot through isqrt
+    Mutant("_poly.py", "if b == 1:", "if b > 0:", (EVALUATE,)),
+    Mutant("_poly.py", "            acc = acc * a + c\n", "            acc = (acc + c) * a\n", (EVALUATE,)),
+    Mutant("_poly.py", "r // 2", "min(r // 2, 2)",
+           ("tests/test_rootbounds.py::test_iroot_is_the_floor_of_the_real_root",)),
     # the basis decided once, and no arithmetic that no input reaches
     Mutant("_poly.py", "x = 1 << ((k.bit_length() + r - 1) // r)", "x = 1 << ((k.bit_length() - 1) // r)",
            ("tests/test_rootbounds.py::test_iroot_is_the_floor_of_the_real_root",)),
@@ -174,13 +182,20 @@ MUTANTS = [
     Mutant("rootbounds.py", "num, den = _dyadic_root(num, den, r)[side], 1 << ROOT_PREC_BITS",
            "num, den = _dyadic_root(num, den, r)[1], 1 << ROOT_PREC_BITS",
            ("tests/test_rootbounds.py::test_bounds_equal_the_fraction_references",)),
-    Mutant("rootbounds.py", "if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):",
-           "if lower == finer_caps:",
+    Mutant("rootbounds.py",
+           "if finer_caps == caps and _lower_reaches(finer, K, epsilon, k_root, field, [cap - 1 for cap in caps]):",
+           "if _lower_reaches(finer, K, epsilon, k_root, field, finer_caps):",
+           ("tests/test_rootbounds.py::test_without_a_certificate_the_floors_settle_after_one_halving",)),
+    # the lower side of both rules takes no root: its floor is at least F exactly when gate^2 >= F or F^r den <= num,
+    # tried with F = cap for the certificate and F = cap - 1 for the second rule
+    Mutant("rootbounds.py", "F**r * den <= num", "F**r * den < num", (LOWER_REACHES,)),
+    Mutant("rootbounds.py", "[cap - 1 for cap in caps]", "[cap for cap in caps]",
            ("tests/test_rootbounds.py::test_without_a_certificate_the_floors_settle_after_one_halving",)),
     # each halving refines the isolation it holds, and settles only floors already close to their lower ones
     Mutant("rootbounds.py", "refine(data, data.level + 1)", "refine(data, ISOLATION_BITS + 1)",
            ("tests/test_rootbounds.py::test_gates_that_still_fall_are_not_reported_settled",)),
-    Mutant("rootbounds.py", "if finer_caps == caps and all(cap - low <= 1 for cap, low in zip(caps, lower)):",
+    Mutant("rootbounds.py",
+           "if finer_caps == caps and _lower_reaches(finer, K, epsilon, k_root, field, [cap - 1 for cap in caps]):",
            "if finer_caps == caps:",
            ("tests/test_rootbounds.py::test_gates_that_still_fall_are_not_reported_settled",)),
     # the validated types check their input in __new__; the chain's end variations come from its leading
@@ -192,9 +207,9 @@ MUTANTS = [
     Mutant("quadfield.py", "if m < 1:", "if m < 0:", ("tests/test_cli.py::test_m_is_checked_by_the_field",)),
     Mutant("quadfield.py", "if m > MAX_M:", "if m > MAX_M * MAX_M:",
            ("tests/test_quadfield.py::test_m_is_limited_to_2_pow_63",)),
-    Mutant("rootbounds.py", "if K < 1:", "if K < 0:",
+    Mutant("rootbounds.py", "if K.numerator < K.denominator:", "if K < 0:",
            ("tests/test_rootbounds.py::test_problem_validates_once_at_construction",)),
-    Mutant("rootbounds.py", "if not (0 < epsilon < 1):", "if not (0 < epsilon <= 1):",
+    Mutant("rootbounds.py", "if not 0 < epsilon.numerator < epsilon.denominator:", "if not (0 < epsilon <= 1):",
            ("tests/test_rootbounds.py::test_problem_validates_once_at_construction",)),
     Mutant("forms.py", "[s if len(p) % 2 else -s for", "[s for",
            ("tests/test_forms.py::test_admissible_pass",)),

@@ -134,3 +134,7 @@ def test_end_variations_are_those_at_the_root_radius(lower):
     assert report.ok == (len(chain[-1]) == 1 and at_radius[0] - at_radius[1] == len(lower))
     if report.ok:
         assert (report.radius, report.end_variations) == (radius, at_radius)
+    # sign changes counted in one pass over integers, zeros dropped, as over the list of the nonzero ones
+    kept = [v for v in lower if v]
+    assert _poly.sign_changes(iter(lower)) == sum((u < 0) != (v < 0) for u, v in zip(kept, kept[1:]))
+    assert _poly.sign_changes([0, 0, 3, -2, 0, -5, 7, 0]) == 2 and _poly.sign_changes([0, -4, 0]) == 0

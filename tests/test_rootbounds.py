@@ -216,13 +216,15 @@ def test_stable_constants_runs():
 def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, coeffs, refined):
     # x^3 - 4xy^2 has the integer roots -2, 0, 2: its enclosures are exact, so no refinement can move a gate;
     # x^3 - 2xy^2 has the irrational roots +-sqrt(2) beside 0
+    # the upper floors (side 1, through _bounds) and the lower-side test (side 0, through _lower_reaches) both read
+    # _radicands
     form, field = BinaryForm(coeffs), QuadraticField(7)
-    calls, sides, bounds = [], [], rootbounds._bounds
+    calls, sides, radicands = [], [], rootbounds._radicands
     monkeypatch.setattr(rootbounds, "refine", lambda *args: calls.append(args) or refine(*args))
-    monkeypatch.setattr(rootbounds, "_bounds", lambda *args: sides.append(args[5]) or bounds(*args))
+    monkeypatch.setattr(rootbounds, "_radicands", lambda *args: sides.append(args[5]) or radicands(*args))
     data, caps, stable = rootbounds.stable_constants(form, 1, Fraction(1, 2), field)
     assert stable and bool(calls) == refined
-    assert 0 in sides if refined else sides == [1]  # no lower floors where the enclosures are exact
+    assert 0 in sides if refined else sides == [1]  # no lower-side work where the enclosures are exact
     if not refined:
         assert data == isolate_roots(form) == refine(data, 65)
         assert caps == gate_floors(fraction_thresholds(fraction_constants(data, 1, Fraction(1, 2)), 3, field))
@@ -230,18 +232,25 @@ def test_stable_constants_refines_only_when_a_root_is_irrational(monkeypatch, co
 
 def test_a_moved_gate_floor_takes_a_second_halving(monkeypatch):
     # no workload problem moves a floor at the first halving, so one moved floor is forced: the upper floors at
-    # ISOLATION_BITS, the first the halvings compare with, read -1, a floor no gate has, and with the certificate
-    # withheld (every lower floor one below its upper floor) the isolation must come back two levels finer, and
-    # stable
-    field, bounds = QuadraticField(7), rootbounds._bounds
+    # ISOLATION_BITS, the first the halvings compare with, read one above the true ones, and with the certificate
+    # withheld (every lower floor one below its true upper floor: gate^2 = 0 beside the radicands cap - 1 with
+    # r = 1) the isolation must come back two levels finer, and stable
+    field, bounds, radicands = QuadraticField(7), rootbounds._bounds, rootbounds._radicands
+
+    def raised(*args):
+        coeff, gate, *squares = bounds(*args)
+        if args[0].level == ISOLATION_BITS:
+            return (coeff, gate, *((num + den, den) for num, den in squares))
+        return (coeff, gate, *squares)
 
     def withheld(*args):
-        coeff, gate, *squares = bounds(*args)
         if args[5]:
-            return (None, None, *[(-1, 1)] * 3) if args[0].level == ISOLATION_BITS else (coeff, gate, *squares)
-        return (coeff, gate, *((num - den, den) for num, den in bounds(*args[:5], 1)[2:]))
+            return radicands(*args)
+        coeff, gate, _, _ = radicands(*args)
+        return coeff, gate, (0, 1), tuple((num // den - 1, 1, 1) for num, den in bounds(*args[:5], 1)[2:])
 
-    monkeypatch.setattr(rootbounds, "_bounds", withheld)
+    monkeypatch.setattr(rootbounds, "_bounds", raised)
+    monkeypatch.setattr(rootbounds, "_radicands", withheld)
     data, caps, stable = rootbounds.stable_constants(F3, Fraction(3, 2), Fraction(1, 2), field)
     assert stable and data.level == ISOLATION_BITS + 2
     assert data == refine(isolate_roots(F3), ISOLATION_BITS + 2)
@@ -404,9 +413,10 @@ def test_nth_root_bounds_bracket(x, r):
     assert r == 1 or (lo, hi) == (fraction_nth_root_lower(x, r), fraction_nth_root_upper(x, r))
 
 
-@given(st.integers(0, 2**600), st.integers(1, 7), st.integers(0, 2**85), st.integers(-1, 1))
+@given(st.integers(0, 2**600), st.integers(1, 8), st.integers(0, 2**85), st.integers(-1, 1))
 def test_iroot_is_the_floor_of_the_real_root(k, r, base, step):
-    # besides a k drawn at random, an exact r-th power and its neighbours, where an off-by-one shows
+    # besides a k drawn at random, an exact r-th power and its neighbours, where an off-by-one shows; the even
+    # orders 2, 4, 6 and 8 go through isqrt, once, twice, once and three times
     for value in (k, max(0, base**r + step)):
         root = _poly.iroot(value, r)
         assert root**r <= value < (root + 1) ** r
@@ -672,6 +682,9 @@ def test_evaluate_is_the_homogenized_value(coeffs, p, q):
     value = _poly.evaluate(coeffs, p, q)
     assert type(value) is int
     assert value == q**d * sum(c * x**k for k, c in enumerate(coeffs))
+    # b = 1 takes plain Horner, with no power of b: the homogeneous sum all the same
+    for b in (q, 1):
+        assert _poly.evaluate(coeffs, p, b) == sum(c * p**k * b ** (d - k) for k, c in enumerate(coeffs))
     assert _poly.evaluate(coeffs, p) == sum(c * p**k for k, c in enumerate(coeffs))
 
 
@@ -794,7 +807,7 @@ def test_near_double_roots_isolate_at_the_level_their_gap_needs(k, level):
     assert roots.level == level and roots.integer_roots == ()
     assert all(left[1] < right[0] for left, right in zip(roots.ends, roots.ends[1:]))
     for lo, hi in roots.ends:  # f changes sign across each interval, so a root lies in each
-        assert _poly.sign(form.evaluate(lo, 1 << level)) == -_poly.sign(form.evaluate(hi, 1 << level)) != 0
+        assert form.evaluate(lo, 1 << level) * form.evaluate(hi, 1 << level) < 0
 
 
 # x^3 - 2(10^k x - 1)^2 over m = 7 at K = 10, whose gates still fall after twelve halvings
@@ -817,3 +830,43 @@ def test_the_gates_equal_those_of_the_certificate_tried_first_at_isolation_bits(
     roots, caps, stable = level64_stable_constants(form, K, epsilon, field)
     assert (problem.gate_caps, problem.gates_stable) == (caps, stable)
     assert refine(problem.roots, ISOLATION_BITS) == refine(roots, ISOLATION_BITS)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    admissible_forms(),
+    st.sampled_from((1, 2, 3, 5, 7, 15, 999_999_937)),  # s = 1 and s = 2
+    st.fractions(min_value=1, max_value=10**6, max_denominator=100),
+    st.integers(rootbounds.FIRST_BITS, ISOLATION_BITS + 2),
+)
+# x^3 - xy^2 over m = 1 at K = 1: the lower proportionality bound is (s * approx_coeff)^2 / m = 16 exactly, its cap
+@example(form_from_roots((-1, 0, 1)), 1, Fraction(1), rootbounds.FIRST_BITS)
+@example(NO_CERTIFICATE[0], 7, NO_CERTIFICATE[1], ISOLATION_BITS)
+@example(CLOSE_ROOT_CUBICS[0][0], 7, Fraction(10), ISOLATION_BITS)
+def test_the_lower_floors_reach_a_floor_exactly_when_an_integer_power_does(form, m, K, bits):
+    # the lower-side test of both stopping rules takes no root: it must say that the floor of each lower squared
+    # gate of the Fraction reference is at least F, for F the cap (the certificate) and the cap - 1 (the second
+    # rule), exactly when it is; a target 0 is reached by every gate, so each gate is tried alone
+    field, n, epsilon = QuadraticField(m), form.degree, Fraction(1, 2)
+    data = isolate_roots(form, bits)
+    consts = fraction_constants(data, K, epsilon)
+    caps = gate_floors(fraction_thresholds(consts, n, field))
+    lower = gate_floors(fraction_thresholds(consts, n, field, lower=True))
+    k_root = _dyadic_root(K.numerator, K.denominator, n)
+    for i, cap in enumerate(caps):
+        for target in (cap, cap - 1):
+            targets = [0, 0, 0]
+            targets[i] = target
+            assert rootbounds._lower_reaches(data, K, epsilon, k_root, field, targets) == (lower[i] >= target)
+
+
+@pytest.mark.parametrize(
+    "coeffs,roots,evaluations",
+    [((-1, -3, 0, 1), 5, 80), ((2, 0, -4, 0, 1), 7, 123), ((-1, 3, 3, -4, -1, 1), 7, 156)],
+)
+def test_a_problem_takes_dyadic_roots_for_its_upper_floors_only(coeffs, roots, evaluations):
+    # x^3 - 3xy^2 - y^3, x^4 - 4x^2y^2 + 2y^4 and the sporadic quintic over m = 7 at K = 10: one root of K, and one
+    # per squared gate of degree r > 1 for the caps at each level tried (levels 8 and 16: 1 + 2 * 2 for the cubic,
+    # whose proportionality gate has r = 1, 1 + 2 * 3 for the others); the lower floors take none
+    _, calls = profiled_calls(Problem, QuadraticField(7), BinaryForm(coeffs), 10)
+    assert (calls["rootbounds", "_dyadic_root"], calls["_poly", "evaluate"]) == (roots, evaluations)

@@ -57,7 +57,7 @@ from hypothesis import strategies as st
 
 import relthue
 from relthue import BinaryForm, Problem, QuadraticField, check_admissible
-from relthue._poly import derivative, evaluate, iroot, sign, sturm_chain, variations
+from relthue._poly import derivative, evaluate, iroot, sturm_chain, variations
 from relthue.abssolver import AbsSolutionSet
 from relthue.forms import IntegerPair
 from relthue.oracle import OracleResult, _tableaux
@@ -67,7 +67,8 @@ from relthue.rootbounds import ISOLATION_BITS, MAX_HALVINGS, RootData, _bounds, 
 
 def sign_at(coeffs, x) -> int:
     """The sign of f(x) at an integer or Fraction x, from (numerator, denominator)."""
-    return sign(evaluate(coeffs, x.numerator, x.denominator))
+    value = evaluate(coeffs, x.numerator, x.denominator)
+    return (value > 0) - (value < 0)
 
 
 def count_roots(chain, lo, hi) -> int:
